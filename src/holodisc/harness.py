@@ -461,22 +461,20 @@ def run_macro_forced(
     nb = bank.n_states
     nd = sigset.total_dim
 
-    def f(y_, t_):
-        d_ = y_[:nd]
+    def f(y_, t_, vals):
         flat = y_[nd : nd + nb]
-        U_ = y_[nd + nb :]
-        vals = sigset.values(t_, d_)
-        forcing_value = assemble(vals, t_)
-        probe = bank.bound_to(flat) if nb else bank
-        dU, inputs = variant_rhs(U_, forcing_value, probe, cfg)
-        parts = [sigset.rhs(d_, t_)]
-        if nb:
-            parts.append(bank.rhs_flat(flat, inputs))
-        parts.append(dU)
-        return np.concatenate(parts)
+        dU, drives = variant_rhs(
+            y_[nd + nb :], assemble(vals, t_), bank.bound_to(flat), cfg
+        )
+        return np.concatenate(
+            [sigset.rhs(y_[:nd], t_), bank.rhs_flat(flat, drives), dU]
+        )
+
+    def f_rk4(y_, t_):
+        return f(y_, t_, sigset.values(t_, y_[:nd]))
 
     n_steps = int(round(t_end / cfg.dt))
-    y = np.concatenate([sigset.d0, bank.pack(), U])
+    y = np.concatenate([sigset.d0, bank.Z.ravel(), U])
     times = [0.0]
     U_hist = [U.copy()]
     bank_hist = [y[nd : nd + nb].copy()]
@@ -489,21 +487,11 @@ def run_macro_forced(
     for k in range(n_steps):
         t_now = k * dt
         if cfg.scheme == "rk4":
-            y = rk4_step(y, f, t_now, dt)
+            y = rk4_step(y, f_rk4, t_now, dt)
         else:
-            vals = sigset.step_values(t_now, y[:nd], dt)
-            forcing_value = assemble(vals, t_now)
-            flat = y[nd : nd + nb]
-            U_ = y[nd + nb :]
-            probe = bank.bound_to(flat) if nb else bank
-            dU, inputs = variant_rhs(U_, forcing_value, probe, cfg)
-            parts = [sigset.rhs(y[:nd], t_now)]
-            if nb:
-                parts.append(bank.rhs_flat(flat, inputs))
-            parts.append(dU)
-            y = y + dt * np.concatenate(parts)
+            y = y + dt * f(y, t_now, sigset.step_values(t_now, y[:nd], dt))
         if not np.all(np.isfinite(y)):
-            _diagnose_nonfinite(y, nd, nb, bank, cfg, (k + 1) * dt)
+            _diagnose_nonfinite(y, nd, bank, (k + 1) * dt)
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             t_rec = (k + 1) * dt
             times.append(t_rec)
@@ -522,20 +510,18 @@ def run_macro_forced(
     )
 
 
-def _diagnose_nonfinite(y, nd, nb, bank, cfg, t):
+def _diagnose_nonfinite(y, nd, bank, t):
+    nb = bank.n_states
     if not np.all(np.isfinite(y[nd + nb :])):
         raise StabilityError(
             f"grid amplitudes went non-finite at t = {t:.6g}; reduce dt"
         )
-    flat = y[nd : nd + nb]
-    pos = 0
-    for key in bank.keys():
-        size = len(key[0]) * cfg.m
-        if not np.all(np.isfinite(flat[pos : pos + size])):
+    state = bank.bound_to(y[nd : nd + nb])
+    for key in state.keys():
+        if not np.all(np.isfinite(state.states(*key))):
             raise StabilityError(
                 f"memory chain {key} went non-finite at t = {t:.6g}; reduce dt"
             )
-        pos += size
     raise StabilityError(f"signal driver went non-finite at t = {t:.6g}")
 
 

@@ -21,22 +21,34 @@ a periodic domain of length m H.  Four deterministic-skeleton variants:
     General three-mode forcing, complete through quadratic forcing terms:
     33 memory-product couplings over 13 chains per element.
 
-Memory lives in a ChainBank of exponential cascades keyed by (sorted rates,
-input expression); the bank is advanced jointly with U so every scheme sees
-consistent substage values.
+Each variant is compiled once, by ``build_bank``, into a ChainBank: the
+packed layout of its memory chains plus the coefficients with which the
+chain outputs enter dU/dt.  All cascade levels live in one (S, m) array
+(S = 7 levels for ssm1, 17 for strongquad), chains in sorted (rates,
+input) order, each chain's levels in consecutive rows, output first.  Per
+row the bank fixes a decay rate and whether the next row feeds it; per
+chain, the row of the drive stack it integrates and its output row.  The
+drive stack is the variant's (n_expr, m) array of forcing expressions:
+phi for ssm1, the nine stencil images of the three mode rings for
+strongquad.  An evaluation is then a few whole-array operations: the bank
+rhs is -rate * Z plus a masked shift plus the drive rows, and strongquad's
+33 couplings are one (2 * 13, 9) matrix product with the drive stack,
+weighted against the 13 chain outputs.  The bank is advanced jointly with
+U, so every scheme sees consistent substage values.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import chain_rhs, canonical_rates
-from .errors import ConfigError, StabilityError
+from .convolution import canonical_rates
+from .errors import ConfigError
 from .forcing import mode_decay_rate
-from .microscale import SCHEMES, check_scheme_legal
-from .stencil import delta2, delta4, mudelta
+from .microscale import SCHEMES
+from .stencil import delta2, mudelta, ring_pad
 
 __all__ = [
     "VARIANTS",
@@ -55,15 +67,11 @@ __all__ = [
     "QuadTerm",
     "strongquad_quadratic_terms",
     "strongquad_chain_specs",
+    "EXPR_NAMES",
     "strongquad_expressions",
-    "strongquad_chain_inputs",
     "strongquad_det_linear",
     "strongquad_rhs",
-    "CoarseState",
-    "init_state",
     "variant_rhs",
-    "macro_step",
-    "run_macro",
 ]
 
 VARIANTS = ("lowg", "lattice", "ssm1", "strongquad")
@@ -132,122 +140,130 @@ def alternating_signs(m: int) -> np.ndarray:
 
 
 class ChainBank:
-    """Memory chains vectorised over elements.
+    """Memory chains of one coarse variant, in a packed (S, m) layout.
 
-    Entries are keyed by (sorted rate tuple, input expression name); chain
+    Chains are keyed by (sorted rate tuple, input expression name); chain
     outputs are permutation-invariant in the rates, so sorting loses
-    nothing.  Each entry stores an array of shape (levels, m): row 0 is the
-    chain output per element.
+    nothing.  Chain c occupies consecutive rows of the packed state Z, row
+    0 of the block being its output per element; blocks follow sorted-key
+    order.  specs lists the (rates, input) chains, exprs the rows of the
+    drive stack the chains read.  The layout is fixed here and shared by
+    every rebinding: per row a decay rate and a link flag (the next row
+    feeds this one), per chain its drive-stack row, its last row (where
+    the drive enters) and its output row.
+
+    build_bank adds the variant's compiled couplings: ``coupling``, the
+    coefficients of the chain outputs in dU/dt, and ``cfg``, the
+    configuration they were resolved for.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, specs=(), exprs=()):
         if int(m) != m or m < 1:
             raise ConfigError(f"bank needs a positive element count, got {m}")
         self.m = int(m)
-        self._states: dict[tuple, np.ndarray] = {}
-
-    @staticmethod
-    def key(rates, input_key: str) -> tuple:
-        return (canonical_rates(rates), str(input_key))
-
-    def ensure(self, rates, input_key: str) -> tuple:
-        """Register a chain (idempotent), initialised from rest."""
-        k = self.key(rates, input_key)
-        if k not in self._states:
-            self._states[k] = np.zeros((len(k[0]), self.m))
-        return k
+        self.exprs = tuple(exprs)
+        self._rows: dict[tuple, slice] = {}
+        rates, last, drive = [], [], []
+        for key in sorted({(canonical_rates(r), str(k)) for r, k in specs}):
+            if key[1] not in self.exprs:
+                raise ConfigError(f"no drive row for chain input {key[1]!r}")
+            self._rows[key] = slice(len(rates), len(rates) + len(key[0]))
+            rates.extend(key[0])
+            last.append(len(rates) - 1)
+            drive.append(self.exprs.index(key[1]))
+        self._rates = np.asarray(rates, dtype=float).reshape(-1, 1)
+        self._link = ~np.isin(np.arange(len(rates) - 1), last)[:, None]
+        self._last = np.asarray(last, dtype=int)
+        self._drive = np.asarray(drive, dtype=int)
+        self.out_rows = np.asarray([s.start for s in self._rows.values()], int)
+        self.Z = np.zeros((len(rates), self.m))
+        self.coupling = None
+        self.cfg = None
 
     def keys(self) -> list[tuple]:
-        return sorted(self._states.keys())
+        return list(self._rows)
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._rows)
+
+    def index(self, rates, input_key: str) -> int:
+        """Position of a chain in the layout (its row in ``outputs()``)."""
+        return self.keys().index((canonical_rates(rates), str(input_key)))
 
     def states(self, rates, input_key: str) -> np.ndarray:
-        k = self.key(rates, input_key)
+        """A chain's cascade levels, shape (levels, m); a view into Z."""
+        k = (canonical_rates(rates), str(input_key))
         try:
-            return self._states[k]
+            return self.Z[self._rows[k]]
         except KeyError:
-            raise ConfigError(
-                f"bank has no chain {k}; register it with ensure()"
-            ) from None
+            raise ConfigError(f"bank has no chain {k}") from None
 
     def output(self, rates, input_key: str) -> np.ndarray:
         """Chain output per element, shape (m,)."""
         return self.states(rates, input_key)[0]
 
+    def outputs(self) -> np.ndarray:
+        """Every chain's output, shape (chains, m), in layout order."""
+        return self.Z[self.out_rows]
+
     @property
     def n_states(self) -> int:
-        return sum(s.size for s in self._states.values())
+        return self.Z.size
 
-    def pack(self) -> np.ndarray:
-        """Flatten all chains in sorted-key order."""
-        if not self._states:
-            return np.zeros(0)
-        return np.concatenate([self._states[k].ravel() for k in self.keys()])
+    def _shaped(self, flat) -> np.ndarray:
+        flat = np.asarray(flat, dtype=float)
+        if flat.size != self.Z.size:
+            raise ConfigError(
+                f"flat vector has {flat.size} entries, bank holds {self.Z.size}"
+            )
+        return flat.reshape(self.Z.shape)
 
     def unpack(self, flat: np.ndarray) -> None:
-        """Overwrite all chain states from a flat vector (pack's inverse)."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_states:
-            raise ConfigError(
-                f"flat vector has {flat.size} entries, bank holds {self.n_states}"
-            )
-        pos = 0
-        for k in self.keys():
-            s = self._states[k]
-            self._states[k] = flat[pos : pos + s.size].reshape(s.shape)
-            pos += s.size
-
-    def rhs_flat(self, flat: np.ndarray, inputs: dict) -> np.ndarray:
-        """Cascade derivatives for a packed state, given drive arrays.
-
-        inputs maps input expression names to (m,) drive arrays; every
-        registered chain must find its drive.
-        """
-        flat = np.asarray(flat, dtype=float)
-        out = np.empty_like(flat)
-        pos = 0
-        for k in self.keys():
-            rates, input_key = k
-            levels = len(rates)
-            block = flat[pos : pos + levels * self.m].reshape(levels, self.m)
-            try:
-                drive = inputs[input_key]
-            except KeyError:
-                raise ConfigError(
-                    f"no drive supplied for chain input {input_key!r}"
-                ) from None
-            out[pos : pos + levels * self.m] = chain_rhs(
-                block, np.asarray(rates), drive
-            ).ravel()
-            pos += levels * self.m
-        return out
-
-    def copy(self) -> "ChainBank":
-        dup = ChainBank(self.m)
-        dup._states = {k: v.copy() for k, v in self._states.items()}
-        return dup
+        """Take the chain states from a packed vector (Z.ravel() order)."""
+        self.Z = self._shaped(flat)
 
     def bound_to(self, flat: np.ndarray) -> "ChainBank":
-        """A bank whose state arrays are views into a packed vector.
+        """A bank sharing this layout whose state is a view of flat.
 
-        Cheap per-stage rebinding for joint integration; mutating the views
+        Cheap per-stage rebinding for joint integration; mutating the view
         mutates flat and vice versa.
         """
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_states:
-            raise ConfigError(
-                f"flat vector has {flat.size} entries, bank holds {self.n_states}"
-            )
-        dup = ChainBank(self.m)
-        pos = 0
-        for k in self.keys():
-            shape = self._states[k].shape
-            size = shape[0] * shape[1]
-            dup._states[k] = flat[pos : pos + size].reshape(shape)
-            pos += size
+        dup = copy.copy(self)
+        dup.Z = self._shaped(flat)
         return dup
+
+    def rhs_flat(self, flat: np.ndarray, drives) -> np.ndarray:
+        """Cascade derivatives of a packed state, given the drive stack.
+
+        drives is the variant's (len(exprs), m) drive stack; each chain
+        integrates its row.  Returns the derivatives packed like flat.
+        """
+        Z = self._shaped(flat)
+        if not self._last.size:
+            return np.zeros(0)
+        if np.shape(drives) != (len(self.exprs), self.m):
+            raise ConfigError(
+                f"need a ({len(self.exprs)}, {self.m}) drive stack, "
+                f"got shape {np.shape(drives)}"
+            )
+        dZ = -self._rates * Z
+        np.add(dZ[:-1], Z[1:], out=dZ[:-1], where=self._link)
+        dZ[self._last] += drives[self._drive]
+        return dZ.ravel()
+
+
+def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:
+    """The bank's couplings must have been resolved for cfg's model."""
+    if bank.cfg is cfg:
+        return
+    fields = ("variant", "m", "alpha", "eps", "gamma", "H")
+    if bank.cfg is None or any(
+        getattr(bank.cfg, f) != getattr(cfg, f) for f in fields
+    ):
+        raise ConfigError(
+            f"bank was compiled for {bank.cfg!r}, not for {cfg!r}; "
+            "build it with build_bank(cfg)"
+        )
 
 
 # -- low-order model ---------------------------------------------------------
@@ -307,9 +323,8 @@ def lattice_coarse_rhs(
             f"need forcing at 2m = {2 * cfg.m} lattice points, "
             f"got shape {phi_fine.shape}"
         )
-    centre = phi_fine[0::2]
-    left = np.roll(phi_fine, 1)[0::2]
-    right = np.roll(phi_fine, -1)[0::2]
+    padded = ring_pad(phi_fine)
+    left, centre, right = padded[:-2:2], padded[1:-1:2], padded[2::2]
     psi0 = 0.25 * left + 0.5 * centre + 0.25 * right
     w = cfg.psi1_weights
     psi1 = w[0] * left + w[1] * centre + w[2] * right
@@ -332,6 +347,31 @@ def ssm1_chain_specs(cfg: ModelConfig) -> tuple[tuple[tuple, str], ...]:
     )
 
 
+def _ssm1_outputs(bank: ChainBank, cfg: ModelConfig) -> list[np.ndarray]:
+    """Outputs of Z1, Z21, Z41, Z61, in that order."""
+    return [bank.output(*spec) for spec in ssm1_chain_specs(cfg)]
+
+
+def _ssm1_product_constants(H: float) -> dict[str, float]:
+    """Z1, Z21, Z41, Z61 coefficients, before the eps^2 alpha^2 U factor."""
+    return {
+        "z1": 0.0195 * H * H,
+        "z21": -(8.0 / _PI2) / 15.0,
+        "z41": -(8.0 / _PI2) / 255.0,
+        "z61": -(8.0 / _PI2) / 1295.0,
+    }
+
+
+def _ssm1_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
+    """Coefficients of the chain outputs in the memory term U phi (c . Z)."""
+    a, e = cfg.alpha, cfg.eps
+    coupling = np.zeros(len(bank))
+    constants = _ssm1_product_constants(cfg.H).values()
+    for spec, c in zip(ssm1_chain_specs(cfg), constants):
+        coupling[bank.index(*spec)] = e * e * a * a * c
+    return coupling
+
+
 def ssm1_det_linear(U: np.ndarray, phi: float, cfg: ModelConfig) -> np.ndarray:
     """Deterministic skeleton plus forcing-linear terms of the ssm1 model.
 
@@ -344,7 +384,7 @@ def ssm1_det_linear(U: np.ndarray, phi: float, cfg: ModelConfig) -> np.ndarray:
 
     d2U = delta2(U)
     dU = (g / H**2) * d2U
-    dU -= (g * g / (12.0 * H**2)) * delta4(U)
+    dU -= (g * g / (12.0 * H**2)) * delta2(d2U)
     dU -= (a * g / H) * U * mudelta(U)
     dU += (a * a * g / 12.0) * U * U * d2U
 
@@ -361,18 +401,13 @@ def ssm1_memory_weights(U: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray
     """Coefficients multiplying the four memory products phi * Z...phi.
 
     Keys name the chain by its mode pair; each value has shape (m,).  The
-    strong model multiplies these by the realised products, the weak model
-    by their drift-plus-noise replacements.
+    weak model multiplies these by the products' drift-plus-noise
+    replacements; the strong model applies the same constants through its
+    compiled coupling vector.
     """
-    a, e, H = cfg.alpha, cfg.eps, cfg.H
-    U = np.asarray(U, dtype=float)
-    lead = e * e * a * a * U
-    return {
-        "z1": lead * 0.0195 * H * H,
-        "z21": lead * (-(8.0 / _PI2) / 15.0),
-        "z41": lead * (-(8.0 / _PI2) / 255.0),
-        "z61": lead * (-(8.0 / _PI2) / 1295.0),
-    }
+    a, e = cfg.alpha, cfg.eps
+    lead = e * e * a * a * np.asarray(U, dtype=float)
+    return {k: lead * c for k, c in _ssm1_product_constants(cfg.H).items()}
 
 
 def ssm1_rhs(
@@ -384,21 +419,16 @@ def ssm1_rhs(
     (lower sign on even 0-based j); phi(t) is the scalar drive.  Memory
     enters through the bank's four chains, all fed by phi.
 
-    Returns the amplitude derivative and the bank drive map for this
-    evaluation, so the caller can advance U and the chains jointly.
+    Returns the amplitude derivative and the bank's (1, m) drive stack for
+    this evaluation, so the caller can advance U and the chains jointly.
+    The bank must come from build_bank(cfg).
     """
     U = np.asarray(U, dtype=float)
-    H = cfg.H
-    b = {k: mode_decay_rate(k, H) for k in (1, 2, 4, 6)}
-    dU = ssm1_det_linear(U, phi, cfg)
-    weights = ssm1_memory_weights(U, cfg)
     phi = float(phi)
-    dU += weights["z1"] * phi * bank.output((b[1],), "phi")
-    dU += weights["z21"] * phi * bank.output((b[1], b[2]), "phi")
-    dU += weights["z41"] * phi * bank.output((b[1], b[4]), "phi")
-    dU += weights["z61"] * phi * bank.output((b[1], b[6]), "phi")
-    inputs = {"phi": np.full(cfg.m, phi)}
-    return dU, inputs
+    _check_compiled(bank, cfg)
+    dU = ssm1_det_linear(U, phi, cfg)
+    dU += (U * phi) * (bank.coupling @ bank.outputs())
+    return dU, np.full((1, cfg.m), phi)
 
 
 def nsm_field_at_grid(
@@ -416,11 +446,7 @@ def nsm_field_at_grid(
     a, e, H = cfg.alpha, cfg.eps, cfg.H
     U = np.asarray(U, dtype=float)
     alt = alternating_signs(cfg.m)
-    b = {k: mode_decay_rate(k, H) for k in (1, 2, 4, 6)}
-    z1 = bank.output((b[1],), "phi")
-    z21 = bank.output((b[1], b[2]), "phi")
-    z41 = bank.output((b[1], b[4]), "phi")
-    z61 = bank.output((b[1], b[6]), "phi")
+    z1, z21, z41, z61 = _ssm1_outputs(bank, cfg)
     offset = (2.0 * H / _PI2) * z1 - (4.0 / H) * (
         z21 / 3.0 - z41 / 15.0 + z61 / 35.0
     )
@@ -441,11 +467,7 @@ def nsm_subgrid_field(
     U = np.asarray(U, dtype=float)
     alt = alternating_signs(cfg.m)
     theta = np.asarray(theta, dtype=float)[..., None]
-    b = {k: mode_decay_rate(k, H) for k in (1, 2, 4, 6)}
-    z1 = bank.output((b[1],), "phi")
-    z21 = bank.output((b[1], b[2]), "phi")
-    z41 = bank.output((b[1], b[4]), "phi")
-    z61 = bank.output((b[1], b[6]), "phi")
+    z1, z21, z41, z61 = _ssm1_outputs(bank, cfg)
 
     out = U + g * (
         (theta / np.pi) * mudelta(U)
@@ -466,23 +488,22 @@ def nsm_subgrid_field(
 
 # -- general quadratic-forcing model -----------------------------------------
 
-_EXPR_NAMES = (
+EXPR_NAMES = (
     "phi0", "phi1", "phi2",
     "mudelta_phi0", "mudelta_phi1", "mudelta_phi2",
     "delta2_phi0", "delta2_phi1", "delta2_phi2",
 )
 
 
-def strongquad_expressions(modes: np.ndarray) -> dict[str, np.ndarray]:
-    """Stencil images of the three mode-coefficient rings."""
-    modes = np.asarray(modes, dtype=float)
-    ex: dict[str, np.ndarray] = {}
-    for k in range(3):
-        s = modes[:, k]
-        ex[f"phi{k}"] = s
-        ex[f"mudelta_phi{k}"] = mudelta(s)
-        ex[f"delta2_phi{k}"] = delta2(s)
-    return ex
+def strongquad_expressions(modes: np.ndarray) -> np.ndarray:
+    """Stencil images of the three mode-coefficient rings, stacked.
+
+    modes has shape (m, 3); the result has shape (9, m), rows named by
+    EXPR_NAMES: the three rings, their mudelta images, their delta2
+    images.  Complex (phasor) modes give a complex stack.
+    """
+    s = np.asarray(modes).T
+    return np.concatenate([s, mudelta(s), delta2(s)])
 
 
 @dataclass(frozen=True)
@@ -564,62 +585,63 @@ def strongquad_chain_specs(cfg: ModelConfig) -> tuple[tuple[tuple, str], ...]:
     return tuple(seen)
 
 
-def strongquad_chain_inputs(modes: np.ndarray) -> dict[str, np.ndarray]:
-    """Drive arrays for the bank: the stencil images the chains integrate."""
-    ex = strongquad_expressions(modes)
-    drives = (
-        "phi1", "phi2",
-        "mudelta_phi0", "mudelta_phi1", "mudelta_phi2",
-        "delta2_phi0", "delta2_phi1", "delta2_phi2",
-    )
-    return {k: ex[k] for k in drives}
+def _strongquad_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
+    """The 33 couplings as one (2 * chains, 9) matrix.
+
+    Row c (plain) and row chains + c (times U) hold, per left expression,
+    the summed coefficients of the terms reading chain c's output.
+    """
+    n = len(bank)
+    coupling = np.zeros((2 * n, len(EXPR_NAMES)))
+    for term in strongquad_quadratic_terms(cfg):
+        row = bank.index(term.rates, term.right) + n * term.times_U
+        coupling[row, EXPR_NAMES.index(term.left)] += term.coeff
+    return coupling
+
+
+_C_S0 = 3.0 / 640.0 + 1.0 / (8.0 * _PI4)
+_C_S2 = 1.0 / (48.0 * _PI2) + 1.0 / (16.0 * _PI4)
+_C_MD0 = 8.0 / _PI2
+_C_DD1 = 1.0 / 12.0 + 5.0 / (3.0 * _PI2)
+_C_MD1 = 1.0 / 6.0 + 10.0 / (3.0 * _PI2)
+_C_S1 = 1.0 / 6.0 + 1.0 / (3.0 * _PI2)
+_C_D2DD1 = 1.0 / 24.0 + 5.0 / (6.0 * _PI2)
 
 
 def strongquad_det_linear(
-    U: np.ndarray, modes: np.ndarray, cfg: ModelConfig
+    U: np.ndarray, ex: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
     """Deterministic skeleton plus forcing-linear terms of the general model.
 
     Everything except the 33 quadratic memory couplings; shared by the
-    strong model and its weak replacement.
+    strong model and its weak replacement.  ex is the (9, m) stack of
+    strongquad_expressions.
     """
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     U = np.asarray(U, dtype=float)
-    modes = np.asarray(modes, dtype=float)
-    if modes.shape != (cfg.m, 3):
+    if np.shape(ex) != (len(EXPR_NAMES), cfg.m):
         raise ConfigError(
-            f"need mode coefficients of shape ({cfg.m}, 3), got {modes.shape}"
+            f"need an expression stack of shape ({len(EXPR_NAMES)}, {cfg.m}), "
+            f"got {np.shape(ex)}"
         )
-    ex = strongquad_expressions(modes)
-    s0, s1, s2 = ex["phi0"], ex["phi1"], ex["phi2"]
+    s0, s1, s2, md0, md1, md2, dd0, dd1, dd2 = ex
+    d4s0, d4s2 = delta2(ex[6::2])
+    d2U = delta2(U)
+    mdU = mudelta(U)
 
-    dU = (g / H**2) * delta2(U)
-    dU -= (g * g / (12.0 * H**2)) * delta4(U)
-    dU -= (g * a / H) * U * mudelta(U)
+    dU = (g / H**2) * d2U
+    dU -= (g * g / (12.0 * H**2)) * delta2(d2U)
+    dU -= (g * a / H) * U * mdU
 
-    lin = (
-        s0
-        - (g / 24.0) * ex["delta2_phi0"]
-        + g * g * (3.0 / 640.0 + 1.0 / (8.0 * _PI4)) * delta4(s0)
-    )
-    lin += (g / (4.0 * _PI2)) * ex["delta2_phi2"]
-    lin -= g * g * (1.0 / (48.0 * _PI2) + 1.0 / (16.0 * _PI4)) * delta4(s2)
+    lin = s0 - (g / 24.0) * dd0 + g * g * _C_S0 * d4s0
+    lin += (g / (4.0 * _PI2)) * dd2
+    lin -= g * g * _C_S2 * d4s2
     lin -= a * (2.0 * H / _PI2) * U * s1
     # Coupling-gradient corrections; prefactor alpha gamma H / pi^2.
     lin += (a * g * H / _PI2) * (
-        U
-        * (
-            (8.0 / _PI2) * ex["mudelta_phi0"]
-            - 0.25 * ex["mudelta_phi2"]
-            + (1.0 / 12.0 + 5.0 / (3.0 * _PI2)) * ex["delta2_phi1"]
-        )
-        + mudelta(U)
-        * (0.25 * s2 + (1.0 / 6.0 + 10.0 / (3.0 * _PI2)) * ex["mudelta_phi1"])
-        - delta2(U)
-        * (
-            (1.0 / 6.0 + 1.0 / (3.0 * _PI2)) * s1
-            - (1.0 / 24.0 + 5.0 / (6.0 * _PI2)) * ex["delta2_phi1"]
-        )
+        U * (_C_MD0 * md0 - 0.25 * md2 + _C_DD1 * dd1)
+        + mdU * (0.25 * s2 + _C_MD1 * md1)
+        - d2U * (_C_S1 * s1 - _C_D2DD1 * dd1)
     )
     lin -= a * a * (8.0 * H * H / (3.0 * _PI4)) * U * U * s0
     dU += e * lin
@@ -628,152 +650,55 @@ def strongquad_det_linear(
 
 def strongquad_rhs(
     U: np.ndarray, modes: np.ndarray, bank: ChainBank, cfg: ModelConfig
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """General-forcing model, complete through quadratic forcing terms.
 
     modes holds the per-element forcing coefficients, shape (m, 3).  The
     deterministic skeleton and the forcing-linear terms are evaluated in
-    place; the 33 quadratic couplings read chain outputs from the bank
-    (register them with build_bank or strongquad_chain_specs first).
+    place; the 33 quadratic couplings are one product of the bank's
+    compiled coupling matrix with the expression stack, weighted against
+    the chain outputs (the bank must come from build_bank(cfg)).
+
+    Returns the amplitude derivative and the (9, m) expression stack, which
+    is also the bank's drive stack.
     """
     U = np.asarray(U, dtype=float)
     modes = np.asarray(modes, dtype=float)
-    dU = strongquad_det_linear(U, modes, cfg)
+    if modes.shape != (cfg.m, 3):
+        raise ConfigError(
+            f"need mode coefficients of shape ({cfg.m}, 3), got {modes.shape}"
+        )
+    _check_compiled(bank, cfg)
     ex = strongquad_expressions(modes)
-    for term in strongquad_quadratic_terms(cfg):
-        v = term.coeff * ex[term.left] * bank.output(term.rates, term.right)
-        if term.times_U:
-            v = v * U
-        dU += v
-    return dU
+    dU = strongquad_det_linear(U, ex, cfg)
+    W = bank.coupling @ ex
+    n = bank.out_rows.size
+    dU += np.einsum("cj,cj->j", W[:n] + U * W[n:], bank.outputs())
+    return dU, ex
 
 
-# -- joint stepping ----------------------------------------------------------
+# -- compiled forms ----------------------------------------------------------
 
 def build_bank(cfg: ModelConfig) -> ChainBank:
-    """A from-rest bank holding exactly the chains cfg's variant needs."""
-    bank = ChainBank(cfg.m)
+    """The compiled form of cfg's variant: its from-rest chains and couplings."""
     if cfg.variant == "ssm1":
-        specs = ssm1_chain_specs(cfg)
+        bank = ChainBank(cfg.m, ssm1_chain_specs(cfg), ("phi",))
+        bank.coupling = _ssm1_coupling(bank, cfg)
     elif cfg.variant == "strongquad":
-        specs = strongquad_chain_specs(cfg)
+        bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
+        bank.coupling = _strongquad_coupling(bank, cfg)
     else:
-        specs = ()
-    for rates, input_key in specs:
-        bank.ensure(rates, input_key)
+        bank = ChainBank(cfg.m)
+    bank.cfg = cfg
     return bank
 
 
-@dataclass
-class CoarseState:
-    """One instant of a coarse run: time, amplitudes, memory bank."""
-
-    t: float
-    U: np.ndarray
-    bank: ChainBank
-
-
-def init_state(cfg: ModelConfig, U0) -> CoarseState:
-    U0 = np.asarray(U0, dtype=float)
-    if U0.shape != (cfg.m,):
-        raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
-    return CoarseState(t=0.0, U=U0.copy(), bank=build_bank(cfg))
-
-
 def variant_rhs(U, forcing_value, bank, cfg):
-    """Dispatch to the variant's evolution; returns (dU, bank drive map)."""
+    """Dispatch to the variant's evolution; returns (dU, bank drive stack)."""
     if cfg.variant == "lowg":
-        return lowg_rhs(U, forcing_value, cfg), {}
+        return lowg_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
     if cfg.variant == "lattice":
-        return lattice_coarse_rhs(U, forcing_value, cfg), {}
+        return lattice_coarse_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
     if cfg.variant == "ssm1":
         return ssm1_rhs(U, forcing_value, bank, cfg)
-    dU = strongquad_rhs(U, forcing_value, bank, cfg)
-    return dU, strongquad_chain_inputs(forcing_value)
-
-
-def macro_step(state: CoarseState, cfg: ModelConfig, forcing, dt=None) -> CoarseState:
-    """Advance amplitudes and memory bank jointly by one step.
-
-    forcing(t) returns the variant's forcing object at time t: mode
-    coefficients (m, 3) for lowg and strongquad, fine lattice samples (2m,)
-    for lattice, the scalar drive for ssm1.  Under rk4 it is evaluated at
-    substage times, so it must be smooth; held-per-step samples (white
-    noise) require the euler-maruyama scheme.
-
-    Raises StabilityError naming the offending piece if anything goes
-    non-finite.
-    """
-    dt = cfg.dt if dt is None else dt
-    if dt <= 0.0:
-        raise ConfigError(f"time step must be positive, got {dt}")
-    bank = state.bank
-    nb = bank.n_states
-
-    def packed_rhs(y, t):
-        flat_bank = y[:nb]
-        U = y[nb:]
-        probe = bank.bound_to(flat_bank) if nb else bank
-        dU, inputs = variant_rhs(U, forcing(t), probe, cfg)
-        if nb:
-            return np.concatenate([bank.rhs_flat(flat_bank, inputs), dU])
-        return dU
-
-    y = np.concatenate([bank.pack(), state.U]) if nb else state.U.copy()
-    if cfg.scheme == "rk4":
-        k1 = packed_rhs(y, state.t)
-        k2 = packed_rhs(y + 0.5 * dt * k1, state.t + 0.5 * dt)
-        k3 = packed_rhs(y + 0.5 * dt * k2, state.t + 0.5 * dt)
-        k4 = packed_rhs(y + dt * k3, state.t + dt)
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        y_new = y + dt * packed_rhs(y, state.t)
-
-    U_new = y_new[nb:]
-    if not np.all(np.isfinite(U_new)):
-        raise StabilityError(
-            f"grid amplitudes went non-finite at t = {state.t + dt:.6g}; reduce dt"
-        )
-    new_bank = bank.copy()
-    if nb:
-        flat = y_new[:nb]
-        if not np.all(np.isfinite(flat)):
-            pos = 0
-            for k in new_bank.keys():
-                size = len(k[0]) * cfg.m
-                if not np.all(np.isfinite(flat[pos : pos + size])):
-                    raise StabilityError(
-                        f"memory chain {k} went non-finite at "
-                        f"t = {state.t + dt:.6g}; reduce dt"
-                    )
-                pos += size
-        new_bank.unpack(flat)
-    return CoarseState(t=state.t + dt, U=U_new, bank=new_bank)
-
-
-def run_macro(
-    cfg: ModelConfig,
-    forcing,
-    U0,
-    t_end: float,
-    record_every: int = 1,
-    forcing_is_white: bool = False,
-):
-    """Run a coarse model from t = 0, recording every k-th step.
-
-    Returns (times, U history, final state).  The bank is carried along but
-    only the final instant's bank is returned.
-    """
-    check_scheme_legal(cfg.scheme, forcing_is_white)
-    if t_end <= 0.0:
-        raise ConfigError(f"need t_end > 0, got {t_end}")
-    state = init_state(cfg, U0)
-    n_steps = int(round(t_end / cfg.dt))
-    times = [0.0]
-    history = [state.U.copy()]
-    for k in range(n_steps):
-        state = macro_step(state, cfg, forcing)
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append(state.t)
-            history.append(state.U.copy())
-    return np.asarray(times), np.asarray(history), state
+    return strongquad_rhs(U, forcing_value, bank, cfg)

@@ -4,7 +4,9 @@ The coarse models are built from three operators acting on a periodic
 sequence of element amplitudes: the second difference ``delta2``, the fused
 mean-difference ``mudelta`` (half the gap between the two neighbours), and
 the fourth difference ``delta4`` (``delta2`` applied twice).  All three wrap
-around, so a length-m sequence is treated as a ring.
+around, so a length-m sequence is treated as a ring.  They act along the
+last axis, so a (k, m) stack holds k rings, and they keep complex input
+complex (phasor patterns); anything else is computed in float.
 
 On smooth samples s[j] = f(jH) the operators are consistent with
 derivatives: delta2/H^2 -> f'' + O(H^2), mudelta/H -> f' + O(H^2), and the
@@ -15,19 +17,32 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["delta2", "mudelta", "delta4"]
+__all__ = ["delta2", "mudelta", "delta4", "ring_pad"]
+
+
+def ring_pad(s: np.ndarray) -> np.ndarray:
+    """Ring s with one wrapped ghost value at each end of the last axis.
+
+    p = ring_pad(s) has p[..., j] = s[..., j-1] and p[..., j+2] = s[..., j+1],
+    so the left and right neighbours of the ring are the slices p[..., :-2]
+    and p[..., 2:].
+    """
+    s = np.asarray(s)
+    if s.dtype.kind != "c":
+        s = s.astype(float, copy=False)
+    return np.concatenate([s[..., -1:], s, s[..., :1]], axis=-1)
 
 
 def delta2(s: np.ndarray) -> np.ndarray:
     """Second centred difference s[j+1] - 2 s[j] + s[j-1], periodic."""
-    s = np.asarray(s, dtype=float)
-    return np.roll(s, -1) - 2.0 * s + np.roll(s, 1)
+    p = ring_pad(s)
+    return p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]
 
 
 def mudelta(s: np.ndarray) -> np.ndarray:
     """Fused mean-difference (s[j+1] - s[j-1]) / 2, periodic."""
-    s = np.asarray(s, dtype=float)
-    return 0.5 * (np.roll(s, -1) - np.roll(s, 1))
+    p = ring_pad(s)
+    return 0.5 * (p[..., 2:] - p[..., :-2])
 
 
 def delta4(s: np.ndarray) -> np.ndarray:

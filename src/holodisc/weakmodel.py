@@ -22,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import canonical_rates
+from .convolution import ConvChain, canonical_rates
 from .errors import ConfigError, StabilityError
 from .forcing import SignalSpec, mode_decay_rate
 from .macromodel import (
+    EXPR_NAMES,
     ModelConfig,
     ssm1_det_linear,
     ssm1_memory_weights,
     strongquad_det_linear,
+    strongquad_expressions,
     strongquad_quadratic_terms,
 )
 
@@ -83,9 +85,7 @@ def phasor_drift(rates, omega, left_phasor, right_phasor):
     0.5 Re[L conj(T R)] with T the chain transfer function at frequency
     omega.  Reduces to the scalar formulas for single cosines.
     """
-    T = 1.0 + 0.0j
-    for b in canonical_rates(rates):
-        T /= b + 1j * omega
+    T = ConvChain(canonical_rates(rates)).transfer(omega)
     L = np.asarray(left_phasor, dtype=complex)
     R = np.asarray(right_phasor, dtype=complex)
     return 0.5 * np.real(L * np.conj(T * R))
@@ -341,13 +341,13 @@ class WeakCoarseModel:
                     f"mode pattern must have shape ({cfg.m}, 3), got {pattern.shape}"
                 )
             A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
-            phasors = pattern * A * np.exp(1j * ph)
+            phasors = strongquad_expressions(pattern * A * np.exp(1j * ph))
             self._pattern = pattern
             drift_plain = np.zeros(cfg.m)
             drift_times_U = np.zeros(cfg.m)
             for term in terms:
-                L = _phasor_expr(phasors, term.left)
-                R = _phasor_expr(phasors, term.right)
+                L = phasors[EXPR_NAMES.index(term.left)]
+                R = phasors[EXPR_NAMES.index(term.right)]
                 d = term.coeff * phasor_drift(term.rates, w, L, R)
                 if term.times_U:
                     drift_times_U += d
@@ -365,8 +365,8 @@ class WeakCoarseModel:
                 )
             if len(mode_scales) != 3:
                 raise ConfigError("mode_scales must have three entries")
-            self._sigma = tuple(
-                float(self.signal.intensity) * float(s) for s in mode_scales
+            self._sigma = float(self.signal.intensity) * np.asarray(
+                mode_scales, dtype=float
             )
             self._expand_strongquad_white(terms)
 
@@ -376,13 +376,17 @@ class WeakCoarseModel:
         Each registry term left * Z right is a double sum over stencil
         offsets of raw products phi_{J+r,p} Z phi_{J+s,n}; every raw product
         gets its stochastic_replace, with streams shared across terms by
-        the subscript identity.
+        the subscript identity (left element, right element, p, n, rates,
+        slot).  An occurrence (term, r, s, slot) covers the m products of
+        one class (p, n, rates, slot, (s - r) mod m), the left element
+        running over the ring, so a stream is a (class, left element) code.
+        Streams are numbered in order of first occurrence, occurrence by
+        occurrence and element by element.
         """
         cfg = self.cfg
         m = cfg.m
-        J = np.arange(m)
-        key_index: dict[tuple, int] = {}
-        occurrences = []  # (factor, idx array, times_U)
+        classes: dict[tuple, int] = {}
+        occurrences = []  # (class, left offset r, factor, times_U)
         drift_plain = np.zeros(m)
         drift_times_U = np.zeros(m)
         for term in terms:
@@ -400,30 +404,44 @@ class WeakCoarseModel:
                             drift_times_U += drift
                         else:
                             drift_plain += drift
-                    left_el = (J + r) % m
-                    right_el = (J + s) % m
                     for slot, amp in enumerate(amps):
-                        idx = np.empty(m, dtype=int)
-                        for j in range(m):
-                            key = (
-                                int(left_el[j]),
-                                int(right_el[j]),
-                                p,
-                                n,
-                                rates,
-                                slot,
-                            )
-                            if key not in key_index:
-                                key_index[key] = len(key_index)
-                            idx[j] = key_index[key]
-                        occurrences.append(
-                            (weight * sp * sn * amp, idx, term.times_U)
+                        cls = classes.setdefault(
+                            (p, n, rates, slot, (s - r) % m), len(classes)
                         )
+                        occurrences.append(
+                            (cls, r, weight * sp * sn * amp, term.times_U)
+                        )
+        cls, r, factor, times_U = (np.asarray(c) for c in zip(*occurrences))
+        codes = (cls[:, None] * m + (np.arange(m) + r[:, None]) % m).ravel()
+        uniq, first, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
         self._drift_plain = drift_plain
         self._drift_times_U = drift_times_U
-        self._occurrences = occurrences
-        self._n_streams = len(key_index)
-        self._stream_keys = sorted(key_index, key=key_index.get)
+        # noise = factors @ psi[idx]: row 0 plain, row 1 times U
+        self._occ_idx = number[inverse].reshape(len(occurrences), m)
+        self._occ_factors = np.zeros((2, len(occurrences)))
+        self._occ_factors[times_U.astype(int), np.arange(len(occurrences))] = factor
+        self._n_streams = int(uniq.size)
+        self._stream_codes = uniq[order]
+        self._stream_classes = list(classes)
+
+    def _stream_keys(self) -> list[tuple]:
+        """Identities of the white-noise streams, in numbering order.
+
+        Each is (left element, right element, left mode, right mode, rates,
+        slot); empty unless the model is white-noise strongquad.
+        """
+        m = self.cfg.m
+        keys = []
+        for code in getattr(self, "_stream_codes", ()):
+            p, n, rates, slot, d = self._stream_classes[code // m]
+            left = int(code % m)
+            keys.append((left, (left + d) % m, p, n, rates, slot))
+        return keys
 
     # -- evaluation ----------------------------------------------------------
 
@@ -447,7 +465,7 @@ class WeakCoarseModel:
                 dU += weights[label] * drift
             return dU
         modes = np.real(self._pattern_phasors_at(t))
-        dU = strongquad_det_linear(U, modes, cfg)
+        dU = strongquad_det_linear(U, strongquad_expressions(modes), cfg)
         dU += self._drift_plain + self._drift_times_U * U
         return dU
 
@@ -492,19 +510,11 @@ class WeakCoarseModel:
             for label, v in vals.items():
                 dU += weights[label] * v
             return U + dt * dU
-        modes = np.empty((cfg.m, 3))
-        for k in range(3):
-            modes[:, k] = self._sigma[k] * rng.standard_normal(cfg.m) / sq
-        dU = strongquad_det_linear(U, modes, cfg)
+        rings = self._sigma[:, None] * rng.standard_normal((3, cfg.m)) / sq
+        dU = strongquad_det_linear(U, strongquad_expressions(rings.T), cfg)
         dU += self._drift_plain + self._drift_times_U * U
         psi = rng.standard_normal(self._n_streams) / sq
-        noise_plain = np.zeros(cfg.m)
-        noise_times_U = np.zeros(cfg.m)
-        for factor, idx, times_U in self._occurrences:
-            if times_U:
-                noise_times_U += factor * psi[idx]
-            else:
-                noise_plain += factor * psi[idx]
+        noise_plain, noise_times_U = self._occ_factors @ psi[self._occ_idx]
         dU += noise_plain + noise_times_U * U
         return U + dt * dU
 
@@ -530,17 +540,6 @@ class WeakCoarseModel:
                 times.append((k + 1) * cfg.dt)
                 history.append(U.copy())
         return np.asarray(times), np.asarray(history)
-
-
-def _phasor_expr(phasors: np.ndarray, name: str) -> np.ndarray:
-    """Stencil image of a phasor column, complex-safe."""
-    op, k = _split_expr(name)
-    col = phasors[:, k]
-    if op == "phi":
-        return col
-    if op == "mudelta":
-        return 0.5 * (np.roll(col, -1) - np.roll(col, 1))
-    return np.roll(col, -1) - 2.0 * col + np.roll(col, 1)
 
 
 def build_weak_model(

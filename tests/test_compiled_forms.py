@@ -1,0 +1,198 @@
+"""Compiled coarse variants against the per-term and per-chain loops.
+
+The references below are the loops the compiled forms replace: one pass
+over strongquad's 33 QuadTerms reading dict-keyed chain outputs, the four
+ssm1 products, the cascade derivative chain by chain, and the white-noise
+stream numbering dict.  They index chains by (sorted rates, input) in a
+dict of their own, so they share no layout code with ChainBank.
+"""
+
+import numpy as np
+import pytest
+
+from holodisc import (
+    ConfigError,
+    ModelConfig,
+    SignalSpec,
+    build_bank,
+    build_weak_model,
+    canonical_rates,
+    chain_rhs,
+    mode_decay_rate,
+    strongquad_rhs,
+    variant_rhs,
+)
+from holodisc.macromodel import (
+    EXPR_NAMES,
+    ssm1_chain_specs,
+    ssm1_det_linear,
+    ssm1_memory_weights,
+    strongquad_chain_specs,
+    strongquad_det_linear,
+    strongquad_expressions,
+    strongquad_quadratic_terms,
+)
+from holodisc.weakmodel import _OFFSET_WEIGHTS, _slot_amplitudes, _split_expr
+
+RTOL = 1e-12
+
+
+def cfg_for(variant, m, **kw):
+    return ModelConfig(variant=variant, alpha=0.7, eps=0.3, gamma=0.8,
+                       H=np.pi / 2.0, m=m, **kw)
+
+
+def chain_states(specs, flat, m):
+    """Dict of (sorted rates, input) -> (levels, m) blocks of a packed vector."""
+    states, pos = {}, 0
+    for rates, name in sorted({(canonical_rates(r), k) for r, k in specs}):
+        states[(rates, name)] = flat[pos : pos + len(rates) * m].reshape(-1, m)
+        pos += len(rates) * m
+    assert pos == flat.size
+    return states
+
+
+def reference_bank_rhs(states, drives):
+    return np.concatenate([
+        chain_rhs(block, np.asarray(rates), drives[name]).ravel()
+        for (rates, name), block in states.items()
+    ])
+
+
+def reference_strongquad_rhs(U, modes, states, cfg):
+    ex = dict(zip(EXPR_NAMES, strongquad_expressions(modes)))
+    dU = strongquad_det_linear(U, strongquad_expressions(modes), cfg)
+    for term in strongquad_quadratic_terms(cfg):
+        out = states[(canonical_rates(term.rates), term.right)][0]
+        v = term.coeff * ex[term.left] * out
+        if term.times_U:
+            v = v * U
+        dU = dU + v
+    return dU, ex
+
+
+def reference_ssm1_rhs(U, phi, states, cfg):
+    b = {k: mode_decay_rate(k, cfg.H) for k in (1, 2, 4, 6)}
+    weights = ssm1_memory_weights(U, cfg)
+    dU = ssm1_det_linear(U, phi, cfg)
+    for label, rates in (("z1", (b[1],)), ("z21", (b[1], b[2])),
+                         ("z41", (b[1], b[4])), ("z61", (b[1], b[6]))):
+        dU = dU + weights[label] * phi * states[(rates, "phi")][0]
+    return dU
+
+
+def assert_close(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= RTOL * scale
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_strongquad_matches_the_term_loop(m):
+    rng = np.random.default_rng(m)
+    cfg = cfg_for("strongquad", m)
+    bank = build_bank(cfg)
+    for _ in range(3):
+        flat = rng.normal(size=bank.n_states)
+        U = rng.normal(size=m)
+        modes = rng.normal(size=(m, 3))
+        states = chain_states(strongquad_chain_specs(cfg), flat, m)
+        want_dU, ex = reference_strongquad_rhs(U, modes, states, cfg)
+        got_dU, drives = strongquad_rhs(U, modes, bank.bound_to(flat), cfg)
+        assert_close(got_dU, want_dU)
+        assert np.array_equal(drives, np.stack([ex[k] for k in EXPR_NAMES]))
+        assert_close(bank.rhs_flat(flat, drives),
+                     reference_bank_rhs(states, ex))
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_ssm1_matches_the_product_loop(m):
+    rng = np.random.default_rng(m + 1)
+    cfg = cfg_for("ssm1", m)
+    bank = build_bank(cfg)
+    for _ in range(3):
+        flat = rng.normal(size=bank.n_states)
+        U = rng.normal(size=m)
+        phi = float(rng.normal())
+        states = chain_states(ssm1_chain_specs(cfg), flat, m)
+        got_dU, drives = variant_rhs(U, phi, bank.bound_to(flat), cfg)
+        assert_close(got_dU, reference_ssm1_rhs(U, phi, states, cfg))
+        assert_close(bank.rhs_flat(flat, drives),
+                     reference_bank_rhs(states, {"phi": np.full(m, phi)}))
+
+
+def test_rhs_flat_is_the_chain_cascade_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cfg = cfg_for("strongquad", 16)
+    bank = build_bank(cfg)
+    flat = rng.normal(size=bank.n_states)
+    drives = rng.normal(size=(len(EXPR_NAMES), cfg.m))
+    states = chain_states(strongquad_chain_specs(cfg), flat, cfg.m)
+    want = reference_bank_rhs(states, dict(zip(EXPR_NAMES, drives)))
+    assert np.array_equal(bank.rhs_flat(flat, drives), want)
+
+
+def test_bound_bank_shares_the_layout_and_reads_its_state():
+    rng = np.random.default_rng(4)
+    cfg = cfg_for("strongquad", 8)
+    bank = build_bank(cfg)
+    flat = rng.normal(size=bank.n_states)
+    view = bank.bound_to(flat)
+    assert view.keys() == bank.keys() and view.coupling is bank.coupling
+    states = chain_states(strongquad_chain_specs(cfg), flat, cfg.m)
+    for (rates, name), block in states.items():
+        assert np.array_equal(view.states(rates, name), block)
+    assert np.all(bank.Z == 0.0)
+
+
+def test_bank_refuses_another_models_configuration():
+    bank = build_bank(cfg_for("strongquad", 4))
+    other = cfg_for("strongquad", 4, dt=5e-3)  # same model, other stepping
+    strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank, other)
+    with pytest.raises(ConfigError, match="compiled"):
+        strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank,
+                       ModelConfig(variant="strongquad", alpha=0.7, eps=0.1,
+                                   gamma=0.8, H=np.pi / 2.0, m=4))
+
+
+def reference_streams(cfg, sigma):
+    """The stream numbering loop: a dict lookup per (occurrence, element)."""
+    m = cfg.m
+    J = np.arange(m)
+    key_index = {}
+    occurrences = []
+    for term in strongquad_quadratic_terms(cfg):
+        opL, p = _split_expr(term.left)
+        opR, n = _split_expr(term.right)
+        rates = canonical_rates(term.rates)
+        amps = _slot_amplitudes(rates)
+        for r, wl in _OFFSET_WEIGHTS[opL].items():
+            for s, wr in _OFFSET_WEIGHTS[opR].items():
+                weight = term.coeff * wl * wr
+                left_el = (J + r) % m
+                right_el = (J + s) % m
+                for slot, amp in enumerate(amps):
+                    idx = np.empty(m, dtype=int)
+                    for j in range(m):
+                        key = (int(left_el[j]), int(right_el[j]), p, n, rates,
+                               slot)
+                        if key not in key_index:
+                            key_index[key] = len(key_index)
+                        idx[j] = key_index[key]
+                    occurrences.append((weight * sigma[p] * sigma[n] * amp, idx,
+                                        term.times_U))
+    return sorted(key_index, key=key_index.get), occurrences
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_white_streams_number_like_the_dict_loop(m):
+    cfg = cfg_for("strongquad", m, scheme="euler-maruyama", seed=1)
+    weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5),
+                            mode_scales=(1.0, 0.5, 2.0))
+    keys, occurrences = reference_streams(cfg, (1.5, 0.75, 3.0))
+    assert weak._stream_keys() == keys
+    assert weak.drift_report()["noise_streams"] == len(keys)
+    assert weak._occ_idx.shape == (len(occurrences), m)
+    for o, (factor, idx, times_U) in enumerate(occurrences):
+        assert np.array_equal(weak._occ_idx[o], idx)
+        assert weak._occ_factors[int(times_U), o] == factor
+        assert weak._occ_factors[1 - int(times_U), o] == 0.0

@@ -1,0 +1,27 @@
+"""Coarse runs reproduce the trajectories recorded in tests/data/.
+
+The data were recorded with ``tests/golden_runs.py`` before the coarse
+models were compiled into packed banks; any change to the coarse models
+must keep every recorded array within 1e-12 of its scale.
+"""
+
+import numpy as np
+import pytest
+
+import golden_runs
+
+GOLDEN = np.load(golden_runs.DATA)
+
+
+@pytest.mark.parametrize("name", list(golden_runs.RUNS))
+def test_run_matches_its_recording(name):
+    got = golden_runs.RUNS[name]()
+    recorded = sorted(k.split("/", 1)[1] for k in GOLDEN.files
+                      if k.startswith(name + "/"))
+    assert sorted(got) == recorded
+    for key in recorded:
+        want = GOLDEN[f"{name}/{key}"]
+        assert got[key].shape == want.shape, key
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        gap = float(np.max(np.abs(got[key] - want)))
+        assert gap <= 1e-12 * scale, (key, gap / scale)

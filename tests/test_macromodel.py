@@ -6,23 +6,23 @@ import pytest
 from holodisc import (
     ConfigError,
     ModelConfig,
+    SignalSpec,
     StabilityError,
     VARIANTS,
     alternating_signs,
     build_bank,
-    init_state,
     lattice_coarse_rhs,
     lowg_rhs,
-    macro_step,
     mode_decay_rate,
     nsm_field_at_grid,
     nsm_subgrid_field,
-    run_macro,
+    run_macro_forced,
     ssm1_rhs,
     strongquad_rhs,
     variant_rhs,
 )
 from holodisc.macromodel import (
+    EXPR_NAMES,
     ssm1_det_linear,
     ssm1_memory_weights,
     strongquad_det_linear,
@@ -136,7 +136,7 @@ class TestAlternatingImages:
         alt = alternating_signs(m)
         modes = np.zeros((m, 3))
         modes[:, 1] = alt
-        ex = strongquad_expressions(modes)
+        ex = dict(zip(EXPR_NAMES, strongquad_expressions(modes)))
         assert np.allclose(ex["delta2_phi1"], -4.0 * alt)
         assert np.allclose(ex["mudelta_phi1"], 0.0)
         assert np.allclose(ex["phi0"], 0.0)
@@ -168,7 +168,9 @@ class TestChainBanks:
         bank = build_bank(cfg)
         flat = rng.normal(size=bank.n_states)
         bank.unpack(flat)
-        assert np.array_equal(bank.pack(), flat)
+        assert np.array_equal(bank.Z.ravel(), flat)
+        b1 = mode_decay_rate(1, cfg.H)
+        assert np.array_equal(bank.output((b1,), "phi"), flat[: cfg.m])
 
     def test_bound_to_views_share_memory(self):
         cfg = cfg_for("ssm1")
@@ -210,7 +212,7 @@ class TestSsm1Structure:
                           ((b[1], b[6]), "z61")):
             expected = expected + weights[key] * phi * bank.output(pair, "phi")
         assert np.allclose(dU, expected)
-        assert np.allclose(inputs["phi"], phi)
+        assert inputs.shape == (1, cfg.m) and np.allclose(inputs, phi)
 
     def test_forcing_alternates_across_elements(self):
         cfg = cfg_for("ssm1", gamma=0.0)
@@ -221,40 +223,45 @@ class TestSsm1Structure:
 
 
 class TestJointStepping:
-    def test_macro_step_advances_bank_and_amplitudes(self):
+    def test_one_step_advances_bank_and_amplitudes(self):
         cfg = cfg_for("ssm1", dt=1e-2)
-        state = init_state(cfg, np.ones(4))
-        new = macro_step(state, cfg, lambda t: np.cos(t))
-        assert new.t == pytest.approx(1e-2)
-        assert np.all(np.isfinite(new.U))
+        cos_t = SignalSpec(kind="harmonic", omega=1.0, phase=0.0, amplitude=1.0)
+        times, hist, bank_hist, _ = run_macro_forced(
+            cfg, np.ones(4), [cos_t], lambda v, t: float(v[0]), 1e-2, 0)
+        assert times[-1] == pytest.approx(1e-2)
+        assert np.all(np.isfinite(hist[-1]))
+        bank = build_bank(cfg)
+        bank.unpack(bank_hist[-1])
         b1 = mode_decay_rate(1, cfg.H)
-        assert np.all(new.bank.output((b1,), "phi") > 0.0)
+        assert np.all(bank.output((b1,), "phi") > 0.0)
 
-    def test_run_macro_records_shapes(self):
+    def test_forced_run_records_shapes(self):
         cfg = cfg_for("strongquad", dt=1e-2)
         modes = np.zeros((4, 3))
         modes[:, 1] = alternating_signs(4)
-        times, hist, final = run_macro(
-            cfg, lambda t: np.cos(2.0 * t) * modes, np.ones(4), 0.5,
+        cos_2t = SignalSpec(kind="harmonic", omega=2.0, phase=0.0, amplitude=1.0)
+        times, hist, bank_hist, vals = run_macro_forced(
+            cfg, np.ones(4), [cos_2t], lambda v, t: v[0] * modes, 0.5, 0,
             record_every=5,
         )
         assert hist.shape == (len(times), 4)
-        assert final.t == times[-1]
-        assert np.array_equal(final.U, hist[-1])
+        assert bank_hist.shape == (len(times), build_bank(cfg).n_states)
+        assert vals.shape == (len(times), 1)
         assert np.isclose(times[-1], 0.5)
 
     def test_white_forcing_demands_euler_maruyama(self):
         cfg = cfg_for("ssm1", scheme="rk4")
         with pytest.raises(ConfigError):
-            run_macro(cfg, lambda t: 0.0, np.ones(4), 0.1, forcing_is_white=True)
+            run_macro_forced(cfg, np.ones(4), [SignalSpec(kind="white-noise")],
+                             lambda v, t: float(v[0]), 0.1, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_names_the_piece(self):
         cfg = cfg_for("lowg", dt=50.0, eps=0.0)
-        state = init_state(cfg, np.array([1e3, -1e3, 1e3, -1e3]))
-        with pytest.raises(StabilityError):
-            for _ in range(50):
-                state = macro_step(state, cfg, lambda t: np.zeros((4, 3)))
+        with pytest.raises(StabilityError, match="grid amplitudes"):
+            run_macro_forced(cfg, np.array([1e3, -1e3, 1e3, -1e3]),
+                             [SignalSpec(kind="constant", value=0.0)],
+                             lambda v, t: np.zeros((4, 3)), 50.0 * 50, 0)
 
 
 class TestPrintedCoefficients:

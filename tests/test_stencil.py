@@ -47,6 +47,20 @@ class TestCentredOperators:
         assert np.allclose(delta2(c), (2.0 * np.cos(q) - 2.0) * c)
         assert np.allclose(mudelta(c), -np.sin(q) * s)
 
+    def test_complex_rings_stay_complex(self, rng):
+        """Phasor rings: each operator acts on real and imaginary parts."""
+        z = rng.normal(size=7) + 1j * rng.normal(size=7)
+        for op in (delta2, delta4, mudelta):
+            out = op(z)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out.real, op(z.real))
+            assert np.array_equal(out.imag, op(z.imag))
+
+    def test_stacks_act_row_by_row(self, rng):
+        rows = rng.normal(size=(3, 9))
+        for op in (delta2, delta4, mudelta):
+            assert np.array_equal(op(rows), np.stack([op(r) for r in rows]))
+
     def test_neighbours_wrap_periodically(self):
         u = np.arange(5.0)
         d = delta2(u)

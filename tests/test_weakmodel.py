@@ -13,7 +13,7 @@ from holodisc import (
     harmonic_drift_1,
     mode_decay_rate,
     phasor_drift,
-    run_macro,
+    run_macro_forced,
     simulate_quadrature_ensemble,
     ssm1_rhs,
     stochastic_replace,
@@ -140,8 +140,9 @@ class TestWeakSsm1Harmonic:
         weak = build_weak_model(cfg, spec)
         times_w, hist_w = weak.run(np.ones(4), 20.0, record_every=25)
 
-        phi = lambda t: np.cos(2.0 * t + 0.3)
-        times_s, hist_s, _ = run_macro(cfg, phi, np.ones(4), 20.0, record_every=25)
+        times_s, hist_s, _, _ = run_macro_forced(
+            cfg, np.ones(4), [spec], lambda v, t: float(v[0]), 20.0, 0,
+            record_every=25)
         assert np.allclose(times_w, times_s)
         tail = times_w >= 8.0
         gap = np.max(np.abs(hist_w[tail] - hist_s[tail]))
