@@ -12,6 +12,11 @@ realised as a cascade of first-order filters: with states z[0..n-1],
 so z[0] is the chain output.  The output is invariant under permutation of
 the rate vector, which lets banks of chains be keyed by the sorted rates.
 
+Cascades sharing one drive are integrated as one packed state:
+``chain_layout`` stacks their levels into rows (``macromodel.ChainBank``
+uses it too), and ``integrate_chains`` steps all rows together with one
+drive evaluation per stage.
+
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
 field) plus canonical products "bare signal times convolved signal" (which
@@ -26,11 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ReductionError
+from .microscale import step
 
 __all__ = [
     "ConvChain",
     "chain_rhs",
     "chain_step",
+    "chain_layout",
+    "integrate_chains",
     "integrate_chain",
     "canonical_rates",
     "chains_equivalent",
@@ -100,45 +108,75 @@ def chain_rhs(states: np.ndarray, rates, drive) -> np.ndarray:
 
 
 def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
-    """Advance one cascade by dt.
+    """Advance one cascade by dt: one ``microscale.step`` of chain_rhs.
 
     drive_fn(t) supplies the raw drive at substage times; for the euler and
     euler-maruyama schemes it is evaluated once, at t.
     """
-    states = np.asarray(states, dtype=float)
-    if scheme == "rk4":
-        def f(y, s):
-            return chain_rhs(y, rates, drive_fn(s))
+    def f(y, s):
+        return chain_rhs(y, rates, drive_fn(s))
 
-        k1 = f(states, t)
-        k2 = f(states + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f(states + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f(states + dt * k3, t + dt)
-        return states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if scheme in ("euler", "euler-maruyama"):
-        return states + dt * chain_rhs(states, rates, drive_fn(t))
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    return step(np.asarray(states, dtype=float), f, t, dt, scheme)
+
+
+def chain_layout(chains, ndim: int = 1):
+    """Rows of the rate tuples' levels, stacked as given (not sorted).
+
+    Returns per row its decay rate and whether the next row feeds it (false
+    where a chain ends; one entry fewer), shaped to broadcast against a
+    packed state of rank ndim; and per chain the last row, fed by the drive.
+    """
+    col = (-1,) + (1,) * (ndim - 1)
+    rates = np.asarray([r for chain in chains for r in chain], dtype=float)
+    last = np.cumsum([len(chain) for chain in chains], dtype=int) - 1
+    link = ~np.isin(np.arange(rates.size - 1), last)
+    return rates.reshape(col), link.reshape(col), last
+
+
+def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
+    """Integrate cascades sharing one drive as one packed state.
+
+    Each chain starts from rest or from its states0 entry, (levels,) or
+    (levels, m); drive_fn is evaluated once per stage for all of them.  The
+    derivative keeps chain_rhs's elementwise order, so each chain's result
+    is bit for bit the one it gets alone.  Returns times, shape (n+1,), and
+    per chain in the order given its history: a view, (n+1, levels[, m]),
+    into one packed array.
+    """
+    chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
+    if not chains:
+        raise ConfigError("need at least one chain")
+    if t_end <= 0.0 or dt <= 0.0:
+        raise ConfigError("need t_end > 0 and dt > 0")
+    if states0 is None:
+        states0 = [np.zeros(len(rates)) for rates in chains]
+    states0 = [np.asarray(z, dtype=float) for z in states0]
+    if [z.shape[:1] for z in states0] != [(len(r),) for r in chains]:
+        shapes = [z.shape for z in states0]
+        raise ConfigError(f"cascade states {shapes} do not fit chains {chains}")
+    Z = np.concatenate(states0)
+    rates, link, last = chain_layout(chains, Z.ndim)
+
+    def rhs(y, s):
+        dy = -rates * y
+        np.add(dy[:-1], y[1:], out=dy[:-1], where=link)
+        dy[last] += drive_fn(s)
+        return dy
+
+    n = int(round(t_end / dt))
+    times = dt * np.arange(n + 1)
+    history = np.empty((n + 1,) + Z.shape)
+    history[0] = Z
+    for i in range(n):
+        Z = step(Z, rhs, times[i], dt, scheme)
+        history[i + 1] = Z
+    return times, [history[:, e + 1 - len(r) : e + 1] for r, e in zip(chains, last)]
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):
-    """Integrate a cascade from rest (or states0) and record every step.
-
-    Returns
-    -------
-    times : ndarray, shape (n+1,)
-    history : ndarray, shape (n+1, levels) or (n+1, levels, m)
-    """
-    chain = ConvChain(tuple(np.atleast_1d(rates)))
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ConfigError("need t_end > 0 and dt > 0")
-    states = chain.zero_states() if states0 is None else np.asarray(states0, float)
-    n = int(round(t_end / dt))
-    times = dt * np.arange(n + 1)
-    history = np.empty((n + 1,) + states.shape)
-    history[0] = states
-    for i in range(n):
-        states = chain_step(states, chain.rates, drive_fn, times[i], dt, scheme)
-        history[i + 1] = states
+    """integrate_chains for one cascade: times and its (n+1, levels[, m]) history."""
+    s0 = None if states0 is None else [states0]
+    times, (history,) = integrate_chains([rates], drive_fn, t_end, dt, s0, scheme)
     return times, history
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .microscale import rk4_step
 
 __all__ = [
     "csn",
@@ -74,14 +75,11 @@ def lorenz_rhs(state) -> np.ndarray:
     """
     s = np.asarray(state, dtype=float)
     xi, eta, zeta = s[..., 0], s[..., 1], s[..., 2]
-    return np.stack(
-        [
-            LORENZ_SIGMA * (eta - xi),
-            xi * (LORENZ_RHO - zeta) - eta,
-            xi * eta - LORENZ_BETA * zeta,
-        ],
-        axis=-1,
-    )
+    out = np.empty(s.shape[:-1] + (3,))
+    out[..., 0] = LORENZ_SIGMA * (eta - xi)
+    out[..., 1] = xi * (LORENZ_RHO - zeta) - eta
+    out[..., 2] = xi * eta - LORENZ_BETA * zeta
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,14 +259,6 @@ def make_signal(spec: SignalSpec) -> Signal:
     return FileSignal(spec.path, spec.amplitude)
 
 
-def _rk4(y, t, dt, f):
-    k1 = f(y, t)
-    k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(y + dt * k3, t + dt)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def sample_forcing(
     spec: SignalSpec,
     t: float,
@@ -300,10 +290,10 @@ def sample_forcing(
         steps = int(np.floor(t / h))
         now = 0.0
         for _ in range(steps):
-            driver = _rk4(driver, now, h, sig.driver_rhs)
+            driver = rk4_step(driver, sig.driver_rhs, now, h)
             now += h
         if t - now > 1e-15:
-            driver = _rk4(driver, now, t - now, sig.driver_rhs)
+            driver = rk4_step(driver, sig.driver_rhs, now, t - now)
         return float(sig.value(t, driver))
     return float(sig.value(t))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import integrate_chain
+from .convolution import integrate_chains
 from .errors import ConfigError, DataError, StabilityError
 from .forcing import (
     ElementGrid,
@@ -996,11 +996,11 @@ def weak_drift_experiment(
 ) -> ComparisonReport:
     """Long-time averages of the memory products against weak drifts.
 
-    Integrates the four alternating-forcing chains under the configured
-    harmonic signal, averages each product phi(t) * chain output over an integer
-    number of periods after the transient, and compares with the weak
-    model's constant drifts.  Also audits the weak model structurally: it
-    must carry no memory state.
+    Integrates the four alternating-forcing chains together, as one packed
+    state, under the configured harmonic signal, averages each product
+    phi(t) * chain output over an integer number of periods after the
+    transient, and compares with the weak model's constant drifts.  Also
+    audits the weak model structurally: it must carry no memory state.
     """
     spec = spec or default_spec("weak-drift")
     out_dir = _ensure_dir(out_dir)
@@ -1028,8 +1028,9 @@ def weak_drift_experiment(
     metrics = {"window_periods": float(n_periods)}
     checks = {"weak_has_no_memory": weak.memory_state is None}
     labels = ("z1", "z21", "z41", "z61")
-    for label, (rates, _key) in zip(labels, ssm1_chain_specs(cfg)):
-        times, hist = integrate_chain(rates, phi, t_end, dt)
+    chains = [rates for rates, _key in ssm1_chain_specs(cfg)]
+    times, hists = integrate_chains(chains, phi, t_end, dt)
+    for label, rates, hist in zip(labels, chains, hists):
         product = phi(times) * hist[:, 0]
         mask = times >= t_skip
         avg = float(np.trapezoid(product[mask], times[mask]) / (t_end - t_skip))

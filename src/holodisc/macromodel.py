@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import canonical_rates
+from .convolution import canonical_rates, chain_layout
 from .errors import ConfigError
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
@@ -147,10 +147,10 @@ class ChainBank:
     nothing.  Chain c occupies consecutive rows of the packed state Z, row
     0 of the block being its output per element; blocks follow sorted-key
     order.  specs lists the (rates, input) chains, exprs the rows of the
-    drive stack the chains read.  The layout is fixed here and shared by
-    every rebinding: per row a decay rate and a link flag (the next row
-    feeds this one), per chain its drive-stack row, its last row (where
-    the drive enters) and its output row.
+    drive stack the chains read.  The layout is ``chain_layout``'s, fixed
+    here and shared by every rebinding: per row a decay rate and a link
+    flag (the next row feeds this one), per chain its drive-stack row, its
+    last row (where the drive enters) and its output row.
 
     build_bank adds the variant's compiled couplings: ``coupling``, the
     coefficients of the chain outputs in dU/dt, and ``cfg``, the
@@ -162,21 +162,18 @@ class ChainBank:
             raise ConfigError(f"bank needs a positive element count, got {m}")
         self.m = int(m)
         self.exprs = tuple(exprs)
-        self._rows: dict[tuple, slice] = {}
-        rates, last, drive = [], [], []
-        for key in sorted({(canonical_rates(r), str(k)) for r, k in specs}):
-            if key[1] not in self.exprs:
-                raise ConfigError(f"no drive row for chain input {key[1]!r}")
-            self._rows[key] = slice(len(rates), len(rates) + len(key[0]))
-            rates.extend(key[0])
-            last.append(len(rates) - 1)
-            drive.append(self.exprs.index(key[1]))
-        self._rates = np.asarray(rates, dtype=float).reshape(-1, 1)
-        self._link = ~np.isin(np.arange(len(rates) - 1), last)[:, None]
-        self._last = np.asarray(last, dtype=int)
-        self._drive = np.asarray(drive, dtype=int)
+        keys = sorted({(canonical_rates(r), str(k)) for r, k in specs})
+        for _, name in keys:
+            if name not in self.exprs:
+                raise ConfigError(f"no drive row for chain input {name!r}")
+        self._rates, self._link, self._last = chain_layout([k[0] for k in keys], 2)
+        self._rows: dict[tuple, slice] = {
+            key: slice(e + 1 - len(key[0]), e + 1)
+            for key, e in zip(keys, self._last.tolist())
+        }
+        self._drive = np.asarray([self.exprs.index(k[1]) for k in keys], dtype=int)
         self.out_rows = np.asarray([s.start for s in self._rows.values()], int)
-        self.Z = np.zeros((len(rates), self.m))
+        self.Z = np.zeros((len(self._rates), self.m))
         self.coupling = None
         self.cfg = None
 

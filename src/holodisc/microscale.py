@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, StabilityError
+from .stencil import ring_pad
 
 __all__ = [
     "burgers_rhs",
@@ -61,8 +62,8 @@ def burgers_rhs(u, dx, alpha, eps, phi, form="advective"):
     if dx <= 0.0:
         raise ConfigError(f"grid spacing must be positive, got {dx}")
     u = np.asarray(u, dtype=float)
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
+    p = ring_pad(u)
+    up, um = p[2:], p[:-2]
     diffusion = (up - 2.0 * u + um) / dx**2
     if form == "advective":
         advection = u * (up - um) / (2.0 * dx)
@@ -88,8 +89,8 @@ def lattice_rhs(u, H, alpha, eps, phi):
     if H <= 0.0:
         raise ConfigError(f"element half-width must be positive, got {H}")
     u = np.asarray(u, dtype=float)
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
+    p = ring_pad(u)
+    up, um = p[2:], p[:-2]
     return (
         (4.0 / H**2) * (up - 2.0 * u + um)
         - (alpha / H) * u * (up - um)

@@ -13,14 +13,21 @@ the numbers a refactor of the coarse models must reproduce:
 * ``weak_harmonic``: weak harmonic strongquad at m = 16 with complex
   per-element phasors.
 
-Record (overwrites tests/data/coarse_golden.npz):
+Separately, ``weak_drift`` runs the weak-drift experiment over two forcing
+periods with a dt that divides the run exactly, and its metrics are kept in
+tests/data/weak_drift_golden.json.
 
-    PYTHONPATH=src python tests/golden_runs.py
+Record (overwrites the named data file; ``coarse`` is the default):
+
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift]
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
+import sys
 
 import numpy as np
 
@@ -31,9 +38,11 @@ from holodisc import (
     default_spec,
     run_macro_forced,
 )
+from holodisc.harness import default_window_start, weak_drift_experiment
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                    "coarse_golden.npz")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data", "coarse_golden.npz")
+WEAK_DRIFT_DATA = os.path.join(HERE, "data", "weak_drift_golden.json")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 
@@ -120,6 +129,31 @@ RUNS = {f.__name__: f for f in (fig3, lattice, strongquad, strongquad_white,
                                 weak_white, weak_harmonic)}
 
 
+def weak_drift_spec(periods=2, dt_near=4e-3):
+    """The default weak-drift spec over a few periods, dt dividing the run."""
+    spec = default_spec("weak-drift")
+    t_end = (default_window_start(spec.H)
+             + periods * 2.0 * np.pi / spec.signal.omega)
+    n0 = int(round(t_end / dt_near))
+    for n in sorted(range(n0 - 50, n0 + 51), key=lambda k: abs(k - n0)):
+        dt = t_end / n
+        if int(round(t_end / dt)) == n and n * dt == t_end:
+            return dataclasses.replace(spec, dt=dt, extras={"periods": periods})
+    raise ValueError("no dt near dt_near divides the weak-drift run exactly")
+
+
+def weak_drift():
+    return weak_drift_experiment(weak_drift_spec(), out_dir=None)
+
+
+def record_weak_drift(path=WEAK_DRIFT_DATA):
+    metrics = weak_drift().metrics
+    with open(path, "w") as fh:
+        json.dump(metrics, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return metrics
+
+
 def record(path=DATA):
     arrays = {}
     for name, run in RUNS.items():
@@ -131,5 +165,12 @@ def record(path=DATA):
 
 
 if __name__ == "__main__":
-    for key, value in record().items():
-        print(f"{key}: {value.shape}")
+    which = sys.argv[1] if len(sys.argv) > 1 else "coarse"
+    if which == "weak-drift":
+        for key, value in record_weak_drift().items():
+            print(f"{key}: {value!r}")
+    elif which == "coarse":
+        for key, value in record().items():
+            print(f"{key}: {value.shape}")
+    else:
+        raise SystemExit(f"unknown recording {which!r}; expected coarse or weak-drift")

@@ -2,13 +2,15 @@
 
 The references below are the loops the compiled forms replace: one pass
 over strongquad's 33 QuadTerms reading dict-keyed chain outputs, the four
-ssm1 products, the cascade derivative chain by chain, and the white-noise
-stream numbering dict.  They index chains by (sorted rates, input) in a
+ssm1 products, the cascade derivative chain by chain, the white-noise
+stream numbering dict, and one chain_step loop per chain for the packed
+multi-chain integrator.  They index chains by (sorted rates, input) in a
 dict of their own, so they share no layout code with ChainBank.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holodisc import (
     ConfigError,
@@ -18,6 +20,8 @@ from holodisc import (
     build_weak_model,
     canonical_rates,
     chain_rhs,
+    chain_step,
+    integrate_chains,
     mode_decay_rate,
     strongquad_rhs,
     variant_rhs,
@@ -79,6 +83,19 @@ def reference_ssm1_rhs(U, phi, states, cfg):
                          ("z41", (b[1], b[4])), ("z61", (b[1], b[6]))):
         dU = dU + weights[label] * phi * states[(rates, "phi")][0]
     return dU
+
+
+def reference_integrate(chains, drive_fn, n, dt, states0, scheme):
+    """Each chain on its own: a chain_step loop from its initial states."""
+    histories = []
+    for rates, z in zip(chains, states0):
+        z = np.asarray(z, dtype=float)
+        hist = [z]
+        for i in range(n):
+            z = chain_step(z, rates, drive_fn, dt * i, dt, scheme)
+            hist.append(z)
+        histories.append(np.asarray(hist))
+    return histories
 
 
 def assert_close(got, want):
@@ -196,3 +213,59 @@ def test_white_streams_number_like_the_dict_loop(m):
         assert np.array_equal(weak._occ_idx[o], idx)
         assert weak._occ_factors[int(times_U), o] == factor
         assert weak._occ_factors[1 - int(times_U), o] == 0.0
+
+
+def harmonic(t):
+    return 0.8 * np.cos(2.0 * t + 0.3)
+
+
+def assert_chains_match(chains, drive_fn, n, dt, states0, scheme):
+    times, got = integrate_chains(chains, drive_fn, n * dt, dt, states0, scheme)
+    assert np.array_equal(times, dt * np.arange(n + 1))
+    if states0 is None:
+        states0 = [np.zeros(len(rates)) for rates in chains]
+    want = reference_integrate(chains, drive_fn, n, dt, states0, scheme)
+    assert len(got) == len(chains)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert g.base is not None and g.base is got[0].base
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_packed_ssm1_chains_match_the_chain_step_loop(scheme):
+    cfg = cfg_for("ssm1", 4)
+    chains = [rates for rates, _ in ssm1_chain_specs(cfg)]
+    assert_chains_match(chains, harmonic, 200, 2e-3, None, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_packed_ssm1_chains_match_under_an_element_drive(scheme):
+    m = 5
+    rng = np.random.default_rng(6)
+    cfg = cfg_for("ssm1", 4)
+    chains = [rates for rates, _ in ssm1_chain_specs(cfg)]
+    states0 = [rng.normal(size=(len(rates), m)) for rates in chains]
+    shape = rng.normal(size=m)
+    assert_chains_match(chains, lambda t: shape * np.cos(1.7 * t), 100, 2e-3,
+                        states0, scheme)
+
+
+unsorted_chains = st.lists(
+    st.lists(st.floats(0.5, 20.0, allow_nan=False), min_size=1, max_size=4)
+    .map(tuple),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(unsorted_chains, st.sampled_from(["rk4", "euler"]), st.integers(0, 3))
+def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m):
+    if m == 0:
+        assert_chains_match(chains, harmonic, 40, 5e-3, None, scheme)
+        return
+    rng = np.random.default_rng(len(chains) + m)
+    states0 = [rng.normal(size=(len(rates), m)) for rates in chains]
+    shape = rng.normal(size=m)
+    assert_chains_match(chains, lambda t: shape * harmonic(t), 40, 5e-3,
+                        states0, scheme)

@@ -13,6 +13,7 @@ from holodisc import (
     harmonic_drift_1,
     harmonic_drift_2,
     integrate_chain,
+    integrate_chains,
     phasor_drift,
     reduce_by_parts,
 )
@@ -96,6 +97,13 @@ class TestCanonicalisation:
         assert chains_equivalent((3.0, 1.0), (1.0, 3.0))
         assert not chains_equivalent((3.0, 1.0), (1.0,))
         assert not chains_equivalent((3.0, 1.0), (1.0, 2.0))
+
+    def test_packed_states_must_match_their_chains(self):
+        with pytest.raises(ConfigError, match="do not fit"):
+            integrate_chains([(1.0,), (2.0, 3.0)], lambda t: 0.0, 1.0, 0.1,
+                             states0=[np.zeros(2), np.zeros(1)])
+        with pytest.raises(ConfigError, match="at least one chain"):
+            integrate_chains([], lambda t: 0.0, 1.0, 0.1)
 
     @settings(max_examples=20, deadline=None)
     @given(rates_st)

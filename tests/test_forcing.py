@@ -97,6 +97,15 @@ class TestLorenz:
     def test_origin_is_stationary(self):
         assert np.allclose(lorenz_rhs(np.zeros(3)), 0.0)
 
+    @pytest.mark.parametrize("n", [3, 32, 1024])
+    def test_matches_the_stacked_form_bit_for_bit(self, n):
+        s = np.random.default_rng(n).normal(scale=10.0, size=(n, 3))
+        xi, eta, zeta = s[..., 0], s[..., 1], s[..., 2]
+        want = np.stack([10.0 * (eta - xi), xi * (28.0 - zeta) - eta,
+                         xi * eta - (8.0 / 3.0) * zeta], axis=-1)
+        assert np.array_equal(lorenz_rhs(s), want)
+        assert np.array_equal(lorenz_rhs(s[0]), want[0])
+
     def test_signal_stays_bounded(self):
         spec = SignalSpec(kind="lorenz", amplitude=1.0, seed=4)
         v = sample_forcing(spec, t=3.0)

@@ -2,8 +2,13 @@
 
 The data were recorded with ``tests/golden_runs.py`` before the coarse
 models were compiled into packed banks; any change to the coarse models
-must keep every recorded array within 1e-12 of its scale.
+must keep every recorded array within 1e-12 of its scale.  The weak-drift
+metrics in tests/data/weak_drift_golden.json were recorded the same way,
+before its four chains were integrated as one packed state, and must be
+reproduced exactly.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -25,3 +30,11 @@ def test_run_matches_its_recording(name):
         scale = max(float(np.max(np.abs(want))), 1e-300)
         gap = float(np.max(np.abs(got[key] - want)))
         assert gap <= 1e-12 * scale, (key, gap / scale)
+
+
+def test_weak_drift_matches_its_recording():
+    report = golden_runs.weak_drift()
+    assert report.checks["weak_has_no_memory"]
+    assert all(report.checks.values()), report.checks
+    with open(golden_runs.WEAK_DRIFT_DATA) as fh:
+        assert report.metrics == json.load(fh)

@@ -15,6 +15,43 @@ from holodisc import (
 )
 
 
+def roll_burgers_rhs(u, dx, alpha, eps, phi, form):
+    """The np.roll form of burgers_rhs, kept as its reference."""
+    up = np.roll(u, -1)
+    um = np.roll(u, 1)
+    diffusion = (up - 2.0 * u + um) / dx**2
+    if form == "advective":
+        advection = u * (up - um) / (2.0 * dx)
+    elif form == "conservative":
+        advection = (up**2 - um**2) / (4.0 * dx)
+    else:
+        advection = (u * (up - um) + up**2 - um**2) / (6.0 * dx)
+    return diffusion - alpha * advection + eps * phi
+
+
+def roll_lattice_rhs(u, H, alpha, eps, phi):
+    """The np.roll form of lattice_rhs, kept as its reference."""
+    up = np.roll(u, -1)
+    um = np.roll(u, 1)
+    return (
+        (4.0 / H**2) * (up - 2.0 * u + um)
+        - (alpha / H) * u * (up - um)
+        + eps * phi
+    )
+
+
+@pytest.mark.parametrize("n", [3, 32, 1024])
+def test_fine_rhs_matches_the_roll_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=n)
+    phi = rng.normal(size=n)
+    for form in ("advective", "conservative", "skew"):
+        assert np.array_equal(burgers_rhs(u, 0.13, 1.7, 0.4, phi, form),
+                              roll_burgers_rhs(u, 0.13, 1.7, 0.4, phi, form))
+    assert np.array_equal(lattice_rhs(u, 0.9, 1.7, 0.4, phi),
+                          roll_lattice_rhs(u, 0.9, 1.7, 0.4, phi))
+
+
 class TestBurgersRhs:
     def test_constant_state_is_stationary(self):
         u = 0.8 * np.ones(16)
