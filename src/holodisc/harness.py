@@ -1,10 +1,14 @@
 """Experiment harness: paired fine/coarse runs, rate fits, reports.
 
 Every experiment here builds both sides of a comparison from one seeded
-spec.  Forcing enters through shared signal objects whose driver equations
-are integrated jointly with each run at the same step size, so a fine run
-and its coarse partner see bit-identical forcing paths; the experiments
-record that as a checkable metric rather than assuming it.
+spec.  ``run_paired`` is the one time-stepping engine: it advances the
+signal drivers, the fine field, the coarse model's packed memory bank and
+its amplitudes as one state vector, one RK4 (or Euler-Maruyama) step at a
+time, and evaluates the signals once per stage for both sides, so a fine
+run and its coarse partner see one forcing path by construction.
+``run_micro_field`` and ``run_macro_forced`` are its fine-only and
+coarse-only calls.  Run lengths must be whole numbers of steps, and a
+non-finite state is reported with the block that went bad.
 
 Experiments:
 
@@ -27,6 +31,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .errors import ConfigError, DataError, StabilityError
 from .forcing import (
     ElementGrid,
     SignalSpec,
+    csn,
     lorenz_rhs,
     make_signal,
     mode_decay_rate,
@@ -57,6 +63,10 @@ __all__ = [
     "ComparisonReport",
     "spec_from_dict",
     "default_spec",
+    "FineSide",
+    "CoarseSide",
+    "PairedRun",
+    "run_paired",
     "run_micro_field",
     "run_macro_forced",
     "nsm_series",
@@ -184,8 +194,7 @@ class ExperimentSpec:
         return self.micro_seed if self.micro_seed is not None else self.seed
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -293,21 +302,19 @@ def default_spec(name: str) -> ExperimentSpec:
     raise ConfigError(f"unknown experiment {name!r}")
 
 
-# -- paired engines ------------------------------------------------------------
+# -- paired engine -------------------------------------------------------------
 
 class _SignalSet:
-    """Several signals with one concatenated driver state."""
+    """Several signals with one concatenated driver state and one stream."""
 
     def __init__(self, specs, seed: int):
         self.signals = [make_signal(s) for s in specs]
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         inits = [sig.driver_init(self.rng) for sig in self.signals]
-        self.dims = [sig.driver_dim for sig in self.signals]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
+        dims = [sig.driver_dim for sig in self.signals]
+        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.total_dim = int(self.offsets[-1])
-        self.d0 = (
-            np.concatenate(inits) if self.total_dim else np.zeros(0)
-        )
+        self.d0 = np.concatenate(inits) if self.total_dim else np.zeros(0)
         self.any_white = any(sig.is_white for sig in self.signals)
 
     def slice(self, d, i):
@@ -316,27 +323,218 @@ class _SignalSet:
     def rhs(self, d, t):
         if not self.total_dim:
             return np.zeros(0)
-        parts = [
+        return np.concatenate([
             sig.driver_rhs(self.slice(d, i), t)
             for i, sig in enumerate(self.signals)
-        ]
-        return np.concatenate([p for p in parts if p.size] or [np.zeros(0)])
+        ])
 
-    def values(self, t, d):
-        """Deterministic signal values; white signals must go through draw()."""
-        return np.array(
-            [sig.value(t, self.slice(d, i)) for i, sig in enumerate(self.signals)]
-        )
+    def values(self, t, d, draws=None):
+        """Values at t; white signals report their draws (zero without)."""
+        return np.array([
+            sig.value(t, self.slice(d, i)) if not sig.is_white
+            else 0.0 if draws is None else draws[i]
+            for i, sig in enumerate(self.signals)
+        ])
 
     def step_values(self, t, d, dt):
         """Per-step values: white signals draw, the rest evaluate at t."""
-        out = np.empty(len(self.signals))
-        for i, sig in enumerate(self.signals):
-            if sig.is_white:
-                out[i] = sig.draw(self.rng, dt)
-            else:
-                out[i] = sig.value(t, self.slice(d, i))
-        return out
+        draws = [
+            sig.draw(self.rng, dt) if sig.is_white else None
+            for sig in self.signals
+        ]
+        return self.values(t, d, draws)
+
+
+class FineSide(NamedTuple):
+    """Fine side of a paired run: the fine rhs plus eps * profiles.T @ s(t).
+
+    profiles holds one spatial row per signal.  rhs_kind selects the fine
+    Burgers grid (spacing from x, advection ``form``) or the half-spacing
+    lattice (pass the element half-width H).
+    """
+
+    x: np.ndarray
+    u0: np.ndarray
+    alpha: float
+    eps: float
+    profiles: np.ndarray
+    rhs_kind: str = "burgers"
+    H: float | None = None
+    form: str = "advective"
+
+
+class CoarseSide(NamedTuple):
+    """Coarse side of a paired run: cfg's model from the amplitudes U0.
+
+    assemble(vals, t) maps the signal values to the variant's forcing
+    object (mode coefficients, lattice samples, or scalar drive).
+    """
+
+    cfg: ModelConfig
+    U0: np.ndarray
+    assemble: object
+
+
+class PairedRun(NamedTuple):
+    """Histories of a paired run, one row per recorded time.
+
+    values holds the signal values; a white signal reports the draw of the
+    step that ended at that time (zero at t = 0).  u is the fine field, U
+    the coarse amplitudes, bank the packed memory states; None for a side
+    the run did not have.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    u: np.ndarray | None
+    U: np.ndarray | None
+    bank: np.ndarray | None
+
+
+def _fine_rhs(fine: FineSide):
+    """rhs(u, phi) of the fine side's grid."""
+    a, e = fine.alpha, fine.eps
+    if fine.rhs_kind == "burgers":
+        dx = float(fine.x[1] - fine.x[0])
+        return lambda u, phi: burgers_rhs(u, dx, a, e, phi, fine.form)
+    if fine.rhs_kind == "lattice":
+        if fine.H is None:
+            raise ConfigError("lattice runs need the element half-width H")
+        return lambda u, phi: lattice_rhs(u, fine.H, a, e, phi)
+    raise ConfigError(f"unknown rhs_kind {fine.rhs_kind!r}")
+
+
+def _exact_steps(t_end: float, dt: float) -> int:
+    """Number of dt steps that lands on t_end; refuses any other dt."""
+    if dt <= 0.0:
+        raise ConfigError(f"time step must be positive, got {dt}")
+    n = int(round(t_end / dt))
+    if n < 0 or abs(n * dt - t_end) > 1e-9 * abs(t_end):
+        raise ConfigError(
+            f"run length t_end = {t_end!r} is not a whole, non-negative "
+            f"number of steps dt = {dt!r}"
+        )
+    return n
+
+
+def run_paired(
+    signal_specs,
+    seed: int,
+    t_end: float,
+    dt: float,
+    scheme: str = "rk4",
+    fine: FineSide | None = None,
+    coarse: CoarseSide | None = None,
+    record_every: int = 1,
+) -> PairedRun:
+    """Advance a fine field and a coarse model side by side, as one state.
+
+    The state is [signal drivers | fine field | packed bank | amplitudes],
+    advanced by one rk4_step, or one Euler(-Maruyama) step, per dt; either
+    side may be absent.  Each stage evaluates the signals once and hands
+    the same values to both sides; white signals draw once per step.  The
+    run takes exactly t_end / dt steps, recording every record_every steps
+    and at the end.
+
+    Raises
+    ------
+    ConfigError
+        If dt does not divide t_end, the coarse config's dt or scheme is
+        not the run's, or the scheme cannot take the signals.
+    StabilityError
+        When the state goes non-finite, naming the most upstream bad block.
+    """
+    sigset = _SignalSet(signal_specs, seed)
+    check_scheme_legal(scheme, sigset.any_white)
+    n_steps = _exact_steps(t_end, dt)
+    if record_every < 1:
+        raise ConfigError("record_every must be at least 1")
+    u0 = Z0 = U0 = np.zeros(0)
+    bank = None
+    if fine is not None:
+        fine_rhs = _fine_rhs(fine)
+        u0 = np.asarray(fine.u0, dtype=float)
+        profiles = np.asarray(fine.profiles, dtype=float)
+        if u0.shape != np.shape(fine.x):
+            raise ConfigError("u0 and x must have matching shapes")
+        if profiles.shape != (len(sigset.signals),) + u0.shape:
+            raise ConfigError("need one forcing profile per signal over x")
+    if coarse is not None:
+        cfg = coarse.cfg
+        if (cfg.dt, cfg.scheme) != (dt, scheme):
+            raise ConfigError(
+                f"coarse model steps dt = {cfg.dt} by {cfg.scheme!r}, "
+                f"the run dt = {dt} by {scheme!r}"
+            )
+        U0 = np.asarray(coarse.U0, dtype=float)
+        if U0.shape != (cfg.m,):
+            raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
+        bank = build_bank(cfg)
+        Z0 = bank.Z.ravel()
+    y = np.concatenate([sigset.d0, u0, Z0, U0])
+    e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
+    sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
+    # Upstream first: drivers feed both sides, the bank feeds U.
+    blocks = (("signal driver", sd), ("memory", sz),
+              ("grid amplitudes", sU), ("fine field", su))
+
+    def f(y_, t_, vals):
+        out = [sigset.rhs(y_[sd], t_)]
+        if fine is not None:
+            out.append(fine_rhs(y_[su], profiles.T @ vals))
+        if coarse is not None:
+            # Rebind the bank to this stage's state: a view, no copy.
+            bank.Z = y_[sz].reshape(bank.Z.shape)
+            dU, drives = variant_rhs(
+                y_[sU], coarse.assemble(vals, t_), bank, cfg
+            )
+            out += [bank.rhs_flat(y_[sz], drives), dU]
+        return np.concatenate(out)
+
+    def f_rk4(y_, t_):
+        return f(y_, t_, sigset.values(t_, y_[sd]))
+
+    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    times = np.zeros(n_rec)
+    hist = np.empty((n_rec, y.size))
+    vals_hist = np.empty((n_rec, len(sigset.signals)))
+    hist[0], vals_hist[0] = y, sigset.values(0.0, y[sd])
+    rec, draws = 0, None
+    for k in range(n_steps):
+        t_now = k * dt
+        if scheme == "rk4":
+            y = rk4_step(y, f_rk4, t_now, dt)
+        else:
+            draws = sigset.step_values(t_now, y[sd], dt)
+            y = y + dt * f(y, t_now, draws)
+        t_now = (k + 1) * dt
+        if not np.isfinite(y).all():
+            _diagnose_nonfinite(y, blocks, bank, t_now)
+        if (k + 1) % record_every == 0 or k + 1 == n_steps:
+            rec += 1
+            times[rec], hist[rec] = t_now, y
+            vals_hist[rec] = sigset.values(t_now, y[sd], draws)
+    return PairedRun(
+        times,
+        vals_hist,
+        hist[:, su] if fine is not None else None,
+        hist[:, sU] if coarse is not None else None,
+        hist[:, sz] if coarse is not None else None,
+    )
+
+
+def _diagnose_nonfinite(y, blocks, bank, t):
+    """Raise a StabilityError naming the first of y's blocks that went bad."""
+    for name, block in blocks:
+        if np.isfinite(y[block]).all():
+            continue
+        if name == "memory":
+            bank.unpack(y[block])
+            name = next(
+                f"memory chain {key}" for key in bank.keys()
+                if not np.isfinite(bank.states(*key)).all()
+            )
+        raise StabilityError(f"{name} went non-finite at t = {t:.6g}; reduce dt")
 
 
 def run_micro_field(
@@ -356,85 +554,23 @@ def run_micro_field(
 ):
     """Fine run forced by a sum of (spatial profile, signal) pairs.
 
-    The forcing field is phi(x_i, t) = sum_r profile_r[i] * s_r(t); signal
-    drivers are integrated jointly with the state.  rhs_kind selects the
-    fine Burgers grid (spacing from x) or the half-spacing lattice (pass H).
+    The forcing field is phi(x_i, t) = sum_r profile_r[i] * s_r(t); this
+    is the fine-only call of run_paired.  rhs_kind selects the fine Burgers
+    grid (spacing from x) or the half-spacing lattice (pass H).
 
     Returns (times, u history, signal-value history), recorded every
     record_every steps.
     """
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u0, dtype=float).copy()
-    if u.shape != x.shape:
-        raise ConfigError("u0 and x must have matching shapes")
-    profiles = np.stack([np.broadcast_to(np.asarray(p, float), x.shape) for p, _ in pairs])
-    sigset = _SignalSet([s for _, s in pairs], seed)
-    check_scheme_legal(scheme, sigset.any_white)
-    nd = sigset.total_dim
-    if rhs_kind == "burgers":
-        dx = float(x[1] - x[0])
-
-        def space_rhs(u_, phi_):
-            return burgers_rhs(u_, dx, alpha, eps, phi_, form)
-
-    elif rhs_kind == "lattice":
-        if H is None:
-            raise ConfigError("lattice runs need the element half-width H")
-
-        def space_rhs(u_, phi_):
-            return lattice_rhs(u_, H, alpha, eps, phi_)
-
-    else:
-        raise ConfigError(f"unknown rhs_kind {rhs_kind!r}")
-
-    n_steps = int(round(t_end / dt))
-    times = [0.0]
-    u_hist = [u.copy()]
-    vals0 = (
-        sigset.values(0.0, sigset.d0)
-        if not sigset.any_white
-        else np.zeros(len(sigset.signals))
+    profiles = np.stack(
+        [np.broadcast_to(np.asarray(p, float), x.shape) for p, _ in pairs]
     )
-    val_hist = [vals0]
-
-    if scheme == "rk4":
-        y = np.concatenate([sigset.d0, u])
-
-        def f(y_, t_):
-            d_ = y_[:nd]
-            u_ = y_[nd:]
-            vals = sigset.values(t_, d_)
-            du = space_rhs(u_, profiles.T @ vals)
-            return np.concatenate([sigset.rhs(d_, t_), du])
-
-        for k in range(n_steps):
-            y = rk4_step(y, f, k * dt, dt)
-            if not np.all(np.isfinite(y)):
-                raise StabilityError(
-                    f"fine run went non-finite at t = {(k + 1) * dt:.6g}; reduce dt"
-                )
-            if (k + 1) % record_every == 0 or k + 1 == n_steps:
-                t_now = (k + 1) * dt
-                times.append(t_now)
-                u_hist.append(y[nd:].copy())
-                val_hist.append(sigset.values(t_now, y[:nd]))
-    else:
-        d = sigset.d0.copy()
-        for k in range(n_steps):
-            t_now = k * dt
-            vals = sigset.step_values(t_now, d, dt)
-            u = u + dt * space_rhs(u, profiles.T @ vals)
-            if nd:
-                d = d + dt * sigset.rhs(d, t_now)
-            if not np.all(np.isfinite(u)):
-                raise StabilityError(
-                    f"fine run went non-finite at t = {(k + 1) * dt:.6g}; reduce dt"
-                )
-            if (k + 1) % record_every == 0 or k + 1 == n_steps:
-                times.append((k + 1) * dt)
-                u_hist.append(u.copy())
-                val_hist.append(vals)
-    return np.asarray(times), np.asarray(u_hist), np.asarray(val_hist)
+    run = run_paired(
+        [s for _, s in pairs], seed, t_end, dt, scheme,
+        fine=FineSide(x, u0, alpha, eps, profiles, rhs_kind, H, form),
+        record_every=record_every,
+    )
+    return run.times, run.u, run.values
 
 
 def run_macro_forced(
@@ -448,81 +584,18 @@ def run_macro_forced(
 ):
     """Coarse run with signal drivers embedded in the joint integration.
 
+    The coarse-only call of run_paired, at cfg's dt and scheme.
     assemble(vals, t) maps the scalar signal values to the variant's forcing
     object (mode coefficients, lattice samples, or scalar drive).  Returns
-    (times, U history, packed bank history, signal-value history).
+    (times, U history, packed bank history, signal-value history).  In the
+    last, a white signal reports the draw of the step that ended at each
+    recorded time (zero at t = 0), as run_micro_field does.
     """
-    sigset = _SignalSet(signal_specs, seed)
-    check_scheme_legal(cfg.scheme, sigset.any_white)
-    U = np.asarray(U0, dtype=float).copy()
-    if U.shape != (cfg.m,):
-        raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
-    bank = build_bank(cfg)
-    nb = bank.n_states
-    nd = sigset.total_dim
-
-    def f(y_, t_, vals):
-        flat = y_[nd : nd + nb]
-        dU, drives = variant_rhs(
-            y_[nd + nb :], assemble(vals, t_), bank.bound_to(flat), cfg
-        )
-        return np.concatenate(
-            [sigset.rhs(y_[:nd], t_), bank.rhs_flat(flat, drives), dU]
-        )
-
-    def f_rk4(y_, t_):
-        return f(y_, t_, sigset.values(t_, y_[:nd]))
-
-    n_steps = int(round(t_end / cfg.dt))
-    y = np.concatenate([sigset.d0, bank.Z.ravel(), U])
-    times = [0.0]
-    U_hist = [U.copy()]
-    bank_hist = [y[nd : nd + nb].copy()]
-    val_hist = [
-        sigset.values(0.0, sigset.d0)
-        if not sigset.any_white
-        else np.zeros(len(sigset.signals))
-    ]
-    dt = cfg.dt
-    for k in range(n_steps):
-        t_now = k * dt
-        if cfg.scheme == "rk4":
-            y = rk4_step(y, f_rk4, t_now, dt)
-        else:
-            y = y + dt * f(y, t_now, sigset.step_values(t_now, y[:nd], dt))
-        if not np.all(np.isfinite(y)):
-            _diagnose_nonfinite(y, nd, bank, (k + 1) * dt)
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            t_rec = (k + 1) * dt
-            times.append(t_rec)
-            U_hist.append(y[nd + nb :].copy())
-            bank_hist.append(y[nd : nd + nb].copy())
-            val_hist.append(
-                sigset.values(t_rec, y[:nd])
-                if not sigset.any_white
-                else np.full(len(sigset.signals), np.nan)
-            )
-    return (
-        np.asarray(times),
-        np.asarray(U_hist),
-        np.asarray(bank_hist),
-        np.asarray(val_hist),
+    run = run_paired(
+        signal_specs, seed, t_end, cfg.dt, cfg.scheme,
+        coarse=CoarseSide(cfg, U0, assemble), record_every=record_every,
     )
-
-
-def _diagnose_nonfinite(y, nd, bank, t):
-    nb = bank.n_states
-    if not np.all(np.isfinite(y[nd + nb :])):
-        raise StabilityError(
-            f"grid amplitudes went non-finite at t = {t:.6g}; reduce dt"
-        )
-    state = bank.bound_to(y[nd : nd + nb])
-    for key in state.keys():
-        if not np.all(np.isfinite(state.states(*key))):
-            raise StabilityError(
-                f"memory chain {key} went non-finite at t = {t:.6g}; reduce dt"
-            )
-    raise StabilityError(f"signal driver went non-finite at t = {t:.6g}")
+    return run.times, run.U, run.bank, run.values
 
 
 def nsm_series(cfg: ModelConfig, U_hist, bank_hist) -> np.ndarray:
@@ -623,7 +696,9 @@ def run_fig3_experiment(
     so the coarse grid values feel the forcing only through memory.  The
     comparison probes the second element's centre: the coarse amplitude
     alone, and the memory-corrected grid-value reconstruction, against the
-    fine solution.
+    fine solution.  Both sides advance as one run_paired state fed by one
+    driver, so ``forcing_path_gap`` is 0.0 by construction; the metric and
+    its ``paths_paired`` check stay so reports remain comparable.
     """
     spec = spec or default_spec("fig3")
     out_dir = _ensure_dir(out_dir)
@@ -636,43 +711,19 @@ def run_fig3_experiment(
     signal = spec.signal or default_spec("fig3").signal
     stride = int(spec.extras.get("record_every", 10))
 
-    times_u, u_hist, vals_u = run_micro_field(
-        x,
-        np.ones(n),
-        spec.alpha,
-        spec.eps,
-        [(profile, signal)],
-        spec.dt,
-        spec.t1,
-        spec.resolved_seed,
-        scheme=spec.scheme,
-        record_every=stride,
-    )
-
     cfg = ModelConfig(
-        variant="ssm1",
-        alpha=spec.alpha,
-        eps=spec.eps,
-        gamma=spec.gamma,
-        H=H,
-        m=m,
-        dt=spec.dt,
-        scheme=spec.scheme,
+        variant="ssm1", alpha=spec.alpha, eps=spec.eps, gamma=spec.gamma,
+        H=H, m=m, dt=spec.dt, scheme=spec.scheme,
     )
-    times_U, U_hist, bank_hist, vals_U = run_macro_forced(
-        cfg,
-        np.ones(m),
-        [signal],
-        lambda vals, t: float(vals[0]),
-        spec.t1,
-        spec.resolved_seed,
+    run = run_paired(
+        [signal], spec.resolved_seed, spec.t1, spec.dt, spec.scheme,
+        fine=FineSide(x, np.ones(n), spec.alpha, spec.eps, profile[None]),
+        coarse=CoarseSide(cfg, np.ones(m), lambda vals, t: float(vals[0])),
         record_every=stride,
     )
-    if times_u.shape != times_U.shape or np.max(np.abs(times_u - times_U)) != 0.0:
-        raise ConfigError("paired runs recorded different time grids")
-    path_gap = float(np.max(np.abs(vals_u[:, 0] - vals_U[:, 0])))
-
-    v_hist = nsm_series(cfg, U_hist, bank_hist)
+    times, u_hist, U_hist = run.times, run.u, run.U
+    path_gap = 0.0
+    v_hist = nsm_series(cfg, U_hist, run.bank)
 
     probe_element = 1  # centre 3H/2, the second element
     x_probe = grid.centres()[probe_element]
@@ -680,7 +731,7 @@ def run_fig3_experiment(
     if abs(idx * spec.dx - x_probe) > 1e-12:
         raise ConfigError("probe centre must lie on the fine grid")
 
-    mask = (times_u >= spec.t0) & (times_u <= spec.t1)
+    mask = (times >= spec.t0) & (times <= spec.t1)
     truth = u_hist[mask, idx]
     amp = U_hist[mask, probe_element]
     rec = v_hist[mask, probe_element]
@@ -714,11 +765,11 @@ def run_fig3_experiment(
             os.path.join(out_dir, "fig3.csv"),
             "t,u_probe,U_probe,v_probe,eps_phi",
             [
-                times_u,
+                times,
                 u_hist[:, idx],
                 U_hist[:, probe_element],
                 v_hist[:, probe_element],
-                spec.eps * vals_u[:, 0],
+                spec.eps * run.values[:, 0],
             ],
         )
     return ComparisonReport(
@@ -795,76 +846,27 @@ def consistency_experiment(
     )
 
 
-def _slaved_continuum_rate(H: float, k: int) -> tuple[float, float]:
-    """Decay rate of csn mode k on one decoupled element, by simulation.
+def _slaved_decay_rate(u, lap, centre: int, dt: float, target: float) -> float:
+    """Decay rate of u's deviation from its centre on one decoupled element.
 
-    The element spans theta in [-pi, pi]; its ends are slaved to the centre
-    value (zero coupling).  Diffusion only.
+    lap(u) is the diffusion at the interior points; both ends are slaved to
+    the centre value (zero coupling).  Runs to 4 / target and fits the
+    window [0.5, 3] / target.
     """
-    n = 129
-    theta = np.linspace(-np.pi, np.pi, n)
-    h = theta[1] - theta[0]
-    mid = (n - 1) // 2
-    c = (np.pi / H) ** 2
-
-    def f(u, t):
-        du = np.empty_like(u)
-        du[1:-1] = c * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        du[0] = du[mid]
-        du[-1] = du[mid]
-        return du
-
-    if k % 2:
-        u = np.sin(k * theta)
-    else:
-        u = np.cos(k * theta)
-    beta = mode_decay_rate(k, H)
-    dt = 0.2 / (c * 4.0 / h**2)
-    t_end = 4.0 / beta
-    n_steps = int(round(t_end / dt))
-    times, devs = [], []
-    t = 0.0
-    for step_i in range(n_steps):
-        u = rk4_step(u, f, t, dt)
-        t = (step_i + 1) * dt
-        dev = float(np.max(np.abs(u - u[mid])))
-        times.append(t)
-        devs.append(dev)
-    times = np.asarray(times)
-    devs = np.asarray(devs)
-    rate = fit_emergence_rate(times, devs, t_start=0.5 / beta, t_end=3.0 / beta)
-    return rate, beta
-
-
-def _slaved_lattice_rate(H: float, mode: int) -> tuple[float, float]:
-    """Decay rate of a decoupled 5-point lattice element's fast mode."""
-    if mode == 1:
-        u = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
-        target = 8.0 / H**2
-    else:
-        u = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-        target = 16.0 / H**2
 
     def f(u_, t):
         du = np.empty_like(u_)
-        du[1:-1] = (4.0 / H**2) * (u_[2:] - 2.0 * u_[1:-1] + u_[:-2])
-        du[0] = du[2]
-        du[-1] = du[2]
+        du[1:-1] = lap(u_)
+        du[0] = du[-1] = du[centre]
         return du
 
-    dt = 0.01 * H**2
-    t_end = 4.0 / target
-    n_steps = int(round(t_end / dt))
-    times, devs = [], []
-    for step_i in range(n_steps):
-        u = rk4_step(u, f, step_i * dt, dt)
-        t = (step_i + 1) * dt
-        times.append(t)
-        devs.append(float(np.max(np.abs(u - u[2]))))
-    rate = fit_emergence_rate(
-        np.asarray(times), np.asarray(devs), t_start=0.5 / target, t_end=3.0 / target
-    )
-    return rate, target
+    n_steps = int(round(4.0 / target / dt))
+    devs = np.empty(n_steps)
+    for k in range(n_steps):
+        u = rk4_step(u, f, k * dt, dt)
+        devs[k] = np.max(np.abs(u - u[centre]))
+    times = dt * np.arange(1, n_steps + 1)
+    return fit_emergence_rate(times, devs, 0.5 / target, 3.0 / target)
 
 
 def emergence_experiment(
@@ -875,21 +877,37 @@ def emergence_experiment(
     With zero coupling an element relaxes to its centre value; the approach
     rates are the subgrid spectrum: (k pi/H)^2 for the continuum modes and
     {8/H^2, 16/H^2} for the two fast modes of the 5-point lattice element.
+    The continuum element spans theta in [-pi, pi] on 129 points, diffusion
+    only, started from csn mode k.
     """
     spec = spec or default_spec("emergence")
     out_dir = _ensure_dir(out_dir)
     H = spec.H
+    theta = np.linspace(-np.pi, np.pi, 129)
+    h = theta[1] - theta[0]
+    c = (np.pi / H) ** 2
     metrics = {}
     checks = {}
     for k in (1, 2):
-        rate, target = _slaved_continuum_rate(H, k)
+        target = mode_decay_rate(k, H)
+        rate = _slaved_decay_rate(
+            csn(k, theta),
+            lambda u: c * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,
+            theta.size // 2, 0.2 / (c * 4.0 / h**2), target,
+        )
         rel = abs(rate - target) / target
         metrics[f"continuum_rate_k{k}"] = rate
         metrics[f"continuum_target_k{k}"] = target
         metrics[f"continuum_rel_err_k{k}"] = rel
         checks[f"continuum_k{k}_within_2pct"] = rel <= 0.02
-    for mode in (1, 2):
-        rate, target = _slaved_lattice_rate(H, mode)
+    fast_modes = ((1, [0.0, -1.0, 0.0, 1.0, 0.0]), (2, [1.0, -1.0, 1.0, -1.0, 1.0]))
+    for mode, u0 in fast_modes:
+        target = 8.0 * mode / H**2
+        rate = _slaved_decay_rate(
+            np.array(u0),
+            lambda u: (4.0 / H**2) * (u[2:] - 2.0 * u[1:-1] + u[:-2]),
+            2, 0.01 * H**2, target,
+        )
         rel = abs(rate - target) / target
         metrics[f"lattice_rate_f{mode}"] = rate
         metrics[f"lattice_target_f{mode}"] = target
@@ -927,7 +945,6 @@ def lattice_coarse_experiment(
     prof1 = 0.6 * np.cos(4.0 * np.pi * x_fine / L + 1.9)
     sig0 = SignalSpec(kind="harmonic", omega=0.37, phase=0.3, amplitude=1.0)
     sig1 = SignalSpec(kind="harmonic", omega=0.23, phase=1.1, amplitude=1.0)
-    pairs = [(prof0, sig0), (prof1, sig1)]
     profiles = np.stack([prof0, prof1])
 
     u0_fine = np.full(2 * m, 0.4)
@@ -935,37 +952,21 @@ def lattice_coarse_experiment(
     for level in range(levels):
         a = spec.alpha / 2**level
         e = spec.eps / 2**level
-        t_f, u_f, _ = run_micro_field(
-            x_fine,
-            u0_fine,
-            a,
-            e,
-            pairs,
-            spec.dt,
-            spec.t1,
-            spec.resolved_seed,
-            rhs_kind="lattice",
-            H=H,
-            record_every=stride,
-        )
         cfg = ModelConfig(
             variant="lattice", alpha=a, eps=e, H=H, m=m, dt=spec.dt,
             scheme=spec.scheme,
         )
-        t_c, U_c, _, _ = run_macro_forced(
-            cfg,
-            u0_fine[0::2],
-            [sig0, sig1],
-            lambda vals, t: profiles.T @ vals,
-            spec.t1,
-            spec.resolved_seed,
+        run = run_paired(
+            [sig0, sig1], spec.resolved_seed, spec.t1, spec.dt, spec.scheme,
+            fine=FineSide(x_fine, u0_fine, a, e, profiles, "lattice", H),
+            coarse=CoarseSide(
+                cfg, u0_fine[0::2], lambda vals, t: profiles.T @ vals
+            ),
             record_every=stride,
         )
-        if np.max(np.abs(t_f - t_c)) != 0.0:
-            raise ConfigError("paired lattice runs recorded different time grids")
-        mask = (t_f >= spec.t0) & (t_f <= spec.t1)
-        err = float(np.max(np.abs(U_c[mask] - u_f[mask][:, 0::2])))
-        sup_errors.append(err)
+        mask = (run.times >= spec.t0) & (run.times <= spec.t1)
+        err = run.U[mask] - run.u[mask][:, 0::2]
+        sup_errors.append(float(np.max(np.abs(err))))
 
     metrics = {}
     checks = {}

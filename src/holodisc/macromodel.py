@@ -40,6 +40,7 @@ U, so every scheme sees consistent substage values.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +131,14 @@ class ModelConfig:
             raise ConfigError("psi1_weights must have three entries")
 
 
+@functools.lru_cache(maxsize=None)
 def alternating_signs(m: int) -> np.ndarray:
-    """Element sign pattern (-1, +1, -1, +1, ...); needs even m to close."""
+    """Element sign pattern (-1, +1, ...), cached and read-only; needs even m."""
     if m % 2:
         raise ConfigError("alternating pattern does not close on an odd ring")
     alt = np.ones(m)
     alt[0::2] = -1.0
+    alt.setflags(write=False)
     return alt
 
 

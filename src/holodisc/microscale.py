@@ -25,7 +25,6 @@ __all__ = [
     "lattice_rhs",
     "lattice_decay_rates",
     "rk4_step",
-    "euler_step",
     "step",
     "integrate",
     "check_scheme_legal",
@@ -114,11 +113,6 @@ def rk4_step(u, rhs, t, dt):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def euler_step(u, rhs, t, dt):
-    """One forward Euler step of du/dt = rhs(u, t)."""
-    return u + dt * rhs(u, t)
-
-
 def step(u, rhs, t, dt, scheme="rk4"):
     """One time step under the named scheme.
 
@@ -132,7 +126,7 @@ def step(u, rhs, t, dt, scheme="rk4"):
     if scheme == "rk4":
         return rk4_step(u, rhs, t, dt)
     if scheme in ("euler", "euler-maruyama"):
-        return euler_step(u, rhs, t, dt)
+        return u + dt * rhs(u, t)
     raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 

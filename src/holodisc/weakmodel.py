@@ -24,16 +24,18 @@ import numpy as np
 
 from .convolution import ConvChain, canonical_rates
 from .errors import ConfigError, StabilityError
-from .forcing import SignalSpec, mode_decay_rate
+from .forcing import SignalSpec
 from .macromodel import (
     EXPR_NAMES,
     ModelConfig,
+    ssm1_chain_specs,
     ssm1_det_linear,
     ssm1_memory_weights,
     strongquad_det_linear,
     strongquad_expressions,
     strongquad_quadratic_terms,
 )
+from .microscale import rk4_step
 
 __all__ = [
     "harmonic_drift_1",
@@ -301,17 +303,12 @@ class WeakCoarseModel:
 
     # -- construction --------------------------------------------------------
 
-    def _product_rates(self) -> dict[str, tuple[float, ...]]:
-        b = {k: mode_decay_rate(k, self.cfg.H) for k in (1, 2, 4, 6)}
-        return {
-            "z1": (b[1],),
-            "z21": canonical_rates((b[1], b[2])),
-            "z41": canonical_rates((b[1], b[4])),
-            "z61": canonical_rates((b[1], b[6])),
-        }
-
     def _build_ssm1(self):
-        rates = self._product_rates()
+        labels = ("z1", "z21", "z41", "z61")
+        rates = {
+            label: canonical_rates(r)
+            for label, (r, _) in zip(labels, ssm1_chain_specs(self.cfg))
+        }
         if not self._white:
             A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
             P = A * np.exp(1j * ph)
@@ -487,12 +484,7 @@ class WeakCoarseModel:
         """One step; harmonic integrates rk4, white noise Euler-Maruyama."""
         U = np.asarray(U, dtype=float)
         if not self._white:
-            f = self.deterministic_rhs
-            k1 = f(U, t)
-            k2 = f(U + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(U + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(U + dt * k3, t + dt)
-            return U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return rk4_step(U, self.deterministic_rhs, t, dt)
         if rng is None:
             raise ConfigError("white-noise stepping needs the run() rng")
         return self._white_step(U, t, dt, rng)

@@ -112,6 +112,11 @@ class TestMacro:
                               "--tend", "0.05")
         assert result.returncode == 2
 
+    def test_rejects_a_step_that_does_not_divide_the_run(self):
+        result = invoke_entry("macro", "--tend", "1.0", "--dt", "0.3")
+        assert result.returncode == 2
+        assert "1.0" in result.stderr and "0.3" in result.stderr
+
 
 class TestWeak:
     def test_report_prints_drift_json(self):

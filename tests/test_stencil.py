@@ -114,3 +114,12 @@ class TestBasisAndRates:
 
     def test_alternating_starts_negative(self):
         assert np.array_equal(alternating_signs(4), [-1.0, 1.0, -1.0, 1.0])
+
+    def test_alternating_is_cached_and_read_only(self):
+        for m in (4, 6, 64):
+            alt = alternating_signs(m)
+            assert alt is alternating_signs(m)
+            assert not alt.flags.writeable
+            assert np.array_equal(alt, np.where(np.arange(m) % 2 == 0, -1.0, 1.0))
+        with pytest.raises(ValueError):
+            alternating_signs(4)[0] = 1.0
