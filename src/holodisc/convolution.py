@@ -13,9 +13,10 @@ so z[0] is the chain output.  The output is invariant under permutation of
 the rate vector, which lets banks of chains be keyed by the sorted rates.
 
 Cascades sharing one drive are integrated as one packed state:
-``chain_layout`` stacks their levels into rows (``macromodel.ChainBank``
-uses it too), and ``integrate_chains`` steps all rows together with one
-drive evaluation per stage.
+``chain_layout`` stacks their levels into rows, ``packed_chain_rhs`` is the
+derivative of every row at once (``macromodel.ChainBank`` uses both), and
+``integrate_chains`` steps all rows together with one drive evaluation per
+stage, through ``microscale.march``.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -31,13 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ReductionError
-from .microscale import step
+from .microscale import march, step
 
 __all__ = [
     "ConvChain",
     "chain_rhs",
     "chain_step",
     "chain_layout",
+    "packed_chain_rhs",
     "integrate_chains",
     "integrate_chain",
     "canonical_rates",
@@ -122,15 +124,30 @@ def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
 def chain_layout(chains, ndim: int = 1):
     """Rows of the rate tuples' levels, stacked as given (not sorted).
 
-    Returns per row its decay rate and whether the next row feeds it (false
-    where a chain ends; one entry fewer), shaped to broadcast against a
-    packed state of rank ndim; and per chain the last row, fed by the drive.
+    Returns per row its negated decay rate and whether the next row feeds
+    it (false where a chain ends; one entry fewer), shaped to broadcast
+    against a packed state of rank ndim; and per chain the last row, fed by
+    the drive.
     """
     col = (-1,) + (1,) * (ndim - 1)
     rates = np.asarray([r for chain in chains for r in chain], dtype=float)
     last = np.cumsum([len(chain) for chain in chains], dtype=int) - 1
     link = ~np.isin(np.arange(rates.size - 1), last)
-    return rates.reshape(col), link.reshape(col), last
+    return -rates.reshape(col), link.reshape(col), last
+
+
+def packed_chain_rhs(Z, layout, drive):
+    """chain_rhs for every chain of a chain_layout at once.
+
+    Z holds the packed rows; drive broadcasts against Z[layout's last rows].
+    Keeps chain_rhs's elementwise order, so each chain's derivative is bit
+    for bit the one it gets alone.
+    """
+    neg_rates, link, last = layout
+    dZ = neg_rates * Z
+    np.add(dZ[:-1], Z[1:], out=dZ[:-1], where=link)
+    dZ[last] += drive
+    return dZ
 
 
 def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
@@ -138,10 +155,11 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
 
     Each chain starts from rest or from its states0 entry, (levels,) or
     (levels, m); drive_fn is evaluated once per stage for all of them.  The
-    derivative keeps chain_rhs's elementwise order, so each chain's result
-    is bit for bit the one it gets alone.  Returns times, shape (n+1,), and
+    run takes round(t_end / dt) steps, the nearest whole number, so it may
+    end a fraction of a step off t_end.  Returns times, shape (n+1,), and
     per chain in the order given its history: a view, (n+1, levels[, m]),
-    into one packed array.
+    into one packed array.  A non-finite state raises StabilityError naming
+    the first bad chain.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -155,26 +173,25 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
         shapes = [z.shape for z in states0]
         raise ConfigError(f"cascade states {shapes} do not fit chains {chains}")
     Z = np.concatenate(states0)
-    rates, link, last = chain_layout(chains, Z.ndim)
+    layout = chain_layout(chains, Z.ndim)
+    rows = [slice(e + 1 - len(r), e + 1) for r, e in zip(chains, layout[2])]
 
     def rhs(y, s):
-        dy = -rates * y
-        np.add(dy[:-1], y[1:], out=dy[:-1], where=link)
-        dy[last] += drive_fn(s)
-        return dy
+        return packed_chain_rhs(y, layout, drive_fn(s))
 
-    n = int(round(t_end / dt))
-    times = dt * np.arange(n + 1)
-    history = np.empty((n + 1,) + Z.shape)
-    history[0] = Z
-    for i in range(n):
-        Z = step(Z, rhs, times[i], dt, scheme)
-        history[i + 1] = Z
-    return times, [history[:, e + 1 - len(r) : e + 1] for r, e in zip(chains, last)]
+    times, history = march(
+        lambda y, t: step(y, rhs, t, dt, scheme), Z, 0.0,
+        int(round(t_end / dt)), dt,
+        blocks=[(f"memory chain {r}", row) for r, row in zip(chains, rows)],
+    )
+    return times, [history[:, row] for row in rows]
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):
-    """integrate_chains for one cascade: times and its (n+1, levels[, m]) history."""
+    """integrate_chains for one cascade: times and its (n+1, levels[, m]) history.
+
+    Takes round(t_end / dt) steps, as integrate_chains does.
+    """
     s0 = None if states0 is None else [states0]
     times, (history,) = integrate_chains([rates], drive_fn, t_end, dt, s0, scheme)
     return times, history

@@ -1,14 +1,13 @@
 """Experiment harness: paired fine/coarse runs, rate fits, reports.
 
 Every experiment here builds both sides of a comparison from one seeded
-spec.  ``run_paired`` is the one time-stepping engine: it advances the
-signal drivers, the fine field, the coarse model's packed memory bank and
-its amplitudes as one state vector, one RK4 (or Euler-Maruyama) step at a
-time, and evaluates the signals once per stage for both sides, so a fine
-run and its coarse partner see one forcing path by construction.
-``run_micro_field`` and ``run_macro_forced`` are its fine-only and
-coarse-only calls.  Run lengths must be whole numbers of steps, and a
-non-finite state is reported with the block that went bad.
+spec.  ``run_paired`` is the paired engine: it advances the signal
+drivers, the fine field, the coarse model's packed memory bank and its
+amplitudes as one state vector, one RK4 (or Euler-Maruyama) step at a
+time through ``microscale.march``, and evaluates the signals once per
+stage for both sides, so a fine run and its coarse partner see one
+forcing path by construction.  ``run_micro_field`` and
+``run_macro_forced`` are its fine-only and coarse-only calls.
 
 Experiments:
 
@@ -36,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import integrate_chains
-from .errors import ConfigError, DataError, StabilityError
+from .errors import ConfigError, DataError
 from .forcing import (
     ElementGrid,
     SignalSpec,
@@ -52,7 +51,15 @@ from .macromodel import (
     ssm1_chain_specs,
     variant_rhs,
 )
-from .microscale import burgers_rhs, check_scheme_legal, lattice_rhs, rk4_step
+from .microscale import (
+    burgers_rhs,
+    check_scheme_legal,
+    exact_steps,
+    lattice_rhs,
+    march,
+    rk4_step,
+    step,
+)
 from .weakmodel import build_weak_model
 
 __all__ = [
@@ -404,19 +411,6 @@ def _fine_rhs(fine: FineSide):
     raise ConfigError(f"unknown rhs_kind {fine.rhs_kind!r}")
 
 
-def _exact_steps(t_end: float, dt: float) -> int:
-    """Number of dt steps that lands on t_end; refuses any other dt."""
-    if dt <= 0.0:
-        raise ConfigError(f"time step must be positive, got {dt}")
-    n = int(round(t_end / dt))
-    if n < 0 or abs(n * dt - t_end) > 1e-9 * abs(t_end):
-        raise ConfigError(
-            f"run length t_end = {t_end!r} is not a whole, non-negative "
-            f"number of steps dt = {dt!r}"
-        )
-    return n
-
-
 def run_paired(
     signal_specs,
     seed: int,
@@ -446,11 +440,8 @@ def run_paired(
     """
     sigset = _SignalSet(signal_specs, seed)
     check_scheme_legal(scheme, sigset.any_white)
-    n_steps = _exact_steps(t_end, dt)
-    if record_every < 1:
-        raise ConfigError("record_every must be at least 1")
+    n_steps = exact_steps(t_end, dt)
     u0 = Z0 = U0 = np.zeros(0)
-    bank = None
     if fine is not None:
         fine_rhs = _fine_rhs(fine)
         u0 = np.asarray(fine.u0, dtype=float)
@@ -475,8 +466,12 @@ def run_paired(
     e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
     sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
     # Upstream first: drivers feed both sides, the bank feeds U.
-    blocks = (("signal driver", sd), ("memory", sz),
-              ("grid amplitudes", sU), ("fine field", su))
+    blocks = [("signal driver", sd)]
+    if coarse is not None:
+        blocks += [(f"memory chain {key}", slice(e1 + r.start * cfg.m,
+                                                 e1 + r.stop * cfg.m))
+                   for key, r in bank.rows.items()]
+    blocks += [("grid amplitudes", sU), ("fine field", su)]
 
     def f(y_, t_, vals):
         out = [sigset.rhs(y_[sd], t_)]
@@ -494,26 +489,20 @@ def run_paired(
     def f_rk4(y_, t_):
         return f(y_, t_, sigset.values(t_, y_[sd]))
 
-    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
-    times = np.zeros(n_rec)
-    hist = np.empty((n_rec, y.size))
-    vals_hist = np.empty((n_rec, len(sigset.signals)))
-    hist[0], vals_hist[0] = y, sigset.values(0.0, y[sd])
-    rec, draws = 0, None
-    for k in range(n_steps):
-        t_now = k * dt
+    step_vals = []  # per Euler step: white draws, the rest at the step start
+
+    def advance(y_, t_):
         if scheme == "rk4":
-            y = rk4_step(y, f_rk4, t_now, dt)
-        else:
-            draws = sigset.step_values(t_now, y[sd], dt)
-            y = y + dt * f(y, t_now, draws)
-        t_now = (k + 1) * dt
-        if not np.isfinite(y).all():
-            _diagnose_nonfinite(y, blocks, bank, t_now)
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            rec += 1
-            times[rec], hist[rec] = t_now, y
-            vals_hist[rec] = sigset.values(t_now, y[sd], draws)
+            return rk4_step(y_, f_rk4, t_, dt)
+        step_vals.append(sigset.step_values(t_, y_[sd], dt))
+        return y_ + dt * f(y_, t_, step_vals[-1])
+
+    times, hist = march(advance, y, 0.0, n_steps, dt, record_every, blocks)
+    ends = np.minimum(record_every * np.arange(times.size), n_steps)
+    vals_hist = np.array([
+        sigset.values(t, h[sd], step_vals[k - 1] if step_vals and k else None)
+        for t, h, k in zip(times, hist, ends.tolist())
+    ])
     return PairedRun(
         times,
         vals_hist,
@@ -521,20 +510,6 @@ def run_paired(
         hist[:, sU] if coarse is not None else None,
         hist[:, sz] if coarse is not None else None,
     )
-
-
-def _diagnose_nonfinite(y, blocks, bank, t):
-    """Raise a StabilityError naming the first of y's blocks that went bad."""
-    for name, block in blocks:
-        if np.isfinite(y[block]).all():
-            continue
-        if name == "memory":
-            bank.unpack(y[block])
-            name = next(
-                f"memory chain {key}" for key in bank.keys()
-                if not np.isfinite(bank.states(*key)).all()
-            )
-        raise StabilityError(f"{name} went non-finite at t = {t:.6g}; reduce dt")
 
 
 def run_micro_field(
@@ -641,8 +616,7 @@ def run_fig1_experiment(
     drivers = np.column_stack(
         [np.full(n, 5.0), np.full(n, 8.0), rng.normal(10.0, 1.0, n)]
     )
-    u = np.ones(n)
-    y = np.concatenate([drivers.ravel(), u])
+    check_scheme_legal(spec.scheme, False)
 
     def f(y_, t_):
         D = y_[: 3 * n].reshape(n, 3)
@@ -650,21 +624,14 @@ def run_fig1_experiment(
         du = burgers_rhs(u_, spec.dx, spec.alpha, spec.eps, D[:, 0])
         return np.concatenate([lorenz_rhs(D).ravel(), du])
 
-    n_steps = int(round(spec.t1 / spec.dt))
-    stride = int(spec.extras.get("record_every", 5))
-    times = [0.0]
-    u_hist = [u.copy()]
-    for k in range(n_steps):
-        y = rk4_step(y, f, k * spec.dt, spec.dt)
-        if not np.all(np.isfinite(y)):
-            raise StabilityError(
-                f"fine run went non-finite at t = {(k + 1) * spec.dt:.6g}"
-            )
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            times.append((k + 1) * spec.dt)
-            u_hist.append(y[3 * n :].copy())
-    times = np.asarray(times)
-    u_hist = np.asarray(u_hist)
+    times, hist = march(
+        lambda y_, t_: step(y_, f, t_, spec.dt, spec.scheme),
+        np.concatenate([drivers.ravel(), np.ones(n)]), 0.0,
+        exact_steps(spec.t1, spec.dt), spec.dt,
+        int(spec.extras.get("record_every", 5)),
+        (("signal driver", slice(0, 3 * n)), ("fine field", slice(3 * n, None))),
+    )
+    u_hist = hist[:, 3 * n :]
 
     sup = float(np.max(np.abs(u_hist)))
     metrics = {
@@ -860,12 +827,9 @@ def _slaved_decay_rate(u, lap, centre: int, dt: float, target: float) -> float:
         du[0] = du[-1] = du[centre]
         return du
 
-    n_steps = int(round(4.0 / target / dt))
-    devs = np.empty(n_steps)
-    for k in range(n_steps):
-        u = rk4_step(u, f, k * dt, dt)
-        devs[k] = np.max(np.abs(u - u[centre]))
-    times = dt * np.arange(1, n_steps + 1)
+    times, hist = march(lambda u_, t: rk4_step(u_, f, t, dt), u, 0.0,
+                        int(round(4.0 / target / dt)), dt)
+    devs = np.max(np.abs(hist - hist[:, [centre]]), axis=1)
     return fit_emergence_rate(times, devs, 0.5 / target, 3.0 / target)
 
 

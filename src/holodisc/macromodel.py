@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import canonical_rates, chain_layout
+from .convolution import canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
@@ -151,9 +151,10 @@ class ChainBank:
     0 of the block being its output per element; blocks follow sorted-key
     order.  specs lists the (rates, input) chains, exprs the rows of the
     drive stack the chains read.  The layout is ``chain_layout``'s, fixed
-    here and shared by every rebinding: per row a decay rate and a link
-    flag (the next row feeds this one), per chain its drive-stack row, its
-    last row (where the drive enters) and its output row.
+    here and shared by every rebinding: per row a negated decay rate and a
+    link flag (the next row feeds this one), per chain its last row (where
+    the drive enters).  ``rows`` maps each key to its block of rows; per
+    chain the bank also keeps its drive-stack row and its output row.
 
     build_bank adds the variant's compiled couplings: ``coupling``, the
     coefficients of the chain outputs in dU/dt, and ``cfg``, the
@@ -169,22 +170,22 @@ class ChainBank:
         for _, name in keys:
             if name not in self.exprs:
                 raise ConfigError(f"no drive row for chain input {name!r}")
-        self._rates, self._link, self._last = chain_layout([k[0] for k in keys], 2)
-        self._rows: dict[tuple, slice] = {
+        self._layout = chain_layout([k[0] for k in keys], 2)
+        self.rows: dict[tuple, slice] = {
             key: slice(e + 1 - len(key[0]), e + 1)
-            for key, e in zip(keys, self._last.tolist())
+            for key, e in zip(keys, self._layout[2].tolist())
         }
         self._drive = np.asarray([self.exprs.index(k[1]) for k in keys], dtype=int)
-        self.out_rows = np.asarray([s.start for s in self._rows.values()], int)
-        self.Z = np.zeros((len(self._rates), self.m))
+        self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
+        self.Z = np.zeros((len(self._layout[0]), self.m))
         self.coupling = None
         self.cfg = None
 
     def keys(self) -> list[tuple]:
-        return list(self._rows)
+        return list(self.rows)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def index(self, rates, input_key: str) -> int:
         """Position of a chain in the layout (its row in ``outputs()``)."""
@@ -194,7 +195,7 @@ class ChainBank:
         """A chain's cascade levels, shape (levels, m); a view into Z."""
         k = (canonical_rates(rates), str(input_key))
         try:
-            return self.Z[self._rows[k]]
+            return self.Z[self.rows[k]]
         except KeyError:
             raise ConfigError(f"bank has no chain {k}") from None
 
@@ -239,17 +240,14 @@ class ChainBank:
         integrates its row.  Returns the derivatives packed like flat.
         """
         Z = self._shaped(flat)
-        if not self._last.size:
+        if not self.rows:
             return np.zeros(0)
         if np.shape(drives) != (len(self.exprs), self.m):
             raise ConfigError(
                 f"need a ({len(self.exprs)}, {self.m}) drive stack, "
                 f"got shape {np.shape(drives)}"
             )
-        dZ = -self._rates * Z
-        np.add(dZ[:-1], Z[1:], out=dZ[:-1], where=self._link)
-        dZ[self._last] += drives[self._drive]
-        return dZ.ravel()
+        return packed_chain_rhs(Z, self._layout, drives[self._drive]).ravel()
 
 
 def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:

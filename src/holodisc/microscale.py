@@ -8,9 +8,14 @@ Two discretisations of u_t + alpha u u_x = u_xx + eps phi(x, t):
   models.  Points sit at x_i = i H/2 (two per element), and the printed
   coefficients absorb the spacing, so the rhs takes H itself.
 
-Plus small fixed-step integrators.  They are deliberately hand-rolled: runs
-must be bit-reproducible across platforms, and adaptive steppers would break
-the pairing of forcing paths between fine and coarse runs.
+Plus the package's fixed-step integration.  ``march`` is its one time
+loop: every engine (paired fine/coarse runs, memory cascades, weak models,
+experiments) hands it a one-step map, so every run counts its steps, records
+its history and reports a non-finite state the same way.  ``exact_steps`` is
+the one whole-steps rule for run lengths.  The steppers are deliberately
+hand-rolled: runs must be bit-reproducible across platforms, and adaptive
+steppers would break the pairing of forcing paths between fine and coarse
+runs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ __all__ = [
     "lattice_decay_rates",
     "rk4_step",
     "step",
+    "exact_steps",
+    "march",
     "integrate",
     "check_scheme_legal",
 ]
@@ -141,38 +148,55 @@ def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:
         )
 
 
+def exact_steps(t_end: float, dt: float) -> int:
+    """Number of dt steps that lands on t_end; refuses any other dt."""
+    if dt <= 0.0:
+        raise ConfigError(f"time step must be positive, got {dt}")
+    n = int(round(t_end / dt))
+    if n < 0 or abs(n * dt - t_end) > 1e-9 * abs(t_end):
+        raise ConfigError(
+            f"run length t_end = {t_end!r} is not a whole, non-negative "
+            f"number of steps dt = {dt!r}"
+        )
+    return n
+
+
+def march(advance, y0, t0, n_steps, dt, record_every=1,
+          blocks=(("state", slice(None)),)):
+    """Take n_steps of y <- advance(y, t0 + k dt); returns (times, history).
+
+    Records t0, every record_every-th step and the last step, into arrays
+    of shapes (r,) and (r,) + y0.shape.  blocks names index ranges that
+    cover the state, upstream first; a non-finite state raises
+    StabilityError naming the first bad block.
+    """
+    if record_every < 1:
+        raise ConfigError("record_every must be at least 1")
+    y = np.asarray(y0, dtype=float)
+    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    times = np.empty(n_rec)
+    history = np.empty((n_rec,) + y.shape)
+    times[0], history[0] = t0, y
+    rec = 0
+    for k in range(n_steps):
+        y = advance(y, t0 + k * dt)
+        if not np.isfinite(y).all():
+            bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
+            t = t0 + (k + 1) * dt
+            raise StabilityError(f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")
+        if (k + 1) % record_every == 0 or k + 1 == n_steps:
+            rec += 1
+            times[rec], history[rec] = t0 + (k + 1) * dt, y
+    return times, history
+
+
 def integrate(u0, rhs, t0, t_end, dt, scheme="rk4", record_every=1):
     """Fixed-step integration of du/dt = rhs(u, t), recording every k steps.
 
-    Returns
-    -------
-    times : ndarray, shape (r,)
-    history : ndarray, shape (r, n)
-
-    Raises
-    ------
-    StabilityError
-        As soon as any component goes non-finite, naming the step and time.
+    t_end - t0 must be a whole number of steps.  Returns (times, history),
+    shapes (r,) and (r, n); raises StabilityError on a non-finite state.
     """
     if t_end <= t0:
         raise ConfigError(f"need t_end > t0, got [{t0}, {t_end}]")
-    if record_every < 1:
-        raise ConfigError("record_every must be at least 1")
-    u = np.asarray(u0, dtype=float).copy()
-    n_steps = int(round((t_end - t0) / dt))
-    times = [t0]
-    history = [u.copy()]
-    t = t0
-    for k in range(n_steps):
-        u = step(u, rhs, t, dt, scheme)
-        t = t0 + (k + 1) * dt
-        if not np.all(np.isfinite(u)):
-            bad = int(np.argmin(np.isfinite(u)))
-            raise StabilityError(
-                f"non-finite value at grid index {bad} after step {k + 1} "
-                f"(t = {t:.6g}); reduce dt"
-            )
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append(t)
-            history.append(u.copy())
-    return np.asarray(times), np.asarray(history)
+    return march(lambda u, t: step(u, rhs, t, dt, scheme), u0, t0,
+                 exact_steps(t_end - t0, dt), dt, record_every)

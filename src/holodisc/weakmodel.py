@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvChain, canonical_rates
-from .errors import ConfigError, StabilityError
+from .convolution import ConvChain, canonical_rates, chain_layout, packed_chain_rhs
+from .errors import ConfigError
 from .forcing import SignalSpec
 from .macromodel import (
     EXPR_NAMES,
@@ -35,7 +35,7 @@ from .macromodel import (
     strongquad_expressions,
     strongquad_quadratic_terms,
 )
-from .microscale import rk4_step
+from .microscale import exact_steps, march, rk4_step
 
 __all__ = [
     "harmonic_drift_1",
@@ -200,22 +200,24 @@ def simulate_quadrature_ensemble(
     if t_end <= 0.0 or dt <= 0.0:
         raise ConfigError("need t_end > 0 and dt > 0")
     rng = np.random.default_rng(seed)
-    levels = len(rates)
-    z = np.zeros((levels, n_paths))
-    y = np.zeros(n_paths)
-    n = int(round(t_end / dt))
+    layout = chain_layout([rates], 2)
     sq = np.sqrt(dt)
-    rate_col = np.asarray(rates)[:, None]
-    for _ in range(n):
+
+    def advance(y, t):
+        # y stacks the cascade levels over the running quadrature sum.
+        z = y[:-1]
         mu = intensity * rng.standard_normal(n_paths) / sq
         rho = mu if same_signal else intensity * rng.standard_normal(n_paths) / sq
-        dz = -rate_col * z
-        dz[:-1] += z[1:]
-        dz[-1] += mu
-        z_new = z + dt * dz
-        y += dt * rho * 0.5 * (z[0] + z_new[0])
-        z = z_new
-    return y
+        out = np.empty_like(y)
+        out[:-1] = z + dt * packed_chain_rhs(z, layout, mu)
+        out[-1] = y[-1] + dt * rho * 0.5 * (z[0] + out[0])
+        return out
+
+    n = int(round(t_end / dt))
+    _, hist = march(advance, np.zeros((len(rates) + 1, n_paths)), 0.0, n, dt,
+                    max(n, 1), ((f"memory chain {rates}", slice(0, -1)),
+                                ("quadrature sum", slice(-1, None))))
+    return hist[-1, -1]
 
 
 def weak_quadrature_samples(
@@ -511,27 +513,19 @@ class WeakCoarseModel:
         return U + dt * dU
 
     def run(self, U0, t_end: float, record_every: int = 1):
-        """Integrate from t = 0; returns (times, U history)."""
+        """Integrate from t = 0 in whole cfg.dt steps; returns (times, U history)."""
         cfg = self.cfg
-        U = np.asarray(U0, dtype=float).copy()
-        if U.shape != (cfg.m,):
+        U0 = np.asarray(U0, dtype=float)
+        if U0.shape != (cfg.m,):
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
         if t_end <= 0.0:
             raise ConfigError(f"need t_end > 0, got {t_end}")
-        n = int(round(t_end / cfg.dt))
         rng = self._rng() if self._white else None
-        times = [0.0]
-        history = [U.copy()]
-        for k in range(n):
-            U = self.step(U, k * cfg.dt, cfg.dt, rng)
-            if not np.all(np.isfinite(U)):
-                raise StabilityError(
-                    f"weak model went non-finite at t = {(k + 1) * cfg.dt:.6g}"
-                )
-            if (k + 1) % record_every == 0 or k + 1 == n:
-                times.append((k + 1) * cfg.dt)
-                history.append(U.copy())
-        return np.asarray(times), np.asarray(history)
+        return march(
+            lambda U, t: self.step(U, t, cfg.dt, rng), U0, 0.0,
+            exact_steps(t_end, cfg.dt), cfg.dt, record_every,
+            (("grid amplitudes", slice(None)),),
+        )
 
 
 def build_weak_model(

@@ -18,10 +18,14 @@ periods with a dt that divides the run exactly, and its metrics are kept in
 tests/data/weak_drift_golden.json.  ``paired_reports`` runs short ``fig3``
 and ``lattice`` experiments, fine and coarse side by side, and their report
 metrics and checks are kept in tests/data/paired_golden.json.
+``loop_runs`` pins the remaining fixed-step loops: a short ``fig1`` report,
+the ``emergence`` report, white-noise quadrature samples for one and two
+signals, and one ``microscale.integrate`` run, kept in
+tests/data/loops_golden.json.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops]
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from holodisc import (
     build_weak_model,
     default_spec,
     run_macro_forced,
+    simulate_quadrature_ensemble,
 )
 from holodisc.harness import (
     EXPERIMENTS,
@@ -46,11 +51,13 @@ from holodisc.harness import (
     spec_from_dict,
     weak_drift_experiment,
 )
+from holodisc.microscale import burgers_rhs, integrate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "coarse_golden.npz")
 WEAK_DRIFT_DATA = os.path.join(HERE, "data", "weak_drift_golden.json")
 PAIRED_DATA = os.path.join(HERE, "data", "paired_golden.json")
+LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 
@@ -171,13 +178,15 @@ PAIRED_SPECS = {
 }
 
 
+def _report(name, overrides=None):
+    report = EXPERIMENTS[name](spec_from_dict(name, overrides), None)
+    return {"metrics": report.metrics, "checks": report.checks}
+
+
 def paired_reports():
     """Metrics and checks of the short paired experiments, by name."""
-    out = {}
-    for name, overrides in PAIRED_SPECS.items():
-        report = EXPERIMENTS[name](spec_from_dict(name, overrides), None)
-        out[name] = {"metrics": report.metrics, "checks": report.checks}
-    return out
+    return {name: _report(name, overrides)
+            for name, overrides in PAIRED_SPECS.items()}
 
 
 def record_paired(path=PAIRED_DATA):
@@ -186,6 +195,40 @@ def record_paired(path=PAIRED_DATA):
         json.dump(reports, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return reports
+
+
+def _forced_burgers_run():
+    """A fine Burgers run from t0 = 0.25 under a travelling forcing wave."""
+    x = (2.0 * np.pi / 16) * np.arange(16)
+
+    def rhs(u, t):
+        return burgers_rhs(u, x[1], 0.8, 0.5, np.cos(x + 3.0 * t))
+
+    times, hist = integrate(1.0 + 0.5 * np.sin(x), rhs, 0.25, 0.75, 1e-2,
+                            record_every=7)
+    return {"times": times.tolist(), "history": hist.tolist()}
+
+
+def loop_runs():
+    """Outputs of the fig1, emergence, quadrature and integrate loops."""
+    return {
+        "fig1": _report("fig1", {"t1": 2.0, "dt": 0.01}),
+        "emergence": _report("emergence"),
+        "quadrature": {
+            label: simulate_quadrature_ensemble(
+                (1.0,), 1.0, 2e-3, 200, seed=5, same_signal=same).tolist()
+            for label, same in (("same_signal", True), ("two_signals", False))
+        },
+        "integrate": _forced_burgers_run(),
+    }
+
+
+def record_loops(path=LOOPS_DATA):
+    runs = loop_runs()
+    with open(path, "w") as fh:
+        json.dump(runs, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return runs
 
 
 def record(path=DATA):
@@ -205,10 +248,13 @@ if __name__ == "__main__":
             print(f"{key}: {value!r}")
     elif which == "paired":
         print(json.dumps(record_paired(), indent=2, sort_keys=True))
+    elif which == "loops":
+        runs = record_loops()
+        print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
     elif which == "coarse":
         for key, value in record().items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
-            f"unknown recording {which!r}; expected coarse, weak-drift or paired"
+            f"unknown recording {which!r}; expected coarse, weak-drift, paired or loops"
         )

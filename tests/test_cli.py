@@ -139,6 +139,12 @@ class TestWeak:
         assert result.returncode == 2
         assert "harmonic or white-noise" in result.stderr
 
+    def test_rejects_a_step_that_does_not_divide_the_run(self):
+        result = invoke_entry("weak", "--tend", "1.0", "--dt", "0.3",
+                              "--forcing", '{"kind": "harmonic"}')
+        assert result.returncode == 2
+        assert "1.0" in result.stderr and "0.3" in result.stderr
+
 
 class TestReduce:
     def test_matches_library_reduction(self):
