@@ -29,12 +29,15 @@ input) order, each chain's levels in consecutive rows, output first.  Per
 row the bank fixes a decay rate and whether the next row feeds it; per
 chain, the row of the drive stack it integrates and its output row.  The
 drive stack is the variant's (n_expr, m) array of forcing expressions:
-phi for ssm1, the nine stencil images of the three mode rings for
-strongquad.  An evaluation is then a few whole-array operations: the bank
-rhs is -rate * Z plus a masked shift plus the drive rows, and strongquad's
-33 couplings are one (2 * 13, 9) matrix product with the drive stack,
-weighted against the 13 chain outputs.  The bank is advanced jointly with
-U, so every scheme sees consistent substage values.
+phi for ssm1; for strongquad the (12, m) stack of the three mode rings
+and their mudelta, delta2 and delta4 images, from one ring_images call.
+An evaluation is then a few whole-array operations: the bank rhs is
+-rate * Z plus a masked shift plus the drive rows, and strongquad's
+forcing side is one (31, 12) matrix product with the stack.  Its rows are
+the 33 couplings' weights on the 13 chain outputs, plain and times U, and
+the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
+delta2 U and U^2.  The bank is advanced jointly with U, so every scheme
+sees consistent substage values.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .convolution import canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
-from .stencil import delta2, mudelta, ring_pad
+from .stencil import delta2, mudelta, ring_images, ring_pad
 
 __all__ = [
     "VARIANTS",
@@ -70,6 +73,7 @@ __all__ = [
     "strongquad_chain_specs",
     "EXPR_NAMES",
     "strongquad_expressions",
+    "strongquad_linear_matrix",
     "strongquad_det_linear",
     "strongquad_rhs",
     "variant_rhs",
@@ -282,8 +286,9 @@ def lowg_rhs(U: np.ndarray, modes: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     modes = np.asarray(modes, dtype=float)
     s0, s1, s2 = modes[:, 0], modes[:, 1], modes[:, 2]
-    dU = (1.0 / H**2) * (1.0 + a * a * H * H * U * U / 12.0) * delta2(U)
-    dU -= (a / H) * U * mudelta(U)
+    mdU, d2U, _ = ring_images(U)
+    dU = (1.0 / H**2) * (1.0 + a * a * H * H * U * U / 12.0) * d2U
+    dU -= (a / H) * U * mdU
     dU += e * (
         s0
         - a * (2.0 * H / _PI2) * s1 * U
@@ -326,8 +331,9 @@ def lattice_coarse_rhs(
     psi0 = 0.25 * left + 0.5 * centre + 0.25 * right
     w = cfg.psi1_weights
     psi1 = w[0] * left + w[1] * centre + w[2] * right
-    dU = (1.0 / H**2) * delta2(U)
-    dU -= (a / H) * U * mudelta(U)
+    mdU, d2U, _ = ring_images(U)
+    dU = (1.0 / H**2) * d2U
+    dU -= (a / H) * U * mdU
     dU += e * (psi0 - (a * H / 8.0) * U * psi1)
     return dU
 
@@ -380,10 +386,10 @@ def ssm1_det_linear(U: np.ndarray, phi: float, cfg: ModelConfig) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     alt = alternating_signs(cfg.m)
 
-    d2U = delta2(U)
+    mdU, d2U, d4U = ring_images(U)
     dU = (g / H**2) * d2U
-    dU -= (g * g / (12.0 * H**2)) * delta2(d2U)
-    dU -= (a * g / H) * U * mudelta(U)
+    dU -= (g * g / (12.0 * H**2)) * d4U
+    dU -= (a * g / H) * U * mdU
     dU += (a * a * g / 12.0) * U * U * d2U
 
     bracket = (
@@ -490,18 +496,20 @@ EXPR_NAMES = (
     "phi0", "phi1", "phi2",
     "mudelta_phi0", "mudelta_phi1", "mudelta_phi2",
     "delta2_phi0", "delta2_phi1", "delta2_phi2",
+    "delta4_phi0", "delta4_phi1", "delta4_phi2",
 )
 
 
 def strongquad_expressions(modes: np.ndarray) -> np.ndarray:
     """Stencil images of the three mode-coefficient rings, stacked.
 
-    modes has shape (m, 3); the result has shape (9, m), rows named by
-    EXPR_NAMES: the three rings, their mudelta images, their delta2
-    images.  Complex (phasor) modes give a complex stack.
+    modes has shape (m, 3); the result has shape (12, m), rows named by
+    EXPR_NAMES: the three rings, then their mudelta, delta2 and delta4
+    images, all from one ring_images call.  Complex (phasor) modes give a
+    complex stack.
     """
-    s = np.asarray(modes).T
-    return np.concatenate([s, mudelta(s), delta2(s)])
+    s = np.ascontiguousarray(np.asarray(modes).T)
+    return np.concatenate([s, *ring_images(s)])
 
 
 @dataclass(frozen=True)
@@ -584,7 +592,7 @@ def strongquad_chain_specs(cfg: ModelConfig) -> tuple[tuple[tuple, str], ...]:
 
 
 def _strongquad_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
-    """The 33 couplings as one (2 * chains, 9) matrix.
+    """The 33 couplings as one (2 * chains, 12) matrix.
 
     Row c (plain) and row chains + c (times U) hold, per left expression,
     the summed coefficients of the terms reading chain c's output.
@@ -597,52 +605,52 @@ def _strongquad_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
     return coupling
 
 
-_C_S0 = 3.0 / 640.0 + 1.0 / (8.0 * _PI4)
-_C_S2 = 1.0 / (48.0 * _PI2) + 1.0 / (16.0 * _PI4)
-_C_MD0 = 8.0 / _PI2
-_C_DD1 = 1.0 / 12.0 + 5.0 / (3.0 * _PI2)
-_C_MD1 = 1.0 / 6.0 + 10.0 / (3.0 * _PI2)
-_C_S1 = 1.0 / 6.0 + 1.0 / (3.0 * _PI2)
-_C_D2DD1 = 1.0 / 24.0 + 5.0 / (6.0 * _PI2)
+def strongquad_linear_matrix(cfg: ModelConfig) -> np.ndarray:
+    """The 14 forcing-linear terms as one (5, 12) matrix, eps included.
+
+    Applied to the expression stack it gives strongquad_det_linear's
+    forcing rows, the weights of 1, U, mudelta U, delta2 U and U^2.
+    """
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    c = a * g * H / _PI2  # prefactor of the coupling-gradient corrections
+    rows = (
+        {"phi0": 1.0, "delta2_phi0": -g / 24.0,
+         "delta4_phi0": g * g * (3.0 / 640.0 + 1.0 / (8.0 * _PI4)),
+         "delta2_phi2": g / (4.0 * _PI2),
+         "delta4_phi2": -g * g * (1.0 / (48.0 * _PI2) + 1.0 / (16.0 * _PI4))},
+        {"phi1": -a * 2.0 * H / _PI2, "mudelta_phi0": c * 8.0 / _PI2,
+         "mudelta_phi2": -c * 0.25,
+         "delta2_phi1": c * (1.0 / 12.0 + 5.0 / (3.0 * _PI2))},
+        {"phi2": c * 0.25, "mudelta_phi1": c * (1.0 / 6.0 + 10.0 / (3.0 * _PI2))},
+        {"phi1": -c * (1.0 / 6.0 + 1.0 / (3.0 * _PI2)),
+         "delta2_phi1": c * (1.0 / 24.0 + 5.0 / (6.0 * _PI2))},
+        {"phi0": -a * a * 8.0 * H * H / (3.0 * _PI4)},
+    )
+    K = np.zeros((len(rows), len(EXPR_NAMES)))
+    for k, row in enumerate(rows):
+        for name, coeff in row.items():
+            K[k, EXPR_NAMES.index(name)] = e * coeff
+    return K
 
 
 def strongquad_det_linear(
-    U: np.ndarray, ex: np.ndarray, cfg: ModelConfig
+    U: np.ndarray, F: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    """Deterministic skeleton plus forcing-linear terms of the general model.
+    """Skeleton of the general model plus its (5, m) forcing rows F.
 
-    Everything except the 33 quadratic memory couplings; shared by the
-    strong model and its weak replacement.  ex is the (9, m) stack of
-    strongquad_expressions.
+    The rows of F weight 1, U, mudelta U, delta2 U and U^2: the linear
+    matrix applied to the expression stack, plus the memory couplings
+    (strong) or their drifts and noises (weak).
     """
-    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    a, g, H = cfg.alpha, cfg.gamma, cfg.H
     U = np.asarray(U, dtype=float)
-    if np.shape(ex) != (len(EXPR_NAMES), cfg.m):
-        raise ConfigError(
-            f"need an expression stack of shape ({len(EXPR_NAMES)}, {cfg.m}), "
-            f"got {np.shape(ex)}"
-        )
-    s0, s1, s2, md0, md1, md2, dd0, dd1, dd2 = ex
-    d4s0, d4s2 = delta2(ex[6::2])
-    d2U = delta2(U)
-    mdU = mudelta(U)
-
-    dU = (g / H**2) * d2U
-    dU -= (g * g / (12.0 * H**2)) * delta2(d2U)
-    dU -= (g * a / H) * U * mdU
-
-    lin = s0 - (g / 24.0) * dd0 + g * g * _C_S0 * d4s0
-    lin += (g / (4.0 * _PI2)) * dd2
-    lin -= g * g * _C_S2 * d4s2
-    lin -= a * (2.0 * H / _PI2) * U * s1
-    # Coupling-gradient corrections; prefactor alpha gamma H / pi^2.
-    lin += (a * g * H / _PI2) * (
-        U * (_C_MD0 * md0 - 0.25 * md2 + _C_DD1 * dd1)
-        + mdU * (0.25 * s2 + _C_MD1 * md1)
-        - d2U * (_C_S1 * s1 - _C_D2DD1 * dd1)
-    )
-    lin -= a * a * (8.0 * H * H / (3.0 * _PI4)) * U * U * s0
-    dU += e * lin
+    if np.shape(F) != (5, cfg.m):
+        raise ConfigError(f"need (5, {cfg.m}) forcing rows, got {np.shape(F)}")
+    mdU, d2U, d4U = ring_images(U)
+    dU = F[0] + U * (F[1] + U * F[4])
+    dU += mdU * (F[2] - (g * a / H) * U)
+    dU += d2U * (F[3] + g / H**2)
+    dU -= (g * g / (12.0 * H**2)) * d4U
     return dU
 
 
@@ -651,14 +659,12 @@ def strongquad_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """General-forcing model, complete through quadratic forcing terms.
 
-    modes holds the per-element forcing coefficients, shape (m, 3).  The
-    deterministic skeleton and the forcing-linear terms are evaluated in
-    place; the 33 quadratic couplings are one product of the bank's
-    compiled coupling matrix with the expression stack, weighted against
-    the chain outputs (the bank must come from build_bank(cfg)).
-
-    Returns the amplitude derivative and the (9, m) expression stack, which
-    is also the bank's drive stack.
+    modes holds the per-element forcing coefficients, shape (m, 3).  One
+    product of the bank's (31, 12) matrix (the bank must come from
+    build_bank(cfg)) with the expression stack gives the five forcing rows
+    and the couplings' weights on the chain outputs; the weighted outputs
+    join the rows of 1 and U.  Returns the amplitude derivative and the
+    (12, m) expression stack, which is also the bank's drive stack.
     """
     U = np.asarray(U, dtype=float)
     modes = np.asarray(modes, dtype=float)
@@ -668,11 +674,12 @@ def strongquad_rhs(
         )
     _check_compiled(bank, cfg)
     ex = strongquad_expressions(modes)
-    dU = strongquad_det_linear(U, ex, cfg)
     W = bank.coupling @ ex
     n = bank.out_rows.size
-    dU += np.einsum("cj,cj->j", W[:n] + U * W[n:], bank.outputs())
-    return dU, ex
+    F = W[2 * n:]
+    F[:2] += np.einsum("kcj,cj->kj", W[:2 * n].reshape(2, n, cfg.m),
+                       bank.outputs())
+    return strongquad_det_linear(U, F, cfg), ex
 
 
 # -- compiled forms ----------------------------------------------------------
@@ -684,7 +691,9 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         bank.coupling = _ssm1_coupling(bank, cfg)
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
-        bank.coupling = _strongquad_coupling(bank, cfg)
+        bank.coupling = np.concatenate(
+            [_strongquad_coupling(bank, cfg), strongquad_linear_matrix(cfg)]
+        )
     else:
         bank = ChainBank(cfg.m)
     bank.cfg = cfg

@@ -33,6 +33,7 @@ from .macromodel import (
     ssm1_memory_weights,
     strongquad_det_linear,
     strongquad_expressions,
+    strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
 from .microscale import exact_steps, march, rk4_step
@@ -45,7 +46,6 @@ __all__ = [
     "StochasticReplacement",
     "stochastic_replace",
     "simulate_quadrature_ensemble",
-    "weak_quadrature_samples",
     "WeakCoarseModel",
     "build_weak_model",
 ]
@@ -220,27 +220,6 @@ def simulate_quadrature_ensemble(
     return hist[-1, -1]
 
 
-def weak_quadrature_samples(
-    rates,
-    t_end: float,
-    n_paths: int,
-    seed: int,
-    same_signal: bool = True,
-    intensity: float = 1.0,
-) -> np.ndarray:
-    """Weak-side samples of y(t_end): drift times T plus the fresh noises.
-
-    Exact in distribution (a Gaussian), no stepping involved.
-    """
-    term = QuadraticTermDescriptor(0, 0, 0, 0 if same_signal else 1, tuple(np.atleast_1d(rates)))
-    rep = stochastic_replace(term, intensity, intensity)
-    rng = np.random.default_rng(seed)
-    y = np.full(n_paths, rep.drift * t_end)
-    for amp in rep.noise_amplitudes:
-        y = y + amp * np.sqrt(t_end) * rng.standard_normal(n_paths)
-    return y
-
-
 # -- whole-model replacement --------------------------------------------------
 
 _OFFSET_WEIGHTS = {
@@ -266,6 +245,11 @@ class WeakCoarseModel:
     forcing yields a deterministic model (products become constant drifts);
     white-noise forcing yields drift plus fresh multiplicative noises and
     requires the euler-maruyama scheme.
+
+    strongquad applies strongquad_linear_matrix K to its forcing's stack.
+    Harmonic forcing Re(P e^{i omega t}), P = pattern A e^{i phase}, takes
+    the phasor rows Fr, Fi = K stack(Re P), K stack(Im P) once, so a stage
+    is cos(omega t) Fr - sin(omega t) Fi plus the constant drift rows.
 
     Build through ``build_weak_model``.
     """
@@ -296,6 +280,8 @@ class WeakCoarseModel:
                 "white-noise weak models need scheme='euler-maruyama'"
             )
         self._drifts: dict[str, float] = {}
+        self._n_streams = 0
+        self._stream_codes = np.zeros(0, dtype=int)
         if cfg.variant == "ssm1":
             if mode_pattern is not None:
                 raise ConfigError("ssm1 bakes in its alternating pattern")
@@ -325,10 +311,14 @@ class WeakCoarseModel:
                 self._drifts[label] = rep.drift
                 for amp in rep.noise_amplitudes:
                     self._ssm1_noise.append((label, amp))
+            self._n_streams = len(self._ssm1_noise)
 
     def _build_strongquad(self, mode_pattern, mode_scales):
         cfg = self.cfg
         terms = strongquad_quadratic_terms(cfg)
+        self._K = strongquad_linear_matrix(cfg)
+        # constant forcing rows: the drifts, plain (row 0) and times U (row 1)
+        self._drift = np.zeros((5, cfg.m))
         if not self._white:
             if mode_pattern is None:
                 raise ConfigError(
@@ -341,21 +331,15 @@ class WeakCoarseModel:
                 )
             A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
             phasors = strongquad_expressions(pattern * A * np.exp(1j * ph))
-            self._pattern = pattern
-            drift_plain = np.zeros(cfg.m)
-            drift_times_U = np.zeros(cfg.m)
+            self._Fr = self._K @ phasors.real
+            self._Fi = self._K @ phasors.imag
             for term in terms:
                 L = phasors[EXPR_NAMES.index(term.left)]
                 R = phasors[EXPR_NAMES.index(term.right)]
                 d = term.coeff * phasor_drift(term.rates, w, L, R)
-                if term.times_U:
-                    drift_times_U += d
-                else:
-                    drift_plain += d
-            self._drift_plain = drift_plain
-            self._drift_times_U = drift_times_U
-            self._drifts["plain"] = float(np.max(np.abs(drift_plain)))
-            self._drifts["times_U"] = float(np.max(np.abs(drift_times_U)))
+                self._drift[int(term.times_U)] += d
+            self._drifts["plain"] = float(np.max(np.abs(self._drift[0])))
+            self._drifts["times_U"] = float(np.max(np.abs(self._drift[1])))
         else:
             if mode_pattern is not None:
                 raise ConfigError(
@@ -386,8 +370,6 @@ class WeakCoarseModel:
         m = cfg.m
         classes: dict[tuple, int] = {}
         occurrences = []  # (class, left offset r, factor, times_U)
-        drift_plain = np.zeros(m)
-        drift_times_U = np.zeros(m)
         for term in terms:
             opL, p = _split_expr(term.left)
             opR, n = _split_expr(term.right)
@@ -399,10 +381,7 @@ class WeakCoarseModel:
                     weight = term.coeff * wl * wr
                     if len(rates) == 1 and p == n and r == s:
                         drift = weight * 0.5 * sp * sn
-                        if term.times_U:
-                            drift_times_U += drift
-                        else:
-                            drift_plain += drift
+                        self._drift[int(term.times_U)] += drift
                     for slot, amp in enumerate(amps):
                         cls = classes.setdefault(
                             (p, n, rates, slot, (s - r) % m), len(classes)
@@ -418,8 +397,6 @@ class WeakCoarseModel:
         order = np.argsort(first)
         number = np.empty_like(order)
         number[order] = np.arange(order.size)
-        self._drift_plain = drift_plain
-        self._drift_times_U = drift_times_U
         # noise = factors @ psi[idx]: row 0 plain, row 1 times U
         self._occ_idx = number[inverse].reshape(len(occurrences), m)
         self._occ_factors = np.zeros((2, len(occurrences)))
@@ -436,7 +413,7 @@ class WeakCoarseModel:
         """
         m = self.cfg.m
         keys = []
-        for code in getattr(self, "_stream_codes", ()):
+        for code in self._stream_codes.tolist():
             p, n, rates, slot, d = self._stream_classes[code // m]
             left = int(code % m)
             keys.append((left, (left + d) % m, p, n, rates, slot))
@@ -463,23 +440,16 @@ class WeakCoarseModel:
             for label, drift in self._drifts.items():
                 dU += weights[label] * drift
             return dU
-        modes = np.real(self._pattern_phasors_at(t))
-        dU = strongquad_det_linear(U, strongquad_expressions(modes), cfg)
-        dU += self._drift_plain + self._drift_times_U * U
-        return dU
-
-    def _pattern_phasors_at(self, t: float) -> np.ndarray:
-        A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
-        return self._pattern * A * np.exp(1j * (w * t + ph))
+        wt = self.signal.omega * t
+        F = np.cos(wt) * self._Fr - np.sin(wt) * self._Fi + self._drift
+        return strongquad_det_linear(U, F, cfg)
 
     def drift_report(self) -> dict:
         return {
             "variant": self.cfg.variant,
             "signal": self.signal.kind,
             "drifts": dict(self._drifts),
-            "noise_streams": getattr(
-                self, "_n_streams", len(getattr(self, "_ssm1_noise", ()))
-            ),
+            "noise_streams": self._n_streams,
         }
 
     def step(self, U: np.ndarray, t: float, dt: float, rng=None) -> np.ndarray:
@@ -505,12 +475,10 @@ class WeakCoarseModel:
                 dU += weights[label] * v
             return U + dt * dU
         rings = self._sigma[:, None] * rng.standard_normal((3, cfg.m)) / sq
-        dU = strongquad_det_linear(U, strongquad_expressions(rings.T), cfg)
-        dU += self._drift_plain + self._drift_times_U * U
+        F = self._K @ strongquad_expressions(rings.T) + self._drift
         psi = rng.standard_normal(self._n_streams) / sq
-        noise_plain, noise_times_U = self._occ_factors @ psi[self._occ_idx]
-        dU += noise_plain + noise_times_U * U
-        return U + dt * dU
+        F[:2] += self._occ_factors @ psi[self._occ_idx]
+        return U + dt * strongquad_det_linear(U, F, cfg)
 
     def run(self, U0, t_end: float, record_every: int = 1):
         """Integrate from t = 0 in whole cfg.dt steps; returns (times, U history)."""

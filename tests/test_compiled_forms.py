@@ -1,11 +1,14 @@
 """Compiled coarse variants against the per-term and per-chain loops.
 
-The references below are the loops the compiled forms replace: one pass
-over strongquad's 33 QuadTerms reading dict-keyed chain outputs, the four
-ssm1 products, the cascade derivative chain by chain, the white-noise
-stream numbering dict, and one chain_step loop per chain for the packed
-multi-chain integrator.  They index chains by (sorted rates, input) in a
-dict of their own, so they share no layout code with ChainBank.
+The references below are the loops the compiled forms replace: strongquad's
+skeleton and 14 forcing-linear terms written out term by term over the
+nine stencil images, one pass over its 33 QuadTerms reading dict-keyed
+chain outputs, the weak harmonic rhs rebuilt from the pattern's phasor at
+every stage, the four ssm1 products, the cascade derivative chain by chain,
+the white-noise stream numbering dict, and one chain_step loop per chain
+for the packed multi-chain integrator.  They index chains by (sorted rates,
+input) in a dict of their own, so they share no layout code with
+ChainBank.
 """
 
 import numpy as np
@@ -21,8 +24,11 @@ from holodisc import (
     canonical_rates,
     chain_rhs,
     chain_step,
+    delta2,
     integrate_chains,
     mode_decay_rate,
+    mudelta,
+    phasor_drift,
     strongquad_rhs,
     variant_rhs,
 )
@@ -34,6 +40,7 @@ from holodisc.macromodel import (
     strongquad_chain_specs,
     strongquad_det_linear,
     strongquad_expressions,
+    strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
 from holodisc.weakmodel import _OFFSET_WEIGHTS, _slot_amplitudes, _split_expr
@@ -63,9 +70,47 @@ def reference_bank_rhs(states, drives):
     ])
 
 
+NINE_NAMES = EXPR_NAMES[:9]
+
+
+def reference_expressions(modes):
+    """The nine stencil images of the mode rings, one stencil call each."""
+    s = np.asarray(modes).T
+    return np.concatenate([s, mudelta(s), delta2(s)])
+
+
+def reference_det_linear(U, ex, cfg):
+    """strongquad's skeleton and forcing-linear terms, term by term."""
+    pi2, pi4 = np.pi**2, np.pi**4
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    s0, s1, s2, md0, md1, md2, dd0, dd1, dd2 = ex
+    d4s0, d4s2 = delta2(ex[6::2])
+    d2U = delta2(U)
+    mdU = mudelta(U)
+
+    dU = (g / H**2) * d2U
+    dU -= (g * g / (12.0 * H**2)) * delta2(d2U)
+    dU -= (g * a / H) * U * mdU
+
+    lin = s0 - (g / 24.0) * dd0
+    lin += g * g * (3.0 / 640.0 + 1.0 / (8.0 * pi4)) * d4s0
+    lin += (g / (4.0 * pi2)) * dd2
+    lin -= g * g * (1.0 / (48.0 * pi2) + 1.0 / (16.0 * pi4)) * d4s2
+    lin -= a * (2.0 * H / pi2) * U * s1
+    lin += (a * g * H / pi2) * (
+        U * ((8.0 / pi2) * md0 - 0.25 * md2
+             + (1.0 / 12.0 + 5.0 / (3.0 * pi2)) * dd1)
+        + mdU * (0.25 * s2 + (1.0 / 6.0 + 10.0 / (3.0 * pi2)) * md1)
+        - d2U * ((1.0 / 6.0 + 1.0 / (3.0 * pi2)) * s1
+                 - (1.0 / 24.0 + 5.0 / (6.0 * pi2)) * dd1)
+    )
+    lin -= a * a * (8.0 * H * H / (3.0 * pi4)) * U * U * s0
+    return dU + e * lin
+
+
 def reference_strongquad_rhs(U, modes, states, cfg):
-    ex = dict(zip(EXPR_NAMES, strongquad_expressions(modes)))
-    dU = strongquad_det_linear(U, strongquad_expressions(modes), cfg)
+    ex = dict(zip(NINE_NAMES, reference_expressions(modes)))
+    dU = reference_det_linear(U, reference_expressions(modes), cfg)
     for term in strongquad_quadratic_terms(cfg):
         out = states[(canonical_rates(term.rates), term.right)][0]
         v = term.coeff * ex[term.left] * out
@@ -73,6 +118,24 @@ def reference_strongquad_rhs(U, modes, states, cfg):
             v = v * U
         dU = dU + v
     return dU, ex
+
+
+def reference_weak_harmonic_rhs(U, t, pattern, signal, cfg):
+    """Weak harmonic strongquad rhs with the forcing rebuilt at each stage.
+
+    Re(pattern A e^{i(omega t + phase)}), its stencil images, the skeleton
+    term by term, then the drift of each QuadTerm from phasor_drift.
+    """
+    A, w, ph = signal.amplitude, signal.omega, signal.phase
+    modes = np.real(pattern * A * np.exp(1j * (w * t + ph)))
+    dU = reference_det_linear(U, reference_expressions(modes), cfg)
+    P = dict(zip(NINE_NAMES,
+                 reference_expressions(pattern * A * np.exp(1j * ph))))
+    for term in strongquad_quadratic_terms(cfg):
+        d = term.coeff * phasor_drift(term.rates, w, P[term.left],
+                                      P[term.right])
+        dU = dU + (d * U if term.times_U else d)
+    return dU
 
 
 def reference_ssm1_rhs(U, phi, states, cfg):
@@ -116,9 +179,61 @@ def test_strongquad_matches_the_term_loop(m):
         want_dU, ex = reference_strongquad_rhs(U, modes, states, cfg)
         got_dU, drives = strongquad_rhs(U, modes, bank.bound_to(flat), cfg)
         assert_close(got_dU, want_dU)
-        assert np.array_equal(drives, np.stack([ex[k] for k in EXPR_NAMES]))
+        assert np.array_equal(drives[:9], np.stack([ex[k] for k in NINE_NAMES]))
+        assert np.array_equal(drives[9:], delta2(drives[6:9]))
         assert_close(bank.rhs_flat(flat, drives),
                      reference_bank_rhs(states, ex))
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_linear_matrix_matches_the_term_by_term_skeleton(m):
+    rng = np.random.default_rng(m + 2)
+    cfg = cfg_for("strongquad", m)
+    K = strongquad_linear_matrix(cfg)
+    assert K.shape == (5, len(EXPR_NAMES)) and np.count_nonzero(K) == 14
+    for _ in range(3):
+        U = rng.normal(size=m)
+        modes = rng.normal(size=(m, 3))
+        assert_close(
+            strongquad_det_linear(U, K @ strongquad_expressions(modes), cfg),
+            reference_det_linear(U, reference_expressions(modes), cfg))
+
+
+@pytest.mark.parametrize("pattern_kind", ["real", "complex"])
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_weak_harmonic_phasor_rows_match_the_per_stage_stencils(m, pattern_kind):
+    rng = np.random.default_rng(m + 3)
+    cfg = cfg_for("strongquad", m)
+    pattern = rng.normal(size=(m, 3))
+    if pattern_kind == "complex":  # a phase per element and mode
+        pattern = pattern * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (m, 3)))
+    signal = SignalSpec(kind="harmonic", amplitude=0.9, omega=2.0, phase=0.3)
+    weak = build_weak_model(cfg, signal, pattern)
+    for t in (0.0, 0.37, 5.1):
+        U = rng.normal(size=m)
+        assert_close(weak.deterministic_rhs(U, t),
+                     reference_weak_harmonic_rhs(U, t, pattern, signal, cfg))
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_weak_white_step_matches_the_stencil_terms(m):
+    cfg = cfg_for("strongquad", m, scheme="euler-maruyama", seed=1)
+    weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5),
+                            mode_scales=(1.0, 0.5, 2.0))
+    U = np.random.default_rng(m).normal(size=m)
+    dt = 0.25
+    got = (weak.step(U, 0.0, dt, np.random.default_rng(5)) - U) / dt
+    # the same draws, in the same order: the rings, then the streams
+    rng = np.random.default_rng(5)
+    rings = np.array([1.5, 0.75, 3.0])[:, None] * rng.standard_normal((3, m))
+    psi = rng.standard_normal(weak.drift_report()["noise_streams"])
+    noise_plain, noise_times_U = weak._occ_factors @ psi[weak._occ_idx]
+    drift_plain, drift_times_U = weak._drift[:2]
+    want = reference_det_linear(U, reference_expressions(rings.T / np.sqrt(dt)),
+                                cfg)
+    want += drift_plain + noise_plain / np.sqrt(dt)
+    want += (drift_times_U + noise_times_U / np.sqrt(dt)) * U
+    assert_close(got, want)
 
 
 @pytest.mark.parametrize("m", [4, 64, 1024])

@@ -14,6 +14,7 @@ from holodisc import (
     mode_decay_rate,
     mudelta,
 )
+from holodisc.stencil import ring_images
 
 
 def ring(m, seed=0):
@@ -66,6 +67,25 @@ class TestCentredOperators:
         d = delta2(u)
         assert d[0] == u[1] - 2.0 * u[0] + u[-1]
         assert d[-1] == u[0] - 2.0 * u[-1] + u[-2]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex", "stack", "integer"])
+def test_ring_images_equal_the_separate_operators(m, kind):
+    rng = np.random.default_rng(m)
+    s = {"real": lambda: rng.normal(size=m),
+         "complex": lambda: rng.normal(size=m) + 1j * rng.normal(size=m),
+         "stack": lambda: rng.normal(size=(3, m)),
+         "integer": lambda: rng.integers(-9, 9, size=m)}[kind]()
+    for got, op in zip(ring_images(s), (mudelta, delta2, delta4)):
+        want = op(s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_ring_images_refuse_a_ring_shorter_than_their_pad():
+    with pytest.raises(ValueError, match="2 or more values"):
+        ring_images(np.ones(1))
 
 
 class TestOperatorAlgebra:

@@ -17,9 +17,24 @@ from holodisc import (
     simulate_quadrature_ensemble,
     ssm1_rhs,
     stochastic_replace,
-    weak_quadrature_samples,
 )
 from holodisc.macromodel import ssm1_det_linear, ssm1_memory_weights
+
+
+def weak_quadrature_samples(rates, t_end, n_paths, seed, same_signal=True,
+                            intensity=1.0):
+    """Weak-side samples of y(t_end): drift times T plus the fresh noises.
+
+    Exact in distribution (a Gaussian), no stepping involved.
+    """
+    term = QuadraticTermDescriptor(0, 0, 0, 0 if same_signal else 1,
+                                   tuple(np.atleast_1d(rates)))
+    rep = stochastic_replace(term, intensity, intensity)
+    rng = np.random.default_rng(seed)
+    y = np.full(n_paths, rep.drift * t_end)
+    for amp in rep.noise_amplitudes:
+        y = y + amp * np.sqrt(t_end) * rng.standard_normal(n_paths)
+    return y
 
 
 def ssm1_cfg(**kw):
@@ -215,6 +230,26 @@ class TestWeakStrongquad:
         )
         report = weak.drift_report()
         assert report["noise_streams"] > 0
+
+    def tail_gap(self, eps):
+        """Largest weak-strong gap at t >= 8 of a harmonic run to t = 20."""
+        cfg = self.quad_cfg(eps=eps, dt=0.01)
+        spec = SignalSpec(kind="harmonic", amplitude=1.0, omega=2.0, phase=0.3)
+        pattern = self.alternating_pattern()
+        weak = build_weak_model(cfg, spec, mode_pattern=pattern)
+        times_w, hist_w = weak.run(np.ones(4), 20.0, record_every=10)
+        times_s, hist_s, _, _ = run_macro_forced(
+            cfg, np.ones(4), [spec], lambda v, t: pattern * v[0], 20.0, 0,
+            record_every=10)
+        assert np.array_equal(times_w, times_s)
+        tail = times_w >= 8.0
+        return float(np.max(np.abs(hist_w[tail] - hist_s[tail])))
+
+    def test_harmonic_weak_run_shadows_the_strong_model(self):
+        """Drift replacement tracks the 33 couplings, closer as eps^2."""
+        gap = self.tail_gap(0.05)
+        assert gap < 1e-4
+        assert gap / self.tail_gap(0.025) >= 3.0
 
     def test_white_rejects_mode_pattern(self):
         with pytest.raises(ConfigError):
