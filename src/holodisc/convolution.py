@@ -12,11 +12,12 @@ realised as a cascade of first-order filters: with states z[0..n-1],
 so z[0] is the chain output.  The output is invariant under permutation of
 the rate vector, which lets banks of chains be keyed by the sorted rates.
 
-Cascades sharing one drive are integrated as one packed state:
-``chain_layout`` stacks their levels into rows, ``packed_chain_rhs`` is the
-derivative of every row at once (``macromodel.ChainBank`` uses both), and
-``integrate_chains`` steps all rows together with one drive evaluation per
-stage, through ``microscale.march``.
+Cascades are integrated as one packed state.  ``chain_layout`` stacks their
+levels into rows and gives each row its feed: the next level, or at a
+chain's end its drive row, stacked below the state.  ``packed_chain_rhs``,
+every row's derivative from one gather, serves ``integrate_chains``,
+``macromodel.ChainBank`` and the quadrature ensemble; ``integrate_chains``
+steps all rows through ``microscale.march``, one drive call per stage time.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -43,7 +44,6 @@ __all__ = [
     "integrate_chains",
     "integrate_chain",
     "canonical_rates",
-    "chains_equivalent",
     "ConvTerm",
     "Reduction",
     "reduce_by_parts",
@@ -121,32 +121,34 @@ def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
     return step(np.asarray(states, dtype=float), f, t, dt, scheme)
 
 
-def chain_layout(chains, ndim: int = 1):
+def chain_layout(chains, ndim: int = 1, drive_rows=0):
     """Rows of the rate tuples' levels, stacked as given (not sorted).
 
-    Returns per row its negated decay rate and whether the next row feeds
-    it (false where a chain ends; one entry fewer), shaped to broadcast
-    against a packed state of rank ndim; and per chain the last row, fed by
-    the drive.
+    Returns per row its negated decay rate, shaped to broadcast against a
+    packed state of rank ndim, and its feed, its row in [state; drive rows]:
+    the next level, or at a chain's end its drive_rows entry (default 0);
+    and per chain its last row.
     """
     col = (-1,) + (1,) * (ndim - 1)
     rates = np.asarray([r for chain in chains for r in chain], dtype=float)
     last = np.cumsum([len(chain) for chain in chains], dtype=int) - 1
-    link = ~np.isin(np.arange(rates.size - 1), last)
-    return -rates.reshape(col), link.reshape(col), last
+    feed = np.arange(1, rates.size + 1)
+    feed[last] = rates.size + np.asarray(drive_rows, dtype=int)
+    return -rates.reshape(col), feed, last
 
 
-def packed_chain_rhs(Z, layout, drive):
+def packed_chain_rhs(Z, layout, drives, ext):
     """chain_rhs for every chain of a chain_layout at once.
 
-    Z holds the packed rows; drive broadcasts against Z[layout's last rows].
-    Keeps chain_rhs's elementwise order, so each chain's derivative is bit
-    for bit the one it gets alone.
+    Fills ext, the caller's [Z; drive rows] buffer, from Z and drives; each
+    row adds its one feed to its decay term, as in chain_rhs, so each
+    chain's derivative is bit for bit the one it gets alone.
     """
-    neg_rates, link, last = layout
+    neg_rates, feed, _ = layout
+    ext[:len(Z)] = Z
+    ext[len(Z):] = drives
     dZ = neg_rates * Z
-    np.add(dZ[:-1], Z[1:], out=dZ[:-1], where=link)
-    dZ[last] += drive
+    dZ += ext[feed]
     return dZ
 
 
@@ -154,12 +156,13 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     """Integrate cascades sharing one drive as one packed state.
 
     Each chain starts from rest or from its states0 entry, (levels,) or
-    (levels, m); drive_fn is evaluated once per stage for all of them.  The
-    run takes round(t_end / dt) steps, the nearest whole number, so it may
-    end a fraction of a step off t_end.  Returns times, shape (n+1,), and
-    per chain in the order given its history: a view, (n+1, levels[, m]),
-    into one packed array.  A non-finite state raises StabilityError naming
-    the first bad chain.
+    (levels, m).  drive_fn must be a pure function of t: it is called once
+    per distinct stage time for all chains (RK4's midpoints share a call).
+    The run takes round(t_end / dt) steps, the nearest whole number, so it
+    may end a fraction of a step off t_end.  Returns times, shape (n+1,),
+    and per chain in the order given its history: a view, (n+1, levels[,
+    m]), into one packed array.  A non-finite state raises StabilityError
+    naming the first bad chain.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -175,9 +178,13 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     Z = np.concatenate(states0)
     layout = chain_layout(chains, Z.ndim)
     rows = [slice(e + 1 - len(r), e + 1) for r, e in zip(chains, layout[2])]
+    ext = np.empty((len(Z) + 1,) + Z.shape[1:])
+    drive = [None, None]  # the last stage time and its drive
 
     def rhs(y, s):
-        return packed_chain_rhs(y, layout, drive_fn(s))
+        if drive[0] != s:
+            drive[:] = s, drive_fn(s)
+        return packed_chain_rhs(y, layout, drive[1], ext)
 
     times, history = march(
         lambda y, t: step(y, rhs, t, dt, scheme), Z, 0.0,
@@ -190,7 +197,7 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     """integrate_chains for one cascade: times and its (n+1, levels[, m]) history.
 
-    Takes round(t_end / dt) steps, as integrate_chains does.
+    Takes round(t_end / dt) steps; drive_fn must be a pure function of t.
     """
     s0 = None if states0 is None else [states0]
     times, (history,) = integrate_chains([rates], drive_fn, t_end, dt, s0, scheme)
@@ -200,15 +207,6 @@ def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):
 def canonical_rates(rates) -> tuple[float, ...]:
     """Sorted rate tuple; the chain output only depends on this."""
     return tuple(sorted(_validate_rates(rates)))
-
-
-def chains_equivalent(rates_a, rates_b, rtol: float = 1e-12) -> bool:
-    """Whether two rate vectors define the same chain output."""
-    a = np.asarray(canonical_rates(rates_a))
-    b = np.asarray(canonical_rates(rates_b))
-    if a.shape != b.shape:
-        return False
-    return bool(np.allclose(a, b, rtol=rtol, atol=0.0))
 
 
 @dataclass(frozen=True)

@@ -154,11 +154,12 @@ class ChainBank:
     nothing.  Chain c occupies consecutive rows of the packed state Z, row
     0 of the block being its output per element; blocks follow sorted-key
     order.  specs lists the (rates, input) chains, exprs the rows of the
-    drive stack the chains read.  The layout is ``chain_layout``'s, fixed
-    here and shared by every rebinding: per row a negated decay rate and a
-    link flag (the next row feeds this one), per chain its last row (where
-    the drive enters).  ``rows`` maps each key to its block of rows; per
-    chain the bank also keeps its drive-stack row and its output row.
+    drive stack the chains read.  The layout is ``chain_layout``'s, shared
+    by every rebinding, with the rates spread over (S, m) (a plain product
+    beats a broadcast one): per row a negated decay rate and a feed, its
+    row in [Z; drive stack]; per chain its last row.  ``rows`` maps each
+    key to its block of rows, ``out_rows`` each chain's output row.
+    rhs_flat fills ``_ext``, the bank's own [Z; drive stack] buffer.
 
     build_bank adds the variant's compiled couplings: ``coupling``, the
     coefficients of the chain outputs in dU/dt, and ``cfg``, the
@@ -174,14 +175,16 @@ class ChainBank:
         for _, name in keys:
             if name not in self.exprs:
                 raise ConfigError(f"no drive row for chain input {name!r}")
-        self._layout = chain_layout([k[0] for k in keys], 2)
+        neg_rates, feed, last = chain_layout(
+            [k[0] for k in keys], 2, [self.exprs.index(k[1]) for k in keys])
+        self._layout = (np.repeat(neg_rates, self.m, axis=1), feed, last)
         self.rows: dict[tuple, slice] = {
             key: slice(e + 1 - len(key[0]), e + 1)
-            for key, e in zip(keys, self._layout[2].tolist())
+            for key, e in zip(keys, last.tolist())
         }
-        self._drive = np.asarray([self.exprs.index(k[1]) for k in keys], dtype=int)
         self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
-        self.Z = np.zeros((len(self._layout[0]), self.m))
+        self.Z = np.zeros((feed.size, self.m))
+        self._ext = np.empty((feed.size + len(self.exprs), self.m))
         self.coupling = None
         self.cfg = None
 
@@ -251,7 +254,7 @@ class ChainBank:
                 f"need a ({len(self.exprs)}, {self.m}) drive stack, "
                 f"got shape {np.shape(drives)}"
             )
-        return packed_chain_rhs(Z, self._layout, drives[self._drive]).ravel()
+        return packed_chain_rhs(Z, self._layout, drives, self._ext).ravel()
 
 
 def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:

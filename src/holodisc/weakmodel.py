@@ -202,6 +202,7 @@ def simulate_quadrature_ensemble(
     rng = np.random.default_rng(seed)
     layout = chain_layout([rates], 2)
     sq = np.sqrt(dt)
+    ext = np.empty((len(rates) + 1, n_paths))
 
     def advance(y, t):
         # y stacks the cascade levels over the running quadrature sum.
@@ -209,7 +210,7 @@ def simulate_quadrature_ensemble(
         mu = intensity * rng.standard_normal(n_paths) / sq
         rho = mu if same_signal else intensity * rng.standard_normal(n_paths) / sq
         out = np.empty_like(y)
-        out[:-1] = z + dt * packed_chain_rhs(z, layout, mu)
+        out[:-1] = z + dt * packed_chain_rhs(z, layout, mu, ext)
         out[-1] = y[-1] + dt * rho * 0.5 * (z[0] + out[0])
         return out
 

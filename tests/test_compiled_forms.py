@@ -5,15 +5,16 @@ skeleton and 14 forcing-linear terms written out term by term over the
 nine stencil images, one pass over its 33 QuadTerms reading dict-keyed
 chain outputs, the weak harmonic rhs rebuilt from the pattern's phasor at
 every stage, the four ssm1 products, the cascade derivative chain by chain,
-the white-noise stream numbering dict, and one chain_step loop per chain
-for the packed multi-chain integrator.  They index chains by (sorted rates,
-input) in a dict of their own, so they share no layout code with
-ChainBank.
+the bank derivative as masked ufuncs over next-level links (the form the
+feed index replaced), the white-noise stream numbering dict, and one
+chain_step loop per chain for the packed multi-chain integrator.  They
+index chains by (sorted rates, input) in a dict of their own, so they share
+no layout code with ChainBank.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holodisc import (
     ConfigError,
@@ -24,6 +25,7 @@ from holodisc import (
     canonical_rates,
     chain_rhs,
     chain_step,
+    integrate_chain,
     delta2,
     integrate_chains,
     mode_decay_rate,
@@ -32,6 +34,7 @@ from holodisc import (
     strongquad_rhs,
     variant_rhs,
 )
+from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
@@ -263,6 +266,64 @@ def test_rhs_flat_is_the_chain_cascade_bit_for_bit():
     assert np.array_equal(bank.rhs_flat(flat, drives), want)
 
 
+def masked_rhs_flat(bank, flat, drives):
+    """The bank derivative before the feed index: a next-level link mask,
+    a gather of each chain's drive row, a fancy-indexed add at its end."""
+    keys = bank.keys()
+    rates = np.asarray([r for k in keys for r in k[0]])
+    last = np.cumsum([len(k[0]) for k in keys]) - 1
+    link = ~np.isin(np.arange(rates.size - 1), last)
+    Z = flat.reshape(bank.Z.shape)
+    dZ = -rates[:, None] * Z
+    np.add(dZ[:-1], Z[1:], out=dZ[:-1], where=link[:, None])
+    dZ[last] += drives[[bank.exprs.index(k[1]) for k in keys]]
+    return dZ.ravel()
+
+
+@pytest.mark.parametrize("variant", ["ssm1", "strongquad"])
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_rhs_flat_matches_the_masked_form_bit_for_bit(variant, m):
+    rng = np.random.default_rng(m)
+    bank = build_bank(cfg_for(variant, m))
+    for _ in range(3):
+        flat = rng.normal(size=bank.n_states)
+        drives = rng.normal(size=(len(bank.exprs), m))
+        assert np.array_equal(bank.rhs_flat(flat, drives),
+                              masked_rhs_flat(bank, flat, drives))
+
+
+chain_rates = st.lists(st.sampled_from([1.3, 2.0]) | st.floats(0.5, 20.0),
+                       min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(chain_rates, min_size=1, max_size=5), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example([(1.3, 1.3), (2.0,)], 0, False, 0)
+@example([(1.3, 1.3), (2.0,), (0.7, 1.3, 1.3)], 3, True, 1)
+def test_packed_rhs_is_the_per_chain_rhs(chains, m, per_chain, seed):
+    """m = 0 means 1-D states; per_chain gives each chain its own drive row."""
+    rng = np.random.default_rng(seed)
+    row = () if m == 0 else (m,)
+    Z = rng.normal(size=(sum(map(len, chains)),) + row)
+    if per_chain:
+        drive_rows = rng.integers(0, 3, size=len(chains))
+        drives = rng.normal(size=(3,) + row)
+        layout = chain_layout(chains, Z.ndim, drive_rows)
+    else:
+        drive_rows = np.zeros(len(chains), int)
+        drives = rng.normal(size=(1,) + row)
+        layout = chain_layout(chains, Z.ndim)
+    ext = np.empty((len(Z) + len(drives),) + row)
+    got = packed_chain_rhs(Z, layout, drives, ext)
+    ends = np.cumsum([0] + [len(r) for r in chains])
+    want = np.concatenate([
+        chain_rhs(Z[a:b], rates, drives[d])
+        for rates, a, b, d in zip(chains, ends[:-1], ends[1:], drive_rows)
+    ])
+    assert np.array_equal(got, want)
+
+
 def test_bound_bank_shares_the_layout_and_reads_its_state():
     rng = np.random.default_rng(4)
     cfg = cfg_for("strongquad", 8)
@@ -366,15 +427,11 @@ def test_packed_ssm1_chains_match_under_an_element_drive(scheme):
                         states0, scheme)
 
 
-unsorted_chains = st.lists(
-    st.lists(st.floats(0.5, 20.0, allow_nan=False), min_size=1, max_size=4)
-    .map(tuple),
-    min_size=1, max_size=4,
-)
-
-
 @settings(max_examples=25, deadline=None)
-@given(unsorted_chains, st.sampled_from(["rk4", "euler"]), st.integers(0, 3))
+@given(st.lists(chain_rates, min_size=1, max_size=4),
+       st.sampled_from(["rk4", "euler"]), st.integers(0, 3))
+@example([(1.3, 1.3)], "rk4", 0)
+@example([(2.0,), (1.3, 1.3, 0.7)], "euler", 3)
 def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m):
     if m == 0:
         assert_chains_match(chains, harmonic, 40, 5e-3, None, scheme)
@@ -384,3 +441,23 @@ def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m):
     shape = rng.normal(size=m)
     assert_chains_match(chains, lambda t: shape * harmonic(t), 40, 5e-3,
                         states0, scheme)
+
+
+@pytest.mark.parametrize("scheme, per_step", [("rk4", 3), ("euler", 1)])
+@pytest.mark.parametrize("m", [0, 3])
+def test_drive_is_called_once_per_distinct_stage_time(scheme, per_step, m):
+    calls = []
+    shape = np.ones(m) if m else 1.0
+
+    def drive(t):
+        calls.append(t)
+        return shape * harmonic(t)
+
+    n = 50
+    states0 = [np.zeros((2, m) if m else 2)]
+    integrate_chains([(1.3, 1.3)], drive, n * 0.01, 0.01, states0, scheme)
+    assert len(calls) <= per_step * n
+    assert len(calls) == len(set(calls))
+    calls.clear()
+    integrate_chain((2.0,), drive, n * 0.01, 0.01, states0[0][:1], scheme)
+    assert len(calls) <= per_step * n

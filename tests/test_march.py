@@ -96,7 +96,8 @@ class TestPackedChainRhs:
         rng = np.random.default_rng(3)
         Z = rng.normal(size=(6, 5))
         drive = rng.normal(size=5)
-        got = packed_chain_rhs(Z, chain_layout(chains, 2), drive)
+        got = packed_chain_rhs(Z, chain_layout(chains, 2), drive,
+                               np.empty((7, 5)))
         want = np.concatenate([chain_rhs(Z[a:b], rates, drive) for rates, (a, b)
                                in zip(chains, [(0, 2), (2, 3), (3, 6)])])
         assert np.array_equal(got, want)
