@@ -38,7 +38,6 @@ from .microscale import march, step
 __all__ = [
     "ConvChain",
     "chain_rhs",
-    "chain_step",
     "chain_layout",
     "packed_chain_rhs",
     "integrate_chains",
@@ -109,18 +108,6 @@ def chain_rhs(states: np.ndarray, rates, drive) -> np.ndarray:
     return dz
 
 
-def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
-    """Advance one cascade by dt: one ``microscale.step`` of chain_rhs.
-
-    drive_fn(t) supplies the raw drive at substage times; for the euler and
-    euler-maruyama schemes it is evaluated once, at t.
-    """
-    def f(y, s):
-        return chain_rhs(y, rates, drive_fn(s))
-
-    return step(np.asarray(states, dtype=float), f, t, dt, scheme)
-
-
 def chain_layout(chains, ndim: int = 1, drive_rows=0):
     """Rows of the rate tuples' levels, stacked as given (not sorted).
 
@@ -137,17 +124,19 @@ def chain_layout(chains, ndim: int = 1, drive_rows=0):
     return -rates.reshape(col), feed, last
 
 
-def packed_chain_rhs(Z, layout, drives, ext):
+def packed_chain_rhs(Z, layout, drives, ext, out=None):
     """chain_rhs for every chain of a chain_layout at once.
 
     Fills ext, the caller's [Z; drive rows] buffer, from Z and drives; each
     row adds its one feed to its decay term, as in chain_rhs, so each
-    chain's derivative is bit for bit the one it gets alone.
+    chain's derivative is bit for bit the one it gets alone.  Writes into
+    out when given, else into a new array (the operator form, which numpy
+    dispatches faster than a ufunc call with an out argument).
     """
     neg_rates, feed, _ = layout
     ext[:len(Z)] = Z
     ext[len(Z):] = drives
-    dZ = neg_rates * Z
+    dZ = neg_rates * Z if out is None else np.multiply(neg_rates, Z, out)
     dZ += ext[feed]
     return dZ
 

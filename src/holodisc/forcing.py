@@ -25,16 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .microscale import rk4_step
 
 __all__ = [
     "csn",
     "mode_decay_rate",
     "lorenz_rhs",
+    "lorenz_point",
     "SignalSpec",
     "Signal",
     "make_signal",
-    "sample_forcing",
     "ElementGrid",
     "project_to_modes",
 ]
@@ -80,6 +79,13 @@ def lorenz_rhs(state) -> np.ndarray:
     out[..., 1] = xi * (LORENZ_RHO - zeta) - eta
     out[..., 2] = xi * eta - LORENZ_BETA * zeta
     return out
+
+
+def lorenz_point(xi: float, eta: float, zeta: float) -> tuple[float, float, float]:
+    """lorenz_rhs of one system, on Python floats: the same three IEEE
+    expressions, so bit for bit the same numbers without numpy dispatch."""
+    return (LORENZ_SIGMA * (eta - xi), xi * (LORENZ_RHO - zeta) - eta,
+            xi * eta - LORENZ_BETA * zeta)
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,13 @@ class Signal:
     def driver_init(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(0)
 
-    def driver_rhs(self, driver: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(0)
-
     def value(self, t: float, driver: np.ndarray | None = None) -> float:
         raise NotImplementedError
+
+    def stage_value(self, t: float, y: np.ndarray, dy: np.ndarray, at: int):
+        """value at t within a joint state y whose driver starts at index at;
+        writes the driver's derivative into dy at the same indices."""
+        return self.value(t)
 
 
 class ConstantSignal(Signal):
@@ -184,13 +192,15 @@ class LorenzSignal(Signal):
     def driver_init(self, rng):
         return np.array([self.xi0, self.eta0, rng.normal(10.0, 1.0)])
 
-    def driver_rhs(self, driver, t):
-        return lorenz_rhs(driver)
-
     def value(self, t, driver=None):
         if driver is None:
             raise ConfigError("lorenz signal needs its driver state to evaluate")
         return self.amplitude * driver[0]
+
+    def stage_value(self, t, y, dy, at):
+        xi, eta, zeta = y[at:at + 3].tolist()
+        dy[at], dy[at + 1], dy[at + 2] = lorenz_point(xi, eta, zeta)
+        return self.amplitude * xi
 
 
 class WhiteNoiseSignal(Signal):
@@ -257,45 +267,6 @@ def make_signal(spec: SignalSpec) -> Signal:
     if spec.kind == "white-noise":
         return WhiteNoiseSignal(spec.intensity)
     return FileSignal(spec.path, spec.amplitude)
-
-
-def sample_forcing(
-    spec: SignalSpec,
-    t: float,
-    dt: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """One forcing sample at time t.
-
-    Deterministic kinds are pure in t.  The lorenz kind integrates its driver
-    from the seeded initial state to t (internal rk4 step 1e-3), so repeated
-    calls with the same spec and t agree bit-for-bit.  White noise needs dt
-    and draws a fresh sample; pass an explicit rng to consume a stream, or
-    rely on the SignalSpec seed for a single reproducible value.
-    """
-    sig = make_signal(spec)
-    if sig.is_white:
-        if dt is None:
-            raise ConfigError("white-noise sampling needs the step size dt")
-        if rng is None:
-            rng = np.random.default_rng(spec.seed)
-        return float(sig.draw(rng, dt))
-    if isinstance(sig, LorenzSignal):
-        if t < 0.0:
-            raise ConfigError("lorenz signal is integrated forward from t = 0")
-        if rng is None:
-            rng = np.random.default_rng(spec.seed)
-        driver = sig.driver_init(rng)
-        h = 1e-3
-        steps = int(np.floor(t / h))
-        now = 0.0
-        for _ in range(steps):
-            driver = rk4_step(driver, sig.driver_rhs, now, h)
-            now += h
-        if t - now > 1e-15:
-            driver = rk4_step(driver, sig.driver_rhs, now, t - now)
-        return float(sig.value(t, driver))
-    return float(sig.value(t))
 
 
 @dataclass(frozen=True)

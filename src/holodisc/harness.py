@@ -323,17 +323,18 @@ class _SignalSet:
         self.total_dim = int(self.offsets[-1])
         self.d0 = np.concatenate(inits) if self.total_dim else np.zeros(0)
         self.any_white = any(sig.is_white for sig in self.signals)
+        self.stagers = list(zip([sig.stage_value for sig in self.signals],
+                                self.offsets.tolist()))
+        self.no_draws = [None] * len(self.signals)
 
     def slice(self, d, i):
         return d[self.offsets[i] : self.offsets[i + 1]]
 
-    def rhs(self, d, t):
-        if not self.total_dim:
-            return np.zeros(0)
-        return np.concatenate([
-            sig.driver_rhs(self.slice(d, i), t)
-            for i, sig in enumerate(self.signals)
-        ])
+    def stage(self, t, y, dy, draws):
+        """Values at a stage of the joint state y, whose drivers lead; writes
+        the drivers' derivatives into dy.  White signals give their draws."""
+        return np.array([f(t, y, dy, at) if d is None else d
+                         for (f, at), d in zip(self.stagers, draws)])
 
     def values(self, t, d, draws=None):
         """Values at t; white signals report their draws (zero without)."""
@@ -343,13 +344,10 @@ class _SignalSet:
             for i, sig in enumerate(self.signals)
         ])
 
-    def step_values(self, t, d, dt):
-        """Per-step values: white signals draw, the rest evaluate at t."""
-        draws = [
-            sig.draw(self.rng, dt) if sig.is_white else None
-            for sig in self.signals
-        ]
-        return self.values(t, d, draws)
+    def draws(self, dt):
+        """One step's draws: a sample per white signal, None for the rest."""
+        return [sig.draw(self.rng, dt) if sig.is_white else None
+                for sig in self.signals]
 
 
 class FineSide(NamedTuple):
@@ -411,6 +409,78 @@ def _fine_rhs(fine: FineSide):
     raise ConfigError(f"unknown rhs_kind {fine.rhs_kind!r}")
 
 
+class _Joint(NamedTuple):
+    """run_paired's joint state, resolved once: the signals, the start
+    state, its (drivers, fine, bank, amplitudes) slices and named blocks,
+    and the stage derivative stage(y, t, draws=None)."""
+
+    sigset: _SignalSet
+    y0: np.ndarray
+    slices: tuple
+    blocks: list
+    stage: object
+
+
+def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
+    """Check the sides against the run, build the bank, and bind the stage.
+
+    A stage fills one fresh dy block by block: the drivers' derivatives
+    and the signal values from ``Signal.stage_value``, the fine rhs, the
+    variant's dU through ``variant_rhs``, and the bank's cascade derivative
+    written in place.  Each block is the arithmetic its side does alone.
+    """
+    sigset = _SignalSet(signal_specs, seed)
+    check_scheme_legal(scheme, sigset.any_white)
+    u0 = Z0 = U0 = np.zeros(0)
+    if fine is not None:
+        fine_rhs = _fine_rhs(fine)
+        u0 = np.asarray(fine.u0, dtype=float)
+        profiles = np.asarray(fine.profiles, dtype=float)
+        if u0.shape != np.shape(fine.x):
+            raise ConfigError("u0 and x must have matching shapes")
+        if profiles.shape != (len(sigset.signals),) + u0.shape:
+            raise ConfigError("need one forcing profile per signal over x")
+        profiles_T = profiles.T
+    if coarse is not None:
+        cfg, assemble = coarse.cfg, coarse.assemble
+        if (cfg.dt, cfg.scheme) != (dt, scheme):
+            raise ConfigError(
+                f"coarse model steps dt = {cfg.dt} by {cfg.scheme!r}, "
+                f"the run dt = {dt} by {scheme!r}"
+            )
+        U0 = np.asarray(coarse.U0, dtype=float)
+        if U0.shape != (cfg.m,):
+            raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
+        bank = build_bank(cfg)
+        Z0, shape, chains = bank.Z.ravel(), bank.Z.shape, bool(bank.rows)
+    y0 = np.concatenate([sigset.d0, u0, Z0, U0])
+    e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
+    sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
+    # Upstream first: drivers feed both sides, the bank feeds U.
+    blocks = [("signal driver", sd)]
+    if coarse is not None:
+        blocks += [(f"memory chain {key}", slice(e1 + r.start * cfg.m,
+                                                 e1 + r.stop * cfg.m))
+                   for key, r in bank.rows.items()]
+    blocks += [("grid amplitudes", sU), ("fine field", su)]
+
+    def stage(y, t, draws=sigset.no_draws):
+        dy = np.empty_like(y)
+        vals = sigset.stage(t, y, dy, draws)
+        if fine is not None:
+            dy[su] = fine_rhs(y[su], profiles_T @ vals)
+        if coarse is not None:
+            # Rebind the bank to this stage's state: a view, no copy.
+            bank.Z = Z = y[sz].reshape(shape)
+            dU, drives = variant_rhs(y[sU], assemble(vals, t), bank, cfg)
+            if chains:
+                bank.rhs_into(Z, drives, dy[sz].reshape(shape))
+            dy[sU] = dU
+        return dy
+
+    return _Joint(sigset, y0, (sd, su, sz, sU), blocks, stage)
+
+
 def run_paired(
     signal_specs,
     seed: int,
@@ -430,6 +500,13 @@ def run_paired(
     run takes exactly t_end / dt steps, recording every record_every steps
     and at the end.
 
+    The stage is compiled once, before the first step: the bank, the
+    variant's constants, the state layout and every check are resolved
+    then, and each stage writes its blocks into one fresh derivative
+    vector (Lorenz drivers on Python floats, the bank's derivative in
+    place) with the arithmetic of the separate runs, so joint and separate
+    runs agree bit for bit.
+
     Raises
     ------
     ConfigError
@@ -438,64 +515,17 @@ def run_paired(
     StabilityError
         When the state goes non-finite, naming the most upstream bad block.
     """
-    sigset = _SignalSet(signal_specs, seed)
-    check_scheme_legal(scheme, sigset.any_white)
     n_steps = exact_steps(t_end, dt)
-    u0 = Z0 = U0 = np.zeros(0)
-    if fine is not None:
-        fine_rhs = _fine_rhs(fine)
-        u0 = np.asarray(fine.u0, dtype=float)
-        profiles = np.asarray(fine.profiles, dtype=float)
-        if u0.shape != np.shape(fine.x):
-            raise ConfigError("u0 and x must have matching shapes")
-        if profiles.shape != (len(sigset.signals),) + u0.shape:
-            raise ConfigError("need one forcing profile per signal over x")
-    if coarse is not None:
-        cfg = coarse.cfg
-        if (cfg.dt, cfg.scheme) != (dt, scheme):
-            raise ConfigError(
-                f"coarse model steps dt = {cfg.dt} by {cfg.scheme!r}, "
-                f"the run dt = {dt} by {scheme!r}"
-            )
-        U0 = np.asarray(coarse.U0, dtype=float)
-        if U0.shape != (cfg.m,):
-            raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
-        bank = build_bank(cfg)
-        Z0 = bank.Z.ravel()
-    y = np.concatenate([sigset.d0, u0, Z0, U0])
-    e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
-    sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
-    # Upstream first: drivers feed both sides, the bank feeds U.
-    blocks = [("signal driver", sd)]
-    if coarse is not None:
-        blocks += [(f"memory chain {key}", slice(e1 + r.start * cfg.m,
-                                                 e1 + r.stop * cfg.m))
-                   for key, r in bank.rows.items()]
-    blocks += [("grid amplitudes", sU), ("fine field", su)]
-
-    def f(y_, t_, vals):
-        out = [sigset.rhs(y_[sd], t_)]
-        if fine is not None:
-            out.append(fine_rhs(y_[su], profiles.T @ vals))
-        if coarse is not None:
-            # Rebind the bank to this stage's state: a view, no copy.
-            bank.Z = y_[sz].reshape(bank.Z.shape)
-            dU, drives = variant_rhs(
-                y_[sU], coarse.assemble(vals, t_), bank, cfg
-            )
-            out += [bank.rhs_flat(y_[sz], drives), dU]
-        return np.concatenate(out)
-
-    def f_rk4(y_, t_):
-        return f(y_, t_, sigset.values(t_, y_[sd]))
-
+    sigset, y, (sd, su, sz, sU), blocks, stage = _compile_stage(
+        signal_specs, seed, dt, scheme, fine, coarse)
     step_vals = []  # per Euler step: white draws, the rest at the step start
 
     def advance(y_, t_):
         if scheme == "rk4":
-            return rk4_step(y_, f_rk4, t_, dt)
-        step_vals.append(sigset.step_values(t_, y_[sd], dt))
-        return y_ + dt * f(y_, t_, step_vals[-1])
+            return rk4_step(y_, stage, t_, dt)
+        draws = sigset.draws(dt)
+        step_vals.append(sigset.values(t_, y_[sd], draws))
+        return y_ + dt * stage(y_, t_, draws)
 
     times, hist = march(advance, y, 0.0, n_steps, dt, record_every, blocks)
     ends = np.minimum(record_every * np.arange(times.size), n_steps)

@@ -161,9 +161,11 @@ class ChainBank:
     key to its block of rows, ``out_rows`` each chain's output row.
     rhs_flat fills ``_ext``, the bank's own [Z; drive stack] buffer.
 
-    build_bank adds the variant's compiled couplings: ``coupling``, the
-    coefficients of the chain outputs in dU/dt, and ``cfg``, the
-    configuration they were resolved for.
+    build_bank adds the variant's compiled form: ``coupling``, the
+    coefficients of the chain outputs in dU/dt; ``skeleton``, its
+    deterministic part with every constant resolved; for ssm1 ``drives``,
+    its drive-stack buffer; and ``cfg``, the configuration they were
+    resolved for.
     """
 
     def __init__(self, m: int, specs=(), exprs=()):
@@ -185,8 +187,7 @@ class ChainBank:
         self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
         self.Z = np.zeros((feed.size, self.m))
         self._ext = np.empty((feed.size + len(self.exprs), self.m))
-        self.coupling = None
-        self.cfg = None
+        self.coupling = self.skeleton = self.drives = self.cfg = None
 
     def keys(self) -> list[tuple]:
         return list(self.rows)
@@ -254,7 +255,12 @@ class ChainBank:
                 f"need a ({len(self.exprs)}, {self.m}) drive stack, "
                 f"got shape {np.shape(drives)}"
             )
-        return packed_chain_rhs(Z, self._layout, drives, self._ext).ravel()
+        return self.rhs_into(Z, drives, np.empty_like(Z)).ravel()
+
+    def rhs_into(self, Z, drives, out) -> np.ndarray:
+        """rhs_flat of an (S, m) state, written into out, without checks:
+        for an engine that built the bank and shaped Z and drives itself."""
+        return packed_chain_rhs(Z, self._layout, drives, self._ext, out)
 
 
 def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:
@@ -379,29 +385,33 @@ def _ssm1_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
     return coupling
 
 
+def _ssm1_skeleton(cfg: ModelConfig):
+    """ssm1_det_linear(U, phi) for cfg, its constants resolved once."""
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
+    ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
+    alt_lead = alternating_signs(cfg.m) * (e * a * H)
+
+    def skeleton(U, phi):
+        mdU, d2U, d4U = ring_images(U)
+        dU = c2 * d2U
+        dU -= c4 * d4U
+        dU -= ca * U * mdU
+        dU += cu * U * U * d2U
+        bracket = c1 * U + g * (0.1028 * U + 0.0716 * d2U) - c3 * U**3
+        dU -= alt_lead * bracket * phi
+        return dU
+
+    return skeleton
+
+
 def ssm1_det_linear(U: np.ndarray, phi: float, cfg: ModelConfig) -> np.ndarray:
     """Deterministic skeleton plus forcing-linear terms of the ssm1 model.
 
     Everything except the memory products; shared by the strong model and
     its weak replacement.
     """
-    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
-    U = np.asarray(U, dtype=float)
-    alt = alternating_signs(cfg.m)
-
-    mdU, d2U, d4U = ring_images(U)
-    dU = (g / H**2) * d2U
-    dU -= (g * g / (12.0 * H**2)) * d4U
-    dU -= (a * g / H) * U * mdU
-    dU += (a * a * g / 12.0) * U * U * d2U
-
-    bracket = (
-        (2.0 / _PI2) * U
-        + g * (0.1028 * U + 0.0716 * d2U)
-        - 0.00363 * a * a * H * H * U**3
-    )
-    dU -= alt * (e * a * H) * bracket * phi
-    return dU
+    return _ssm1_skeleton(cfg)(np.asarray(U, dtype=float), phi)
 
 
 def ssm1_memory_weights(U: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray]:
@@ -427,15 +437,17 @@ def ssm1_rhs(
     enters through the bank's four chains, all fed by phi.
 
     Returns the amplitude derivative and the bank's (1, m) drive stack for
-    this evaluation, so the caller can advance U and the chains jointly.
+    this evaluation, so the caller can advance U and the chains jointly;
+    the stack is the bank's ``drives`` buffer, refilled by every call.
     The bank must come from build_bank(cfg).
     """
     U = np.asarray(U, dtype=float)
     phi = float(phi)
     _check_compiled(bank, cfg)
-    dU = ssm1_det_linear(U, phi, cfg)
+    dU = bank.skeleton(U, phi)
     dU += (U * phi) * (bank.coupling @ bank.outputs())
-    return dU, np.full((1, cfg.m), phi)
+    bank.drives.fill(phi)
+    return dU, bank.drives
 
 
 def nsm_field_at_grid(
@@ -645,16 +657,25 @@ def strongquad_det_linear(
     matrix applied to the expression stack, plus the memory couplings
     (strong) or their drifts and noises (weak).
     """
-    a, g, H = cfg.alpha, cfg.gamma, cfg.H
-    U = np.asarray(U, dtype=float)
     if np.shape(F) != (5, cfg.m):
         raise ConfigError(f"need (5, {cfg.m}) forcing rows, got {np.shape(F)}")
-    mdU, d2U, d4U = ring_images(U)
-    dU = F[0] + U * (F[1] + U * F[4])
-    dU += mdU * (F[2] - (g * a / H) * U)
-    dU += d2U * (F[3] + g / H**2)
-    dU -= (g * g / (12.0 * H**2)) * d4U
-    return dU
+    return _strongquad_skeleton(cfg)(np.asarray(U, dtype=float), F)
+
+
+def _strongquad_skeleton(cfg: ModelConfig):
+    """strongquad_det_linear(U, F) for cfg, its constants resolved once."""
+    a, g, H = cfg.alpha, cfg.gamma, cfg.H
+    ca, c2, c4 = g * a / H, g / H**2, g * g / (12.0 * H**2)
+
+    def skeleton(U, F):
+        mdU, d2U, d4U = ring_images(U)
+        dU = F[0] + U * (F[1] + U * F[4])
+        dU += mdU * (F[2] - ca * U)
+        dU += d2U * (F[3] + c2)
+        dU -= c4 * d4U
+        return dU
+
+    return skeleton
 
 
 def strongquad_rhs(
@@ -682,7 +703,7 @@ def strongquad_rhs(
     F = W[2 * n:]
     F[:2] += np.einsum("kcj,cj->kj", W[:2 * n].reshape(2, n, cfg.m),
                        bank.outputs())
-    return strongquad_det_linear(U, F, cfg), ex
+    return bank.skeleton(U, F), ex
 
 
 # -- compiled forms ----------------------------------------------------------
@@ -692,11 +713,14 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
     if cfg.variant == "ssm1":
         bank = ChainBank(cfg.m, ssm1_chain_specs(cfg), ("phi",))
         bank.coupling = _ssm1_coupling(bank, cfg)
+        bank.skeleton = _ssm1_skeleton(cfg)
+        bank.drives = np.empty((1, cfg.m))
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
         bank.coupling = np.concatenate(
             [_strongquad_coupling(bank, cfg), strongquad_linear_matrix(cfg)]
         )
+        bank.skeleton = _strongquad_skeleton(cfg)
     else:
         bank = ChainBank(cfg.m)
     bank.cfg = cfg

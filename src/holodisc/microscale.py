@@ -33,7 +33,6 @@ __all__ = [
     "step",
     "exact_steps",
     "march",
-    "integrate",
     "check_scheme_legal",
 ]
 
@@ -189,14 +188,3 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
             times[rec], history[rec] = t0 + (k + 1) * dt, y
     return times, history
 
-
-def integrate(u0, rhs, t0, t_end, dt, scheme="rk4", record_every=1):
-    """Fixed-step integration of du/dt = rhs(u, t), recording every k steps.
-
-    t_end - t0 must be a whole number of steps.  Returns (times, history),
-    shapes (r,) and (r, n); raises StabilityError on a non-finite state.
-    """
-    if t_end <= t0:
-        raise ConfigError(f"need t_end > t0, got [{t0}, {t_end}]")
-    return march(lambda u, t: step(u, rhs, t, dt, scheme), u0, t0,
-                 exact_steps(t_end - t0, dt), dt, record_every)

@@ -20,12 +20,17 @@ and ``lattice`` experiments, fine and coarse side by side, and their report
 metrics and checks are kept in tests/data/paired_golden.json.
 ``loop_runs`` pins the remaining fixed-step loops: a short ``fig1`` report,
 the ``emergence`` report, white-noise quadrature samples for one and two
-signals, and one ``microscale.integrate`` run, kept in
-tests/data/loops_golden.json.
+signals, and one fixed-step ``microscale.march`` run (recorded through
+the former ``microscale.integrate``), kept in
+tests/data/loops_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
+paths the recordings above leave out (``lowg`` under a Lorenz drive, a
+fine-only run with several signals, white-noise ``ssm1`` and
+``strongquad`` at m = 8), kept in tests/data/stage_golden.npz and matched
+exactly.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage]
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from holodisc import (
     build_weak_model,
     default_spec,
     run_macro_forced,
+    run_micro_field,
     simulate_quadrature_ensemble,
 )
 from holodisc.harness import (
@@ -51,13 +57,14 @@ from holodisc.harness import (
     spec_from_dict,
     weak_drift_experiment,
 )
-from holodisc.microscale import burgers_rhs, integrate
+from holodisc.microscale import burgers_rhs, exact_steps, march, step
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "coarse_golden.npz")
 WEAK_DRIFT_DATA = os.path.join(HERE, "data", "weak_drift_golden.json")
 PAIRED_DATA = os.path.join(HERE, "data", "paired_golden.json")
 LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
+STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 
@@ -204,8 +211,9 @@ def _forced_burgers_run():
     def rhs(u, t):
         return burgers_rhs(u, x[1], 0.8, 0.5, np.cos(x + 3.0 * t))
 
-    times, hist = integrate(1.0 + 0.5 * np.sin(x), rhs, 0.25, 0.75, 1e-2,
-                            record_every=7)
+    times, hist = march(lambda u, t: step(u, rhs, t, 1e-2),
+                        1.0 + 0.5 * np.sin(x), 0.25,
+                        exact_steps(0.75 - 0.25, 1e-2), 1e-2, record_every=7)
     return {"times": times.tolist(), "history": hist.tolist()}
 
 
@@ -231,14 +239,80 @@ def record_loops(path=LOOPS_DATA):
     return runs
 
 
-def record(path=DATA):
+LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
+
+
+def lowg_lorenz():
+    m = 8
+    pattern = _pattern(m, 21)
+    cfg = ModelConfig(variant="lowg", alpha=0.3, eps=0.5, H=np.pi / 2.0, m=m,
+                      dt=0.01)
+    U0 = 1.0 + 0.3 * np.sin(2.0 * np.pi * np.arange(m) / m)
+    t, U, bank, vals = run_macro_forced(
+        cfg, U0, [LORENZ], lambda v, t: pattern * v[0], 1.0, 22,
+        record_every=10)
+    return {"t": t, "U": U, "bank": bank, "vals": vals}
+
+
+def _fine_pairs(signals):
+    x = (2.0 * np.pi / 16) * np.arange(16)
+    pairs = [(np.cos((k + 1) * x + 0.4 * k), s) for k, s in enumerate(signals)]
+    t, u, vals = run_micro_field(x, 1.0 + 0.5 * np.sin(x), 0.8, 0.5, pairs,
+                                 1e-2, 1.0, 23, record_every=10)
+    return {"t": t, "u": u, "vals": vals}
+
+
+def fine_lorenz_harmonic():
+    return _fine_pairs([LORENZ, HARMONIC])
+
+
+def fine_two_lorenz():
+    """Two Lorenz drivers with a driverless signal between them."""
+    return _fine_pairs([LORENZ, HARMONIC,
+                        SignalSpec(kind="lorenz", amplitude=0.5, xi0=-3.0)])
+
+
+def ssm1_white():
+    m = 8
+    cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                      m=m, dt=5e-3, scheme="euler-maruyama")
+    U0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * np.arange(m) / m)
+    t, U, bank, vals = run_macro_forced(
+        cfg, U0, [WHITE], lambda v, t: float(v[0]), 0.5, 24, record_every=10)
+    return {"t": t, "U": U, "bank": bank, "vals": vals}
+
+
+def strongquad_white_m8():
+    m = 8
+    pattern = _pattern(m, 25)
+    U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m)
+    t, U, bank, vals = run_macro_forced(
+        _quad_cfg(m, scheme="euler-maruyama"), U0, [WHITE],
+        lambda v, t: pattern * v[0], 0.5, 26, record_every=5)
+    return {"t": t, "U": U, "bank": bank, "vals": vals}
+
+
+STAGE_RUNS = {f.__name__: f for f in (lowg_lorenz, fine_lorenz_harmonic,
+                                      fine_two_lorenz, ssm1_white,
+                                      strongquad_white_m8)}
+
+
+def _record_runs(runs, path):
     arrays = {}
-    for name, run in RUNS.items():
+    for name, run in runs.items():
         for key, value in run().items():
             arrays[f"{name}/{key}"] = value
     os.makedirs(os.path.dirname(path), exist_ok=True)
     np.savez_compressed(path, **arrays)
     return arrays
+
+
+def record_stage(path=STAGE_DATA):
+    return _record_runs(STAGE_RUNS, path)
+
+
+def record(path=DATA):
+    return _record_runs(RUNS, path)
 
 
 if __name__ == "__main__":
@@ -251,10 +325,11 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
-    elif which == "coarse":
-        for key, value in record().items():
+    elif which in ("coarse", "stage"):
+        for key, value in (record() if which == "coarse" else record_stage()).items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
-            f"unknown recording {which!r}; expected coarse, weak-drift, paired or loops"
+            f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
+            "loops or stage"
         )

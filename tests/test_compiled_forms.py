@@ -24,7 +24,6 @@ from holodisc import (
     build_weak_model,
     canonical_rates,
     chain_rhs,
-    chain_step,
     integrate_chain,
     delta2,
     integrate_chains,
@@ -35,6 +34,7 @@ from holodisc import (
     variant_rhs,
 )
 from holodisc.convolution import chain_layout, packed_chain_rhs
+from holodisc.microscale import step
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
@@ -149,6 +149,14 @@ def reference_ssm1_rhs(U, phi, states, cfg):
                          ("z41", (b[1], b[4])), ("z61", (b[1], b[6]))):
         dU = dU + weights[label] * phi * states[(rates, "phi")][0]
     return dU
+
+
+def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
+    """Advance one cascade by dt: one ``microscale.step`` of chain_rhs."""
+    def f(y, s):
+        return chain_rhs(y, rates, drive_fn(s))
+
+    return step(np.asarray(states, dtype=float), f, t, dt, scheme)
 
 
 def reference_integrate(chains, drive_fn, n, dt, states0, scheme):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from holodisc import (
     ConfigError,
@@ -11,8 +12,9 @@ from holodisc import (
     lorenz_rhs,
     make_signal,
     project_to_modes,
-    sample_forcing,
+    run_paired,
 )
+from holodisc.forcing import lorenz_point
 
 
 class TestSignalSpec:
@@ -82,15 +84,16 @@ class TestStochasticSignals:
         with pytest.raises(ConfigError):
             sig.draw(rng, dt=0.0)
 
-    def test_sample_forcing_white_needs_dt(self):
-        with pytest.raises(ConfigError):
-            sample_forcing(SignalSpec(kind="white-noise"), t=0.0)
+    def test_white_noise_needs_the_euler_maruyama_step(self):
+        white = SignalSpec(kind="white-noise")
+        with pytest.raises(ConfigError, match="euler-maruyama"):
+            run_paired([white], 11, 0.1, 0.01)
 
-    def test_sample_forcing_white_reproducible(self):
-        spec = SignalSpec(kind="white-noise", seed=11)
-        assert sample_forcing(spec, 0.0, dt=0.01) == sample_forcing(
-            spec, 0.0, dt=0.01
-        )
+    def test_white_draws_are_seed_reproducible(self):
+        white = [SignalSpec(kind="white-noise")]
+        a, b, c = (run_paired(white, seed, 0.1, 0.01, "euler-maruyama").values
+                   for seed in (11, 11, 12))
+        assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
 class TestLorenz:
@@ -106,15 +109,22 @@ class TestLorenz:
         assert np.array_equal(lorenz_rhs(s), want)
         assert np.array_equal(lorenz_rhs(s[0]), want[0])
 
-    def test_signal_stays_bounded(self):
-        spec = SignalSpec(kind="lorenz", amplitude=1.0, seed=4)
-        v = sample_forcing(spec, t=3.0)
-        assert np.isfinite(v)
-        assert abs(v) < 100.0
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+    def test_one_system_on_floats_is_the_array_form(self, state):
+        want = lorenz_rhs(np.array(state))
+        assert np.array(lorenz_point(*state)).tobytes() == want.tobytes()
 
-    def test_sample_forcing_pure_in_t(self):
-        spec = SignalSpec(kind="lorenz", amplitude=0.2, seed=9)
-        assert sample_forcing(spec, t=1.5) == sample_forcing(spec, t=1.5)
+    def test_signal_stays_bounded(self):
+        spec = SignalSpec(kind="lorenz", amplitude=1.0)
+        v = run_paired([spec], 4, 3.0, 1e-3).values
+        assert np.all(np.isfinite(v))
+        assert np.max(np.abs(v)) < 100.0
+
+    def test_lorenz_path_is_seed_reproducible(self):
+        spec = [SignalSpec(kind="lorenz", amplitude=0.2)]
+        a, b, c = (run_paired(spec, seed, 1.5, 1e-3).values[-1]
+                   for seed in (9, 9, 10))
+        assert a == b and a != c
 
     def test_value_needs_driver_state(self):
         sig = make_signal(SignalSpec(kind="lorenz"))

@@ -5,7 +5,9 @@ models were compiled into packed banks; any change to the coarse models
 must keep every recorded array within 1e-12 of its scale.  The weak-drift
 metrics in tests/data/weak_drift_golden.json were recorded the same way,
 before its four chains were integrated as one packed state, and must be
-reproduced exactly.
+reproduced exactly.  The run_paired stage paths in
+tests/data/stage_golden.npz were recorded before the paired stage was
+compiled once per run, and must be reproduced bit for bit.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 import golden_runs
 
 GOLDEN = np.load(golden_runs.DATA)
+STAGE_GOLDEN = np.load(golden_runs.STAGE_DATA)
 
 
 @pytest.mark.parametrize("name", list(golden_runs.RUNS))
@@ -38,3 +41,13 @@ def test_weak_drift_matches_its_recording():
     assert all(report.checks.values()), report.checks
     with open(golden_runs.WEAK_DRIFT_DATA) as fh:
         assert report.metrics == json.load(fh)
+
+
+@pytest.mark.parametrize("name", list(golden_runs.STAGE_RUNS))
+def test_stage_run_matches_its_recording_exactly(name):
+    got = golden_runs.STAGE_RUNS[name]()
+    recorded = sorted(k.split("/", 1)[1] for k in STAGE_GOLDEN.files
+                      if k.startswith(name + "/"))
+    assert sorted(got) == recorded
+    for key in recorded:
+        assert np.array_equal(got[key], STAGE_GOLDEN[f"{name}/{key}"]), key

@@ -21,7 +21,7 @@ from holodisc.convolution import (
     packed_chain_rhs,
 )
 from holodisc.harness import EXPERIMENTS, spec_from_dict
-from holodisc.microscale import exact_steps, integrate, march
+from holodisc.microscale import exact_steps, march, step
 
 
 class TestMarch:
@@ -80,7 +80,8 @@ class TestExactSteps:
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
             weak.run(np.ones(4), 1.0)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
-            integrate(np.ones(2), lambda u, t: -u, 0.0, 1.0, 0.3)
+            march(lambda u, t: step(u, lambda v, s: -v, t, 0.3), np.ones(2),
+                  0.0, exact_steps(1.0, 0.3), 0.3)
         times, _ = weak.run(np.ones(4), 1.2)
         assert times.size == 5 and times[-1] == pytest.approx(1.2)
 
@@ -105,7 +106,7 @@ class TestPackedChainRhs:
 
 class TestLoopGolden:
     def test_loops_match_their_recording(self):
-        """fig1, emergence, quadrature and integrate, recorded before march."""
+        """fig1, emergence, quadrature and a march run, recorded before march."""
         with open(golden_runs.LOOPS_DATA) as fh:
             assert golden_runs.loop_runs() == json.load(fh)
 

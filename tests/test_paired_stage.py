@@ -1,0 +1,198 @@
+"""run_paired's compiled stage against the concatenating stage it replaced.
+
+``reference_stage`` is the stage derivative as the paired engine computed it
+before the stage was compiled once per run: the signals' driver
+derivatives through ``lorenz_rhs`` on the driver slices and their values
+through ``Signal.value``, the fine rhs, the variant's rhs on a freshly
+bound bank and the bank's ``rhs_flat``, joined by ``np.concatenate``.  It
+builds its own signals and bank, so it shares no set-up with the compiled
+stage.  ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
+are the skeletons as they were before build_bank bound their constants.
+"""
+
+import numpy as np
+import pytest
+
+from holodisc import (
+    CoarseSide,
+    FineSide,
+    ModelConfig,
+    SignalSpec,
+    build_bank,
+    burgers_rhs,
+    lattice_rhs,
+    lorenz_rhs,
+    make_signal,
+    ssm1_rhs,
+    strongquad_rhs,
+    variant_rhs,
+)
+from holodisc.harness import _compile_stage
+from holodisc.macromodel import (
+    alternating_signs,
+    ssm1_det_linear,
+    strongquad_det_linear,
+)
+from holodisc.stencil import ring_images
+
+LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
+
+
+def reference_stage(signals, fine, coarse, y, t, draws=None):
+    sigs = [make_signal(s) for s in signals]
+    ends = np.cumsum([0] + [s.driver_dim for s in sigs]).tolist()
+    drivers = [y[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    vals = np.array([
+        s.value(t, d) if draws is None or draws[i] is None else draws[i]
+        for i, (s, d) in enumerate(zip(sigs, drivers))
+    ])
+    out = [np.concatenate([lorenz_rhs(d) if s.driver_dim else np.zeros(0)
+                           for s, d in zip(sigs, drivers)])]
+    pos = ends[-1]
+    if fine is not None:
+        u = y[pos:pos + fine.u0.size]
+        pos += u.size
+        phi = fine.profiles.T @ vals
+        if fine.rhs_kind == "burgers":
+            out.append(burgers_rhs(u, float(fine.x[1] - fine.x[0]),
+                                   fine.alpha, fine.eps, phi, fine.form))
+        else:
+            out.append(lattice_rhs(u, fine.H, fine.alpha, fine.eps, phi))
+    if coarse is not None:
+        cfg = coarse.cfg
+        bank = build_bank(cfg)
+        flat = y[pos:pos + bank.n_states]
+        dU, drives = variant_rhs(y[pos + bank.n_states:],
+                                 coarse.assemble(vals, t),
+                                 bank.bound_to(flat), cfg)
+        out += [bank.rhs_flat(flat, drives), dU]
+    return np.concatenate(out)
+
+
+def fig3_sides(scheme="rk4"):
+    n, m = 32, 4
+    x = (np.pi / 16.0) * np.arange(n)
+    cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                      m=m, dt=1e-3, scheme=scheme)
+    return (FineSide(x, np.ones(n), 0.3, 0.05, np.cos(2.0 * x)[None]),
+            CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0])))
+
+
+def lattice_sides():
+    H, m, a, e = 1.0, 16, 0.8, 0.8
+    x = (H / 2.0) * np.arange(2 * m)
+    L = m * H
+    profiles = np.stack([1.0 + 0.8 * np.cos(2.0 * np.pi * x / L + 0.7),
+                         0.6 * np.cos(4.0 * np.pi * x / L + 1.9)])
+    cfg = ModelConfig(variant="lattice", alpha=a, eps=e, H=H, m=m, dt=2e-3)
+    return (FineSide(x, np.full(2 * m, 0.4), a, e, profiles, "lattice", H),
+            CoarseSide(cfg, np.full(m, 0.4), lambda v, t: profiles.T @ v))
+
+
+def strongquad_side(m):
+    pattern = np.random.default_rng(m).normal(size=(m, 3))
+    cfg = ModelConfig(variant="strongquad", alpha=0.3, eps=0.05,
+                      H=np.pi / 2.0, m=m, dt=0.01)
+    return None, CoarseSide(cfg, np.ones(m), lambda v, t: pattern * v[0])
+
+
+HARMONICS = [SignalSpec(kind="harmonic", omega=0.37, phase=0.3),
+             SignalSpec(kind="harmonic", omega=0.23, phase=1.1)]
+CASES = {
+    "fig3": lambda: ([LORENZ], *fig3_sides()),
+    "lattice-pair": lambda: (HARMONICS, *lattice_sides()),
+    "strongquad-m4": lambda: ([HARMONICS[0]], *strongquad_side(4)),
+    "strongquad-m64": lambda: ([HARMONICS[0]], *strongquad_side(64)),
+    "strongquad-m1024": lambda: ([HARMONICS[0]], *strongquad_side(1024)),
+    "lorenz-harmonic-lorenz": lambda: (
+        [LORENZ, HARMONICS[0], SignalSpec(kind="lorenz", xi0=-3.0)],
+        FineSide(np.arange(8.0), np.ones(8), 0.5, 0.7, np.eye(3, 8)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stage_is_the_concatenating_stage_bit_for_bit(case):
+    signals, fine, coarse = CASES[case]()
+    dt = coarse.cfg.dt if coarse is not None else 1e-3
+    joint = _compile_stage(signals, 5, dt, "rk4", fine, coarse)
+    rng = np.random.default_rng(len(case))
+    for t in (0.0, 0.37, 2.5):
+        y = joint.y0 + rng.normal(size=joint.y0.size)
+        want = reference_stage(signals, fine, coarse, y, t)
+        for _ in range(2):  # the stage's buffers carry nothing over
+            got = joint.stage(y, t)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_white_stage_takes_the_step_draws():
+    white = [SignalSpec(kind="white-noise")]
+    fine, coarse = fig3_sides("euler-maruyama")
+    joint = _compile_stage(white, 5, 1e-3, "euler-maruyama", fine, coarse)
+    y = joint.y0 + np.random.default_rng(1).normal(size=joint.y0.size)
+    for draw in (0.0, -3.5, 12.25):
+        want = reference_stage(white, fine, coarse, y, 0.2, [draw])
+        assert np.array_equal(joint.stage(y, 0.2, [draw]), want)
+
+
+def unbound_ssm1_det_linear(U, phi, cfg):
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    alt = alternating_signs(cfg.m)
+    mdU, d2U, d4U = ring_images(U)
+    dU = (g / H**2) * d2U
+    dU -= (g * g / (12.0 * H**2)) * d4U
+    dU -= (a * g / H) * U * mdU
+    dU += (a * a * g / 12.0) * U * U * d2U
+    bracket = (
+        (2.0 / np.pi**2) * U
+        + g * (0.1028 * U + 0.0716 * d2U)
+        - 0.00363 * a * a * H * H * U**3
+    )
+    dU -= alt * (e * a * H) * bracket * phi
+    return dU
+
+
+def unbound_strongquad_det_linear(U, F, cfg):
+    a, g, H = cfg.alpha, cfg.gamma, cfg.H
+    mdU, d2U, d4U = ring_images(U)
+    dU = F[0] + U * (F[1] + U * F[4])
+    dU += mdU * (F[2] - (g * a / H) * U)
+    dU += d2U * (F[3] + g / H**2)
+    dU -= (g * g / (12.0 * H**2)) * d4U
+    return dU
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+@pytest.mark.parametrize("gamma", [0.4, 1.0])
+def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
+    rng = np.random.default_rng(m)
+    kw = dict(alpha=0.7, eps=0.3, gamma=gamma, H=np.pi / 2.0, m=m)
+    ssm1 = ModelConfig(variant="ssm1", **kw)
+    quad = ModelConfig(variant="strongquad", **kw)
+    banks = {cfg.variant: build_bank(cfg) for cfg in (ssm1, quad)}
+    for _ in range(3):
+        U, phi = rng.normal(size=m), float(rng.normal())
+        F = rng.normal(size=(5, m))
+        want = unbound_ssm1_det_linear(U, phi, ssm1)
+        assert np.array_equal(ssm1_det_linear(U, phi, ssm1), want)
+        assert np.array_equal(banks["ssm1"].skeleton(U, phi), want)
+        want = unbound_strongquad_det_linear(U, F, quad)
+        assert np.array_equal(strongquad_det_linear(U, F, quad), want)
+        assert np.array_equal(banks["strongquad"].skeleton(U, F), want)
+
+
+def test_ssm1_rhs_refills_the_banks_drive_row():
+    cfg = ModelConfig(variant="ssm1", alpha=0.7, eps=0.3, H=np.pi / 2.0, m=6)
+    bank = build_bank(cfg)
+    bank.Z[:] = np.random.default_rng(2).normal(size=bank.Z.shape)
+    U = np.linspace(-1.0, 1.0, 6)
+    for phi in (0.3, -2.0):
+        dU, drives = ssm1_rhs(U, phi, bank, cfg)
+        want = unbound_ssm1_det_linear(U, phi, cfg)
+        want += (U * phi) * (bank.coupling @ bank.outputs())
+        assert np.array_equal(dU, want)
+        assert drives is bank.drives
+        assert np.array_equal(drives, np.full((1, 6), phi))
+    quad = build_bank(ModelConfig(variant="strongquad", alpha=0.7, eps=0.3,
+                                  H=np.pi / 2.0, m=6))
+    _, ex = strongquad_rhs(U, np.ones((6, 3)), quad, quad.cfg)
+    assert quad.drives is None and ex.shape == (12, 6)
