@@ -20,6 +20,7 @@ from .errors import ConfigError, HolodiscError
 from .forcing import SignalSpec
 from .harness import (
     EXPERIMENTS,
+    _write_csv,
     run_macro_forced,
     run_micro_field,
     spec_from_dict,
@@ -56,14 +57,6 @@ def _parse_rates(text: str) -> tuple[float, ...]:
     if not rates:
         raise ConfigError(f"need at least one rate in {text!r}")
     return rates
-
-
-def _write_run_csv(path, times, columns, names):
-    data = np.column_stack([times] + columns)
-    np.savetxt(
-        path, data, delimiter=",", header=",".join(["t"] + names), comments="",
-        fmt="%.12g",
-    )
 
 
 @click.group()
@@ -103,8 +96,7 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
         form=form, scheme=scheme, record_every=record_every,
     )
     if out:
-        _write_run_csv(out, times, [hist[:, i] for i in range(n)],
-                       [f"u{i}" for i in range(n)])
+        _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [times, hist])
         click.echo(f"wrote {out}")
     click.echo(
         f"steps={int(round(tend / dt))} final_mean={np.mean(hist[-1]):.6g} "
@@ -180,7 +172,7 @@ def macro(variant, alpha, eps, gamma, H, m, dt, tend, u0, scheme, profile,
         if dump_bank and bank_hist.shape[1]:
             cols += [bank_hist[:, j] for j in range(bank_hist.shape[1])]
             names += [f"z{j}" for j in range(bank_hist.shape[1])]
-        _write_run_csv(out, times, cols, names)
+        _write_csv(out, ",".join(["t"] + names), [times] + cols)
         click.echo(f"wrote {out}")
     click.echo(
         f"model={variant} final_mean={np.mean(U_hist[-1]):.6g} "
@@ -234,8 +226,7 @@ def weak(variant, alpha, eps, gamma, H, m, dt, tend, u0, profile, forcing,
     model = build_weak_model(cfg, signal, pattern, scales)
     times, hist = model.run(np.full(m, u0), tend, record_every=record_every)
     if out:
-        _write_run_csv(out, times, [hist[:, j] for j in range(m)],
-                       [f"U{j}" for j in range(m)])
+        _write_csv(out, ",".join(["t"] + [f"U{j}" for j in range(m)]), [times, hist])
         click.echo(f"wrote {out}")
     if report:
         click.echo(json.dumps(model.drift_report(), indent=2, sort_keys=True))

@@ -73,17 +73,13 @@ def lorenz_rhs(state) -> np.ndarray:
     ndarray, shape (..., 3)
     """
     s = np.asarray(state, dtype=float)
-    xi, eta, zeta = s[..., 0], s[..., 1], s[..., 2]
-    out = np.empty(s.shape[:-1] + (3,))
-    out[..., 0] = LORENZ_SIGMA * (eta - xi)
-    out[..., 1] = xi * (LORENZ_RHO - zeta) - eta
-    out[..., 2] = xi * eta - LORENZ_BETA * zeta
-    return out
+    return np.stack(lorenz_point(s[..., 0], s[..., 1], s[..., 2]), axis=-1)
 
 
-def lorenz_point(xi: float, eta: float, zeta: float) -> tuple[float, float, float]:
-    """lorenz_rhs of one system, on Python floats: the same three IEEE
-    expressions, so bit for bit the same numbers without numpy dispatch."""
+def lorenz_point(xi, eta, zeta):
+    """(dxi, deta, dzeta): the package's one copy of the Lorenz equations,
+    on Python floats (one system, no numpy dispatch) or on equal-shape
+    arrays (one system per entry); +, - and * round alike in both."""
     return (LORENZ_SIGMA * (eta - xi), xi * (LORENZ_RHO - zeta) - eta,
             xi * eta - LORENZ_BETA * zeta)
 

@@ -40,7 +40,7 @@ from .forcing import (
     ElementGrid,
     SignalSpec,
     csn,
-    lorenz_rhs,
+    lorenz_point,
     make_signal,
     mode_decay_rate,
 )
@@ -52,10 +52,11 @@ from .macromodel import (
     variant_rhs,
 )
 from .microscale import (
-    burgers_rhs,
+    burgers_form,
     check_scheme_legal,
+    exact_points,
     exact_steps,
-    lattice_rhs,
+    lattice_form,
     march,
     rk4_step,
     step,
@@ -397,15 +398,16 @@ class PairedRun(NamedTuple):
 
 
 def _fine_rhs(fine: FineSide):
-    """rhs(u, phi) of the fine side's grid."""
-    a, e = fine.alpha, fine.eps
+    """The bound form rhs(u, phi, out) of the fine side's grid."""
     if fine.rhs_kind == "burgers":
-        dx = float(fine.x[1] - fine.x[0])
-        return lambda u, phi: burgers_rhs(u, dx, a, e, phi, fine.form)
+        steps = np.diff(np.asarray(fine.x, dtype=float))
+        if steps.size < 1 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ConfigError("a fine Burgers grid x must be uniformly spaced")
+        return burgers_form(float(steps[0]), fine.alpha, fine.eps, fine.form)
     if fine.rhs_kind == "lattice":
         if fine.H is None:
             raise ConfigError("lattice runs need the element half-width H")
-        return lambda u, phi: lattice_rhs(u, fine.H, a, e, phi)
+        return lattice_form(fine.H, fine.alpha, fine.eps)
     raise ConfigError(f"unknown rhs_kind {fine.rhs_kind!r}")
 
 
@@ -425,9 +427,10 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
     """Check the sides against the run, build the bank, and bind the stage.
 
     A stage fills one fresh dy block by block: the drivers' derivatives
-    and the signal values from ``Signal.stage_value``, the fine rhs, the
-    variant's dU through ``variant_rhs``, and the bank's cascade derivative
-    written in place.  Each block is the arithmetic its side does alone.
+    and the signal values from ``Signal.stage_value``, the fine side's bound
+    form (a uniform grid's ``burgers_form``, or ``lattice_form``) and the
+    bank's cascade derivative written in place, and the variant's dU
+    through ``variant_rhs``.  Each block is the arithmetic its side does alone.
     """
     sigset = _SignalSet(signal_specs, seed)
     check_scheme_legal(scheme, sigset.any_white)
@@ -468,7 +471,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
         dy = np.empty_like(y)
         vals = sigset.stage(t, y, dy, draws)
         if fine is not None:
-            dy[su] = fine_rhs(y[su], profiles_T @ vals)
+            fine_rhs(y[su], profiles_T @ vals, dy[su])
         if coarse is not None:
             # Rebind the bank to this stage's state: a view, no copy.
             bank.Z = Z = y[sz].reshape(shape)
@@ -503,15 +506,16 @@ def run_paired(
     The stage is compiled once, before the first step: the bank, the
     variant's constants, the state layout and every check are resolved
     then, and each stage writes its blocks into one fresh derivative
-    vector (Lorenz drivers on Python floats, the bank's derivative in
-    place) with the arithmetic of the separate runs, so joint and separate
-    runs agree bit for bit.
+    vector (Lorenz drivers on Python floats, the fine field's and the
+    bank's derivatives in place) with the arithmetic of the separate runs,
+    so joint and separate runs agree bit for bit.
 
     Raises
     ------
     ConfigError
-        If dt does not divide t_end, the coarse config's dt or scheme is
-        not the run's, or the scheme cannot take the signals.
+        If dt does not divide t_end, a fine Burgers grid is not uniform,
+        the coarse config's dt or scheme is not the run's, or the scheme
+        cannot take the signals.
     StabilityError
         When the state goes non-finite, naming the most upstream bad block.
     """
@@ -628,6 +632,22 @@ def _ensure_dir(out_dir: str | None) -> str | None:
 
 # -- experiments ---------------------------------------------------------------
 
+def _fig1_stage(n, dx, alpha, eps):
+    """fig1's stage f(y, t) on y = [xi | eta | zeta | u]: one fresh dy, the
+    Lorenz field in its three rows, the bound Burgers form (forced by xi)
+    in the last."""
+    fine = burgers_form(dx, alpha, eps)
+    a, b, c = n, 2 * n, 3 * n
+
+    def f(y, t):
+        dy = np.empty_like(y)
+        dy[:a], dy[a:b], dy[b:c] = lorenz_point(y[:a], y[a:b], y[b:c])
+        fine(y[c:], y[:a], dy[c:])
+        return dy
+
+    return f
+
+
 def run_fig1_experiment(
     spec: ExperimentSpec | None = None, out_dir: str | None = None
 ) -> ComparisonReport:
@@ -635,28 +655,20 @@ def run_fig1_experiment(
 
     Every grid point carries its own Lorenz system, started from
     (5, 8, N(10, 1)); the forcing value at point i is that system's first
-    component.  Produces the forced-field history and sanity metrics.
+    component; dx must tile the ring 2 pi.  The state is component-major,
+    [xi | eta | zeta | u], and its stage is bound once (``_fig1_stage``).
+    Produces the forced-field history and sanity metrics.
     """
     spec = spec or default_spec("fig1")
     out_dir = _ensure_dir(out_dir)
-    L = 2.0 * np.pi
-    n = int(round(L / spec.dx))
-    x = spec.dx * np.arange(n)
+    n = exact_points(2.0 * np.pi, spec.dx)
     rng = np.random.default_rng(np.random.SeedSequence(spec.resolved_seed))
-    drivers = np.column_stack(
-        [np.full(n, 5.0), np.full(n, 8.0), rng.normal(10.0, 1.0, n)]
-    )
+    y0 = np.concatenate([np.full(n, 5.0), np.full(n, 8.0),
+                         rng.normal(10.0, 1.0, n), np.ones(n)])
     check_scheme_legal(spec.scheme, False)
-
-    def f(y_, t_):
-        D = y_[: 3 * n].reshape(n, 3)
-        u_ = y_[3 * n :]
-        du = burgers_rhs(u_, spec.dx, spec.alpha, spec.eps, D[:, 0])
-        return np.concatenate([lorenz_rhs(D).ravel(), du])
-
+    f = _fig1_stage(n, spec.dx, spec.alpha, spec.eps)
     times, hist = march(
-        lambda y_, t_: step(y_, f, t_, spec.dt, spec.scheme),
-        np.concatenate([drivers.ravel(), np.ones(n)]), 0.0,
+        lambda y_, t_: step(y_, f, t_, spec.dt, spec.scheme), y0, 0.0,
         exact_steps(spec.t1, spec.dt), spec.dt,
         int(spec.extras.get("record_every", 5)),
         (("signal driver", slice(0, 3 * n)), ("fine field", slice(3 * n, None))),
@@ -672,12 +684,8 @@ def run_fig1_experiment(
     }
     checks = {"bounded": sup < 100.0}
     if out_dir:
-        header = "t," + ",".join(f"u{i}" for i in range(n))
-        _write_csv(
-            os.path.join(out_dir, "fig1.csv"),
-            header,
-            [times] + [u_hist[:, i] for i in range(n)],
-        )
+        _write_csv(os.path.join(out_dir, "fig1.csv"),
+                   ",".join(["t"] + [f"u{i}" for i in range(n)]), [times, u_hist])
     return ComparisonReport(
         name="fig1", config=spec.to_dict(), metrics=metrics, checks=checks
     )
@@ -701,8 +709,7 @@ def run_fig3_experiment(
     out_dir = _ensure_dir(out_dir)
     m, H = spec.m, spec.H
     grid = ElementGrid(m=m, H=H, x0=H / 2.0)
-    L = grid.length
-    n = int(round(L / spec.dx))
+    n = exact_points(grid.length, spec.dx)
     x = spec.dx * np.arange(n)
     profile = np.cos(2.0 * x)
     signal = spec.signal or default_spec("fig3").signal

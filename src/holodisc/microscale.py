@@ -8,14 +8,16 @@ Two discretisations of u_t + alpha u u_x = u_xx + eps phi(x, t):
   models.  Points sit at x_i = i H/2 (two per element), and the printed
   coefficients absorb the spacing, so the rhs takes H itself.
 
+Each is its checks plus a bound form (``burgers_form``, ``lattice_form``)
+that engines resolve once per run and that writes into the caller's slice.
 Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine (paired fine/coarse runs, memory cascades, weak models,
 experiments) hands it a one-step map, so every run counts its steps, records
 its history and reports a non-finite state the same way.  ``exact_steps`` is
-the one whole-steps rule for run lengths.  The steppers are deliberately
-hand-rolled: runs must be bit-reproducible across platforms, and adaptive
-steppers would break the pairing of forcing paths between fine and coarse
-runs.
+the one whole-steps rule for run lengths, ``exact_points`` its twin for
+grids.  The steppers are deliberately hand-rolled: runs must be
+bit-reproducible across platforms, and adaptive steppers would break the
+pairing of forcing paths between fine and coarse runs.
 """
 
 from __future__ import annotations
@@ -23,20 +25,27 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, StabilityError
-from .stencil import ring_pad
 
 __all__ = [
     "burgers_rhs",
+    "burgers_form",
     "lattice_rhs",
+    "lattice_form",
     "lattice_decay_rates",
     "rk4_step",
     "step",
     "exact_steps",
+    "exact_points",
     "march",
     "check_scheme_legal",
 ]
 
-ADVECTION_FORMS = ("advective", "conservative", "skew")
+# burgers_rhs's advection terms over (u_i, u_{i+1}, u_{i-1}, dx).
+_ADVECTION = {
+    "advective": lambda u, up, um, dx: u * (up - um) / (2.0 * dx),
+    "conservative": lambda u, up, um, dx: (up**2 - um**2) / (4.0 * dx),
+    "skew": lambda u, up, um, dx: (u * (up - um) + up**2 - um**2) / (6.0 * dx),
+}
 SCHEMES = ("rk4", "euler", "euler-maruyama")
 
 
@@ -64,23 +73,30 @@ def burgers_rhs(u, dx, alpha, eps, phi, form="advective"):
     -------
     ndarray, shape (n,)
     """
+    u = np.asarray(u, dtype=float)
+    return burgers_form(dx, alpha, eps, form)(u, phi, np.empty_like(u))
+
+
+def burgers_form(dx, alpha, eps, form="advective"):
+    """burgers_rhs with dx and form checked once: rhs(u, phi, out) writes the
+    derivative of the 1-D float ring u into out (which must not overlap u)
+    with burgers_rhs's arithmetic in its order, and returns out."""
     if dx <= 0.0:
         raise ConfigError(f"grid spacing must be positive, got {dx}")
-    u = np.asarray(u, dtype=float)
-    p = ring_pad(u)
-    up, um = p[2:], p[:-2]
-    diffusion = (up - 2.0 * u + um) / dx**2
-    if form == "advective":
-        advection = u * (up - um) / (2.0 * dx)
-    elif form == "conservative":
-        advection = (up**2 - um**2) / (4.0 * dx)
-    elif form == "skew":
-        advection = (u * (up - um) + up**2 - um**2) / (6.0 * dx)
-    else:
+    if form not in _ADVECTION:
         raise ConfigError(
-            f"unknown advection form {form!r}; expected one of {ADVECTION_FORMS}"
+            f"unknown advection form {form!r}; expected one of {tuple(_ADVECTION)}"
         )
-    return diffusion - alpha * advection + eps * phi
+    advection = _ADVECTION[form]
+
+    def rhs(u, phi, out):
+        p = np.concatenate((u[-1:], u, u[:1]))  # ring_pad, u already float
+        up, um = p[2:], p[:-2]
+        diffusion = (up - 2.0 * u + um) / dx**2
+        return np.add(diffusion - alpha * advection(u, up, um, dx), eps * phi,
+                      out=out)
+
+    return rhs
 
 
 def lattice_rhs(u, H, alpha, eps, phi):
@@ -91,16 +107,23 @@ def lattice_rhs(u, H, alpha, eps, phi):
         du_i/dt = (4/H^2)(u_{i+1} - 2 u_i + u_{i-1})
                   - (alpha/H) u_i (u_{i+1} - u_{i-1}) + eps phi_i.
     """
+    u = np.asarray(u, dtype=float)
+    return lattice_form(H, alpha, eps)(u, phi, np.empty_like(u))
+
+
+def lattice_form(H, alpha, eps):
+    """lattice_rhs with H checked once: rhs(u, phi, out), as burgers_form's."""
     if H <= 0.0:
         raise ConfigError(f"element half-width must be positive, got {H}")
-    u = np.asarray(u, dtype=float)
-    p = ring_pad(u)
-    up, um = p[2:], p[:-2]
-    return (
-        (4.0 / H**2) * (up - 2.0 * u + um)
-        - (alpha / H) * u * (up - um)
-        + eps * phi
-    )
+    c2, c1 = 4.0 / H**2, alpha / H
+
+    def rhs(u, phi, out):
+        p = np.concatenate((u[-1:], u, u[:1]))
+        up, um = p[2:], p[:-2]
+        return np.add(c2 * (up - 2.0 * u + um) - c1 * u * (up - um), eps * phi,
+                      out=out)
+
+    return rhs
 
 
 def lattice_decay_rates(H: float) -> tuple[float, float]:
@@ -157,6 +180,15 @@ def exact_steps(t_end: float, dt: float) -> int:
             f"run length t_end = {t_end!r} is not a whole, non-negative "
             f"number of steps dt = {dt!r}"
         )
+    return n
+
+
+def exact_points(L: float, dx: float) -> int:
+    """Number of dx-spaced points that tile a ring of length L > 0."""
+    n = int(round(L / dx)) if dx > 0.0 else 0
+    if n < 1 or abs(n * dx - L) > 1e-9 * L:
+        raise ConfigError(f"ring length L = {L!r} is not a whole number of "
+                          f"grid spacings dx = {dx!r}")
     return n
 
 

@@ -26,11 +26,14 @@ tests/data/loops_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
 paths the recordings above leave out (``lowg`` under a Lorenz drive, a
 fine-only run with several signals, white-noise ``ssm1`` and
 ``strongquad`` at m = 8), kept in tests/data/stage_golden.npz and matched
-exactly.
+exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
+full history (drivers and field) under rk4 and euler, fine-only runs under
+the ``conservative`` and ``skew`` advection forms, and a fine-only lattice
+run, kept in tests/data/fine_stage_golden.npz and matched exactly.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage]
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from holodisc import (
     run_micro_field,
     simulate_quadrature_ensemble,
 )
+from holodisc import harness
 from holodisc.harness import (
     EXPERIMENTS,
     default_window_start,
@@ -65,6 +69,7 @@ WEAK_DRIFT_DATA = os.path.join(HERE, "data", "weak_drift_golden.json")
 PAIRED_DATA = os.path.join(HERE, "data", "paired_golden.json")
 LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
 STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
+FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 
@@ -254,11 +259,11 @@ def lowg_lorenz():
     return {"t": t, "U": U, "bank": bank, "vals": vals}
 
 
-def _fine_pairs(signals):
-    x = (2.0 * np.pi / 16) * np.arange(16)
+def _fine_pairs(signals, spacing=2.0 * np.pi / 16, **kw):
+    x = spacing * np.arange(16)
     pairs = [(np.cos((k + 1) * x + 0.4 * k), s) for k, s in enumerate(signals)]
     t, u, vals = run_micro_field(x, 1.0 + 0.5 * np.sin(x), 0.8, 0.5, pairs,
-                                 1e-2, 1.0, 23, record_every=10)
+                                 1e-2, 1.0, 23, record_every=10, **kw)
     return {"t": t, "u": u, "vals": vals}
 
 
@@ -297,6 +302,58 @@ STAGE_RUNS = {f.__name__: f for f in (lowg_lorenz, fine_lorenz_harmonic,
                                       strongquad_white_m8)}
 
 
+def _fig1_history(scheme):
+    """fig1's whole march history to t = 2, drivers as (r, 3, n) rows."""
+    runs = []
+
+    def spy(*args, **kw):
+        runs.append(march(*args, **kw))
+        return runs[-1]
+
+    harness.march = spy
+    try:
+        _report("fig1", {"t1": 2.0, "scheme": scheme})
+    finally:
+        harness.march = march
+    (t, hist), = runs
+    n = hist.shape[1] // 4
+    drivers = hist[:, : 3 * n]
+    # Every point's driver starts at (5, 8, N(10, 1)): the first row tells
+    # a component-major layout [xi | eta | zeta] from an interleaved one.
+    if np.all(drivers[0, :n] == 5.0):
+        drivers = drivers.reshape(-1, 3, n)
+    else:
+        drivers = drivers.reshape(-1, n, 3).transpose(0, 2, 1)
+    return {"t": t, "drivers": drivers, "u": hist[:, 3 * n :]}
+
+
+def fig1_rk4():
+    return _fig1_history("rk4")
+
+
+def fig1_euler():
+    return _fig1_history("euler")
+
+
+def fine_conservative():
+    return _fine_pairs([LORENZ, HARMONIC], form="conservative")
+
+
+def fine_skew():
+    return _fine_pairs([LORENZ, HARMONIC], form="skew")
+
+
+def fine_lattice():
+    """The half-spacing lattice of 8 elements with H = 1."""
+    return _fine_pairs([LORENZ, HARMONIC], spacing=0.5, rhs_kind="lattice",
+                       H=1.0)
+
+
+FINE_STAGE_RUNS = {f.__name__: f for f in (fig1_rk4, fig1_euler,
+                                           fine_conservative, fine_skew,
+                                           fine_lattice)}
+
+
 def _record_runs(runs, path):
     arrays = {}
     for name, run in runs.items():
@@ -309,6 +366,10 @@ def _record_runs(runs, path):
 
 def record_stage(path=STAGE_DATA):
     return _record_runs(STAGE_RUNS, path)
+
+
+def record_fine_stage(path=FINE_STAGE_DATA):
+    return _record_runs(FINE_STAGE_RUNS, path)
 
 
 def record(path=DATA):
@@ -325,11 +386,13 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
-    elif which in ("coarse", "stage"):
-        for key, value in (record() if which == "coarse" else record_stage()).items():
+    elif which in ("coarse", "stage", "fine-stage"):
+        recorders = {"coarse": record, "stage": record_stage,
+                     "fine-stage": record_fine_stage}
+        for key, value in recorders[which]().items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
             f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
-            "loops or stage"
+            "loops, stage or fine-stage"
         )

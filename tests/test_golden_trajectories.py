@@ -7,7 +7,9 @@ metrics in tests/data/weak_drift_golden.json were recorded the same way,
 before its four chains were integrated as one packed state, and must be
 reproduced exactly.  The run_paired stage paths in
 tests/data/stage_golden.npz were recorded before the paired stage was
-compiled once per run, and must be reproduced bit for bit.
+compiled once per run, and those in tests/data/fine_stage_golden.npz
+(fig1's history, the conservative and skew advection forms, the fine
+lattice) before the fine side was; both must be reproduced bit for bit.
 """
 
 import json
@@ -19,6 +21,11 @@ import golden_runs
 
 GOLDEN = np.load(golden_runs.DATA)
 STAGE_GOLDEN = np.load(golden_runs.STAGE_DATA)
+FINE_STAGE_GOLDEN = np.load(golden_runs.FINE_STAGE_DATA)
+EXACT_RUNS = [(runs, golden, name)
+              for runs, golden in ((golden_runs.STAGE_RUNS, STAGE_GOLDEN),
+                                   (golden_runs.FINE_STAGE_RUNS, FINE_STAGE_GOLDEN))
+              for name in runs]
 
 
 @pytest.mark.parametrize("name", list(golden_runs.RUNS))
@@ -43,11 +50,12 @@ def test_weak_drift_matches_its_recording():
         assert report.metrics == json.load(fh)
 
 
-@pytest.mark.parametrize("name", list(golden_runs.STAGE_RUNS))
-def test_stage_run_matches_its_recording_exactly(name):
-    got = golden_runs.STAGE_RUNS[name]()
-    recorded = sorted(k.split("/", 1)[1] for k in STAGE_GOLDEN.files
+@pytest.mark.parametrize("runs, golden, name", EXACT_RUNS,
+                         ids=[name for _, _, name in EXACT_RUNS])
+def test_stage_run_matches_its_recording_exactly(runs, golden, name):
+    got = runs[name]()
+    recorded = sorted(k.split("/", 1)[1] for k in golden.files
                       if k.startswith(name + "/"))
     assert sorted(got) == recorded
     for key in recorded:
-        assert np.array_equal(got[key], STAGE_GOLDEN[f"{name}/{key}"]), key
+        assert np.array_equal(got[key], golden[f"{name}/{key}"]), key
