@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ReductionError
-from .microscale import march, step
+from .microscale import march, stepper
 
 __all__ = [
     "ConvChain",
@@ -176,8 +176,7 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
         return packed_chain_rhs(y, layout, drive[1], ext)
 
     times, history = march(
-        lambda y, t: step(y, rhs, t, dt, scheme), Z, 0.0,
-        int(round(t_end / dt)), dt,
+        stepper(rhs, dt, scheme), Z, 0.0, int(round(t_end / dt)), dt,
         blocks=[(f"memory chain {r}", row) for r, row in zip(chains, rows)],
     )
     return times, [history[:, row] for row in rows]

@@ -59,7 +59,7 @@ from .microscale import (
     lattice_form,
     march,
     rk4_step,
-    step,
+    stepper,
 )
 from .weakmodel import build_weak_model
 
@@ -668,7 +668,7 @@ def run_fig1_experiment(
     check_scheme_legal(spec.scheme, False)
     f = _fig1_stage(n, spec.dx, spec.alpha, spec.eps)
     times, hist = march(
-        lambda y_, t_: step(y_, f, t_, spec.dt, spec.scheme), y0, 0.0,
+        stepper(f, spec.dt, spec.scheme), y0, 0.0,
         exact_steps(spec.t1, spec.dt), spec.dt,
         int(spec.extras.get("record_every", 5)),
         (("signal driver", slice(0, 3 * n)), ("fine field", slice(3 * n, None))),

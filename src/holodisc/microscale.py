@@ -34,6 +34,7 @@ __all__ = [
     "lattice_decay_rates",
     "rk4_step",
     "step",
+    "stepper",
     "exact_steps",
     "exact_points",
     "march",
@@ -134,16 +135,44 @@ def lattice_decay_rates(H: float) -> tuple[float, float]:
 
 
 def rk4_step(u, rhs, t, dt):
-    """One classical Runge-Kutta step of du/dt = rhs(u, t)."""
+    """One classical Runge-Kutta step of du/dt = rhs(u, t).
+
+    u + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage argument u + h k, computed
+    as the textbook expression's operations in its order (IEEE + and *
+    commute exactly, so the bits are its bits) with two temporaries of the
+    state for the combination.  It writes into neither u nor any array rhs
+    returned, nor a stage argument once rhs has seen it: rhs may return a
+    shared array or keep a view of its argument.
+    """
+    h = 0.5 * dt
     k1 = rhs(u, t)
-    k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(u + dt * k3, t + dt)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    w = k1 * h
+    w += u
+    k2 = rhs(w, t + h)
+    w = k2 * h
+    w += u
+    k3 = rhs(w, t + h)
+    w = k3 * dt
+    w += u
+    k4 = rhs(w, t + dt)
+    acc = k2 * 2.0
+    acc += k1
+    w = k3 * 2.0
+    acc += w
+    acc += k4
+    acc *= dt / 6.0
+    acc += u
+    return acc
 
 
-def step(u, rhs, t, dt, scheme="rk4"):
-    """One time step under the named scheme.
+def euler_step(u, rhs, t, dt):
+    """One forward Euler step of du/dt = rhs(u, t)."""
+    return u + dt * rhs(u, t)
+
+
+def stepper(rhs, dt, scheme="rk4"):
+    """The scheme's one-step map advance(u, t) for rhs and dt, checked once,
+    for ``march``.
 
     euler-maruyama advances identically to euler; the distinction is which
     forcing kinds are legal (white noise demands it, smooth kinds may use
@@ -153,10 +182,17 @@ def step(u, rhs, t, dt, scheme="rk4"):
     if dt <= 0.0:
         raise ConfigError(f"time step must be positive, got {dt}")
     if scheme == "rk4":
-        return rk4_step(u, rhs, t, dt)
-    if scheme in ("euler", "euler-maruyama"):
-        return u + dt * rhs(u, t)
-    raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        one = rk4_step
+    elif scheme in ("euler", "euler-maruyama"):
+        one = euler_step
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return lambda u, t: one(u, rhs, t, dt)
+
+
+def step(u, rhs, t, dt, scheme="rk4"):
+    """One time step under the named scheme: ``stepper``'s map, bound anew."""
+    return stepper(rhs, dt, scheme)(u, t)
 
 
 def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:

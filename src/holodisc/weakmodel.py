@@ -37,6 +37,7 @@ from .macromodel import (
     strongquad_quadratic_terms,
 )
 from .microscale import exact_steps, march, rk4_step
+from .stencil import ring_pad
 
 __all__ = [
     "harmonic_drift_1",
@@ -194,7 +195,8 @@ def simulate_quadrature_ensemble(
 
     Euler-Maruyama on the cascade; the quadrature uses the midpoint of the
     chain output across the step, which makes the same-signal mean exactly
-    unbiased at finite dt.  Returns y(t_end) for each path.
+    unbiased at finite dt.  Takes exactly t_end / dt steps; any other dt
+    raises ConfigError.  Returns y(t_end) for each path.
     """
     rates = canonical_rates(rates)
     if t_end <= 0.0 or dt <= 0.0:
@@ -214,10 +216,10 @@ def simulate_quadrature_ensemble(
         out[-1] = y[-1] + dt * rho * 0.5 * (z[0] + out[0])
         return out
 
-    n = int(round(t_end / dt))
+    n = exact_steps(t_end, dt)
     _, hist = march(advance, np.zeros((len(rates) + 1, n_paths)), 0.0, n, dt,
-                    max(n, 1), ((f"memory chain {rates}", slice(0, -1)),
-                                ("quadrature sum", slice(-1, None))))
+                    n, ((f"memory chain {rates}", slice(0, -1)),
+                        ("quadrature sum", slice(-1, None))))
     return hist[-1, -1]
 
 
@@ -251,6 +253,10 @@ class WeakCoarseModel:
     Harmonic forcing Re(P e^{i omega t}), P = pattern A e^{i phase}, takes
     the phasor rows Fr, Fi = K stack(Re P), K stack(Im P) once, so a stage
     is cos(omega t) Fr - sin(omega t) Fi plus the constant drift rows.
+    White noise applies K to the stack of each step's ring draws, then
+    draws one normal per noise stream, shaped as its class rings, and adds
+    their noise through one product and one wrapped pad
+    (``_expand_strongquad_white``).
 
     Build through ``build_weak_model``.
     """
@@ -282,7 +288,8 @@ class WeakCoarseModel:
             )
         self._drifts: dict[str, float] = {}
         self._n_streams = 0
-        self._stream_codes = np.zeros(0, dtype=int)
+        self._stream_classes: list[tuple] = []
+        self._class_offsets: list[int] = []
         if cfg.variant == "ssm1":
             if mode_pattern is not None:
                 raise ConfigError("ssm1 bakes in its alternating pattern")
@@ -363,9 +370,17 @@ class WeakCoarseModel:
         the subscript identity (left element, right element, p, n, rates,
         slot).  An occurrence (term, r, s, slot) covers the m products of
         one class (p, n, rates, slot, (s - r) mod m), the left element
-        running over the ring, so a stream is a (class, left element) code.
-        Streams are numbered in order of first occurrence, occurrence by
-        occurrence and element by element.
+        running over the ring.  Streams are numbered in order of first
+        occurrence, occurrence by occurrence and element by element.  A
+        class first occurs whole, at some left offset r_c, so stream
+        c m + j is class c's stream at left element (j + r_c) mod m.
+
+        So the streams psi, shaped (classes, m), are the class rings, and
+        occurrence (c, r) reads ring c shifted by d = (r - r_c) mod m,
+        taken as the least |d| (at most 2).  ``_noise_matrix`` sums the
+        factors of each shift's occurrences per class, rows (shift,
+        plain/times U); a step takes one product with the rings and adds
+        each shift's row pair, read through one wrapped pad.
         """
         cfg = self.cfg
         m = cfg.m
@@ -391,20 +406,18 @@ class WeakCoarseModel:
                             (cls, r, weight * sp * sn * amp, term.times_U)
                         )
         cls, r, factor, times_U = (np.asarray(c) for c in zip(*occurrences))
-        codes = (cls[:, None] * m + (np.arange(m) + r[:, None]) % m).ravel()
-        uniq, first, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(order.size)
-        # noise = factors @ psi[idx]: row 0 plain, row 1 times U
-        self._occ_idx = number[inverse].reshape(len(occurrences), m)
-        self._occ_factors = np.zeros((2, len(occurrences)))
-        self._occ_factors[times_U.astype(int), np.arange(len(occurrences))] = factor
-        self._n_streams = int(uniq.size)
-        self._stream_codes = uniq[order]
+        r_class = r[np.unique(cls, return_index=True)[1]]
+        shift = (r - r_class[cls] + m // 2) % m - m // 2
+        shifts, which = np.unique(shift, return_inverse=True)
+        self._noise_matrix = np.zeros((2 * shifts.size, len(classes)))
+        np.add.at(self._noise_matrix, (2 * which + times_U.astype(int), cls),
+                  factor)
+        self._noise_pad = int(np.abs(shifts).max())
+        self._noise_cols = [slice(self._noise_pad + d, self._noise_pad + d + m)
+                            for d in shifts.tolist()]
+        self._n_streams = len(classes) * m
         self._stream_classes = list(classes)
+        self._class_offsets = r_class.tolist()
 
     def _stream_keys(self) -> list[tuple]:
         """Identities of the white-noise streams, in numbering order.
@@ -413,12 +426,18 @@ class WeakCoarseModel:
         slot); empty unless the model is white-noise strongquad.
         """
         m = self.cfg.m
-        keys = []
-        for code in self._stream_codes.tolist():
-            p, n, rates, slot, d = self._stream_classes[code // m]
-            left = int(code % m)
-            keys.append((left, (left + d) % m, p, n, rates, slot))
-        return keys
+        return [((j + r_c) % m, (j + r_c + d) % m, p, n, rates, slot)
+                for (p, n, rates, slot, d), r_c in zip(self._stream_classes,
+                                                       self._class_offsets)
+                for j in range(m)]
+
+    def _add_stream_noise(self, psi, rows):
+        """Add the streams psi's noise to rows, (2, m): plain, times U."""
+        G = ring_pad(self._noise_matrix @ psi.reshape(-1, self.cfg.m),
+                     self._noise_pad)
+        for k, cols in enumerate(self._noise_cols):
+            rows += G[2 * k:2 * k + 2, cols]
+        return rows
 
     # -- evaluation ----------------------------------------------------------
 
@@ -477,8 +496,9 @@ class WeakCoarseModel:
             return U + dt * dU
         rings = self._sigma[:, None] * rng.standard_normal((3, cfg.m)) / sq
         F = self._K @ strongquad_expressions(rings.T) + self._drift
-        psi = rng.standard_normal(self._n_streams) / sq
-        F[:2] += self._occ_factors @ psi[self._occ_idx]
+        psi = rng.standard_normal(self._n_streams)
+        psi /= sq
+        self._add_stream_noise(psi, F[:2])
         return U + dt * strongquad_det_linear(U, F, cfg)
 
     def run(self, U0, t_end: float, record_every: int = 1):

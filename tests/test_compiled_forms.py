@@ -238,7 +238,8 @@ def test_weak_white_step_matches_the_stencil_terms(m):
     rng = np.random.default_rng(5)
     rings = np.array([1.5, 0.75, 3.0])[:, None] * rng.standard_normal((3, m))
     psi = rng.standard_normal(weak.drift_report()["noise_streams"])
-    noise_plain, noise_times_U = weak._occ_factors @ psi[weak._occ_idx]
+    noise_plain, noise_times_U = reference_noise(
+        reference_streams(cfg, (1.5, 0.75, 3.0))[1], psi, m)
     drift_plain, drift_times_U = weak._drift[:2]
     want = reference_det_linear(U, reference_expressions(rings.T / np.sqrt(dt)),
                                 cfg)
@@ -384,7 +385,16 @@ def reference_streams(cfg, sigma):
     return sorted(key_index, key=key_index.get), occurrences
 
 
-@pytest.mark.parametrize("m", [4, 5])
+def reference_noise(occurrences, psi, m):
+    """The (2, m) noise rows, plain and times U: each occurrence's factor
+    times its streams, gathered by the dict loop's numbering."""
+    noise = np.zeros((2, m))
+    for factor, idx, times_U in occurrences:
+        noise[int(times_U)] += factor * psi[idx]
+    return noise
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 64])
 def test_white_streams_number_like_the_dict_loop(m):
     cfg = cfg_for("strongquad", m, scheme="euler-maruyama", seed=1)
     weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5),
@@ -392,11 +402,17 @@ def test_white_streams_number_like_the_dict_loop(m):
     keys, occurrences = reference_streams(cfg, (1.5, 0.75, 3.0))
     assert weak._stream_keys() == keys
     assert weak.drift_report()["noise_streams"] == len(keys)
-    assert weak._occ_idx.shape == (len(occurrences), m)
-    for o, (factor, idx, times_U) in enumerate(occurrences):
-        assert np.array_equal(weak._occ_idx[o], idx)
-        assert weak._occ_factors[int(times_U), o] == factor
-        assert weak._occ_factors[1 - int(times_U), o] == 0.0
+    # the class rings, each read shifted: every occurrence's streams, summed
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        psi = rng.standard_normal(len(keys))
+        want = reference_noise(occurrences, psi, m)
+        got = weak._add_stream_noise(psi, np.zeros((2, m)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    rows = rng.normal(size=(2, m))
+    start = rows.copy()
+    assert weak._add_stream_noise(psi, rows) is rows
+    assert_close(rows - start, want)
 
 
 def harmonic(t):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from holodisc import (
     ConfigError,
@@ -12,7 +13,7 @@ from holodisc import (
     rk4_step,
     step,
 )
-from holodisc.microscale import exact_steps, march
+from holodisc.microscale import exact_steps, march, stepper
 
 
 def rk4_march(u0, rhs, t0, t_end, dt, record_every=1):
@@ -152,6 +153,64 @@ class TestSteppers:
         a = step(u0, rhs, 0.3, 0.01, scheme="euler")
         b = step(u0, rhs, 0.3, 0.01, scheme="euler-maruyama")
         assert np.array_equal(a, b)
+
+
+def textbook_rk4_step(u, rhs, t, dt):
+    """rk4_step as the textbook expression, one temporary per operation."""
+    k1 = rhs(u, t)
+    k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(u + dt * k3, t + dt)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def stiff_rhs(u, t):
+    """A nonlinear, time-dependent rhs whose stages differ in every bit."""
+    return np.sin(3.0 * u) * (1.0 + t) - 7.3 * u * u + 0.1 * np.cos(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.floats(1e-6, 0.5), st.floats(-10.0, 10.0))
+@example(18432, 0, 1e-3, 0.25)
+@example(18432, 7, 0.37, -3.0)
+def test_rk4_step_is_the_textbook_expression_byte_for_byte(n, seed, dt, t):
+    """The goldens cannot see a last-bit change in one step; this can."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0, size=n)
+    got = rk4_step(u, stiff_rhs, t, dt)
+    want = textbook_rk4_step(u, stiff_rhs, t, dt)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_rk4_step_writes_into_no_array_it_was_handed():
+    """Not u, not an array rhs returns on every call, not a stage argument
+    that rhs keeps a view of."""
+    u = np.linspace(-1.0, 2.0, 9)
+    u.setflags(write=False)
+    shared = np.linspace(0.5, -0.5, 9)
+    shared.setflags(write=False)
+    seen = []
+
+    def rhs(y, t):
+        seen.append((y, y.copy()))
+        return shared
+
+    got = rk4_step(u, rhs, 0.0, 0.1)
+    assert np.array_equal(got, textbook_rk4_step(u, lambda y, t: shared, 0.0, 0.1))
+    assert np.array_equal(shared, np.linspace(0.5, -0.5, 9))
+    for y, at_call in seen:
+        assert np.array_equal(y, at_call)
+    assert all(got is not y for y, _ in seen) and got is not shared
+
+
+class TestStepper:
+    def test_checks_the_scheme_and_dt_when_bound(self):
+        rhs = lambda u, t: -u
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            stepper(rhs, 0.1, "leapfrog")
+        with pytest.raises(ConfigError, match="positive"):
+            stepper(rhs, 0.0)
 
 
 class TestIntegrate:

@@ -97,6 +97,10 @@ class TestStochasticReplacement:
         assert abs(np.mean(strong) - np.mean(weak)) < 5.0 * se
         assert 0.7 < np.std(strong) / np.std(weak) < 1.4
 
+    def test_quadrature_run_must_land_on_t_end(self):
+        with pytest.raises(ConfigError, match="whole"):
+            simulate_quadrature_ensemble((1.0,), 1.0, 0.3, 10, seed=5)
+
 
 class TestWeakSsm1Harmonic:
     def signal(self, phase=0.3):
