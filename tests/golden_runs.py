@@ -30,10 +30,13 @@ exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
 full history (drivers and field) under rk4 and euler, fine-only runs under
 the ``conservative`` and ``skew`` advection forms, and a fine-only lattice
 run, kept in tests/data/fine_stage_golden.npz and matched exactly.
+``WEAK_RUNS`` pins weak ``ssm1`` at m = 4 (the recordings above pin only
+weak ``strongquad``) under harmonic forcing and white noise, kept in
+tests/data/weak_golden.npz and matched exactly.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak]
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ PAIRED_DATA = os.path.join(HERE, "data", "paired_golden.json")
 LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
 STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
+WEAK_DATA = os.path.join(HERE, "data", "weak_golden.npz")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 
@@ -354,6 +358,28 @@ FINE_STAGE_RUNS = {f.__name__: f for f in (fig1_rk4, fig1_euler,
                                            fine_lattice)}
 
 
+def _ssm1_cfg(**kw):
+    return ModelConfig(variant="ssm1", alpha=0.3, eps=0.1, H=np.pi / 2.0,
+                       m=4, dt=2e-3, **kw)
+
+
+def _weak_ssm1_run(cfg, signal):
+    U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(cfg.m) / cfg.m)
+    t, U = build_weak_model(cfg, signal).run(U0, 0.6, record_every=10)
+    return {"t": t, "U": U}
+
+
+def weak_ssm1_harmonic():
+    return _weak_ssm1_run(_ssm1_cfg(), HARMONIC)
+
+
+def weak_ssm1_white():
+    return _weak_ssm1_run(_ssm1_cfg(scheme="euler-maruyama", seed=27), WHITE)
+
+
+WEAK_RUNS = {f.__name__: f for f in (weak_ssm1_harmonic, weak_ssm1_white)}
+
+
 def _record_runs(runs, path):
     arrays = {}
     for name, run in runs.items():
@@ -372,6 +398,10 @@ def record_fine_stage(path=FINE_STAGE_DATA):
     return _record_runs(FINE_STAGE_RUNS, path)
 
 
+def record_weak(path=WEAK_DATA):
+    return _record_runs(WEAK_RUNS, path)
+
+
 def record(path=DATA):
     return _record_runs(RUNS, path)
 
@@ -386,13 +416,13 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
-    elif which in ("coarse", "stage", "fine-stage"):
+    elif which in ("coarse", "stage", "fine-stage", "weak"):
         recorders = {"coarse": record, "stage": record_stage,
-                     "fine-stage": record_fine_stage}
+                     "fine-stage": record_fine_stage, "weak": record_weak}
         for key, value in recorders[which]().items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
             f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
-            "loops, stage or fine-stage"
+            "loops, stage, fine-stage or weak"
         )

@@ -10,6 +10,8 @@ tests/data/stage_golden.npz were recorded before the paired stage was
 compiled once per run, and those in tests/data/fine_stage_golden.npz
 (fig1's history, the conservative and skew advection forms, the fine
 lattice) before the fine side was; both must be reproduced bit for bit.
+So must the weak ssm1 runs in tests/data/weak_golden.npz, recorded before
+the weak models were built on the strong variants' compiled forms.
 """
 
 import json
@@ -22,9 +24,11 @@ import golden_runs
 GOLDEN = np.load(golden_runs.DATA)
 STAGE_GOLDEN = np.load(golden_runs.STAGE_DATA)
 FINE_STAGE_GOLDEN = np.load(golden_runs.FINE_STAGE_DATA)
+WEAK_GOLDEN = np.load(golden_runs.WEAK_DATA)
 EXACT_RUNS = [(runs, golden, name)
               for runs, golden in ((golden_runs.STAGE_RUNS, STAGE_GOLDEN),
-                                   (golden_runs.FINE_STAGE_RUNS, FINE_STAGE_GOLDEN))
+                                   (golden_runs.FINE_STAGE_RUNS, FINE_STAGE_GOLDEN),
+                                   (golden_runs.WEAK_RUNS, WEAK_GOLDEN))
               for name in runs]
 
 
