@@ -71,12 +71,6 @@ class ConvChain:
     def levels(self) -> int:
         return len(self.rates)
 
-    def zero_states(self, m: int | None = None) -> np.ndarray:
-        """From-rest states: shape (levels,) or (levels, m)."""
-        if m is None:
-            return np.zeros(self.levels)
-        return np.zeros((self.levels, m))
-
     def steady_gain(self) -> float:
         """Output per unit constant drive: 1 / prod(rates)."""
         return float(1.0 / np.prod(self.rates))

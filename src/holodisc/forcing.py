@@ -29,7 +29,6 @@ from .errors import ConfigError, DataError
 __all__ = [
     "csn",
     "mode_decay_rate",
-    "lorenz_rhs",
     "lorenz_point",
     "SignalSpec",
     "Signal",
@@ -57,23 +56,6 @@ def mode_decay_rate(k: int, H: float) -> float:
     if H <= 0.0:
         raise ConfigError(f"element half-width must be positive, got {H}")
     return (k * np.pi / H) ** 2
-
-
-def lorenz_rhs(state) -> np.ndarray:
-    """Right-hand side of the classical Lorenz system.
-
-    Parameters
-    ----------
-    state : array_like, shape (..., 3)
-        Components (xi, eta, zeta) on the last axis; leading axes stack any
-        number of independent systems.
-
-    Returns
-    -------
-    ndarray, shape (..., 3)
-    """
-    s = np.asarray(state, dtype=float)
-    return np.stack(lorenz_point(s[..., 0], s[..., 1], s[..., 2]), axis=-1)
 
 
 def lorenz_point(xi, eta, zeta):

@@ -56,6 +56,7 @@ from .microscale import (
     check_scheme_legal,
     exact_points,
     exact_steps,
+    lattice_decay_rates,
     lattice_form,
     march,
     rk4_step,
@@ -158,9 +159,8 @@ class ExperimentSpec:
     """Resolved parameters of one experiment.
 
     t0 and t1 bound the comparison window (after the initial transient and
-    up to the end of the run).  Paired runs both derive their forcing from
-    ``seed``; the optional per-side seeds exist so a mismatch is caught
-    loudly instead of silently unpairing the comparison.
+    up to the end of the run).  Paired runs derive both sides' forcing
+    from the one ``seed``.
     """
 
     name: str
@@ -174,8 +174,6 @@ class ExperimentSpec:
     t0: float = 1.0
     t1: float = 15.0
     seed: int = 20260819
-    micro_seed: int | None = None
-    macro_seed: int | None = None
     scheme: str = "rk4"
     signal: SignalSpec | None = None
     extras: dict = field(default_factory=dict)
@@ -189,17 +187,6 @@ class ExperimentSpec:
             )
         if self.dt <= 0.0:
             raise ConfigError(f"time step must be positive, got {self.dt}")
-        a = self.micro_seed if self.micro_seed is not None else self.seed
-        b = self.macro_seed if self.macro_seed is not None else self.seed
-        if a != b:
-            raise ConfigError(
-                f"paired runs must share the forcing seed, got micro {a} "
-                f"and macro {b}"
-            )
-
-    @property
-    def resolved_seed(self) -> int:
-        return self.micro_seed if self.micro_seed is not None else self.seed
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -662,7 +649,7 @@ def run_fig1_experiment(
     spec = spec or default_spec("fig1")
     out_dir = _ensure_dir(out_dir)
     n = exact_points(2.0 * np.pi, spec.dx)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.resolved_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     y0 = np.concatenate([np.full(n, 5.0), np.full(n, 8.0),
                          rng.normal(10.0, 1.0, n), np.ones(n)])
     check_scheme_legal(spec.scheme, False)
@@ -720,7 +707,7 @@ def run_fig3_experiment(
         H=H, m=m, dt=spec.dt, scheme=spec.scheme,
     )
     run = run_paired(
-        [signal], spec.resolved_seed, spec.t1, spec.dt, spec.scheme,
+        [signal], spec.seed, spec.t1, spec.dt, spec.scheme,
         fine=FineSide(x, np.ones(n), spec.alpha, spec.eps, profile[None]),
         coarse=CoarseSide(cfg, np.ones(m), lambda vals, t: float(vals[0])),
         record_every=stride,
@@ -902,8 +889,7 @@ def emergence_experiment(
         metrics[f"continuum_rel_err_k{k}"] = rel
         checks[f"continuum_k{k}_within_2pct"] = rel <= 0.02
     fast_modes = ((1, [0.0, -1.0, 0.0, 1.0, 0.0]), (2, [1.0, -1.0, 1.0, -1.0, 1.0]))
-    for mode, u0 in fast_modes:
-        target = 8.0 * mode / H**2
+    for (mode, u0), target in zip(fast_modes, lattice_decay_rates(H)):
         rate = _slaved_decay_rate(
             np.array(u0),
             lambda u: (4.0 / H**2) * (u[2:] - 2.0 * u[1:-1] + u[:-2]),
@@ -958,7 +944,7 @@ def lattice_coarse_experiment(
             scheme=spec.scheme,
         )
         run = run_paired(
-            [sig0, sig1], spec.resolved_seed, spec.t1, spec.dt, spec.scheme,
+            [sig0, sig1], spec.seed, spec.t1, spec.dt, spec.scheme,
             fine=FineSide(x_fine, u0_fine, a, e, profiles, "lattice", H),
             coarse=CoarseSide(
                 cfg, u0_fine[0::2], lambda vals, t: profiles.T @ vals

@@ -38,6 +38,11 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  The bank is advanced jointly with U, so every scheme
 sees consistent substage values.
+
+The weak models (``weakmodel``) bind the same skeleton closures and
+coupling constants (``_ssm1_skeleton``/``_ssm1_coupling``,
+``_strongquad_skeleton``/``strongquad_linear_matrix``) without a bank's
+chain state.
 """
 
 from __future__ import annotations
@@ -63,8 +68,6 @@ __all__ = [
     "lowg_rhs",
     "lattice_coarse_rhs",
     "ssm1_chain_specs",
-    "ssm1_det_linear",
-    "ssm1_memory_weights",
     "ssm1_rhs",
     "nsm_field_at_grid",
     "nsm_subgrid_field",
@@ -74,7 +77,6 @@ __all__ = [
     "EXPR_NAMES",
     "strongquad_expressions",
     "strongquad_linear_matrix",
-    "strongquad_det_linear",
     "strongquad_rhs",
     "variant_rhs",
 ]
@@ -105,7 +107,6 @@ class ModelConfig:
     dt: float = 1e-3
     scheme: str = "rk4"
     seed: int | None = None
-    psi1_weights: tuple[float, float, float] = (-0.5, 0.0, 0.5)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -131,8 +132,6 @@ class ModelConfig:
             raise ConfigError(
                 "ssm1's alternating forcing pattern needs an even element count"
             )
-        if len(self.psi1_weights) != 3:
-            raise ConfigError("psi1_weights must have three entries")
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,12 +315,11 @@ def lattice_coarse_rhs(
 
     phi_fine holds forcing values at the 2m lattice points x_i = i H/2;
     element j's grid value sits at the even index 2j.  The forcing enters
-    through two local restrictions:
+    through two local restrictions, a weighted mean and a centred
+    difference:
 
         psi_j0 = phi_{2j-1}/4 + phi_{2j}/2 + phi_{2j+1}/4
-        psi_j1 = w . (phi_{2j-1}, phi_{2j}, phi_{2j+1})
-
-    with w = cfg.psi1_weights (default a centred difference, (-1/2, 0, 1/2)):
+        psi_j1 = (phi_{2j+1} - phi_{2j-1})/2
 
         dU_j/dt = (1/H^2)(U_{j+1} - 2U_j + U_{j-1})
                   - (alpha/2H) U_j (U_{j+1} - U_{j-1})
@@ -338,8 +336,7 @@ def lattice_coarse_rhs(
     padded = ring_pad(phi_fine)
     left, centre, right = padded[:-2:2], padded[1:-1:2], padded[2::2]
     psi0 = 0.25 * left + 0.5 * centre + 0.25 * right
-    w = cfg.psi1_weights
-    psi1 = w[0] * left + w[1] * centre + w[2] * right
+    psi1 = 0.5 * (right - left)
     mdU, d2U, _ = ring_images(U)
     dU = (1.0 / H**2) * d2U
     dU -= (a / H) * U * mdU
@@ -365,28 +362,21 @@ def _ssm1_outputs(bank: ChainBank, cfg: ModelConfig) -> list[np.ndarray]:
     return [bank.output(*spec) for spec in ssm1_chain_specs(cfg)]
 
 
-def _ssm1_product_constants(H: float) -> dict[str, float]:
-    """Z1, Z21, Z41, Z61 coefficients, before the eps^2 alpha^2 U factor."""
-    return {
-        "z1": 0.0195 * H * H,
-        "z21": -(8.0 / _PI2) / 15.0,
-        "z41": -(8.0 / _PI2) / 255.0,
-        "z61": -(8.0 / _PI2) / 1295.0,
-    }
-
-
-def _ssm1_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
-    """Coefficients of the chain outputs in the memory term U phi (c . Z)."""
-    a, e = cfg.alpha, cfg.eps
-    coupling = np.zeros(len(bank))
-    constants = _ssm1_product_constants(cfg.H).values()
-    for spec, c in zip(ssm1_chain_specs(cfg), constants):
-        coupling[bank.index(*spec)] = e * e * a * a * c
-    return coupling
+def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
+    """The memory term U phi (c . Z) as (lead, k), c = lead k: lead =
+    eps^2 alpha^2, k the constants of Z1, Z21, Z41, Z61 (spec order)."""
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    return e * e * a * a, np.array([
+        0.0195 * H * H,
+        -(8.0 / _PI2) / 15.0,
+        -(8.0 / _PI2) / 255.0,
+        -(8.0 / _PI2) / 1295.0,
+    ])
 
 
 def _ssm1_skeleton(cfg: ModelConfig):
-    """ssm1_det_linear(U, phi) for cfg, its constants resolved once."""
+    """ssm1's skeleton and forcing-linear terms, dU(U, phi) without the
+    memory products, for cfg, its constants resolved once."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
     ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
@@ -403,28 +393,6 @@ def _ssm1_skeleton(cfg: ModelConfig):
         return dU
 
     return skeleton
-
-
-def ssm1_det_linear(U: np.ndarray, phi: float, cfg: ModelConfig) -> np.ndarray:
-    """Deterministic skeleton plus forcing-linear terms of the ssm1 model.
-
-    Everything except the memory products; shared by the strong model and
-    its weak replacement.
-    """
-    return _ssm1_skeleton(cfg)(np.asarray(U, dtype=float), phi)
-
-
-def ssm1_memory_weights(U: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Coefficients multiplying the four memory products phi * Z...phi.
-
-    Keys name the chain by its mode pair; each value has shape (m,).  The
-    weak model multiplies these by the products' drift-plus-noise
-    replacements; the strong model applies the same constants through its
-    compiled coupling vector.
-    """
-    a, e = cfg.alpha, cfg.eps
-    lead = e * e * a * a * np.asarray(U, dtype=float)
-    return {k: lead * c for k, c in _ssm1_product_constants(cfg.H).items()}
 
 
 def ssm1_rhs(
@@ -623,8 +591,8 @@ def _strongquad_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:
 def strongquad_linear_matrix(cfg: ModelConfig) -> np.ndarray:
     """The 14 forcing-linear terms as one (5, 12) matrix, eps included.
 
-    Applied to the expression stack it gives strongquad_det_linear's
-    forcing rows, the weights of 1, U, mudelta U, delta2 U and U^2.
+    Applied to the expression stack it gives the skeleton's forcing rows,
+    the weights of 1, U, mudelta U, delta2 U and U^2.
     """
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     c = a * g * H / _PI2  # prefactor of the coupling-gradient corrections
@@ -648,22 +616,12 @@ def strongquad_linear_matrix(cfg: ModelConfig) -> np.ndarray:
     return K
 
 
-def strongquad_det_linear(
-    U: np.ndarray, F: np.ndarray, cfg: ModelConfig
-) -> np.ndarray:
-    """Skeleton of the general model plus its (5, m) forcing rows F.
-
-    The rows of F weight 1, U, mudelta U, delta2 U and U^2: the linear
-    matrix applied to the expression stack, plus the memory couplings
-    (strong) or their drifts and noises (weak).
-    """
-    if np.shape(F) != (5, cfg.m):
-        raise ConfigError(f"need (5, {cfg.m}) forcing rows, got {np.shape(F)}")
-    return _strongquad_skeleton(cfg)(np.asarray(U, dtype=float), F)
-
-
 def _strongquad_skeleton(cfg: ModelConfig):
-    """strongquad_det_linear(U, F) for cfg, its constants resolved once."""
+    """strongquad's skeleton dU(U, F) for cfg, its constants resolved once.
+
+    The (5, m) forcing rows F weight 1, U, mudelta U, delta2 U and U^2: the
+    linear matrix applied to the expression stack, plus the memory
+    couplings (strong) or their drifts and noises (weak)."""
     a, g, H = cfg.alpha, cfg.gamma, cfg.H
     ca, c2, c4 = g * a / H, g / H**2, g * g / (12.0 * H**2)
 
@@ -711,8 +669,11 @@ def strongquad_rhs(
 def build_bank(cfg: ModelConfig) -> ChainBank:
     """The compiled form of cfg's variant: its from-rest chains and couplings."""
     if cfg.variant == "ssm1":
-        bank = ChainBank(cfg.m, ssm1_chain_specs(cfg), ("phi",))
-        bank.coupling = _ssm1_coupling(bank, cfg)
+        specs = ssm1_chain_specs(cfg)
+        bank = ChainBank(cfg.m, specs, ("phi",))
+        bank.coupling = np.zeros(len(bank))
+        lead, k = _ssm1_coupling(cfg)
+        bank.coupling[[bank.index(*spec) for spec in specs]] = lead * k
         bank.skeleton = _ssm1_skeleton(cfg)
         bank.drives = np.empty((1, cfg.m))
     elif cfg.variant == "strongquad":

@@ -33,7 +33,6 @@ __all__ = [
     "lattice_form",
     "lattice_decay_rates",
     "rk4_step",
-    "step",
     "stepper",
     "exact_steps",
     "exact_points",
@@ -188,11 +187,6 @@ def stepper(rhs, dt, scheme="rk4"):
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     return lambda u, t: one(u, rhs, t, dt)
-
-
-def step(u, rhs, t, dt, scheme="rk4"):
-    """One time step under the named scheme: ``stepper``'s map, bound anew."""
-    return stepper(rhs, dt, scheme)(u, t)
 
 
 def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:

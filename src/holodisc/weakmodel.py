@@ -13,7 +13,9 @@ mean drift and effective noise, so each product can be replaced:
   amplitudes fixed by the decay rates (``stochastic_replace``).
 
 ``build_weak_model`` applies the replacements to a whole coarse variant,
-yielding a model with no memory chains at all.
+yielding a model with no memory chains at all: the strong variant's
+compiled skeleton and coupling constants, fed constant drifts and fresh
+noises instead of chain outputs.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ from .forcing import SignalSpec
 from .macromodel import (
     EXPR_NAMES,
     ModelConfig,
+    _ssm1_coupling,
+    _ssm1_skeleton,
+    _strongquad_skeleton,
     ssm1_chain_specs,
-    ssm1_det_linear,
-    ssm1_memory_weights,
-    strongquad_det_linear,
     strongquad_expressions,
     strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
-from .microscale import exact_steps, march, rk4_step
+from .microscale import exact_steps, march, stepper
 from .stencil import ring_pad
 
 __all__ = [
@@ -245,9 +247,16 @@ class WeakCoarseModel:
     """A coarse variant with every memory product replaced weakly.
 
     Carries no memory chains: ``memory_state`` is always None.  Harmonic
-    forcing yields a deterministic model (products become constant drifts);
-    white-noise forcing yields drift plus fresh multiplicative noises and
-    requires the euler-maruyama scheme.
+    forcing yields a deterministic model (products become constant drifts),
+    bound at construction as ``deterministic_rhs`` and stepped by rk4;
+    white-noise forcing yields drift plus fresh multiplicative noises, drawn
+    from ``rng`` (restarted by ``run``), and requires euler-maruyama.  Both
+    rest on the skeleton closure and couplings ``build_bank`` binds.
+
+    ssm1's memory term U phi (c . Z), c = lead k, becomes the sum over
+    products i of (lead U) k_i v_i, added product by product (the factored
+    U (c . v) rounds differently): v_i is product i's drift, plus under
+    white noise its streams' amplitudes times fresh normals / sqrt(dt).
 
     strongquad applies strongquad_linear_matrix K to its forcing's stack.
     Harmonic forcing Re(P e^{i omega t}), P = pattern A e^{i phase}, takes
@@ -290,43 +299,61 @@ class WeakCoarseModel:
         self._n_streams = 0
         self._stream_classes: list[tuple] = []
         self._class_offsets: list[int] = []
+        self.rng = self._rng()
         if cfg.variant == "ssm1":
             if mode_pattern is not None:
                 raise ConfigError("ssm1 bakes in its alternating pattern")
             self._build_ssm1()
         else:
             self._build_strongquad(mode_pattern, mode_scales)
+        if not self._white:
+            self._advance = stepper(self.deterministic_rhs, cfg.dt)
 
     # -- construction --------------------------------------------------------
 
     def _build_ssm1(self):
-        labels = ("z1", "z21", "z41", "z61")
-        rates = {
-            label: canonical_rates(r)
-            for label, (r, _) in zip(labels, ssm1_chain_specs(self.cfg))
-        }
+        cfg, signal = self.cfg, self.signal
+        skeleton, (lead, k) = _ssm1_skeleton(cfg), _ssm1_coupling(cfg)
+        rates = [canonical_rates(r) for r, _ in ssm1_chain_specs(cfg)]
+
+        def add_products(dU, U, v):
+            # (lead U) k_i v_i, product by product, as the strong weights were
+            for term in (lead * U) * k[:, None] * v[:, None]:
+                dU += term
+            return dU
+
         if not self._white:
-            A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
+            A, w, ph = signal.amplitude, signal.omega, signal.phase
             P = A * np.exp(1j * ph)
-            for label, r in rates.items():
-                self._drifts[label] = float(phasor_drift(r, w, P, P))
+            drifts = [float(phasor_drift(r, w, P, P)) for r in rates]
+            d = np.array(drifts)
+            self.deterministic_rhs = lambda U, t: add_products(
+                skeleton(U, A * np.cos(w * t + ph)), U, d)
         else:
-            sig = self.signal.intensity
-            self._ssm1_noise: list[tuple[str, float]] = []
-            for label, r in rates.items():
-                term = QuadraticTermDescriptor(0, 0, 0, 0, r)
-                rep = stochastic_replace(term, sig, sig)
-                self._drifts[label] = rep.drift
-                for amp in rep.noise_amplitudes:
-                    self._ssm1_noise.append((label, amp))
-            self._n_streams = len(self._ssm1_noise)
+            sig = signal.intensity
+            reps = [stochastic_replace(QuadraticTermDescriptor(0, 0, 0, 0, r),
+                                       sig, sig) for r in rates]
+            drifts = [rep.drift for rep in reps]
+            amps = np.array([a for rep in reps for a in rep.noise_amplitudes])
+            owner = [i for i, rep in enumerate(reps) for _ in rep.noise_amplitudes]
+            self._n_streams = amps.size
+            dt, sq = cfg.dt, np.sqrt(cfg.dt)
+
+            def advance(U, t):
+                z = self.rng.standard_normal(1 + amps.size)
+                v = np.array(drifts)
+                np.add.at(v, owner, amps * z[1:] / sq)
+                return U + dt * add_products(skeleton(U, sig * z[0] / sq), U, v)
+
+            self._advance = advance
+        self._drifts = dict(zip(("z1", "z21", "z41", "z61"), drifts))
 
     def _build_strongquad(self, mode_pattern, mode_scales):
         cfg = self.cfg
         terms = strongquad_quadratic_terms(cfg)
-        self._K = strongquad_linear_matrix(cfg)
+        skeleton, K = _strongquad_skeleton(cfg), strongquad_linear_matrix(cfg)
         # constant forcing rows: the drifts, plain (row 0) and times U (row 1)
-        self._drift = np.zeros((5, cfg.m))
+        drift = self._drift = np.zeros((5, cfg.m))
         if not self._white:
             if mode_pattern is None:
                 raise ConfigError(
@@ -339,15 +366,20 @@ class WeakCoarseModel:
                 )
             A, w, ph = self.signal.amplitude, self.signal.omega, self.signal.phase
             phasors = strongquad_expressions(pattern * A * np.exp(1j * ph))
-            self._Fr = self._K @ phasors.real
-            self._Fi = self._K @ phasors.imag
+            Fr, Fi = K @ phasors.real, K @ phasors.imag
             for term in terms:
                 L = phasors[EXPR_NAMES.index(term.left)]
                 R = phasors[EXPR_NAMES.index(term.right)]
                 d = term.coeff * phasor_drift(term.rates, w, L, R)
-                self._drift[int(term.times_U)] += d
-            self._drifts["plain"] = float(np.max(np.abs(self._drift[0])))
-            self._drifts["times_U"] = float(np.max(np.abs(self._drift[1])))
+                drift[int(term.times_U)] += d
+            self._drifts["plain"] = float(np.max(np.abs(drift[0])))
+            self._drifts["times_U"] = float(np.max(np.abs(drift[1])))
+
+            def deterministic_rhs(U, t):
+                wt = w * t
+                return skeleton(U, np.cos(wt) * Fr - np.sin(wt) * Fi + drift)
+
+            self.deterministic_rhs = deterministic_rhs
         else:
             if mode_pattern is not None:
                 raise ConfigError(
@@ -356,12 +388,23 @@ class WeakCoarseModel:
                 )
             if len(mode_scales) != 3:
                 raise ConfigError("mode_scales must have three entries")
-            self._sigma = float(self.signal.intensity) * np.asarray(
+            sigma = float(self.signal.intensity) * np.asarray(
                 mode_scales, dtype=float
             )
-            self._expand_strongquad_white(terms)
+            self._expand_strongquad_white(terms, sigma)
+            dt, sq, m, n_streams = cfg.dt, np.sqrt(cfg.dt), cfg.m, self._n_streams
 
-    def _expand_strongquad_white(self, terms):
+            def advance(U, t):
+                rings = sigma[:, None] * self.rng.standard_normal((3, m)) / sq
+                F = K @ strongquad_expressions(rings.T) + drift
+                psi = self.rng.standard_normal(n_streams)
+                psi /= sq
+                self._add_stream_noise(psi, F[:2])
+                return U + dt * skeleton(U, F)
+
+            self._advance = advance
+
+    def _expand_strongquad_white(self, terms, sigma):
         """Expand stencil images into raw-signal products and key the streams.
 
         Each registry term left * Z right is a double sum over stencil
@@ -382,8 +425,7 @@ class WeakCoarseModel:
         plain/times U); a step takes one product with the rings and adds
         each shift's row pair, read through one wrapped pad.
         """
-        cfg = self.cfg
-        m = cfg.m
+        m = self.cfg.m
         classes: dict[tuple, int] = {}
         occurrences = []  # (class, left offset r, factor, times_U)
         for term in terms:
@@ -391,7 +433,7 @@ class WeakCoarseModel:
             opR, n = _split_expr(term.right)
             rates = canonical_rates(term.rates)
             amps = _slot_amplitudes(rates)
-            sp, sn = self._sigma[p], self._sigma[n]
+            sp, sn = sigma[p], sigma[n]
             for r, wl in _OFFSET_WEIGHTS[opL].items():
                 for s, wr in _OFFSET_WEIGHTS[opR].items():
                     weight = term.coeff * wl * wr
@@ -441,28 +483,12 @@ class WeakCoarseModel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _rng(self) -> np.random.Generator:
+    def _rng(self) -> np.random.Generator | None:
+        """A fresh generator for the white-noise steps; None under harmonic."""
+        if not self._white:
+            return None
         seed = self.signal.seed if self.signal.seed is not None else self.cfg.seed
         return np.random.default_rng(seed)
-
-    def deterministic_rhs(self, U: np.ndarray, t: float) -> np.ndarray:
-        """Drift-complete right-hand side for harmonic forcing."""
-        if self._white:
-            raise ConfigError("white-noise weak models advance through run()")
-        cfg = self.cfg
-        U = np.asarray(U, dtype=float)
-        if cfg.variant == "ssm1":
-            phi = self.signal.amplitude * np.cos(
-                self.signal.omega * t + self.signal.phase
-            )
-            dU = ssm1_det_linear(U, phi, cfg)
-            weights = ssm1_memory_weights(U, cfg)
-            for label, drift in self._drifts.items():
-                dU += weights[label] * drift
-            return dU
-        wt = self.signal.omega * t
-        F = np.cos(wt) * self._Fr - np.sin(wt) * self._Fi + self._drift
-        return strongquad_det_linear(U, F, cfg)
 
     def drift_report(self) -> dict:
         return {
@@ -472,34 +498,10 @@ class WeakCoarseModel:
             "noise_streams": self._n_streams,
         }
 
-    def step(self, U: np.ndarray, t: float, dt: float, rng=None) -> np.ndarray:
-        """One step; harmonic integrates rk4, white noise Euler-Maruyama."""
-        U = np.asarray(U, dtype=float)
-        if not self._white:
-            return rk4_step(U, self.deterministic_rhs, t, dt)
-        if rng is None:
-            raise ConfigError("white-noise stepping needs the run() rng")
-        return self._white_step(U, t, dt, rng)
-
-    def _white_step(self, U, t, dt, rng):
-        cfg = self.cfg
-        sq = np.sqrt(dt)
-        if cfg.variant == "ssm1":
-            phi_n = self.signal.intensity * rng.standard_normal() / sq
-            dU = ssm1_det_linear(U, phi_n, cfg)
-            weights = ssm1_memory_weights(U, cfg)
-            vals = dict(self._drifts)
-            for label, amp in self._ssm1_noise:
-                vals[label] = vals[label] + amp * rng.standard_normal() / sq
-            for label, v in vals.items():
-                dU += weights[label] * v
-            return U + dt * dU
-        rings = self._sigma[:, None] * rng.standard_normal((3, cfg.m)) / sq
-        F = self._K @ strongquad_expressions(rings.T) + self._drift
-        psi = rng.standard_normal(self._n_streams)
-        psi /= sq
-        self._add_stream_noise(psi, F[:2])
-        return U + dt * strongquad_det_linear(U, F, cfg)
+    def step(self, U: np.ndarray, t: float) -> np.ndarray:
+        """One cfg.dt step: rk4 under harmonic forcing, Euler-Maruyama (drawing
+        from ``rng``) under white noise."""
+        return self._advance(np.asarray(U, dtype=float), t)
 
     def run(self, U0, t_end: float, record_every: int = 1):
         """Integrate from t = 0 in whole cfg.dt steps; returns (times, U history)."""
@@ -509,10 +511,9 @@ class WeakCoarseModel:
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
         if t_end <= 0.0:
             raise ConfigError(f"need t_end > 0, got {t_end}")
-        rng = self._rng() if self._white else None
+        self.rng = self._rng()
         return march(
-            lambda U, t: self.step(U, t, cfg.dt, rng), U0, 0.0,
-            exact_steps(t_end, cfg.dt), cfg.dt, record_every,
+            self.step, U0, 0.0, exact_steps(t_end, cfg.dt), cfg.dt, record_every,
             (("grid amplitudes", slice(None)),),
         )
 

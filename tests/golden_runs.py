@@ -64,7 +64,7 @@ from holodisc.harness import (
     spec_from_dict,
     weak_drift_experiment,
 )
-from holodisc.microscale import burgers_rhs, exact_steps, march, step
+from holodisc.microscale import burgers_rhs, exact_steps, march, stepper
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "coarse_golden.npz")
@@ -94,7 +94,7 @@ def fig3():
                       scheme=spec.scheme)
     t, U, bank, vals = run_macro_forced(
         cfg, np.ones(spec.m), [spec.signal], lambda v, t: float(v[0]), 1.0,
-        spec.resolved_seed, record_every=10)
+        spec.seed, record_every=10)
     return {"t": t, "U": U, "bank": bank, "vals": vals}
 
 
@@ -115,7 +115,7 @@ def lattice():
                       m=m, dt=spec.dt, scheme=spec.scheme)
     t, U, _, vals = run_macro_forced(
         cfg, np.full(m, 0.4), signals, lambda v, t: profiles.T @ v, 4.0,
-        spec.resolved_seed, record_every=10)
+        spec.seed, record_every=10)
     return {"t": t, "U": U, "vals": vals}
 
 
@@ -220,8 +220,7 @@ def _forced_burgers_run():
     def rhs(u, t):
         return burgers_rhs(u, x[1], 0.8, 0.5, np.cos(x + 3.0 * t))
 
-    times, hist = march(lambda u, t: step(u, rhs, t, 1e-2),
-                        1.0 + 0.5 * np.sin(x), 0.25,
+    times, hist = march(stepper(rhs, 1e-2), 1.0 + 0.5 * np.sin(x), 0.25,
                         exact_steps(0.75 - 0.25, 1e-2), 1e-2, record_every=7)
     return {"times": times.tolist(), "history": hist.tolist()}
 

@@ -30,7 +30,6 @@ from holodisc.harness import (
     run_fig3_experiment,
 )
 from holodisc.macromodel import (
-    ssm1_memory_weights,
     strongquad_quadratic_terms,
     variant_rhs,
 )
@@ -345,9 +344,9 @@ def test_ac8_coefficient_closed_forms():
 
     scfg = ModelConfig(variant="ssm1", alpha=1.0, eps=1.0, H=1.0, m=4,
                        gamma=1.0)
-    weights = ssm1_memory_weights(np.ones(4), scfg)
-    double_rate = float(weights["z21"][0])
-    single_rate = float(weights["z1"][0])
+    sbank = build_bank(scfg)
+    double_rate = float(sbank.coupling[sbank.index((b1, b2), "phi")])
+    single_rate = float(sbank.coupling[sbank.index((b1,), "phi")])
     assert abs(double_rate - (-8.0 / (15.0 * np.pi**2))) <= 1e-12
     assert abs(acc[((b1, b2), True)] - double_rate) <= 1e-12
     derived_single = 32.0 / (15.0 * np.pi**4)

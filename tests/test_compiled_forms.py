@@ -4,7 +4,9 @@ The references below are the loops the compiled forms replace: strongquad's
 skeleton and 14 forcing-linear terms written out term by term over the
 nine stencil images, one pass over its 33 QuadTerms reading dict-keyed
 chain outputs, the weak harmonic rhs rebuilt from the pattern's phasor at
-every stage, the four ssm1 products, the cascade derivative chain by chain,
+every stage, the four ssm1 products over their weights as a dict (on
+``test_paired_stage``'s unbound skeleton), for the strong model and for
+the weak one fed drifts and fresh noises, the cascade derivative chain by chain,
 the bank derivative as masked ufuncs over next-level links (the form the
 feed index replaced), the white-noise stream numbering dict, and one
 chain_step loop per chain for the packed multi-chain integrator.  They
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from holodisc import (
     ConfigError,
     ModelConfig,
+    QuadraticTermDescriptor,
     SignalSpec,
     build_bank,
     build_weak_model,
@@ -30,23 +33,22 @@ from holodisc import (
     mode_decay_rate,
     mudelta,
     phasor_drift,
+    stochastic_replace,
     strongquad_rhs,
     variant_rhs,
 )
 from holodisc.convolution import chain_layout, packed_chain_rhs
-from holodisc.microscale import step
+from holodisc.microscale import stepper
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
-    ssm1_det_linear,
-    ssm1_memory_weights,
     strongquad_chain_specs,
-    strongquad_det_linear,
     strongquad_expressions,
     strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
 from holodisc.weakmodel import _OFFSET_WEIGHTS, _slot_amplitudes, _split_expr
+from test_paired_stage import unbound_ssm1_det_linear
 
 RTOL = 1e-12
 
@@ -141,10 +143,20 @@ def reference_weak_harmonic_rhs(U, t, pattern, signal, cfg):
     return dU
 
 
+def reference_ssm1_weights(U, cfg):
+    """The four memory products' weights, a dict keyed by mode pair."""
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    lead = e * e * a * a * np.asarray(U, dtype=float)
+    return {"z1": lead * (0.0195 * H * H),
+            "z21": lead * (-(8.0 / np.pi**2) / 15.0),
+            "z41": lead * (-(8.0 / np.pi**2) / 255.0),
+            "z61": lead * (-(8.0 / np.pi**2) / 1295.0)}
+
+
 def reference_ssm1_rhs(U, phi, states, cfg):
     b = {k: mode_decay_rate(k, cfg.H) for k in (1, 2, 4, 6)}
-    weights = ssm1_memory_weights(U, cfg)
-    dU = ssm1_det_linear(U, phi, cfg)
+    weights = reference_ssm1_weights(U, cfg)
+    dU = unbound_ssm1_det_linear(U, phi, cfg)
     for label, rates in (("z1", (b[1],)), ("z21", (b[1], b[2])),
                          ("z41", (b[1], b[4])), ("z61", (b[1], b[6]))):
         dU = dU + weights[label] * phi * states[(rates, "phi")][0]
@@ -152,11 +164,11 @@ def reference_ssm1_rhs(U, phi, states, cfg):
 
 
 def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
-    """Advance one cascade by dt: one ``microscale.step`` of chain_rhs."""
+    """Advance one cascade by dt: one ``microscale.stepper`` step of chain_rhs."""
     def f(y, s):
         return chain_rhs(y, rates, drive_fn(s))
 
-    return step(np.asarray(states, dtype=float), f, t, dt, scheme)
+    return stepper(f, dt, scheme)(np.asarray(states, dtype=float), t)
 
 
 def reference_integrate(chains, drive_fn, n, dt, states0, scheme):
@@ -202,11 +214,12 @@ def test_linear_matrix_matches_the_term_by_term_skeleton(m):
     cfg = cfg_for("strongquad", m)
     K = strongquad_linear_matrix(cfg)
     assert K.shape == (5, len(EXPR_NAMES)) and np.count_nonzero(K) == 14
+    skeleton = build_bank(cfg).skeleton
     for _ in range(3):
         U = rng.normal(size=m)
         modes = rng.normal(size=(m, 3))
         assert_close(
-            strongquad_det_linear(U, K @ strongquad_expressions(modes), cfg),
+            skeleton(U, K @ strongquad_expressions(modes)),
             reference_det_linear(U, reference_expressions(modes), cfg))
 
 
@@ -228,12 +241,12 @@ def test_weak_harmonic_phasor_rows_match_the_per_stage_stencils(m, pattern_kind)
 
 @pytest.mark.parametrize("m", [4, 64, 1024])
 def test_weak_white_step_matches_the_stencil_terms(m):
-    cfg = cfg_for("strongquad", m, scheme="euler-maruyama", seed=1)
+    dt = 0.25
+    cfg = cfg_for("strongquad", m, scheme="euler-maruyama", seed=5, dt=dt)
     weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5),
                             mode_scales=(1.0, 0.5, 2.0))
     U = np.random.default_rng(m).normal(size=m)
-    dt = 0.25
-    got = (weak.step(U, 0.0, dt, np.random.default_rng(5)) - U) / dt
+    got = (weak.step(U, 0.0) - U) / dt
     # the same draws, in the same order: the rings, then the streams
     rng = np.random.default_rng(5)
     rings = np.array([1.5, 0.75, 3.0])[:, None] * rng.standard_normal((3, m))
@@ -246,6 +259,43 @@ def test_weak_white_step_matches_the_stencil_terms(m):
     want += drift_plain + noise_plain / np.sqrt(dt)
     want += (drift_times_U + noise_times_U / np.sqrt(dt)) * U
     assert_close(got, want)
+
+
+@pytest.mark.parametrize("m", [4, 64])
+def test_weak_ssm1_is_the_dict_loop_bit_for_bit(m):
+    """Each product's weight times its drift (harmonic), or its drift plus
+    fresh noises drawn after the signal's (white), added in chain order."""
+    rng = np.random.default_rng(m + 7)
+    labels = ("z1", "z21", "z41", "z61")
+    harmonic = SignalSpec(kind="harmonic", amplitude=0.9, omega=2.0, phase=0.3)
+    weak = build_weak_model(cfg_for("ssm1", m), harmonic)
+    drifts = weak.drift_report()["drifts"]
+    for t in (0.0, 0.37, 5.1):
+        U = rng.normal(size=m)
+        want = unbound_ssm1_det_linear(U, 0.9 * np.cos(2.0 * t + 0.3), weak.cfg)
+        weights = reference_ssm1_weights(U, weak.cfg)
+        for label in labels:
+            want += weights[label] * drifts[label]
+        assert np.array_equal(weak.deterministic_rhs(U, t), want)
+    dt = 0.01
+    cfg = cfg_for("ssm1", m, scheme="euler-maruyama", dt=dt)
+    weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5,
+                                            seed=8))
+    draws, sq = np.random.default_rng(8), np.sqrt(dt)
+    for _ in range(3):
+        U = rng.normal(size=m)
+        got = weak.step(U, 0.0)
+        want = unbound_ssm1_det_linear(U, 1.5 * draws.standard_normal() / sq,
+                                       cfg)
+        weights = reference_ssm1_weights(U, cfg)
+        for label, (rates, _) in zip(labels, ssm1_chain_specs(cfg)):
+            rep = stochastic_replace(QuadraticTermDescriptor(0, 0, 0, 0, rates),
+                                     1.5, 1.5)
+            v = rep.drift
+            for amp in rep.noise_amplitudes:
+                v = v + amp * draws.standard_normal() / sq
+            want += weights[label] * v
+        assert np.array_equal(got, U + dt * want)
 
 
 @pytest.mark.parametrize("m", [4, 64, 1024])

@@ -41,11 +41,6 @@ class TestConvChain:
         expected = 1.0 / (np.hypot(1.0, w) * np.hypot(3.0, w))
         assert np.isclose(abs(chain.transfer(w)), expected)
 
-    def test_zero_states_shapes(self):
-        chain = ConvChain((1.0, 2.0, 3.0))
-        assert chain.zero_states().shape == (3,)
-        assert chain.zero_states(5).shape == (3, 5)
-
 
 class TestChainDynamics:
     def test_unforced_decay_is_exponential(self):

@@ -73,12 +73,10 @@ class TestExperimentSpec:
             ExperimentSpec(name="bad", t0=2.0, t1=1.0)
 
     def test_paired_runs_must_share_seed(self):
-        with pytest.raises(ConfigError):
-            ExperimentSpec(name="bad", micro_seed=1, macro_seed=2)
-
-    def test_resolved_seed_prefers_explicit(self):
-        spec = ExperimentSpec(name="demo", seed=5, micro_seed=9, macro_seed=9)
-        assert spec.resolved_seed == 9
+        """One seed drives both sides; a per-side seed is no spec field."""
+        for knob in ("micro_seed", "macro_seed"):
+            with pytest.raises(ConfigError):
+                spec_from_dict("fig3", {knob: 1})
 
     def test_to_dict_round_trips_fields(self):
         spec = ExperimentSpec(name="demo", alpha=0.7)

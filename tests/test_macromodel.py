@@ -23,9 +23,6 @@ from holodisc import (
 )
 from holodisc.macromodel import (
     EXPR_NAMES,
-    ssm1_det_linear,
-    ssm1_memory_weights,
-    strongquad_det_linear,
     strongquad_expressions,
 )
 
@@ -65,10 +62,6 @@ class TestModelConfig:
     def test_needs_three_elements(self):
         with pytest.raises(ConfigError):
             cfg_for("lowg", m=2)
-
-    def test_psi1_weights_length(self):
-        with pytest.raises(ConfigError):
-            cfg_for("lattice", psi1_weights=(1.0, 2.0))
 
 
 class TestEquilibria:
@@ -204,8 +197,11 @@ class TestSsm1Structure:
             bank.states(*k)[:] = 0.1 * np.arange(cfg.m)
         phi = 0.8
         dU, inputs = ssm1_rhs(U, phi, bank, cfg)
-        expected = ssm1_det_linear(U, phi, cfg)
-        weights = ssm1_memory_weights(U, cfg)
+        expected = bank.skeleton(U, phi)
+        lead = cfg.eps**2 * cfg.alpha**2 * U
+        weights = {"z1": lead * 0.0195 * cfg.H**2}
+        for key, den in (("z21", 15.0), ("z41", 255.0), ("z61", 1295.0)):
+            weights[key] = -lead * (8.0 / np.pi**2) / den
         b = {k: mode_decay_rate(k, cfg.H) for k in (1, 2, 4, 6)}
         expected = expected + weights["z1"] * phi * bank.output((b[1],), "phi")
         for pair, key in (((b[1], b[2]), "z21"), ((b[1], b[4]), "z41"),
@@ -216,7 +212,7 @@ class TestSsm1Structure:
 
     def test_forcing_alternates_across_elements(self):
         cfg = cfg_for("ssm1", gamma=0.0)
-        dU = ssm1_det_linear(np.ones(4), 1.0, cfg)
+        dU = build_bank(cfg).skeleton(np.ones(4), 1.0)
         a, e, H = cfg.alpha, cfg.eps, cfg.H
         c = e * a * H * (2.0 / np.pi**2 - 0.00363 * a * a * H * H)
         assert np.allclose(dU, -alternating_signs(4) * c)

@@ -21,7 +21,7 @@ from holodisc.convolution import (
     packed_chain_rhs,
 )
 from holodisc.harness import EXPERIMENTS, spec_from_dict
-from holodisc.microscale import exact_steps, march, step
+from holodisc.microscale import exact_steps, march, stepper
 
 
 class TestMarch:
@@ -80,7 +80,7 @@ class TestExactSteps:
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
             weak.run(np.ones(4), 1.0)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
-            march(lambda u, t: step(u, lambda v, s: -v, t, 0.3), np.ones(2),
+            march(stepper(lambda v, s: -v, 0.3), np.ones(2),
                   0.0, exact_steps(1.0, 0.3), 0.3)
         times, _ = weak.run(np.ones(4), 1.2)
         assert times.size == 5 and times[-1] == pytest.approx(1.2)

@@ -11,14 +11,13 @@ from holodisc import (
     check_scheme_legal,
     lattice_rhs,
     rk4_step,
-    step,
 )
 from holodisc.microscale import exact_steps, march, stepper
 
 
 def rk4_march(u0, rhs, t0, t_end, dt, record_every=1):
     """Fixed-step rk4 from t0 to t_end through march, as the engines run."""
-    return march(lambda u, t: step(u, rhs, t, dt), u0, t0,
+    return march(stepper(rhs, dt), u0, t0,
                  exact_steps(t_end - t0, dt), dt, record_every)
 
 
@@ -141,17 +140,17 @@ class TestSteppers:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
-            step(np.ones(2), lambda u, t: -u, 0.0, 0.1, scheme="leapfrog")
+            stepper(lambda u, t: -u, 0.1, scheme="leapfrog")
 
     def test_step_needs_positive_dt(self):
         with pytest.raises(ConfigError):
-            step(np.ones(2), lambda u, t: -u, 0.0, 0.0)
+            stepper(lambda u, t: -u, 0.0)
 
     def test_euler_maruyama_advances_like_euler(self):
         u0 = np.array([2.0, -1.0])
         rhs = lambda u, t: -0.5 * u + t
-        a = step(u0, rhs, 0.3, 0.01, scheme="euler")
-        b = step(u0, rhs, 0.3, 0.01, scheme="euler-maruyama")
+        a = stepper(rhs, 0.01, scheme="euler")(u0, 0.3)
+        b = stepper(rhs, 0.01, scheme="euler-maruyama")(u0, 0.3)
         assert np.array_equal(a, b)
 
 
