@@ -30,8 +30,9 @@ exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
 full history (drivers and field) under rk4 and euler, fine-only runs under
 the ``conservative`` and ``skew`` advection forms, and a fine-only lattice
 run, kept in tests/data/fine_stage_golden.npz and matched exactly.
-``WEAK_RUNS`` pins weak ``ssm1`` at m = 4 (the recordings above pin only
-weak ``strongquad``) under harmonic forcing and white noise, kept in
+``WEAK_RUNS`` pins weak ``ssm1`` at m = 4 and weak ``strongquad`` at m = 8
+(300 steps; ``weak_white`` and ``weak_harmonic`` above hold it only within
+1e-12) under harmonic forcing and white noise, kept in
 tests/data/weak_golden.npz and matched exactly.
 
 Record (overwrites the named data file; ``coarse`` is the default):
@@ -376,7 +377,28 @@ def weak_ssm1_white():
     return _weak_ssm1_run(_ssm1_cfg(scheme="euler-maruyama", seed=27), WHITE)
 
 
-WEAK_RUNS = {f.__name__: f for f in (weak_ssm1_harmonic, weak_ssm1_white)}
+def _weak_strongquad_run(weak):
+    U0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * np.arange(weak.cfg.m) / weak.cfg.m)
+    t, U = weak.run(U0, 3.0, record_every=10)
+    return {"t": t, "U": U}
+
+
+def weak_strongquad_harmonic():
+    m = 8
+    rng = np.random.default_rng(28)
+    pattern = rng.normal(size=(m, 3)) * np.exp(1j * rng.uniform(0, 6, (m, 3)))
+    return _weak_strongquad_run(build_weak_model(_quad_cfg(m), HARMONIC, pattern))
+
+
+def weak_strongquad_white():
+    cfg = _quad_cfg(8, scheme="euler-maruyama", seed=29)
+    return _weak_strongquad_run(
+        build_weak_model(cfg, WHITE, mode_scales=(1.0, 0.7, 1.3)))
+
+
+WEAK_RUNS = {f.__name__: f for f in (weak_ssm1_harmonic, weak_ssm1_white,
+                                     weak_strongquad_harmonic,
+                                     weak_strongquad_white)}
 
 
 def _record_runs(runs, path):

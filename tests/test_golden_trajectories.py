@@ -10,8 +10,10 @@ tests/data/stage_golden.npz were recorded before the paired stage was
 compiled once per run, and those in tests/data/fine_stage_golden.npz
 (fig1's history, the conservative and skew advection forms, the fine
 lattice) before the fine side was; both must be reproduced bit for bit.
-So must the weak ssm1 runs in tests/data/weak_golden.npz, recorded before
-the weak models were built on the strong variants' compiled forms.
+So must the weak runs in tests/data/weak_golden.npz: weak ssm1, recorded
+before the weak models were built on the strong variants' compiled forms,
+and weak strongquad at m = 8, recorded before 1-D memory cascades were
+stepped on Python floats.
 """
 
 import json
