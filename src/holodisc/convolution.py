@@ -18,6 +18,9 @@ chain's end its drive row, stacked below the state.  ``packed_chain_rhs``,
 every row's derivative from one gather, serves ``integrate_chains``,
 ``macromodel.ChainBank`` and the quadrature ensemble; ``integrate_chains``
 steps all rows through ``microscale.march``, one drive call per stage time.
+A 1-D packed state, a few scalar rows, is stepped on Python floats
+instead, which round + and * as numpy float64 does: the same operations in
+the same order give the same bits, without numpy's dispatch per operation.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -146,6 +149,12 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     and per chain in the order given its history: a view, (n+1, levels[,
     m]), into one packed array.  A non-finite state raises StabilityError
     naming the first bad chain.
+
+    When every state is (levels,), the packed state is 1-D and each scheme
+    steps it on Python floats (``_float_advance``), its drive taken as a
+    float: a number, or an array of one entry.  The step keeps
+    packed_chain_rhs's and rk4_step's or euler_step's operations in their
+    order, so its bits are theirs.  (levels, m) states step as arrays.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -162,18 +171,67 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     layout = chain_layout(chains, Z.ndim)
     rows = [slice(e + 1 - len(r), e + 1) for r, e in zip(chains, layout[2])]
     ext = np.empty((len(Z) + 1,) + Z.shape[1:])
+    value = drive_fn if Z.ndim > 1 else _float_drive(drive_fn)
     drive = [None, None]  # the last stage time and its drive
 
-    def rhs(y, s):
+    def drive_at(s):
         if drive[0] != s:
-            drive[:] = s, drive_fn(s)
-        return packed_chain_rhs(y, layout, drive[1], ext)
+            drive[:] = s, value(s)
+        return drive[1]
 
+    def rhs(y, s):
+        return packed_chain_rhs(y, layout, drive_at(s), ext)
+
+    advance = stepper(rhs, dt, scheme)
+    if Z.ndim == 1:
+        advance = _float_advance(layout, drive_at, dt, scheme)
     times, history = march(
-        stepper(rhs, dt, scheme), Z, 0.0, int(round(t_end / dt)), dt,
+        advance, Z, 0.0, int(round(t_end / dt)), dt,
         blocks=[(f"memory chain {r}", row) for r, row in zip(chains, rows)],
     )
     return times, [history[:, row] for row in rows]
+
+
+def _float_drive(drive_fn):
+    """drive_fn with its value as a Python float: a number or a size-1 array."""
+    def value(s):
+        d = drive_fn(s)
+        return float(d) if isinstance(d, float) else np.asarray(d, float).item()
+
+    return value
+
+
+def _float_advance(layout, drive_at, dt, scheme):
+    """The scheme's step of a 1-D packed state, on Python floats.
+
+    Each row's derivative is packed_chain_rhs's neg_rate * z + feed, and
+    the steps are rk4_step's and euler_step's operations in their order;
+    Python floats round + and * as numpy float64 does, so the bits are
+    theirs, without numpy's dispatch on a state of a few entries.
+    """
+    neg_rates, feed = layout[0].tolist(), layout[1].tolist()
+    dt = float(dt)
+    h, sixth = 0.5 * dt, dt / 6.0
+
+    def f(z, d):
+        ext = z + [d]
+        return [r * x + ext[j] for r, x, j in zip(neg_rates, z, feed)]
+
+    def rk4(y, t):
+        u = y.tolist()
+        k1 = f(u, drive_at(t))
+        d = drive_at(t + h)
+        k2 = f([k * h + x for k, x in zip(k1, u)], d)
+        k3 = f([k * h + x for k, x in zip(k2, u)], d)
+        k4 = f([k * dt + x for k, x in zip(k3, u)], drive_at(t + dt))
+        return np.array([(((b * 2.0 + a) + c * 2.0) + e) * sixth + x
+                         for a, b, c, e, x in zip(k1, k2, k3, k4, u)])
+
+    def euler(y, t):
+        u = y.tolist()
+        return np.array([x + dt * k for x, k in zip(u, f(u, drive_at(t)))])
+
+    return rk4 if scheme == "rk4" else euler
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

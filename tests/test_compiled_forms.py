@@ -469,8 +469,24 @@ def harmonic(t):
     return 0.8 * np.cos(2.0 * t + 0.3)
 
 
-def assert_chains_match(chains, drive_fn, n, dt, states0, scheme):
-    times, got = integrate_chains(chains, drive_fn, n * dt, dt, states0, scheme)
+def as_row(value):
+    """A drive value as a shape-(1,) array."""
+    return np.full(1, value)
+
+
+# The forms a 1-D state's drive may return: each holds harmonic's value.
+DRIVE_FORMS = (float, np.float64, np.asarray, as_row)
+
+
+def assert_chains_match(chains, drive_fn, n, dt, states0, scheme, form=None):
+    """integrate_chains against reference_integrate, bit for bit.
+
+    form, when given, recasts the drive's value for integrate_chains only:
+    the reference's chain_rhs takes the value as drive_fn returns it.
+    """
+    packed_drive = drive_fn if form is None else lambda t: form(drive_fn(t))
+    times, got = integrate_chains(chains, packed_drive, n * dt, dt, states0,
+                                  scheme)
     assert np.array_equal(times, dt * np.arange(n + 1))
     if states0 is None:
         states0 = [np.zeros(len(rates)) for rates in chains]
@@ -503,12 +519,16 @@ def test_packed_ssm1_chains_match_under_an_element_drive(scheme):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(chain_rates, min_size=1, max_size=4),
-       st.sampled_from(["rk4", "euler"]), st.integers(0, 3))
-@example([(1.3, 1.3)], "rk4", 0)
-@example([(2.0,), (1.3, 1.3, 0.7)], "euler", 3)
-def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m):
+       st.sampled_from(["rk4", "euler", "euler-maruyama"]), st.integers(0, 3),
+       st.sampled_from(DRIVE_FORMS))
+@example([(1.3, 1.3)], "rk4", 0, float)
+@example([(1.0,), (0.9, 1.7, 2.6)], "rk4", 0, as_row)
+@example([(1.0, 4.0)], "euler-maruyama", 0, np.asarray)
+@example([(2.0,), (1.3, 1.3, 0.7)], "euler", 3, float)
+def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m,
+                                                          form):
     if m == 0:
-        assert_chains_match(chains, harmonic, 40, 5e-3, None, scheme)
+        assert_chains_match(chains, harmonic, 40, 5e-3, None, scheme, form)
         return
     rng = np.random.default_rng(len(chains) + m)
     states0 = [rng.normal(size=(len(rates), m)) for rates in chains]
