@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -154,13 +155,48 @@ def default_window_start(H: float) -> float:
     return 8.0 / mode_decay_rate(1, H)
 
 
+# The extras each experiment reads, all whole numbers: key -> (default, least).
+EXPERIMENT_EXTRAS = {
+    "fig1": {"record_every": (5, 1)},
+    "fig3": {"record_every": (10, 1)},
+    "lattice": {"levels": (3, 2), "record_every": (10, 1)},
+    "weak-drift": {"periods": (200, 1)},
+}
+
+
+def _whole_extras(name: str, extras) -> dict:
+    """The extras name reads, over their defaults, each checked to be whole.
+
+    Refuses a key the experiment does not read and a value that is not a
+    whole number at least its least; an integral float becomes an int.
+    """
+    reads = EXPERIMENT_EXTRAS.get(name, {})
+    if not isinstance(extras, dict):
+        raise ConfigError(f"{name} extras must be a mapping, got {extras!r}")
+    unknown = sorted(set(extras) - set(reads))
+    if unknown:
+        raise ConfigError(f"{name} reads no extras {unknown}; it reads "
+                          f"{sorted(reads) or 'none'}")
+    whole = {}
+    for key, (default, least) in reads.items():
+        value = extras.get(key, default)
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not float(value).is_integer() or value < least):
+            raise ConfigError(f"{name} extras {key!r} must be a whole number "
+                              f">= {least}, got {value!r}")
+        whole[key] = int(value)
+    return whole
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Resolved parameters of one experiment.
 
     t0 and t1 bound the comparison window (after the initial transient and
     up to the end of the run).  Paired runs derive both sides' forcing
-    from the one ``seed``.
+    from the one ``seed``.  extras holds the whole-number knobs that only
+    some experiments read (``EXPERIMENT_EXTRAS``), filled with their
+    defaults.
     """
 
     name: str
@@ -187,6 +223,7 @@ class ExperimentSpec:
             )
         if self.dt <= 0.0:
             raise ConfigError(f"time step must be positive, got {self.dt}")
+        object.__setattr__(self, "extras", _whole_extras(self.name, self.extras))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -245,10 +282,8 @@ def spec_from_dict(name: str, data: dict | None) -> ExperimentSpec:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
+    # Extras left out keep their defaults: the spec fills them in.
     merged = {**dataclasses.asdict(base), **data, "signal": signal, "name": name}
-    merged.pop("extras", None)
-    extras = {**base.extras, **data.get("extras", {})}
-    merged["extras"] = extras
     return ExperimentSpec(**merged)
 
 
@@ -258,7 +293,6 @@ def default_spec(name: str) -> ExperimentSpec:
         return ExperimentSpec(
             name="fig3",
             signal=SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0),
-            extras={"record_every": 10},
         )
     if name == "fig1":
         return ExperimentSpec(
@@ -266,7 +300,6 @@ def default_spec(name: str) -> ExperimentSpec:
             dt=0.01,
             t0=1.0,
             t1=40.0,
-            extras={"record_every": 5},
         )
     if name == "consistency":
         return ExperimentSpec(name="consistency", t0=1.0, t1=2.0)
@@ -282,7 +315,6 @@ def default_spec(name: str) -> ExperimentSpec:
             dt=2e-3,
             t0=6.0,
             t1=12.0,
-            extras={"levels": 3, "record_every": 10},
         )
     if name == "weak-drift":
         return ExperimentSpec(
@@ -657,7 +689,7 @@ def run_fig1_experiment(
     times, hist = march(
         stepper(f, spec.dt, spec.scheme), y0, 0.0,
         exact_steps(spec.t1, spec.dt), spec.dt,
-        int(spec.extras.get("record_every", 5)),
+        spec.extras["record_every"],
         (("signal driver", slice(0, 3 * n)), ("fine field", slice(3 * n, None))),
     )
     u_hist = hist[:, 3 * n :]
@@ -700,7 +732,7 @@ def run_fig3_experiment(
     x = spec.dx * np.arange(n)
     profile = np.cos(2.0 * x)
     signal = spec.signal or default_spec("fig3").signal
-    stride = int(spec.extras.get("record_every", 10))
+    stride = spec.extras["record_every"]
 
     cfg = ModelConfig(
         variant="ssm1", alpha=spec.alpha, eps=spec.eps, gamma=spec.gamma,
@@ -925,8 +957,8 @@ def lattice_coarse_experiment(
     H, m = spec.H, spec.m
     L = m * H
     x_fine = (H / 2.0) * np.arange(2 * m)
-    levels = int(spec.extras.get("levels", 3))
-    stride = int(spec.extras.get("record_every", 10))
+    levels = spec.extras["levels"]
+    stride = spec.extras["record_every"]
 
     prof0 = 1.0 + 0.8 * np.cos(2.0 * np.pi * x_fine / L + 0.7)
     prof1 = 0.6 * np.cos(4.0 * np.pi * x_fine / L + 1.9)
@@ -998,7 +1030,7 @@ def weak_drift_experiment(
     H = spec.H
     w = signal.omega
     period = 2.0 * np.pi / w
-    n_periods = int(spec.extras.get("periods", 200))
+    n_periods = spec.extras["periods"]
     t_skip = default_window_start(H)
     t_end = t_skip + n_periods * period
     dt = spec.dt

@@ -184,6 +184,15 @@ class TestCompare:
         result = invoke("compare", "--experiment", "fig9")
         assert result.exit_code != 0
 
+    def test_bad_extras_exit_two_before_the_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extras": {"periods": 0}}))
+        result = invoke_entry("compare", "--experiment", "weak-drift",
+                              "--config", str(cfg))
+        assert result.returncode == 2
+        assert "'periods' must be a whole number >= 1, got 0" in result.stderr
+        assert result.stdout == ""
+
     def test_config_overrides_are_applied(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.123}))

@@ -112,6 +112,31 @@ class TestSpecFromDict:
         with pytest.raises(ConfigError):
             default_spec("fig9")
 
+    @pytest.mark.parametrize("name, extras, match", [
+        ("weak-drift", {"periods": 0}, r"'periods' must be a whole number >= 1, got 0$"),
+        ("weak-drift", {"periods": -1}, r"'periods' must be a whole number >= 1, got -1$"),
+        ("weak-drift", {"periods": 2.5}, r"'periods' must be a whole number >= 1, got 2\.5$"),
+        ("weak-drift", {"periods": True}, r"'periods' must be a whole number"),
+        ("weak-drift", {"period": 2}, r"reads no extras \['period'\]; it reads \['periods'\]"),
+        ("lattice", {"levels": 0}, r"'levels' must be a whole number >= 2, got 0$"),
+        ("lattice", {"levels": 1}, r"'levels' must be a whole number >= 2, got 1$"),
+        ("fig3", {"record_every": 0}, r"'record_every' must be a whole number >= 1"),
+        ("fig1", {"record_every": "5"}, r"'record_every' must be a whole number >= 1"),
+        ("fig1", {"levels": 3}, r"fig1 reads no extras \['levels'\]"),
+        ("consistency", {"periods": 2}, r"reads no extras \['periods'\]; it reads none"),
+    ])
+    def test_bad_extras_are_refused_with_their_limit(self, name, extras, match):
+        with pytest.raises(ConfigError, match=match):
+            spec_from_dict(name, {"extras": extras})
+
+    def test_extras_are_filled_with_their_defaults(self):
+        assert default_spec("weak-drift").extras == {"periods": 200}
+        assert spec_from_dict("weak-drift", {"extras": {"periods": 2.0}}).extras == {"periods": 2}
+        assert spec_from_dict("lattice", {"extras": {"levels": 2}}).extras == {
+            "levels": 2, "record_every": 10}
+        assert spec_from_dict("fig3", {"alpha": 0.5}).extras == {"record_every": 10}
+        assert default_spec("consistency").extras == {}
+
 
 class TestComparisonReport:
     def report(self, **kw):
