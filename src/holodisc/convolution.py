@@ -182,7 +182,7 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     def rhs(y, s):
         return packed_chain_rhs(y, layout, drive_at(s), ext)
 
-    advance = stepper(rhs, dt, scheme)
+    advance = stepper(rhs, dt, scheme)  # checks dt and the scheme for both
     if Z.ndim == 1:
         advance = _float_advance(layout, drive_at, dt, scheme)
     times, history = march(
@@ -209,27 +209,28 @@ def _float_advance(layout, drive_at, dt, scheme):
     Python floats round + and * as numpy float64 does, so the bits are
     theirs, without numpy's dispatch on a state of a few entries.
     """
-    neg_rates, feed = layout[0].tolist(), layout[1].tolist()
+    neg_rates, feed, _ = layout
+    rows = list(zip(neg_rates.tolist(), range(feed.size), feed.tolist()))
     dt = float(dt)
     h, sixth = 0.5 * dt, dt / 6.0
 
-    def f(z, d):
-        ext = z + [d]
-        return [r * x + ext[j] for r, x, j in zip(neg_rates, z, feed)]
+    def f(ext):
+        """Each row's derivative from ext, the stage's [state; drive]."""
+        return [r * ext[i] + ext[j] for r, i, j in rows]
 
     def rk4(y, t):
         u = y.tolist()
-        k1 = f(u, drive_at(t))
+        k1 = f(u + [drive_at(t)])
         d = drive_at(t + h)
-        k2 = f([k * h + x for k, x in zip(k1, u)], d)
-        k3 = f([k * h + x for k, x in zip(k2, u)], d)
-        k4 = f([k * dt + x for k, x in zip(k3, u)], drive_at(t + dt))
+        k2 = f([k * h + x for k, x in zip(k1, u)] + [d])
+        k3 = f([k * h + x for k, x in zip(k2, u)] + [d])
+        k4 = f([k * dt + x for k, x in zip(k3, u)] + [drive_at(t + dt)])
         return np.array([(((b * 2.0 + a) + c * 2.0) + e) * sixth + x
                          for a, b, c, e, x in zip(k1, k2, k3, k4, u)])
 
     def euler(y, t):
         u = y.tolist()
-        return np.array([x + dt * k for x, k in zip(u, f(u, drive_at(t)))])
+        return np.array([x + dt * k for x, k in zip(u, f(u + [drive_at(t)]))])
 
     return rk4 if scheme == "rk4" else euler
 

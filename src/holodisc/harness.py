@@ -165,7 +165,7 @@ EXPERIMENT_EXTRAS = {
 
 
 def _whole_extras(name: str, extras) -> dict:
-    """The extras name reads, over their defaults, each checked to be whole.
+    """Experiment name's extras, checked, with defaults for the keys left out.
 
     Refuses a key the experiment does not read and a value that is not a
     whole number at least its least; an integral float becomes an int.

@@ -114,10 +114,11 @@ class TestSpecFromDict:
 
     @pytest.mark.parametrize("name, extras, match", [
         ("weak-drift", {"periods": 0}, r"'periods' must be a whole number >= 1, got 0$"),
-        ("weak-drift", {"periods": -1}, r"'periods' must be a whole number >= 1, got -1$"),
-        ("weak-drift", {"periods": 2.5}, r"'periods' must be a whole number >= 1, got 2\.5$"),
+        ("weak-drift", {"periods": -1}, r"'periods' .* >= 1, got -1$"),
+        ("weak-drift", {"periods": 2.5}, r"'periods' .* >= 1, got 2\.5$"),
         ("weak-drift", {"periods": True}, r"'periods' must be a whole number"),
-        ("weak-drift", {"period": 2}, r"reads no extras \['period'\]; it reads \['periods'\]"),
+        ("weak-drift", {"period": 2},
+         r"reads no extras \['period'\]; it reads \['periods'\]"),
         ("lattice", {"levels": 0}, r"'levels' must be a whole number >= 2, got 0$"),
         ("lattice", {"levels": 1}, r"'levels' must be a whole number >= 2, got 1$"),
         ("fig3", {"record_every": 0}, r"'record_every' must be a whole number >= 1"),
@@ -131,7 +132,8 @@ class TestSpecFromDict:
 
     def test_extras_are_filled_with_their_defaults(self):
         assert default_spec("weak-drift").extras == {"periods": 200}
-        assert spec_from_dict("weak-drift", {"extras": {"periods": 2.0}}).extras == {"periods": 2}
+        whole = spec_from_dict("weak-drift", {"extras": {"periods": 2.0}})
+        assert whole.extras == {"periods": 2}
         assert spec_from_dict("lattice", {"extras": {"levels": 2}}).extras == {
             "levels": 2, "record_every": 10}
         assert spec_from_dict("fig3", {"alpha": 0.5}).extras == {"record_every": 10}
