@@ -25,8 +25,9 @@ the former ``microscale.integrate``), kept in
 tests/data/loops_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
 paths the recordings above leave out (``lowg`` under a Lorenz drive, a
 fine-only run with several signals, white-noise ``ssm1`` and
-``strongquad`` at m = 8), kept in tests/data/stage_golden.npz and matched
-exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
+``strongquad`` at m = 8, fig3's fine and ``ssm1`` sides together under
+rk4, and coarse-only harmonic ``ssm1`` at m = 64), kept in
+tests/data/stage_golden.npz and matched exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
 full history (drivers and field) under rk4 and euler, fine-only runs under
 the ``conservative`` and ``skew`` advection forms, and a fine-only lattice
 run, kept in tests/data/fine_stage_golden.npz and matched exactly.
@@ -50,12 +51,15 @@ import sys
 import numpy as np
 
 from holodisc import (
+    CoarseSide,
+    FineSide,
     ModelConfig,
     SignalSpec,
     build_weak_model,
     default_spec,
     run_macro_forced,
     run_micro_field,
+    run_paired,
     simulate_quadrature_ensemble,
 )
 from holodisc import harness
@@ -65,7 +69,13 @@ from holodisc.harness import (
     spec_from_dict,
     weak_drift_experiment,
 )
-from holodisc.microscale import burgers_rhs, exact_steps, march, stepper
+from holodisc.microscale import (
+    burgers_rhs,
+    exact_points,
+    exact_steps,
+    march,
+    stepper,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "coarse_golden.npz")
@@ -301,9 +311,40 @@ def strongquad_white_m8():
     return {"t": t, "U": U, "bank": bank, "vals": vals}
 
 
+def fig3_paired():
+    """fig3's fine (n = 32) and ssm1 (m = 4) sides as one rk4 run to t = 1."""
+    spec = default_spec("fig3")
+    m, H = spec.m, spec.H
+    n = exact_points(m * H, spec.dx)
+    x = spec.dx * np.arange(n)
+    cfg = ModelConfig(variant="ssm1", alpha=spec.alpha, eps=spec.eps,
+                      gamma=spec.gamma, H=H, m=m, dt=spec.dt,
+                      scheme=spec.scheme)
+    run = run_paired(
+        [spec.signal], spec.seed, 1.0, spec.dt, spec.scheme,
+        fine=FineSide(x, np.ones(n), spec.alpha, spec.eps,
+                      np.cos(2.0 * x)[None]),
+        coarse=CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0])),
+        record_every=10)
+    return {"t": run.times, "u": run.u, "U": run.U, "bank": run.bank,
+            "vals": run.values}
+
+
+def ssm1_harmonic_m64():
+    m = 64
+    cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.1, gamma=0.7,
+                      H=np.pi / 2.0, m=m, dt=5e-3)
+    U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m)
+    t, U, bank, vals = run_macro_forced(
+        cfg, U0, [HARMONIC], lambda v, t: float(v[0]), 0.5, 30,
+        record_every=10)
+    return {"t": t, "U": U, "bank": bank, "vals": vals}
+
+
 STAGE_RUNS = {f.__name__: f for f in (lowg_lorenz, fine_lorenz_harmonic,
                                       fine_two_lorenz, ssm1_white,
-                                      strongquad_white_m8)}
+                                      strongquad_white_m8, fig3_paired,
+                                      ssm1_harmonic_m64)}
 
 
 def _fig1_history(scheme):

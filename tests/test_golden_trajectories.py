@@ -7,7 +7,9 @@ metrics in tests/data/weak_drift_golden.json were recorded the same way,
 before its four chains were integrated as one packed state, and must be
 reproduced exactly.  The run_paired stage paths in
 tests/data/stage_golden.npz were recorded before the paired stage was
-compiled once per run, and those in tests/data/fine_stage_golden.npz
+compiled once per run (``fig3_paired`` and ``ssm1_harmonic_m64`` before
+ssm1's stage read its operands from the joint state by gathers), and those
+in tests/data/fine_stage_golden.npz
 (fig1's history, the conservative and skew advection forms, the fine
 lattice) before the fine side was; both must be reproduced bit for bit.
 So must the weak runs in tests/data/weak_golden.npz: weak ssm1, recorded
