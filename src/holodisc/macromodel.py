@@ -57,7 +57,7 @@ from .convolution import canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
-from .stencil import delta2, mudelta, ring_images, ring_pad
+from .stencil import delta2, mudelta, ring_images, ring_pad, ring_shifts
 
 __all__ = [
     "VARIANTS",
@@ -199,16 +199,17 @@ class ChainBank:
         return self.keys().index((canonical_rates(rates), str(input_key)))
 
     def states(self, rates, input_key: str) -> np.ndarray:
-        """A chain's cascade levels, shape (levels, m); a view into Z."""
+        """A chain's cascade levels, shape (levels, m); a view into Z.
+        A Z of stacked (S, m) states gives (..., levels, m)."""
         k = (canonical_rates(rates), str(input_key))
         try:
-            return self.Z[self.rows[k]]
+            return self.Z[..., self.rows[k], :]
         except KeyError:
             raise ConfigError(f"bank has no chain {k}") from None
 
     def output(self, rates, input_key: str) -> np.ndarray:
-        """Chain output per element, shape (m,)."""
-        return self.states(rates, input_key)[0]
+        """Chain output per element, shape (m,) (or (..., m))."""
+        return self.states(rates, input_key)[..., 0, :]
 
     def outputs(self) -> np.ndarray:
         """Every chain's output, shape (chains, m), in layout order."""
@@ -375,15 +376,21 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
 
 
 def _ssm1_skeleton(cfg: ModelConfig):
-    """ssm1's skeleton and forcing-linear terms, dU(U, phi) without the
-    memory products, for cfg, its constants resolved once."""
+    """ssm1's skeleton and forcing-linear terms, dU(Q, phi) without the
+    memory products, for cfg, its constants resolved once.
+
+    Q is the (5, m) shift stack U[ring_shifts(m)] of U[j-2..j+2], so U is
+    Q[2]; the images are ring_images' operations on the same operands, bit
+    for bit, and a caller may gather Q from wherever U lives."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
     ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
     alt_lead = alternating_signs(cfg.m) * (e * a * H)
 
-    def skeleton(U, phi):
-        mdU, d2U, d4U = ring_images(U)
+    def skeleton(Q, phi):
+        U, mdU = Q[2], 0.5 * (Q[3] - Q[1])
+        D2 = Q[2:] - 2.0 * Q[1:-1] + Q[:-2]  # delta2 at j-1, j, j+1
+        d2U, d4U = D2[1], D2[2] - 2.0 * D2[1] + D2[0]
         dU = c2 * d2U
         dU -= c4 * d4U
         dU -= ca * U * mdU
@@ -412,7 +419,7 @@ def ssm1_rhs(
     U = np.asarray(U, dtype=float)
     phi = float(phi)
     _check_compiled(bank, cfg)
-    dU = bank.skeleton(U, phi)
+    dU = bank.skeleton(U[ring_shifts(cfg.m)], phi)
     dU += (U * phi) * (bank.coupling @ bank.outputs())
     bank.drives.fill(phi)
     return dU, bank.drives
@@ -429,6 +436,8 @@ def nsm_field_at_grid(
                    - (4/H)(Z21/3 - Z41/15 + Z61/35) ] phi,
 
     with the same alternation as the forcing (chains already carry phi).
+    The arithmetic is elementwise, so U of shape (r, m) on a bank holding
+    r stacked states reconstructs a whole history.
     """
     a, e, H = cfg.alpha, cfg.eps, cfg.H
     U = np.asarray(U, dtype=float)

@@ -48,7 +48,7 @@ from holodisc.macromodel import (
     strongquad_quadratic_terms,
 )
 from holodisc.weakmodel import _OFFSET_WEIGHTS, _slot_amplitudes, _split_expr
-from test_paired_stage import unbound_ssm1_det_linear
+from test_paired_stage import reference_ssm1_weights, unbound_ssm1_det_linear
 
 RTOL = 1e-12
 
@@ -141,16 +141,6 @@ def reference_weak_harmonic_rhs(U, t, pattern, signal, cfg):
                                       P[term.right])
         dU = dU + (d * U if term.times_U else d)
     return dU
-
-
-def reference_ssm1_weights(U, cfg):
-    """The four memory products' weights, a dict keyed by mode pair."""
-    a, e, H = cfg.alpha, cfg.eps, cfg.H
-    lead = e * e * a * a * np.asarray(U, dtype=float)
-    return {"z1": lead * (0.0195 * H * H),
-            "z21": lead * (-(8.0 / np.pi**2) / 15.0),
-            "z41": lead * (-(8.0 / np.pi**2) / 255.0),
-            "z61": lead * (-(8.0 / np.pi**2) / 1295.0)}
 
 
 def reference_ssm1_rhs(U, phi, states, cfg):

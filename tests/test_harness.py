@@ -17,9 +17,11 @@ from holodisc import (
     ModelConfig,
     SignalSpec,
     StabilityError,
+    build_bank,
     convergence_order,
     default_spec,
     fit_emergence_rate,
+    nsm_field_at_grid,
     nsm_series,
     rms,
     run_macro_forced,
@@ -213,6 +215,23 @@ class TestPairedEngines:
         )
         assert np.array_equal(vals_micro, vals_macro)
         assert nsm_series(cfg, U_hist, bank_hist).shape == U_hist.shape
+
+    @pytest.mark.parametrize("m", [4, 64])
+    def test_nsm_series_is_the_unpack_loop_bit_for_bit(self, m):
+        """The whole-history reconstruction against the loop it replaced:
+        one bank.unpack and nsm_field_at_grid per recorded row."""
+        cfg = ModelConfig(variant="ssm1", alpha=0.7, eps=0.3, gamma=0.6,
+                          H=np.pi / 2.0, m=m)
+        bank = build_bank(cfg)
+        rng = np.random.default_rng(m)
+        U_hist = rng.normal(size=(9, m))
+        bank_hist = rng.normal(size=(9, bank.n_states)) * 10.0 ** rng.integers(
+            -6, 4, size=(9, 1))
+        want = np.empty_like(U_hist)
+        for k in range(U_hist.shape[0]):
+            bank.unpack(bank_hist[k])
+            want[k] = nsm_field_at_grid(U_hist[k], bank, cfg)
+        assert np.array_equal(nsm_series(cfg, U_hist, bank_hist), want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_macro_blowup_is_diagnosed(self):

@@ -12,6 +12,7 @@ are the skeletons as they were before build_bank bound their constants.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holodisc import (
     CoarseSide,
@@ -19,6 +20,7 @@ from holodisc import (
     ModelConfig,
     SignalSpec,
     build_bank,
+    build_weak_model,
     burgers_rhs,
     lattice_rhs,
     make_signal,
@@ -29,7 +31,7 @@ from holodisc import (
 from holodisc.harness import _compile_stage
 from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs
-from holodisc.stencil import ring_images
+from holodisc.stencil import ring_images, ring_shifts
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
@@ -131,6 +133,36 @@ def test_white_stage_takes_the_step_draws():
         assert np.array_equal(joint.stage(y, 0.2, [draw]), want)
 
 
+MAGNITUDES = st.sampled_from([1e-6, 1e-2, 1.0, 30.0, 1e3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([4, 6, 8, 64, 1024]), gamma=st.floats(0.0, 1.0),
+       alpha=st.floats(-2.0, 2.0), eps=st.floats(-1.0, 1.0),
+       H=st.floats(0.05, 4.0), scales=st.tuples(MAGNITUDES, MAGNITUDES,
+                                                 MAGNITUDES),
+       white=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ssm1_block_is_the_concatenating_stage_bit_for_bit(
+        m, gamma, alpha, eps, H, scales, white, seed):
+    """The ssm1 block's gathers and flat feeds, on drivers (or draws),
+    chain states and amplitudes over several magnitudes."""
+    scheme = "euler-maruyama" if white else "rk4"
+    cfg = ModelConfig(variant="ssm1", alpha=alpha, eps=eps, gamma=gamma, H=H,
+                      m=m, scheme=scheme)
+    coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
+    signals = [SignalSpec(kind="white-noise") if white else LORENZ]
+    joint = _compile_stage(signals, 5, cfg.dt, scheme, None, coarse)
+    rng = np.random.default_rng(seed)
+    y = joint.y0.copy()
+    sd, _, sz, sU = joint.slices
+    for scale, block in zip(scales, (sd, sz, sU)):
+        y[block] = scale * rng.normal(size=y[block].size)
+    draws = [scales[0] * rng.normal()] if white else joint.sigset.no_draws
+    t = float(rng.uniform(0.0, 10.0))
+    want = reference_stage(signals, None, coarse, y, t, draws)
+    assert np.array_equal(joint.stage(y, t, draws), want)
+
+
 def unbound_ssm1_det_linear(U, phi, cfg):
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     alt = alternating_signs(cfg.m)
@@ -148,6 +180,16 @@ def unbound_ssm1_det_linear(U, phi, cfg):
     return dU
 
 
+def reference_ssm1_weights(U, cfg):
+    """The four memory products' weights, a dict keyed by mode pair."""
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    lead = e * e * a * a * np.asarray(U, dtype=float)
+    return {"z1": lead * (0.0195 * H * H),
+            "z21": lead * (-(8.0 / np.pi**2) / 15.0),
+            "z41": lead * (-(8.0 / np.pi**2) / 255.0),
+            "z61": lead * (-(8.0 / np.pi**2) / 1295.0)}
+
+
 def unbound_strongquad_det_linear(U, F, cfg):
     a, g, H = cfg.alpha, cfg.gamma, cfg.H
     mdU, d2U, d4U = ring_images(U)
@@ -161,16 +203,29 @@ def unbound_strongquad_det_linear(U, F, cfg):
 @pytest.mark.parametrize("m", [4, 64, 1024])
 @pytest.mark.parametrize("gamma", [0.4, 1.0])
 def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
+    """ssm1's skeleton reads U's shift stack, directly, through ssm1_rhs
+    (on random chain outputs) and through the weak harmonic model."""
     rng = np.random.default_rng(m)
     kw = dict(alpha=0.7, eps=0.3, gamma=gamma, H=np.pi / 2.0, m=m)
     ssm1 = ModelConfig(variant="ssm1", **kw)
     quad = ModelConfig(variant="strongquad", **kw)
     banks = {cfg.variant: build_bank(cfg) for cfg in (ssm1, quad)}
-    for _ in range(3):
+    bank = banks["ssm1"]
+    bank.Z[:] = rng.normal(size=bank.Z.shape)
+    weak = build_weak_model(ssm1, SignalSpec(kind="harmonic", omega=2.0,
+                                             phase=0.3))
+    drifts = weak.drift_report()["drifts"]
+    for t in (0.0, 0.37, 2.5):
         U, phi = rng.normal(size=m), float(rng.normal())
         F = rng.normal(size=(5, m))
         want = unbound_ssm1_det_linear(U, phi, ssm1)
-        assert np.array_equal(banks["ssm1"].skeleton(U, phi), want)
+        assert np.array_equal(bank.skeleton(U[ring_shifts(m)], phi), want)
+        want += (U * phi) * (bank.coupling @ bank.outputs())
+        assert np.array_equal(ssm1_rhs(U, phi, bank, ssm1)[0], want)
+        want = unbound_ssm1_det_linear(U, np.cos(2.0 * t + 0.3), ssm1)
+        for label, weight in reference_ssm1_weights(U, ssm1).items():
+            want += weight * drifts[label]
+        assert np.array_equal(weak.deterministic_rhs(U, t), want)
         want = unbound_strongquad_det_linear(U, F, quad)
         assert np.array_equal(banks["strongquad"].skeleton(U, F), want)
 
