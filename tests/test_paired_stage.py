@@ -7,7 +7,8 @@ through ``Signal.value``, the fine rhs, the variant's rhs on a freshly
 bound bank and the bank's ``rhs_flat``, joined by ``np.concatenate``.  It
 builds its own signals and bank, so it shares no set-up with the compiled
 stage.  ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
-are the skeletons as they were before build_bank bound their constants.
+are the skeletons as they were before build_bank bound their constants,
+and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
 
 import numpy as np
