@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convolution import integrate_chains, packed_chain_rhs
+from .convolution import integrate_chains
 from .errors import ConfigError, DataError
 from .forcing import (
     ElementGrid,
@@ -50,7 +50,7 @@ from .macromodel import (
     build_bank,
     nsm_field_at_grid,
     ssm1_chain_specs,
-    variant_rhs,
+    stage_block,
 )
 from .microscale import (
     burgers_form,
@@ -63,7 +63,6 @@ from .microscale import (
     rk4_step,
     stepper,
 )
-from .stencil import ring_shifts
 from .weakmodel import build_weak_model
 
 __all__ = [
@@ -449,12 +448,8 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
     A stage fills one fresh dy block by block: the drivers' derivatives
     and the signal values from ``Signal.stage_value``, the fine side's bound
     form (a uniform grid's ``burgers_form``, or ``lattice_form``), and the
-    coarse side's block: dU and the bank's cascade derivative, written in
-    place.  Each block is the arithmetic its side does alone.  ssm1's block
-    reads y by gathers bound here: U's shift stack and the (4, m) chain
-    outputs for ssm1_rhs's arithmetic, and one flat packed_chain_rhs over
-    its cascades.  The other variants' blocks rebind the bank to a view of
-    y and call ``variant_rhs`` and ``ChainBank.rhs_into``.
+    variant's ``stage_block``: dU and the bank's cascade derivative, written
+    in place.  Each block is the arithmetic its side does alone.
     """
     sigset = _SignalSet(signal_specs, seed)
     check_scheme_legal(scheme, sigset.any_white)
@@ -469,53 +464,30 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
             raise ConfigError("need one forcing profile per signal over x")
         profiles_T = profiles.T
     if coarse is not None:
-        cfg, assemble, m = coarse.cfg, coarse.assemble, coarse.cfg.m
+        cfg, assemble = coarse.cfg, coarse.assemble
         if (cfg.dt, cfg.scheme) != (dt, scheme):
             raise ConfigError(
                 f"coarse model steps dt = {cfg.dt} by {cfg.scheme!r}, "
                 f"the run dt = {dt} by {scheme!r}"
             )
         U0 = np.asarray(coarse.U0, dtype=float)
-        if U0.shape != (m,):
-            raise ConfigError(f"initial amplitudes must have shape ({m},)")
+        if U0.shape != (cfg.m,):
+            raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
         bank = build_bank(cfg)
-        Z0, shape, chains = bank.Z.ravel(), bank.Z.shape, bool(bank.rows)
+        Z0 = bank.Z.ravel()
     y0 = np.concatenate([sigset.d0, u0, Z0, U0])
     e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
     sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
     # Upstream first: drivers feed both sides, the bank feeds U.
     blocks = [("signal driver", sd)]
     if coarse is not None:
-        blocks += [(f"memory chain {key}", slice(e1 + r.start * m,
-                                                 e1 + r.stop * m))
+        blocks += [(f"memory chain {key}", slice(e1 + r.start * cfg.m,
+                                                 e1 + r.stop * cfg.m))
                    for key, r in bank.rows.items()]
     blocks += [("grid amplitudes", sU), ("fine field", su)]
 
-    if coarse is not None and cfg.variant == "ssm1":
-        skeleton, coupling, cols = bank.skeleton, bank.coupling, np.arange(m)
-        Q_at = e2 + ring_shifts(m)
-        out_at = e1 + m * bank.out_rows[:, None] + cols
-        neg_rates, feed, last = bank._layout
-        flat = (neg_rates.ravel(), (m * feed[:, None] + cols).ravel(), last)
-        ext = np.empty(e2 - e1 + m)
-
-        def coarse_block(y, vals, t, dy):
-            phi = float(assemble(vals, t))
-            Q = y[Q_at]
-            dU = skeleton(Q, phi)
-            dU += (Q[2] * phi) * (coupling @ y[out_at])
-            dy[sU] = dU
-            packed_chain_rhs(y[sz], flat, phi, ext, dy[sz])
-
-    elif coarse is not None:
-
-        def coarse_block(y, vals, t, dy):
-            # Rebind the bank to this stage's state: a view, no copy.
-            bank.Z = Z = y[sz].reshape(shape)
-            dU, drives = variant_rhs(y[sU], assemble(vals, t), bank, cfg)
-            if chains:
-                bank.rhs_into(Z, drives, dy[sz].reshape(shape))
-            dy[sU] = dU
+    if coarse is not None:
+        coarse_block = stage_block(bank, sz, sU)
 
     def stage(y, t, draws=sigset.no_draws):
         dy = np.empty_like(y)
@@ -523,7 +495,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
         if fine is not None:
             fine_rhs(y[su], profiles_T @ vals, dy[su])
         if coarse is not None:
-            coarse_block(y, vals, t, dy)
+            coarse_block(y, assemble(vals, t), dy)
         return dy
 
     return _Joint(sigset, y0, (sd, su, sz, sU), blocks, stage)
@@ -657,8 +629,13 @@ def nsm_series(cfg: ModelConfig, U_hist, bank_hist) -> np.ndarray:
     nsm_field_at_grid on a bank holding the whole history's states."""
     bank = build_bank(cfg)
     U_hist = np.asarray(U_hist, dtype=float)
-    bank.Z = np.asarray(bank_hist, dtype=float).reshape(
-        len(U_hist), *bank.Z.shape)
+    bank_hist = np.asarray(bank_hist, dtype=float)
+    if bank_hist.size != len(U_hist) * bank.n_states:
+        raise ConfigError(
+            f"bank history has {bank_hist.size} entries, need {len(U_hist)} "
+            f"rows of the bank's {bank.n_states}"
+        )
+    bank.Z = bank_hist.reshape(len(U_hist), *bank.Z.shape)
     return nsm_field_at_grid(U_hist, bank, cfg)
 
 

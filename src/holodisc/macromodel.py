@@ -57,7 +57,7 @@ from .convolution import canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
-from .stencil import delta2, mudelta, ring_images, ring_pad, ring_shifts
+from .stencil import delta2, mudelta, pad_images, ring_images, ring_pad
 
 __all__ = [
     "VARIANTS",
@@ -79,6 +79,7 @@ __all__ = [
     "strongquad_linear_matrix",
     "strongquad_rhs",
     "variant_rhs",
+    "stage_block",
 ]
 
 VARIANTS = ("lowg", "lattice", "ssm1", "strongquad")
@@ -376,21 +377,17 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
 
 
 def _ssm1_skeleton(cfg: ModelConfig):
-    """ssm1's skeleton and forcing-linear terms, dU(Q, phi) without the
-    memory products, for cfg, its constants resolved once.
-
-    Q is the (5, m) shift stack U[ring_shifts(m)] of U[j-2..j+2], so U is
-    Q[2]; the images are ring_images' operations on the same operands, bit
-    for bit, and a caller may gather Q from wherever U lives."""
+    """ssm1's skeleton and forcing-linear terms, dU(U, phi) without the
+    memory products, for cfg, its constants resolved once.  U's width-2
+    ring pad is one gather, the values ring_pad copies."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
     ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
     alt_lead = alternating_signs(cfg.m) * (e * a * H)
+    pad_at = np.arange(-2, cfg.m + 2) % cfg.m
 
-    def skeleton(Q, phi):
-        U, mdU = Q[2], 0.5 * (Q[3] - Q[1])
-        D2 = Q[2:] - 2.0 * Q[1:-1] + Q[:-2]  # delta2 at j-1, j, j+1
-        d2U, d4U = D2[1], D2[2] - 2.0 * D2[1] + D2[0]
+    def skeleton(U, phi):
+        mdU, d2U, d4U = pad_images(U[pad_at])
         dU = c2 * d2U
         dU -= c4 * d4U
         dU -= ca * U * mdU
@@ -403,13 +400,15 @@ def _ssm1_skeleton(cfg: ModelConfig):
 
 
 def ssm1_rhs(
-    U: np.ndarray, phi: float, bank: ChainBank, cfg: ModelConfig
+    U: np.ndarray, phi: float, bank: ChainBank, cfg: ModelConfig, outputs=None
 ) -> tuple[np.ndarray, dict]:
     """Slow-manifold model under single-mode alternating forcing.
 
     The forcing pattern phi_{j,1} = -+ phi(t) alternates across elements
     (lower sign on even 0-based j); phi(t) is the scalar drive.  Memory
-    enters through the bank's four chains, all fed by phi.
+    enters through the bank's four chains, all fed by phi: their outputs,
+    ``bank.outputs()`` unless a caller holding the states elsewhere passes
+    them, shape (chains, m).
 
     Returns the amplitude derivative and the bank's (1, m) drive stack for
     this evaluation, so the caller can advance U and the chains jointly;
@@ -419,8 +418,10 @@ def ssm1_rhs(
     U = np.asarray(U, dtype=float)
     phi = float(phi)
     _check_compiled(bank, cfg)
-    dU = bank.skeleton(U[ring_shifts(cfg.m)], phi)
-    dU += (U * phi) * (bank.coupling @ bank.outputs())
+    if outputs is None:
+        outputs = bank.outputs()
+    dU = bank.skeleton(U, phi)
+    dU += (U * phi) * (bank.coupling @ outputs)
     bank.drives.fill(phi)
     return dU, bank.drives
 
@@ -706,3 +707,34 @@ def variant_rhs(U, forcing_value, bank, cfg):
     if cfg.variant == "ssm1":
         return ssm1_rhs(U, forcing_value, bank, cfg)
     return strongquad_rhs(U, forcing_value, bank, cfg)
+
+
+def stage_block(bank: ChainBank, sz: slice, sU: slice):
+    """block(y, forcing, dy): a joint stage's coarse side, for a y holding
+    the bank's packed state at sz and U at sU.  It writes the variant's rhs
+    and ``rhs_into`` into dy[sU] and dy[sz], bit for bit: ssm1 by gathers
+    from y and one flat feed index, the others through a rebound bank."""
+    cfg, shape, chains = bank.cfg, bank.Z.shape, bool(bank.rows)
+    if cfg.variant == "ssm1":
+        cols = np.arange(cfg.m)
+        out_at = sz.start + cfg.m * bank.out_rows[:, None] + cols
+        neg_rates, feed, last = bank._layout
+        flat = (neg_rates.ravel(), (cfg.m * feed[:, None] + cols).ravel(), last)
+        ext = np.empty(bank.n_states + cfg.m)
+
+        def block(y, phi, dy):
+            dU, drives = ssm1_rhs(y[sU], phi, bank, cfg, y[out_at])
+            dy[sU] = dU
+            packed_chain_rhs(y[sz], flat, drives, ext, dy[sz])
+
+        return block
+
+    def block(y, forcing, dy):
+        # Rebind the bank to this stage's state: a view, no copy.
+        bank.Z = Z = y[sz].reshape(shape)
+        dU, drives = variant_rhs(y[sU], forcing, bank, cfg)
+        if chains:
+            bank.rhs_into(Z, drives, dy[sz].reshape(shape))
+        dy[sU] = dU
+
+    return block

@@ -8,8 +8,7 @@ around, so a length-m sequence is treated as a ring.  They act along the
 last axis, so a (k, m) stack holds k rings, and they keep complex input
 complex (phasor patterns); anything else is computed in float.
 ``ring_images`` returns all three from one wrapped pad, bit for bit equal
-to the separate calls; ``ring_shifts`` indexes a ring's shift stack, from
-which the same operations on the same operands give the same images.
+to the separate calls; ``pad_images`` takes a pad the caller made.
 
 On smooth samples s[j] = f(jH) the operators are consistent with
 derivatives: delta2/H^2 -> f'' + O(H^2), mudelta/H -> f' + O(H^2), and the
@@ -21,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["delta2", "mudelta", "delta4", "ring_pad", "ring_images",
-           "ring_shifts"]
+           "pad_images"]
 
 
 def ring_pad(s: np.ndarray, width: int = 1) -> np.ndarray:
@@ -47,19 +46,18 @@ def ring_images(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = ring_pad(s, 2)
     if q.shape[-1] < 6:
         raise ValueError("ring_images needs a ring of 2 or more values")
+    return pad_images(q)
+
+
+def pad_images(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ring_images of the ring whose width-2 pad is q, for a caller that
+    pads the ring itself."""
     d2 = q[..., 2:] - 2.0 * q[..., 1:-1] + q[..., :-2]
     return (
         0.5 * (q[..., 3:-1] - q[..., 1:-3]),
         d2[..., 1:-1],
         d2[..., 2:] - 2.0 * d2[..., 1:-1] + d2[..., :-2],
     )
-
-
-def ring_shifts(m: int, width: int = 2) -> np.ndarray:
-    """Gather index of a length-m ring's shift stack: s[ring_shifts(m)] has
-    row k = s[j - width + k] at j, the values ring_pad(s, width)'s slices
-    read, for k = 0..2 width."""
-    return (np.arange(m) + np.arange(-width, width + 1)[:, None]) % m
 
 
 def delta2(s: np.ndarray) -> np.ndarray:

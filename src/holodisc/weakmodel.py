@@ -39,7 +39,7 @@ from .macromodel import (
     strongquad_quadratic_terms,
 )
 from .microscale import exact_steps, march, stepper
-from .stencil import ring_pad, ring_shifts
+from .stencil import ring_pad
 
 __all__ = [
     "harmonic_drift_1",
@@ -314,7 +314,6 @@ class WeakCoarseModel:
     def _build_ssm1(self):
         cfg, signal = self.cfg, self.signal
         skeleton, (lead, k) = _ssm1_skeleton(cfg), _ssm1_coupling(cfg)
-        shifts = ring_shifts(cfg.m)
         rates = [canonical_rates(r) for r, _ in ssm1_chain_specs(cfg)]
 
         def add_products(dU, U, v):
@@ -329,7 +328,7 @@ class WeakCoarseModel:
             drifts = [float(phasor_drift(r, w, P, P)) for r in rates]
             d = np.array(drifts)
             self.deterministic_rhs = lambda U, t: add_products(
-                skeleton(U[shifts], A * np.cos(w * t + ph)), U, d)
+                skeleton(U, A * np.cos(w * t + ph)), U, d)
         else:
             sig = signal.intensity
             reps = [stochastic_replace(QuadraticTermDescriptor(0, 0, 0, 0, r),
@@ -344,7 +343,7 @@ class WeakCoarseModel:
                 z = self.rng.standard_normal(1 + amps.size)
                 v = np.array(drifts)
                 np.add.at(v, owner, amps * z[1:] / sq)
-                return U + dt * add_products(skeleton(U[shifts], sig * z[0] / sq), U, v)
+                return U + dt * add_products(skeleton(U, sig * z[0] / sq), U, v)
 
             self._advance = advance
         self._drifts = dict(zip(("z1", "z21", "z41", "z61"), drifts))

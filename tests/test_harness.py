@@ -232,6 +232,10 @@ class TestPairedEngines:
             bank.unpack(bank_hist[k])
             want[k] = nsm_field_at_grid(U_hist[k], bank, cfg)
         assert np.array_equal(nsm_series(cfg, U_hist, bank_hist), want)
+        with pytest.raises(ConfigError, match=f"{bank.n_states}"):
+            nsm_series(cfg, U_hist, bank_hist[:, :-1])
+        with pytest.raises(ConfigError, match="9 rows"):
+            nsm_series(cfg, U_hist, bank_hist[:-1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_macro_blowup_is_diagnosed(self):

@@ -32,7 +32,7 @@ from holodisc import (
 from holodisc.harness import _compile_stage
 from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs
-from holodisc.stencil import ring_images, ring_shifts
+from holodisc.stencil import ring_images
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
@@ -204,8 +204,8 @@ def unbound_strongquad_det_linear(U, F, cfg):
 @pytest.mark.parametrize("m", [4, 64, 1024])
 @pytest.mark.parametrize("gamma", [0.4, 1.0])
 def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
-    """ssm1's skeleton reads U's shift stack, directly, through ssm1_rhs
-    (on random chain outputs) and through the weak harmonic model."""
+    """ssm1's skeleton directly, through ssm1_rhs (on random chain outputs,
+    the bank's or passed in) and through the weak harmonic model."""
     rng = np.random.default_rng(m)
     kw = dict(alpha=0.7, eps=0.3, gamma=gamma, H=np.pi / 2.0, m=m)
     ssm1 = ModelConfig(variant="ssm1", **kw)
@@ -220,9 +220,14 @@ def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
         U, phi = rng.normal(size=m), float(rng.normal())
         F = rng.normal(size=(5, m))
         want = unbound_ssm1_det_linear(U, phi, ssm1)
-        assert np.array_equal(bank.skeleton(U[ring_shifts(m)], phi), want)
+        assert np.array_equal(bank.skeleton(U, phi), want)
         want += (U * phi) * (bank.coupling @ bank.outputs())
         assert np.array_equal(ssm1_rhs(U, phi, bank, ssm1)[0], want)
+        outputs = rng.normal(size=(len(bank), m))
+        assert np.array_equal(
+            ssm1_rhs(U, phi, bank, ssm1, outputs)[0],
+            unbound_ssm1_det_linear(U, phi, ssm1)
+            + (U * phi) * (bank.coupling @ outputs))
         want = unbound_ssm1_det_linear(U, np.cos(2.0 * t + 0.3), ssm1)
         for label, weight in reference_ssm1_weights(U, ssm1).items():
             want += weight * drifts[label]
