@@ -26,7 +26,10 @@ tests/data/loops_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
 paths the recordings above leave out (``lowg`` under a Lorenz drive, a
 fine-only run with several signals, white-noise ``ssm1`` and
 ``strongquad`` at m = 8, fig3's fine and ``ssm1`` sides together under
-rk4, and coarse-only harmonic ``ssm1`` at m = 64), kept in
+rk4, coarse-only harmonic ``ssm1`` at m = 64, and three fine n = 16 plus
+coarse m = 8 runs under Euler schemes: ``strongquad`` under [Lorenz,
+white, harmonic] and ``ssm1`` under [white, Lorenz] by euler-maruyama,
+``strongquad`` under [Lorenz, harmonic] by euler), kept in
 tests/data/stage_golden.npz and matched exactly.  ``FINE_STAGE_RUNS`` pins the fine side's stage paths: ``fig1``'s
 full history (drivers and field) under rk4 and euler, fine-only runs under
 the ``conservative`` and ``skew`` advection forms, and a fine-only lattice
@@ -341,10 +344,50 @@ def ssm1_harmonic_m64():
     return {"t": t, "U": U, "bank": bank, "vals": vals}
 
 
+def _euler_pair(signals, variant, scheme, seed, assemble):
+    """A fine n = 16 ring beside an m = 8 coarse model, stepped by an Euler
+    scheme, dt = 1e-3 to t = 0.2, recorded every 7 steps (so the last row,
+    step 200, falls off the stride)."""
+    x = (2.0 * np.pi / 16) * np.arange(16)
+    profiles = np.stack([np.cos((k + 1) * x + 0.4 * k)
+                         for k in range(len(signals))])
+    m = 8
+    cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                      m=m, dt=1e-3, scheme=scheme)
+    U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m)
+    run = run_paired(
+        signals, seed, 0.2, 1e-3, scheme,
+        fine=FineSide(x, 1.0 + 0.5 * np.sin(x), 0.8, 0.5, profiles),
+        coarse=CoarseSide(cfg, U0, assemble), record_every=7)
+    return {"t": run.times, "u": run.u, "U": run.U, "bank": run.bank,
+            "vals": run.values}
+
+
+def strongquad_lorenz_white_harmonic_em():
+    patterns = np.random.default_rng(31).normal(size=(3, 8, 3))
+    return _euler_pair([LORENZ, WHITE, HARMONIC], "strongquad",
+                       "euler-maruyama", 32,
+                       lambda v, t: np.tensordot(v, patterns, 1))
+
+
+def ssm1_white_lorenz_em():
+    return _euler_pair([WHITE, LORENZ], "ssm1", "euler-maruyama", 33,
+                       lambda v, t: float(v[0] + 0.5 * v[1]))
+
+
+def strongquad_lorenz_harmonic_euler():
+    patterns = np.random.default_rng(34).normal(size=(2, 8, 3))
+    return _euler_pair([LORENZ, HARMONIC], "strongquad", "euler", 35,
+                       lambda v, t: np.tensordot(v, patterns, 1))
+
+
 STAGE_RUNS = {f.__name__: f for f in (lowg_lorenz, fine_lorenz_harmonic,
                                       fine_two_lorenz, ssm1_white,
                                       strongquad_white_m8, fig3_paired,
-                                      ssm1_harmonic_m64)}
+                                      ssm1_harmonic_m64,
+                                      strongquad_lorenz_white_harmonic_em,
+                                      ssm1_white_lorenz_em,
+                                      strongquad_lorenz_harmonic_euler)}
 
 
 def _fig1_history(scheme):
