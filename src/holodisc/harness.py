@@ -3,8 +3,8 @@
 Every experiment here builds both sides of a comparison from one seeded
 spec.  ``run_paired`` is the paired engine: it advances the signal
 drivers, the fine field, the coarse model's packed memory bank and its
-amplitudes as one state vector, one RK4 (or Euler-Maruyama) step at a
-time through ``microscale.march``, and evaluates the signals once per
+amplitudes as one state vector, one step of ``microscale.stepper``'s map
+at a time through ``microscale.march``, and evaluates the signals once per
 stage for both sides, so a fine run and its coarse partner see one
 forcing path by construction.  ``run_micro_field`` and
 ``run_macro_forced`` are its fine-only and coarse-only calls.
@@ -48,6 +48,7 @@ from .forcing import (
 from .macromodel import (
     ModelConfig,
     build_bank,
+    lowg_rhs,
     nsm_field_at_grid,
     ssm1_chain_specs,
     stage_block,
@@ -346,9 +347,8 @@ class _SignalSet:
         self.stagers = list(zip([sig.stage_value for sig in self.signals],
                                 self.offsets.tolist()))
         self.no_draws = [None] * len(self.signals)
-
-    def slice(self, d, i):
-        return d[self.offsets[i] : self.offsets[i + 1]]
+        # Entry k: the draws of the step that ended at step k; zeros at t = 0.
+        self.drawn = [[0.0 if sig.is_white else None for sig in self.signals]]
 
     def stage(self, t, y, dy, draws):
         """Values at a stage of the joint state y, whose drivers lead; writes
@@ -356,18 +356,13 @@ class _SignalSet:
         return np.array([f(t, y, dy, at) if d is None else d
                          for (f, at), d in zip(self.stagers, draws)])
 
-    def values(self, t, d, draws=None):
-        """Values at t; white signals report their draws (zero without)."""
-        return np.array([
-            sig.value(t, self.slice(d, i)) if not sig.is_white
-            else 0.0 if draws is None else draws[i]
-            for i, sig in enumerate(self.signals)
-        ])
-
     def draws(self, dt):
-        """One step's draws: a sample per white signal, None for the rest."""
-        return [sig.draw(self.rng, dt) if sig.is_white else None
-                for sig in self.signals]
+        """One step's draws, appended to ``drawn``: a sample per white
+        signal, None for the rest."""
+        draws = [sig.draw(self.rng, dt) if sig.is_white else None
+                 for sig in self.signals]
+        self.drawn.append(draws)
+        return draws
 
 
 class FineSide(NamedTuple):
@@ -403,8 +398,9 @@ class CoarseSide(NamedTuple):
 class PairedRun(NamedTuple):
     """Histories of a paired run, one row per recorded time.
 
-    values holds the signal values; a white signal reports the draw of the
-    step that ended at that time (zero at t = 0).  u is the fine field, U
+    values holds the signal values, as the run's stage evaluates them on
+    the recorded state; a white signal reports the draw of the step that
+    ended at that time (zero at t = 0).  u is the fine field, U
     the coarse amplitudes, bank the packed memory states; None for a side
     the run did not have.
     """
@@ -449,7 +445,9 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
     and the signal values from ``Signal.stage_value``, the fine side's bound
     form (a uniform grid's ``burgers_form``, or ``lattice_form``), and the
     variant's ``stage_block``: dU and the bank's cascade derivative, written
-    in place.  Each block is the arithmetic its side does alone.
+    in place.  Each block is the arithmetic its side does alone.  Called
+    without draws, a white stage draws and records the step's samples
+    (``_SignalSet.draws``); euler-maruyama calls it once per step.
     """
     sigset = _SignalSet(signal_specs, seed)
     check_scheme_legal(scheme, sigset.any_white)
@@ -488,8 +486,11 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
 
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
+    white, no_draws = sigset.any_white, sigset.no_draws
 
-    def stage(y, t, draws=sigset.no_draws):
+    def stage(y, t, draws=None):
+        if draws is None:
+            draws = sigset.draws(dt) if white else no_draws
         dy = np.empty_like(y)
         vals = sigset.stage(t, y, dy, draws)
         if fine is not None:
@@ -514,11 +515,10 @@ def run_paired(
     """Advance a fine field and a coarse model side by side, as one state.
 
     The state is [signal drivers | fine field | packed bank | amplitudes],
-    advanced by one rk4_step, or one Euler(-Maruyama) step, per dt; either
-    side may be absent.  Each stage evaluates the signals once and hands
-    the same values to both sides; white signals draw once per step.  The
-    run takes exactly t_end / dt steps, recording every record_every steps
-    and at the end.
+    advanced by ``stepper``'s map for the scheme; either side may be
+    absent.  Each stage evaluates the signals once and hands the same values
+    to both sides; white signals draw once per step.  The run takes exactly
+    t_end / dt steps, recording every record_every steps and at the end.
 
     The stage is compiled once, before the first step: the bank, the
     variant's constants, the state layout and every check are resolved
@@ -537,22 +537,16 @@ def run_paired(
         When the state goes non-finite, naming the most upstream bad block.
     """
     n_steps = exact_steps(t_end, dt)
-    sigset, y, (sd, su, sz, sU), blocks, stage = _compile_stage(
+    sigset, y, (_, su, sz, sU), blocks, stage = _compile_stage(
         signal_specs, seed, dt, scheme, fine, coarse)
-    step_vals = []  # per Euler step: white draws, the rest at the step start
-
-    def advance(y_, t_):
-        if scheme == "rk4":
-            return rk4_step(y_, stage, t_, dt)
-        draws = sigset.draws(dt)
-        step_vals.append(sigset.values(t_, y_[sd], draws))
-        return y_ + dt * stage(y_, t_, draws)
-
-    times, hist = march(advance, y, 0.0, n_steps, dt, record_every, blocks)
-    ends = np.minimum(record_every * np.arange(times.size), n_steps)
+    times, hist = march(stepper(stage, dt, scheme), y, 0.0, n_steps, dt,
+                        record_every, blocks)
+    ends = np.minimum(record_every * np.arange(times.size), n_steps).tolist()
+    scratch = np.empty(sigset.total_dim)
     vals_hist = np.array([
-        sigset.values(t, h[sd], step_vals[k - 1] if step_vals and k else None)
-        for t, h, k in zip(times, hist, ends.tolist())
+        sigset.stage(t, row, scratch,
+                     sigset.drawn[k] if sigset.any_white else sigset.no_draws)
+        for t, row, k in zip(times.tolist(), hist, ends)
     ])
     return PairedRun(
         times,
@@ -686,7 +680,6 @@ def run_fig1_experiment(
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     y0 = np.concatenate([np.full(n, 5.0), np.full(n, 8.0),
                          rng.normal(10.0, 1.0, n), np.ones(n)])
-    check_scheme_legal(spec.scheme, False)
     f = _fig1_stage(n, spec.dx, spec.alpha, spec.eps)
     times, hist = march(
         stepper(f, spec.dt, spec.scheme), y0, 0.0,
@@ -809,13 +802,13 @@ def consistency_experiment(
 
     Samples a smooth periodic profile at element spacings H = L/m for
     m = 8, 16, 32, 64 and measures sup-errors of (a) the full deterministic
-    coarse operator against u'' - alpha u u', expected order 2, and (b) the
-    coupling-corrected linear operator delta2/H^2 - delta4/(12 H^2) against
-    u'', expected order 4.
+    coarse operator, unforced ``lowg_rhs``, against u'' - alpha u u',
+    expected order 2, and (b) the coupling-corrected linear operator
+    delta2/H^2 - delta4/(12 H^2), strongquad's skeleton at alpha = 0 with
+    zero forcing rows, against u'', expected order 4.
     """
     spec = spec or default_spec("consistency")
     out_dir = _ensure_dir(out_dir)
-    from .stencil import delta2, delta4, mudelta
 
     L = 2.0 * np.pi
     alpha = spec.alpha
@@ -836,14 +829,11 @@ def consistency_experiment(
         X = H * np.arange(m)
         U = u_fn(X)
         exact_full = upp_fn(X) - alpha * U * up_fn(X)
-        model_full = (
-            (1.0 / H**2)
-            * (1.0 + alpha**2 * H**2 * U**2 / 12.0)
-            * delta2(U)
-            - (alpha / H) * U * mudelta(U)
-        )
+        model_full = lowg_rhs(U, np.zeros((m, 3)),
+                              ModelConfig("lowg", alpha, 0.0, H, m))
         exact_lin = upp_fn(X)
-        model_lin = delta2(U) / H**2 - delta4(U) / (12.0 * H**2)
+        model_lin = build_bank(ModelConfig("strongquad", 0.0, 0.0, H, m)
+                               ).skeleton(U, np.zeros((5, m)))
         hs.append(H)
         err_full.append(float(np.max(np.abs(model_full - exact_full))))
         err_lin.append(float(np.max(np.abs(model_lin - exact_lin))))

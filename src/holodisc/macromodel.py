@@ -256,12 +256,8 @@ class ChainBank:
                 f"need a ({len(self.exprs)}, {self.m}) drive stack, "
                 f"got shape {np.shape(drives)}"
             )
-        return self.rhs_into(Z, drives, np.empty_like(Z)).ravel()
-
-    def rhs_into(self, Z, drives, out) -> np.ndarray:
-        """rhs_flat of an (S, m) state, written into out, without checks:
-        for an engine that built the bank and shaped Z and drives itself."""
-        return packed_chain_rhs(Z, self._layout, drives, self._ext, out)
+        return packed_chain_rhs(Z, self._layout, drives, self._ext,
+                                np.empty_like(Z)).ravel()
 
 
 def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:
@@ -712,8 +708,9 @@ def variant_rhs(U, forcing_value, bank, cfg):
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
     """block(y, forcing, dy): a joint stage's coarse side, for a y holding
     the bank's packed state at sz and U at sU.  It writes the variant's rhs
-    and ``rhs_into`` into dy[sU] and dy[sz], bit for bit: ssm1 by gathers
-    from y and one flat feed index, the others through a rebound bank."""
+    and the bank's ``packed_chain_rhs`` into dy[sU] and dy[sz], bit for bit:
+    ssm1 by gathers from y and one flat feed index, the others through a
+    rebound bank."""
     cfg, shape, chains = bank.cfg, bank.Z.shape, bool(bank.rows)
     if cfg.variant == "ssm1":
         cols = np.arange(cfg.m)
@@ -734,7 +731,8 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
         bank.Z = Z = y[sz].reshape(shape)
         dU, drives = variant_rhs(y[sU], forcing, bank, cfg)
         if chains:
-            bank.rhs_into(Z, drives, dy[sz].reshape(shape))
+            packed_chain_rhs(Z, bank._layout, drives, bank._ext,
+                             dy[sz].reshape(shape))
         dy[sU] = dU
 
     return block

@@ -38,7 +38,7 @@ from .macromodel import (
     strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
-from .microscale import exact_steps, march, stepper
+from .microscale import check_scheme_legal, exact_steps, march, stepper
 from .stencil import ring_pad
 
 __all__ = [
@@ -246,12 +246,13 @@ def _split_expr(name: str) -> tuple[str, int]:
 class WeakCoarseModel:
     """A coarse variant with every memory product replaced weakly.
 
-    Carries no memory chains: ``memory_state`` is always None.  Harmonic
-    forcing yields a deterministic model (products become constant drifts),
-    bound at construction as ``deterministic_rhs`` and stepped by rk4;
-    white-noise forcing yields drift plus fresh multiplicative noises, drawn
-    from ``rng`` (restarted by ``run``), and requires euler-maruyama.  Both
-    rest on the skeleton closure and couplings ``build_bank`` binds.
+    Carries no memory chains: ``memory_state`` is always None.  Each model
+    binds one rhs(U, t) at construction, stepped by ``stepper`` under
+    cfg.scheme.  Harmonic forcing yields a deterministic rhs (products become
+    constant drifts), also bound as ``deterministic_rhs``; white noise yields
+    drift plus fresh multiplicative noises, drawn from ``rng`` (restarted by
+    ``run``) on each call, and requires euler-maruyama.  Both rest on the
+    skeleton closure and couplings ``build_bank`` binds.
 
     ssm1's memory term U phi (c . Z), c = lead k, becomes the sum over
     products i of (lead U) k_i v_i, added product by product (the factored
@@ -291,10 +292,7 @@ class WeakCoarseModel:
         self.cfg = cfg
         self.signal = signal
         self._white = signal.kind == "white-noise"
-        if self._white and cfg.scheme != "euler-maruyama":
-            raise ConfigError(
-                "white-noise weak models need scheme='euler-maruyama'"
-            )
+        check_scheme_legal(cfg.scheme, self._white)
         self._drifts: dict[str, float] = {}
         self._n_streams = 0
         self._stream_classes: list[tuple] = []
@@ -303,15 +301,17 @@ class WeakCoarseModel:
         if cfg.variant == "ssm1":
             if mode_pattern is not None:
                 raise ConfigError("ssm1 bakes in its alternating pattern")
-            self._build_ssm1()
+            rhs = self._build_ssm1()
         else:
-            self._build_strongquad(mode_pattern, mode_scales)
+            rhs = self._build_strongquad(mode_pattern, mode_scales)
         if not self._white:
-            self._advance = stepper(self.deterministic_rhs, cfg.dt)
+            self.deterministic_rhs = rhs
+        self._advance = stepper(rhs, cfg.dt, cfg.scheme)
 
     # -- construction --------------------------------------------------------
 
     def _build_ssm1(self):
+        """Resolve weak ssm1's drifts and noise amplitudes; returns its rhs."""
         cfg, signal = self.cfg, self.signal
         skeleton, (lead, k) = _ssm1_skeleton(cfg), _ssm1_coupling(cfg)
         rates = [canonical_rates(r) for r, _ in ssm1_chain_specs(cfg)]
@@ -327,8 +327,9 @@ class WeakCoarseModel:
             P = A * np.exp(1j * ph)
             drifts = [float(phasor_drift(r, w, P, P)) for r in rates]
             d = np.array(drifts)
-            self.deterministic_rhs = lambda U, t: add_products(
-                skeleton(U, A * np.cos(w * t + ph)), U, d)
+
+            def rhs(U, t):
+                return add_products(skeleton(U, A * np.cos(w * t + ph)), U, d)
         else:
             sig = signal.intensity
             reps = [stochastic_replace(QuadraticTermDescriptor(0, 0, 0, 0, r),
@@ -337,18 +338,18 @@ class WeakCoarseModel:
             amps = np.array([a for rep in reps for a in rep.noise_amplitudes])
             owner = [i for i, rep in enumerate(reps) for _ in rep.noise_amplitudes]
             self._n_streams = amps.size
-            dt, sq = cfg.dt, np.sqrt(cfg.dt)
+            sq = np.sqrt(cfg.dt)
 
-            def advance(U, t):
+            def rhs(U, t):
                 z = self.rng.standard_normal(1 + amps.size)
                 v = np.array(drifts)
                 np.add.at(v, owner, amps * z[1:] / sq)
-                return U + dt * add_products(skeleton(U, sig * z[0] / sq), U, v)
-
-            self._advance = advance
+                return add_products(skeleton(U, sig * z[0] / sq), U, v)
         self._drifts = dict(zip(("z1", "z21", "z41", "z61"), drifts))
+        return rhs
 
     def _build_strongquad(self, mode_pattern, mode_scales):
+        """Resolve weak strongquad's forcing rows and noise; returns its rhs."""
         cfg = self.cfg
         terms = strongquad_quadratic_terms(cfg)
         skeleton, K = _strongquad_skeleton(cfg), strongquad_linear_matrix(cfg)
@@ -375,11 +376,9 @@ class WeakCoarseModel:
             self._drifts["plain"] = float(np.max(np.abs(drift[0])))
             self._drifts["times_U"] = float(np.max(np.abs(drift[1])))
 
-            def deterministic_rhs(U, t):
+            def rhs(U, t):
                 wt = w * t
                 return skeleton(U, np.cos(wt) * Fr - np.sin(wt) * Fi + drift)
-
-            self.deterministic_rhs = deterministic_rhs
         else:
             if mode_pattern is not None:
                 raise ConfigError(
@@ -392,17 +391,16 @@ class WeakCoarseModel:
                 mode_scales, dtype=float
             )
             self._expand_strongquad_white(terms, sigma)
-            dt, sq, m, n_streams = cfg.dt, np.sqrt(cfg.dt), cfg.m, self._n_streams
+            sq, m, n_streams = np.sqrt(cfg.dt), cfg.m, self._n_streams
 
-            def advance(U, t):
+            def rhs(U, t):
                 rings = sigma[:, None] * self.rng.standard_normal((3, m)) / sq
                 F = K @ strongquad_expressions(rings.T) + drift
                 psi = self.rng.standard_normal(n_streams)
                 psi /= sq
                 self._add_stream_noise(psi, F[:2])
-                return U + dt * skeleton(U, F)
-
-            self._advance = advance
+                return skeleton(U, F)
+        return rhs
 
     def _expand_strongquad_white(self, terms, sigma):
         """Expand stencil images into raw-signal products and key the streams.
@@ -499,8 +497,8 @@ class WeakCoarseModel:
         }
 
     def step(self, U: np.ndarray, t: float) -> np.ndarray:
-        """One cfg.dt step: rk4 under harmonic forcing, Euler-Maruyama (drawing
-        from ``rng``) under white noise."""
+        """One cfg.dt step by cfg.scheme; under white noise the rhs draws
+        from ``rng``."""
         return self._advance(np.asarray(U, dtype=float), t)
 
     def run(self, U0, t_end: float, record_every: int = 1):

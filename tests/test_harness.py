@@ -21,6 +21,7 @@ from holodisc import (
     convergence_order,
     default_spec,
     fit_emergence_rate,
+    lowg_rhs,
     nsm_field_at_grid,
     nsm_series,
     rms,
@@ -393,3 +394,27 @@ class TestConsistencyExperiment:
         assert report.metrics["order_full"] > 1.9
         assert report.metrics["order_linear"] > 3.8
         assert report.config["name"] == "consistency"
+
+    def test_report_reads_the_shipped_operators(self):
+        """Both error series come from unforced lowg_rhs and strongquad's
+        skeleton at alpha = 0, so a slip in either shows in the report."""
+        spec = default_spec("consistency")
+        a, L = spec.alpha, 2.0 * np.pi
+        hs, err_full, err_lin = [], [], []
+        for m in (8, 16, 32, 64):
+            H = L / m
+            X = H * np.arange(m)
+            U = 0.4 + 0.3 * np.sin(X) + 0.1 * np.cos(2.0 * X)
+            up = 0.3 * np.cos(X) - 0.2 * np.sin(2.0 * X)
+            upp = -0.3 * np.sin(X) - 0.4 * np.cos(2.0 * X)
+            full = lowg_rhs(U, np.zeros((m, 3)), ModelConfig("lowg", a, 0.0, H, m))
+            lin = build_bank(ModelConfig("strongquad", 0.0, 0.0, H, m)).skeleton(
+                U, np.zeros((5, m)))
+            hs.append(H)
+            err_full.append(float(np.max(np.abs(full - (upp - a * U * up)))))
+            err_lin.append(float(np.max(np.abs(lin - upp))))
+        metrics = consistency_experiment(spec).metrics
+        assert metrics["order_full"] == convergence_order(hs, err_full)
+        assert metrics["order_linear"] == convergence_order(hs, err_lin)
+        assert metrics["finest_error_full"] == err_full[-1]
+        assert metrics["finest_error_linear"] == err_lin[-1]

@@ -19,6 +19,7 @@ from holodisc import (
     stochastic_replace,
 )
 from holodisc.macromodel import ssm1_chain_specs
+from holodisc.microscale import march, stepper
 
 
 def weak_quadrature_samples(rates, t_end, n_paths, seed, same_signal=True,
@@ -262,3 +263,30 @@ class TestWeakStrongquad:
                 SignalSpec(kind="white-noise"),
                 mode_pattern=self.alternating_pattern(),
             )
+
+
+class TestWeakScheme:
+    """Every weak model steps its one rhs by cfg.scheme through stepper."""
+
+    def harmonic_models(self, scheme):
+        spec = SignalSpec(kind="harmonic", omega=2.0, phase=0.3)
+        pattern = np.random.default_rng(3).normal(size=(4, 3))
+        quad = ModelConfig(variant="strongquad", alpha=0.3, eps=0.5,
+                           H=np.pi / 2.0, m=4, dt=0.01, scheme=scheme)
+        return [build_weak_model(ssm1_cfg(eps=0.5, dt=0.01, scheme=scheme), spec),
+                build_weak_model(quad, spec, mode_pattern=pattern)]
+
+    def test_harmonic_models_step_by_the_configured_scheme(self):
+        U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(4) / 4)
+        for weak, rk4 in zip(self.harmonic_models("euler"),
+                             self.harmonic_models("rk4")):
+            t, U = weak.run(U0, 0.5)
+            want_t, want = march(stepper(weak.deterministic_rhs, 0.01, "euler"),
+                                 U0, 0.0, 50, 0.01)
+            assert np.array_equal(t, want_t) and np.array_equal(U, want)
+            assert not np.array_equal(U, rk4.run(U0, 0.5)[1])
+
+    def test_white_noise_refuses_rk4(self):
+        with pytest.raises(ConfigError, match="needs the euler-maruyama scheme"):
+            build_weak_model(ssm1_cfg(scheme="rk4"),
+                             SignalSpec(kind="white-noise"))
