@@ -347,7 +347,7 @@ class _SignalSet:
         self.stagers = list(zip([sig.stage_value for sig in self.signals],
                                 self.offsets.tolist()))
         self.no_draws = [None] * len(self.signals)
-        # Entry k: the draws of the step that ended at step k; zeros at t = 0.
+        # Entry k > 0: the draws of the step ending at k dt; entry 0: zeros.
         self.drawn = [[0.0 if sig.is_white else None for sig in self.signals]]
 
     def stage(self, t, y, dy, draws):
