@@ -20,12 +20,14 @@ from .errors import ConfigError, HolodiscError
 from .forcing import SignalSpec
 from .harness import (
     EXPERIMENTS,
+    FineSide,
     _write_csv,
     run_macro_forced,
-    run_micro_field,
+    run_paired,
     spec_from_dict,
 )
 from .macromodel import VARIANTS, ModelConfig, alternating_signs
+from .microscale import burgers_form
 from .weakmodel import build_weak_model
 
 def _parse_signal(text: str | None) -> SignalSpec:
@@ -91,12 +93,12 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
     signal = _parse_signal(forcing)
     x = dx * np.arange(n)
     prof = np.ones(n) if profile == "uniform" else np.cos(2.0 * x)
-    times, hist, _ = run_micro_field(
-        x, np.full(n, u0), alpha, eps, [(prof, signal)], dt, tend, seed,
-        form=form, scheme=scheme, record_every=record_every,
-    )
+    fine = FineSide(np.full(n, u0), prof[None], burgers_form(dx, alpha, eps, form))
+    run = run_paired([signal], seed, tend, dt, scheme, fine,
+                     record_every=record_every)
+    hist = run.u
     if out:
-        _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [times, hist])
+        _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [run.times, hist])
         click.echo(f"wrote {out}")
     click.echo(
         f"steps={int(round(tend / dt))} final_mean={np.mean(hist[-1]):.6g} "

@@ -85,10 +85,11 @@ class SignalSpec:
         White-noise kind: per-step samples intensity * N(0,1) / sqrt(dt).
     path : str or None
         File kind: two-column text file (time, value), linearly interpolated.
-    seed : int or None
-        Seeds the random pieces (lorenz initial zeta, white-noise draws).
     xi0, eta0 : float
         Lorenz initial xi and eta; initial zeta is drawn from N(10, 1).
+
+    The random pieces (Lorenz zeta, white-noise draws) come from the run's
+    seed, not from the spec.
     """
 
     kind: str
@@ -98,7 +99,6 @@ class SignalSpec:
     value: float = 0.0
     intensity: float = 1.0
     path: str | None = None
-    seed: int | None = None
     xi0: float = 5.0
     eta0: float = 8.0
 

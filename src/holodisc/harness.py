@@ -6,8 +6,7 @@ drivers, the fine field, the coarse model's packed memory bank and its
 amplitudes as one state vector, one step of ``microscale.stepper``'s map
 at a time through ``microscale.march``, and evaluates the signals once per
 stage for both sides, so a fine run and its coarse partner see one
-forcing path by construction.  ``run_micro_field`` and
-``run_macro_forced`` are its fine-only and coarse-only calls.
+forcing path by construction.  ``run_macro_forced`` is its coarse-only call.
 
 Experiments:
 
@@ -78,7 +77,6 @@ __all__ = [
     "CoarseSide",
     "PairedRun",
     "run_paired",
-    "run_micro_field",
     "run_macro_forced",
     "nsm_series",
     "run_fig1_experiment",
@@ -278,7 +276,10 @@ def spec_from_dict(name: str, data: dict | None) -> ExperimentSpec:
     data = dict(data)
     signal = base.signal
     if "signal" in data:
-        signal = SignalSpec(**data.pop("signal"))
+        try:
+            signal = SignalSpec(**data.pop("signal"))
+        except TypeError as exc:
+            raise ConfigError(f"bad signal fields: {exc}") from None
     known = {f.name for f in dataclasses.fields(ExperimentSpec)}
     unknown = set(data) - known
     if unknown:
@@ -335,7 +336,7 @@ def default_spec(name: str) -> ExperimentSpec:
 class _SignalSet:
     """Several signals with one concatenated driver state and one stream."""
 
-    def __init__(self, specs, seed: int):
+    def __init__(self, specs, seed: int, keeps):
         self.signals = [make_signal(s) for s in specs]
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         inits = [sig.driver_init(self.rng) for sig in self.signals]
@@ -347,8 +348,9 @@ class _SignalSet:
         self.stagers = list(zip([sig.stage_value for sig in self.signals],
                                 self.offsets.tolist()))
         self.no_draws = [None] * len(self.signals)
-        # Entry k > 0: the draws of the step ending at k dt; entry 0: zeros.
-        self.drawn = [[0.0 if sig.is_white else None for sig in self.signals]]
+        # Key k: the draws of the step ending at k dt if keeps(k); 0: zeros.
+        self.keeps, self.steps = keeps, 0
+        self.drawn = {0: [0.0 if sig.is_white else None for sig in self.signals]}
 
     def stage(self, t, y, dy, draws):
         """Values at a stage of the joint state y, whose drivers lead; writes
@@ -357,30 +359,27 @@ class _SignalSet:
                          for (f, at), d in zip(self.stagers, draws)])
 
     def draws(self, dt):
-        """One step's draws, appended to ``drawn``: a sample per white
-        signal, None for the rest."""
+        """One step's draws, a sample per white signal and None for the
+        rest, kept in ``drawn`` if keeps names the step."""
         draws = [sig.draw(self.rng, dt) if sig.is_white else None
                  for sig in self.signals]
-        self.drawn.append(draws)
+        self.steps += 1
+        if self.keeps(self.steps):
+            self.drawn[self.steps] = draws
         return draws
 
 
 class FineSide(NamedTuple):
-    """Fine side of a paired run: the fine rhs plus eps * profiles.T @ s(t).
+    """Fine side of a paired run: the field u0 under rhs(u, phi, out) with
+    phi = profiles.T @ s(t), one profile row per signal.
 
-    profiles holds one spatial row per signal.  rhs_kind selects the fine
-    Burgers grid (spacing from x, advection ``form``) or the half-spacing
-    lattice (pass the element half-width H).
+    rhs is a bound fine form: ``burgers_form(dx, alpha, eps, form)`` or
+    ``lattice_form(H, alpha, eps)``.
     """
 
-    x: np.ndarray
     u0: np.ndarray
-    alpha: float
-    eps: float
     profiles: np.ndarray
-    rhs_kind: str = "burgers"
-    H: float | None = None
-    form: str = "advective"
+    rhs: object
 
 
 class CoarseSide(NamedTuple):
@@ -412,20 +411,6 @@ class PairedRun(NamedTuple):
     bank: np.ndarray | None
 
 
-def _fine_rhs(fine: FineSide):
-    """The bound form rhs(u, phi, out) of the fine side's grid."""
-    if fine.rhs_kind == "burgers":
-        steps = np.diff(np.asarray(fine.x, dtype=float))
-        if steps.size < 1 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ConfigError("a fine Burgers grid x must be uniformly spaced")
-        return burgers_form(float(steps[0]), fine.alpha, fine.eps, fine.form)
-    if fine.rhs_kind == "lattice":
-        if fine.H is None:
-            raise ConfigError("lattice runs need the element half-width H")
-        return lattice_form(fine.H, fine.alpha, fine.eps)
-    raise ConfigError(f"unknown rhs_kind {fine.rhs_kind!r}")
-
-
 class _Joint(NamedTuple):
     """run_paired's joint state, resolved once: the signals, the start
     state, its (drivers, fine, bank, amplitudes) slices and named blocks,
@@ -438,28 +423,27 @@ class _Joint(NamedTuple):
     stage: object
 
 
-def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse) -> _Joint:
+def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
+                   keeps=lambda k: True) -> _Joint:
     """Check the sides against the run, build the bank, and bind the stage.
 
     A stage fills one fresh dy block by block: the drivers' derivatives
     and the signal values from ``Signal.stage_value``, the fine side's bound
-    form (a uniform grid's ``burgers_form``, or ``lattice_form``), and the
-    variant's ``stage_block``: dU and the bank's cascade derivative, written
-    in place.  Each block is the arithmetic its side does alone.  Called
-    without draws, a white stage draws and records the step's samples
+    form, and the variant's ``stage_block``: dU and the bank's cascade
+    derivative, written in place.  Each block is the arithmetic its side
+    does alone.  Called without draws, a white stage draws the step's
+    samples and keeps those of the steps keeps(k) names
     (``_SignalSet.draws``); euler-maruyama calls it once per step.
     """
-    sigset = _SignalSet(signal_specs, seed)
+    sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
     u0 = Z0 = U0 = np.zeros(0)
     if fine is not None:
-        fine_rhs = _fine_rhs(fine)
+        fine_rhs = fine.rhs
         u0 = np.asarray(fine.u0, dtype=float)
         profiles = np.asarray(fine.profiles, dtype=float)
-        if u0.shape != np.shape(fine.x):
-            raise ConfigError("u0 and x must have matching shapes")
         if profiles.shape != (len(sigset.signals),) + u0.shape:
-            raise ConfigError("need one forcing profile per signal over x")
+            raise ConfigError("need one forcing profile per signal over u0")
         profiles_T = profiles.T
     if coarse is not None:
         cfg, assemble = coarse.cfg, coarse.assemble
@@ -516,9 +500,11 @@ def run_paired(
 
     The state is [signal drivers | fine field | packed bank | amplitudes],
     advanced by ``stepper``'s map for the scheme; either side may be
-    absent.  Each stage evaluates the signals once and hands the same values
-    to both sides; white signals draw once per step.  The run takes exactly
-    t_end / dt steps, recording every record_every steps and at the end.
+    absent, and the fine side brings its bound form (``FineSide.rhs``).
+    Each stage evaluates the signals once and hands the same values to both
+    sides; white signals draw once per step, and the run keeps the draws of
+    the recorded steps only.  The run takes exactly t_end / dt steps,
+    recording every record_every steps and at the end.
 
     The stage is compiled once, before the first step: the bank, the
     variant's constants, the state layout and every check are resolved
@@ -530,15 +516,16 @@ def run_paired(
     Raises
     ------
     ConfigError
-        If dt does not divide t_end, a fine Burgers grid is not uniform,
-        the coarse config's dt or scheme is not the run's, or the scheme
-        cannot take the signals.
+        If dt does not divide t_end, the fine profiles are not one row per
+        signal over u0, the coarse config's dt or scheme is not the run's,
+        or the scheme cannot take the signals.
     StabilityError
         When the state goes non-finite, naming the most upstream bad block.
     """
     n_steps = exact_steps(t_end, dt)
     sigset, y, (_, su, sz, sU), blocks, stage = _compile_stage(
-        signal_specs, seed, dt, scheme, fine, coarse)
+        signal_specs, seed, dt, scheme, fine, coarse,
+        lambda k: k % record_every == 0 or k == n_steps)
     times, hist = march(stepper(stage, dt, scheme), y, 0.0, n_steps, dt,
                         record_every, blocks)
     ends = np.minimum(record_every * np.arange(times.size), n_steps).tolist()
@@ -557,42 +544,6 @@ def run_paired(
     )
 
 
-def run_micro_field(
-    x,
-    u0,
-    alpha: float,
-    eps: float,
-    pairs,
-    dt: float,
-    t_end: float,
-    seed: int,
-    rhs_kind: str = "burgers",
-    H: float | None = None,
-    form: str = "advective",
-    scheme: str = "rk4",
-    record_every: int = 1,
-):
-    """Fine run forced by a sum of (spatial profile, signal) pairs.
-
-    The forcing field is phi(x_i, t) = sum_r profile_r[i] * s_r(t); this
-    is the fine-only call of run_paired.  rhs_kind selects the fine Burgers
-    grid (spacing from x) or the half-spacing lattice (pass H).
-
-    Returns (times, u history, signal-value history), recorded every
-    record_every steps.
-    """
-    x = np.asarray(x, dtype=float)
-    profiles = np.stack(
-        [np.broadcast_to(np.asarray(p, float), x.shape) for p, _ in pairs]
-    )
-    run = run_paired(
-        [s for _, s in pairs], seed, t_end, dt, scheme,
-        fine=FineSide(x, u0, alpha, eps, profiles, rhs_kind, H, form),
-        record_every=record_every,
-    )
-    return run.times, run.u, run.values
-
-
 def run_macro_forced(
     cfg: ModelConfig,
     U0,
@@ -609,7 +560,7 @@ def run_macro_forced(
     object (mode coefficients, lattice samples, or scalar drive).  Returns
     (times, U history, packed bank history, signal-value history).  In the
     last, a white signal reports the draw of the step that ended at each
-    recorded time (zero at t = 0), as run_micro_field does.
+    recorded time (zero at t = 0).
     """
     run = run_paired(
         signal_specs, seed, t_end, cfg.dt, cfg.scheme,
@@ -735,7 +686,8 @@ def run_fig3_experiment(
     )
     run = run_paired(
         [signal], spec.seed, spec.t1, spec.dt, spec.scheme,
-        fine=FineSide(x, np.ones(n), spec.alpha, spec.eps, profile[None]),
+        fine=FineSide(np.ones(n), profile[None],
+                      burgers_form(spec.dx, spec.alpha, spec.eps)),
         coarse=CoarseSide(cfg, np.ones(m), lambda vals, t: float(vals[0])),
         record_every=stride,
     )
@@ -969,7 +921,7 @@ def lattice_coarse_experiment(
         )
         run = run_paired(
             [sig0, sig1], spec.seed, spec.t1, spec.dt, spec.scheme,
-            fine=FineSide(x_fine, u0_fine, a, e, profiles, "lattice", H),
+            fine=FineSide(u0_fine, profiles, lattice_form(H, a, e)),
             coarse=CoarseSide(
                 cfg, u0_fine[0::2], lambda vals, t: profiles.T @ vals
             ),

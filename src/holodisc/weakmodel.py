@@ -250,8 +250,9 @@ class WeakCoarseModel:
     binds one rhs(U, t) at construction, stepped by ``stepper`` under
     cfg.scheme.  Harmonic forcing yields a deterministic rhs (products become
     constant drifts), also bound as ``deterministic_rhs``; white noise yields
-    drift plus fresh multiplicative noises, drawn from ``rng`` (restarted by
-    ``run``) on each call, and requires euler-maruyama.  Both rest on the
+    drift plus fresh multiplicative noises, drawn from ``rng`` (restarted
+    from cfg.seed by ``run``) on each call, and requires euler-maruyama and
+    a seed.  Both rest on the
     skeleton closure and couplings ``build_bank`` binds.
 
     ssm1's memory term U phi (c . Z), c = lead k, becomes the sum over
@@ -293,6 +294,9 @@ class WeakCoarseModel:
         self.signal = signal
         self._white = signal.kind == "white-noise"
         check_scheme_legal(cfg.scheme, self._white)
+        if self._white and cfg.seed is None:
+            raise ConfigError("a white-noise weak model needs cfg.seed: its "
+                              "draws restart from it on every run")
         self._drifts: dict[str, float] = {}
         self._n_streams = 0
         self._stream_classes: list[tuple] = []
@@ -482,11 +486,9 @@ class WeakCoarseModel:
     # -- evaluation ----------------------------------------------------------
 
     def _rng(self) -> np.random.Generator | None:
-        """A fresh generator for the white-noise steps; None under harmonic."""
-        if not self._white:
-            return None
-        seed = self.signal.seed if self.signal.seed is not None else self.cfg.seed
-        return np.random.default_rng(seed)
+        """A fresh generator for the white-noise steps, from cfg.seed; None
+        under harmonic."""
+        return np.random.default_rng(self.cfg.seed) if self._white else None
 
     def drift_report(self) -> dict:
         return {

@@ -61,7 +61,6 @@ from holodisc import (
     build_weak_model,
     default_spec,
     run_macro_forced,
-    run_micro_field,
     run_paired,
     simulate_quadrature_ensemble,
 )
@@ -73,9 +72,11 @@ from holodisc.harness import (
     weak_drift_experiment,
 )
 from holodisc.microscale import (
+    burgers_form,
     burgers_rhs,
     exact_points,
     exact_steps,
+    lattice_form,
     march,
     stepper,
 )
@@ -276,12 +277,17 @@ def lowg_lorenz():
     return {"t": t, "U": U, "bank": bank, "vals": vals}
 
 
-def _fine_pairs(signals, spacing=2.0 * np.pi / 16, **kw):
+def _fine_pairs(signals, spacing=2.0 * np.pi / 16, rhs=None):
+    """16 points at spacing, one profile per signal, under rhs (by default
+    the advective Burgers form at that spacing)."""
     x = spacing * np.arange(16)
-    pairs = [(np.cos((k + 1) * x + 0.4 * k), s) for k, s in enumerate(signals)]
-    t, u, vals = run_micro_field(x, 1.0 + 0.5 * np.sin(x), 0.8, 0.5, pairs,
-                                 1e-2, 1.0, 23, record_every=10, **kw)
-    return {"t": t, "u": u, "vals": vals}
+    profiles = np.stack([np.cos((k + 1) * x + 0.4 * k)
+                         for k in range(len(signals))])
+    rhs = rhs or burgers_form(spacing, 0.8, 0.5)
+    run = run_paired(signals, 23, 1.0, 1e-2,
+                     fine=FineSide(1.0 + 0.5 * np.sin(x), profiles, rhs),
+                     record_every=10)
+    return {"t": run.times, "u": run.u, "vals": run.values}
 
 
 def fine_lorenz_harmonic():
@@ -325,8 +331,8 @@ def fig3_paired():
                       scheme=spec.scheme)
     run = run_paired(
         [spec.signal], spec.seed, 1.0, spec.dt, spec.scheme,
-        fine=FineSide(x, np.ones(n), spec.alpha, spec.eps,
-                      np.cos(2.0 * x)[None]),
+        fine=FineSide(np.ones(n), np.cos(2.0 * x)[None],
+                      burgers_form(spec.dx, spec.alpha, spec.eps)),
         coarse=CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0])),
         record_every=10)
     return {"t": run.times, "u": run.u, "U": run.U, "bank": run.bank,
@@ -357,7 +363,8 @@ def _euler_pair(signals, variant, scheme, seed, assemble):
     U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m)
     run = run_paired(
         signals, seed, 0.2, 1e-3, scheme,
-        fine=FineSide(x, 1.0 + 0.5 * np.sin(x), 0.8, 0.5, profiles),
+        fine=FineSide(1.0 + 0.5 * np.sin(x), profiles,
+                      burgers_form(2.0 * np.pi / 16, 0.8, 0.5)),
         coarse=CoarseSide(cfg, U0, assemble), record_every=7)
     return {"t": run.times, "u": run.u, "U": run.U, "bank": run.bank,
             "vals": run.values}
@@ -424,17 +431,19 @@ def fig1_euler():
 
 
 def fine_conservative():
-    return _fine_pairs([LORENZ, HARMONIC], form="conservative")
+    return _fine_pairs([LORENZ, HARMONIC],
+                       rhs=burgers_form(2.0 * np.pi / 16, 0.8, 0.5, "conservative"))
 
 
 def fine_skew():
-    return _fine_pairs([LORENZ, HARMONIC], form="skew")
+    return _fine_pairs([LORENZ, HARMONIC],
+                       rhs=burgers_form(2.0 * np.pi / 16, 0.8, 0.5, "skew"))
 
 
 def fine_lattice():
     """The half-spacing lattice of 8 elements with H = 1."""
-    return _fine_pairs([LORENZ, HARMONIC], spacing=0.5, rhs_kind="lattice",
-                       H=1.0)
+    return _fine_pairs([LORENZ, HARMONIC], spacing=0.5,
+                       rhs=lattice_form(1.0, 0.8, 0.5))
 
 
 FINE_STAGE_RUNS = {f.__name__: f for f in (fig1_rk4, fig1_euler,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from holodisc import ConvTerm, reduce_by_parts
@@ -55,13 +56,22 @@ class TestMicro:
             out = tmp_path / f"{tag}.csv"
             result = invoke(
                 "micro", "--n", "16", "--dx", str(np.pi / 8.0),
-                "--profile", "cos2x", "--forcing",
-                '{"kind": "lorenz", "seed": 3}',
+                "--profile", "cos2x", "--forcing", '{"kind": "lorenz"}',
+                "--seed", "3",
                 "--tend", "0.05", "--dt", "0.01", "--out", str(out),
             )
             assert result.exit_code == 0, result.output
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_skew_lorenz_run_prints_its_summary(self):
+        """A skew-form run under a Lorenz signal, its summary line pinned."""
+        result = invoke(
+            "micro", "--n", "16", "--form", "skew", "--profile", "cos2x",
+            "--dt", "0.01", "--tend", "0.5", "--forcing", '{"kind": "lorenz"}',
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "steps=50 final_mean=1 sup=1.10924\n"
 
     def test_bad_signal_json_exits_two(self):
         result = invoke_entry("micro", "--forcing", "{not json", "--tend", "0.01")
@@ -191,6 +201,17 @@ class TestCompare:
                               "--config", str(cfg))
         assert result.returncode == 2
         assert "'periods' must be a whole number >= 1, got 0" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("field", ["sede", "seed"])
+    def test_unknown_signal_field_exits_two_naming_it(self, tmp_path, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signal": {"kind": "lorenz", field: 7}}))
+        result = invoke_entry("compare", "--experiment", "fig3",
+                              "--config", str(cfg))
+        assert result.returncode == 2
+        assert "error: bad signal fields" in result.stderr
+        assert repr(field) in result.stderr and "Traceback" not in result.stderr
         assert result.stdout == ""
 
     def test_config_overrides_are_applied(self, tmp_path):

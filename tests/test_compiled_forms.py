@@ -268,9 +268,8 @@ def test_weak_ssm1_is_the_dict_loop_bit_for_bit(m):
             want += weights[label] * drifts[label]
         assert np.array_equal(weak.deterministic_rhs(U, t), want)
     dt = 0.01
-    cfg = cfg_for("ssm1", m, scheme="euler-maruyama", dt=dt)
-    weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5,
-                                            seed=8))
+    cfg = cfg_for("ssm1", m, scheme="euler-maruyama", dt=dt, seed=8)
+    weak = build_weak_model(cfg, SignalSpec(kind="white-noise", intensity=1.5))
     draws, sq = np.random.default_rng(8), np.sqrt(dt)
     for _ in range(3):
         U = rng.normal(size=m)

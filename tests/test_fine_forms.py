@@ -16,11 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 from holodisc import (
     ConfigError,
-    FineSide,
-    SignalSpec,
     burgers_rhs,
     lattice_rhs,
-    run_paired,
     spec_from_dict,
 )
 from holodisc.harness import EXPERIMENTS, _fig1_stage
@@ -164,11 +161,3 @@ class TestWholePoints:
         spec = spec_from_dict(name, {"dx": 0.3, "t1": 1.01})
         with pytest.raises(ConfigError, match=r"ring length L = 6\.28.*dx = 0\.3"):
             EXPERIMENTS[name](spec, None)
-
-
-def test_run_paired_refuses_a_nonuniform_fine_grid():
-    x = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5])
-    fine = FineSide(x, np.ones(6), 0.3, 0.05, np.ones((1, 6)))
-    with pytest.raises(ConfigError, match="uniformly spaced"):
-        run_paired([SignalSpec(kind="constant", value=1.0)], 1, 0.1, 0.01,
-                   fine=fine)

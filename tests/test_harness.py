@@ -1,6 +1,7 @@
 """Experiment specs, reports, paired engines, and the analysis helpers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ from holodisc import (
     nsm_series,
     rms,
     run_macro_forced,
-    run_micro_field,
     run_paired,
     spec_from_dict,
 )
 from holodisc.harness import consistency_experiment, default_window_start
+from holodisc.microscale import burgers_form, lattice_form
 
 
 class TestHelpers:
@@ -171,43 +172,37 @@ class TestComparisonReport:
         assert data["passed"] is True
 
 
+def fig3_fine(u0=None, profile=None):
+    """fig3's fine side: n = 32 points of the ring, forced by cos 2x."""
+    x = (np.pi / 16.0) * np.arange(32)
+    return FineSide(np.ones(32) if u0 is None else u0(x),
+                    (np.cos(2.0 * x) if profile is None else profile(x))[None],
+                    burgers_form(np.pi / 16.0, 0.3, 0.05))
+
+
 class TestPairedEngines:
-    def micro_args(self):
-        n = 32
-        x = (np.pi / 16.0) * np.arange(n)
-        profile = np.cos(2.0 * x)
-        signal = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
-        return x, np.ones(n), profile, signal
+    LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
+
+    def micro(self, signal, t_end, seed, scheme="rk4", record_every=1):
+        """The fine side alone under signal: run_paired's fine-only call."""
+        return run_paired([signal], seed, t_end, 1e-3, scheme, fig3_fine(),
+                          record_every=record_every)
 
     def test_micro_runs_are_seed_reproducible(self):
-        x, u0, profile, signal = self.micro_args()
-        out = []
-        for _ in range(2):
-            times, hist, vals = run_micro_field(
-                x, u0, 0.3, 0.05, [(profile, signal)], 1e-3, 0.2,
-                seed=77, record_every=10,
-            )
-            out.append((times, hist, vals))
-        assert np.array_equal(out[0][1], out[1][1])
-        assert np.array_equal(out[0][2], out[1][2])
+        out = [self.micro(self.LORENZ, 0.2, seed=77, record_every=10)
+               for _ in range(2)]
+        assert np.array_equal(out[0].u, out[1].u)
+        assert np.array_equal(out[0].values, out[1].values)
 
     def test_micro_seed_changes_the_path(self):
-        x, u0, profile, signal = self.micro_args()
-        _, hist_a, _ = run_micro_field(
-            x, u0, 0.3, 0.05, [(profile, signal)], 1e-3, 0.2, seed=77,
-        )
-        _, hist_b, _ = run_micro_field(
-            x, u0, 0.3, 0.05, [(profile, signal)], 1e-3, 0.2, seed=78,
-        )
+        hist_a = self.micro(self.LORENZ, 0.2, seed=77).u
+        hist_b = self.micro(self.LORENZ, 0.2, seed=78).u
         assert not np.array_equal(hist_a, hist_b)
 
     def test_micro_and_macro_share_forcing_paths(self):
         """The pairing invariant: same spec and seed, bit-identical signals."""
-        x, u0, profile, signal = self.micro_args()
-        _, _, vals_micro = run_micro_field(
-            x, u0, 0.3, 0.05, [(profile, signal)], 1e-3, 0.5,
-            seed=77, record_every=10,
-        )
+        signal = self.LORENZ
+        vals_micro = self.micro(signal, 0.5, seed=77, record_every=10).values
         cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05,
                           H=np.pi / 2.0, m=4)
         times, U_hist, bank_hist, vals_macro = run_macro_forced(
@@ -251,12 +246,9 @@ class TestPairedEngines:
 
     def test_white_macro_values_are_the_draws(self):
         """Both call forms record the white draws, not NaN."""
-        x, u0, profile, _ = self.micro_args()
         white = SignalSpec(kind="white-noise", intensity=1.0)
-        _, _, vals_micro = run_micro_field(
-            x, u0, 0.3, 0.05, [(profile, white)], 1e-3, 0.05, seed=5,
-            scheme="euler-maruyama", record_every=10,
-        )
+        vals_micro = self.micro(white, 0.05, seed=5, scheme="euler-maruyama",
+                                record_every=10).values
         cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05,
                           H=np.pi / 2.0, m=4, scheme="euler-maruyama")
         *_, vals_macro = run_macro_forced(
@@ -266,16 +258,32 @@ class TestPairedEngines:
         assert np.all(np.isfinite(vals_macro)) and vals_macro[0, 0] == 0.0
         assert np.array_equal(vals_micro, vals_macro)
 
+    def test_white_run_keeps_only_the_recorded_draws(self):
+        """A white run holds the draws of its recorded steps, not of every
+        step: its memory does not grow with the run's length."""
+        white = [SignalSpec(kind="white-noise")]
+        every = run_paired(white, 5, 0.05, 1e-3, "euler-maruyama")
+        strided = run_paired(white, 5, 0.05, 1e-3, "euler-maruyama",
+                             record_every=7)
+        rows = np.minimum(7 * np.arange(strided.times.size), 50)
+        assert np.array_equal(strided.values, every.values[rows])
+        tracemalloc.start()
+        try:
+            run = run_paired(white, 5, 10.0, 1e-3, "euler-maruyama",
+                             record_every=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A list of draws per step would hold about 1.2 MB over these steps.
+        assert run.values.shape == (11, 1) and peak < 250_000
+
 
 def _fig3_pair(scheme, signal):
     """fig3's fine grid and ssm1 model under one signal."""
-    n, m = 32, 4
-    x = (np.pi / 16.0) * np.arange(n)
+    m = 4
     cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
                       m=m, dt=1e-3, scheme=scheme)
-    micro = dict(x=x, u0=np.ones(n), alpha=0.3, eps=0.05,
-                 pairs=[(np.cos(2.0 * x), signal)])
-    return micro, cfg, np.ones(m), [signal], lambda v, t: float(v[0])
+    return fig3_fine(), cfg, np.ones(m), [signal], lambda v, t: float(v[0])
 
 
 def _lattice_pair():
@@ -290,9 +298,9 @@ def _lattice_pair():
                SignalSpec(kind="harmonic", omega=0.23, phase=1.1)]
     cfg = ModelConfig(variant="lattice", alpha=spec.alpha, eps=spec.eps, H=H,
                       m=m, dt=spec.dt)
-    micro = dict(x=x, u0=np.full(2 * m, 0.4), alpha=spec.alpha, eps=spec.eps,
-                 pairs=list(zip(profiles, signals)), rhs_kind="lattice", H=H)
-    return micro, cfg, np.full(m, 0.4), signals, lambda v, t: profiles.T @ v
+    fine = FineSide(np.full(2 * m, 0.4), profiles,
+                    lattice_form(H, spec.alpha, spec.eps))
+    return fine, cfg, np.full(m, 0.4), signals, lambda v, t: profiles.T @ v
 
 
 PAIRS = {
@@ -308,16 +316,13 @@ class TestPairedRun:
     @pytest.mark.parametrize("pair", list(PAIRS))
     def test_joint_run_equals_separate_runs(self, pair):
         """One joint state reproduces both separate runs bit for bit."""
-        micro, cfg, U0, signals, assemble = PAIRS[pair]()
+        fine, cfg, U0, signals, assemble = PAIRS[pair]()
         t_end, seed, every = 0.3, 17, 7
-        t_u, u, vals_u = run_micro_field(
-            dt=cfg.dt, t_end=t_end, seed=seed, scheme=cfg.scheme,
-            record_every=every, **micro)
+        alone = run_paired(signals, seed, t_end, cfg.dt, cfg.scheme, fine,
+                           record_every=every)
+        t_u, u, vals_u = alone.times, alone.u, alone.values
         t_U, U, bank, vals_U = run_macro_forced(
             cfg, U0, signals, assemble, t_end, seed, record_every=every)
-        fine = FineSide(micro["x"], micro["u0"], micro["alpha"], micro["eps"],
-                        np.stack([p for p, _ in micro["pairs"]]),
-                        micro.get("rhs_kind", "burgers"), micro.get("H"))
         run = run_paired(signals, seed, t_end, cfg.dt, cfg.scheme, fine=fine,
                          coarse=CoarseSide(cfg, U0, assemble),
                          record_every=every)
@@ -344,11 +349,11 @@ class TestPairedRun:
             assert golden_runs.paired_reports() == json.load(fh)
 
     def test_run_length_must_be_whole_steps(self):
-        micro, cfg, U0, signals, assemble = PAIRS["fig3-lorenz-rk4"]()
+        fine, cfg, U0, signals, assemble = PAIRS["fig3-lorenz-rk4"]()
         cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05,
                           H=np.pi / 2.0, m=4, dt=0.3)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
-            run_micro_field(dt=0.3, t_end=1.0, seed=1, **micro)
+            run_paired(signals, 1, 1.0, 0.3, fine=fine)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
             run_macro_forced(cfg, U0, signals, assemble, 1.0, 1)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
@@ -363,13 +368,22 @@ class TestPairedRun:
             run_paired(signals, 1, 0.1, 2 * cfg.dt,
                        coarse=CoarseSide(cfg, U0, assemble))
 
+    def test_fine_profiles_are_one_row_per_signal_over_u0(self):
+        """Profiles are (signals, u0.size): a row too many or a point too
+        few is refused before the first step."""
+        fine, _, _, signals, _ = PAIRS["fig3-lorenz-rk4"]()
+        for profiles in (np.vstack([fine.profiles, fine.profiles]),
+                         fine.profiles[:, :-1], fine.profiles[0]):
+            with pytest.raises(ConfigError,
+                               match="one forcing profile per signal over u0"):
+                run_paired(signals, 1, 0.1, 1e-3,
+                           fine=fine._replace(profiles=profiles))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_names_the_fine_field(self):
-        micro, *_ = PAIRS["fig3-lorenz-rk4"]()
-        micro["pairs"] = [(np.zeros(32), SignalSpec(kind="constant"))]
-        micro["u0"] = np.cos(micro["x"])
+        fine = fig3_fine(u0=np.cos, profile=np.zeros_like)
         with pytest.raises(StabilityError, match="fine field"):
-            run_micro_field(dt=1.0, t_end=200.0, seed=1, **micro)
+            run_paired([SignalSpec(kind="constant")], 1, 200.0, 1.0, fine=fine)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_names_the_memory_chain(self):

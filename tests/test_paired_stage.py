@@ -6,7 +6,10 @@ derivatives through ``lorenz_point`` on the driver slices and their values
 through ``Signal.value``, the fine rhs, the variant's rhs on a freshly
 bound bank and the bank's ``rhs_flat``, joined by ``np.concatenate``.  It
 builds its own signals and bank, so it shares no set-up with the compiled
-stage.  ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
+stage.  Each case gives its fine side as the grid's own (kind, spacing or
+H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
+``lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
+``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
 are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
@@ -32,12 +35,21 @@ from holodisc import (
 from holodisc.harness import _compile_stage
 from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs
+from holodisc.microscale import burgers_form, lattice_form
 from holodisc.stencil import ring_images
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
 
-def reference_stage(signals, fine, coarse, y, t, draws=None):
+def fine_side(u0, profiles, grid):
+    """The FineSide whose rhs is grid's bound form."""
+    kind, h, alpha, eps, form = grid
+    rhs = (burgers_form(h, alpha, eps, form) if kind == "burgers"
+           else lattice_form(h, alpha, eps))
+    return FineSide(u0, profiles, rhs)
+
+
+def reference_stage(signals, fine, grid, coarse, y, t, draws=None):
     sigs = [make_signal(s) for s in signals]
     ends = np.cumsum([0] + [s.driver_dim for s in sigs]).tolist()
     drivers = [y[a:b] for a, b in zip(ends[:-1], ends[1:])]
@@ -53,11 +65,11 @@ def reference_stage(signals, fine, coarse, y, t, draws=None):
         u = y[pos:pos + fine.u0.size]
         pos += u.size
         phi = fine.profiles.T @ vals
-        if fine.rhs_kind == "burgers":
-            out.append(burgers_rhs(u, float(fine.x[1] - fine.x[0]),
-                                   fine.alpha, fine.eps, phi, fine.form))
+        kind, h, alpha, eps, form = grid
+        if kind == "burgers":
+            out.append(burgers_rhs(u, h, alpha, eps, phi, form))
         else:
-            out.append(lattice_rhs(u, fine.H, fine.alpha, fine.eps, phi))
+            out.append(lattice_rhs(u, h, alpha, eps, phi))
     if coarse is not None:
         cfg = coarse.cfg
         bank = build_bank(cfg)
@@ -72,9 +84,10 @@ def reference_stage(signals, fine, coarse, y, t, draws=None):
 def fig3_sides(scheme="rk4"):
     n, m = 32, 4
     x = (np.pi / 16.0) * np.arange(n)
+    grid = ("burgers", np.pi / 16.0, 0.3, 0.05, "advective")
     cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
                       m=m, dt=1e-3, scheme=scheme)
-    return (FineSide(x, np.ones(n), 0.3, 0.05, np.cos(2.0 * x)[None]),
+    return (fine_side(np.ones(n), np.cos(2.0 * x)[None], grid), grid,
             CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0])))
 
 
@@ -84,8 +97,9 @@ def lattice_sides():
     L = m * H
     profiles = np.stack([1.0 + 0.8 * np.cos(2.0 * np.pi * x / L + 0.7),
                          0.6 * np.cos(4.0 * np.pi * x / L + 1.9)])
+    grid = ("lattice", H, a, e, None)
     cfg = ModelConfig(variant="lattice", alpha=a, eps=e, H=H, m=m, dt=2e-3)
-    return (FineSide(x, np.full(2 * m, 0.4), a, e, profiles, "lattice", H),
+    return (fine_side(np.full(2 * m, 0.4), profiles, grid), grid,
             CoarseSide(cfg, np.full(m, 0.4), lambda v, t: profiles.T @ v))
 
 
@@ -93,9 +107,11 @@ def strongquad_side(m):
     pattern = np.random.default_rng(m).normal(size=(m, 3))
     cfg = ModelConfig(variant="strongquad", alpha=0.3, eps=0.05,
                       H=np.pi / 2.0, m=m, dt=0.01)
-    return None, CoarseSide(cfg, np.ones(m), lambda v, t: pattern * v[0])
+    return None, None, CoarseSide(cfg, np.ones(m),
+                                  lambda v, t: pattern * v[0])
 
 
+UNIT_GRID = ("burgers", 1.0, 0.5, 0.7, "advective")
 HARMONICS = [SignalSpec(kind="harmonic", omega=0.37, phase=0.3),
              SignalSpec(kind="harmonic", omega=0.23, phase=1.1)]
 CASES = {
@@ -106,19 +122,19 @@ CASES = {
     "strongquad-m1024": lambda: ([HARMONICS[0]], *strongquad_side(1024)),
     "lorenz-harmonic-lorenz": lambda: (
         [LORENZ, HARMONICS[0], SignalSpec(kind="lorenz", xi0=-3.0)],
-        FineSide(np.arange(8.0), np.ones(8), 0.5, 0.7, np.eye(3, 8)), None),
+        fine_side(np.ones(8), np.eye(3, 8), UNIT_GRID), UNIT_GRID, None),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_stage_is_the_concatenating_stage_bit_for_bit(case):
-    signals, fine, coarse = CASES[case]()
+    signals, fine, grid, coarse = CASES[case]()
     dt = coarse.cfg.dt if coarse is not None else 1e-3
     joint = _compile_stage(signals, 5, dt, "rk4", fine, coarse)
     rng = np.random.default_rng(len(case))
     for t in (0.0, 0.37, 2.5):
         y = joint.y0 + rng.normal(size=joint.y0.size)
-        want = reference_stage(signals, fine, coarse, y, t)
+        want = reference_stage(signals, fine, grid, coarse, y, t)
         for _ in range(2):  # the stage's buffers carry nothing over
             got = joint.stage(y, t)
             assert got.shape == want.shape and np.array_equal(got, want)
@@ -126,11 +142,11 @@ def test_stage_is_the_concatenating_stage_bit_for_bit(case):
 
 def test_white_stage_takes_the_step_draws():
     white = [SignalSpec(kind="white-noise")]
-    fine, coarse = fig3_sides("euler-maruyama")
+    fine, grid, coarse = fig3_sides("euler-maruyama")
     joint = _compile_stage(white, 5, 1e-3, "euler-maruyama", fine, coarse)
     y = joint.y0 + np.random.default_rng(1).normal(size=joint.y0.size)
     for draw in (0.0, -3.5, 12.25):
-        want = reference_stage(white, fine, coarse, y, 0.2, [draw])
+        want = reference_stage(white, fine, grid, coarse, y, 0.2, [draw])
         assert np.array_equal(joint.stage(y, 0.2, [draw]), want)
 
 
@@ -160,7 +176,7 @@ def test_ssm1_block_is_the_concatenating_stage_bit_for_bit(
         y[block] = scale * rng.normal(size=y[block].size)
     draws = [scales[0] * rng.normal()] if white else joint.sigset.no_draws
     t = float(rng.uniform(0.0, 10.0))
-    want = reference_stage(signals, None, coarse, y, t, draws)
+    want = reference_stage(signals, None, None, coarse, y, t, draws)
     assert np.array_equal(joint.stage(y, t, draws), want)
 
 

@@ -176,8 +176,8 @@ class TestWeakSsm1Harmonic:
 
 class TestWeakSsm1White:
     def test_white_drifts_follow_the_replacement_table(self):
-        cfg = ssm1_cfg(scheme="euler-maruyama")
-        weak = build_weak_model(cfg, SignalSpec(kind="white-noise", seed=3))
+        cfg = ssm1_cfg(scheme="euler-maruyama", seed=3)
+        weak = build_weak_model(cfg, SignalSpec(kind="white-noise"))
         report = weak.drift_report()
         assert np.isclose(report["drifts"]["z1"], 0.5)
         for key in ("z21", "z41", "z61"):
@@ -185,8 +185,8 @@ class TestWeakSsm1White:
         assert report["noise_streams"] > 0
 
     def test_white_stepping_is_seed_reproducible(self):
-        cfg = ssm1_cfg(scheme="euler-maruyama", dt=1e-3)
-        spec = SignalSpec(kind="white-noise", seed=12)
+        cfg = ssm1_cfg(scheme="euler-maruyama", dt=1e-3, seed=12)
+        spec = SignalSpec(kind="white-noise")
         runs = []
         for _ in range(2):
             weak = build_weak_model(cfg, spec)
@@ -230,8 +230,8 @@ class TestWeakStrongquad:
 
     def test_white_build_counts_streams(self):
         weak = build_weak_model(
-            self.quad_cfg(scheme="euler-maruyama"),
-            SignalSpec(kind="white-noise", seed=2),
+            self.quad_cfg(scheme="euler-maruyama", seed=2),
+            SignalSpec(kind="white-noise"),
         )
         report = weak.drift_report()
         assert report["noise_streams"] > 0
@@ -290,3 +290,16 @@ class TestWeakScheme:
         with pytest.raises(ConfigError, match="needs the euler-maruyama scheme"):
             build_weak_model(ssm1_cfg(scheme="rk4"),
                              SignalSpec(kind="white-noise"))
+
+    @pytest.mark.parametrize("variant", ["ssm1", "strongquad"])
+    def test_white_noise_needs_a_seed(self, variant):
+        """run restarts the draws from cfg.seed, so a white model without
+        one is refused at construction rather than drawn from OS entropy."""
+        white = SignalSpec(kind="white-noise")
+        with pytest.raises(ConfigError, match="needs cfg.seed"):
+            build_weak_model(ssm1_cfg(variant=variant, scheme="euler-maruyama"),
+                             white)
+        weak = build_weak_model(
+            ssm1_cfg(variant=variant, scheme="euler-maruyama", seed=4), white)
+        U0 = np.ones(4)
+        assert np.array_equal(weak.run(U0, 0.04)[1], weak.run(U0, 0.04)[1])
