@@ -96,9 +96,9 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
     fine = FineSide(np.full(n, u0), prof[None], burgers_form(dx, alpha, eps, form))
     run = run_paired([signal], seed, tend, dt, scheme, fine,
                      record_every=record_every)
-    hist = run.u
+    times, hist = run.times, run.u
     if out:
-        _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [run.times, hist])
+        _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [times, hist])
         click.echo(f"wrote {out}")
     click.echo(
         f"steps={int(round(tend / dt))} final_mean={np.mean(hist[-1]):.6g} "

@@ -252,8 +252,8 @@ class WeakCoarseModel:
     constant drifts), also bound as ``deterministic_rhs``; white noise yields
     drift plus fresh multiplicative noises, drawn from ``rng`` (restarted
     from cfg.seed by ``run``) on each call, and requires euler-maruyama and
-    a seed.  Both rest on the
-    skeleton closure and couplings ``build_bank`` binds.
+    a seed.  Both rest on the skeleton closure and couplings ``build_bank``
+    binds.
 
     ssm1's memory term U phi (c . Z), c = lead k, becomes the sum over
     products i of (lead U) k_i v_i, added product by product (the factored
