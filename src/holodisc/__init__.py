@@ -60,7 +60,6 @@ from .macromodel import (
     nsm_subgrid_field,
     ssm1_rhs,
     strongquad_rhs,
-    variant_rhs,
 )
 from .microscale import (
     burgers_rhs,
@@ -124,7 +123,6 @@ __all__ = [
     "strongquad_rhs",
     "nsm_field_at_grid",
     "nsm_subgrid_field",
-    "variant_rhs",
     "harmonic_drift_1",
     "harmonic_drift_2",
     "phasor_drift",

@@ -27,7 +27,7 @@ from .harness import (
     spec_from_dict,
 )
 from .macromodel import VARIANTS, ModelConfig, alternating_signs
-from .microscale import burgers_form
+from .microscale import burgers_form, exact_steps
 from .weakmodel import build_weak_model
 
 def _parse_signal(text: str | None) -> SignalSpec:
@@ -101,14 +101,13 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
         _write_csv(out, ",".join(["t"] + [f"u{i}" for i in range(n)]), [times, hist])
         click.echo(f"wrote {out}")
     click.echo(
-        f"steps={int(round(tend / dt))} final_mean={np.mean(hist[-1]):.6g} "
+        f"steps={exact_steps(tend, dt)} final_mean={np.mean(hist[-1]):.6g} "
         f"sup={np.max(np.abs(hist)):.6g}"
     )
 
 
 def _macro_assemble(variant, profile, m):
     """Map scalar signal values to the variant's forcing object."""
-    alt = alternating_signs(m) if m % 2 == 0 else None
     if variant == "ssm1":
         return lambda vals, t: float(vals[0])
     if variant == "lattice":
@@ -116,15 +115,14 @@ def _macro_assemble(variant, profile, m):
             raise ConfigError("lattice runs support only the uniform profile")
         ones = np.ones(2 * m)
         return lambda vals, t: ones * vals[0]
-    # Mode-coefficient variants.
+    # Mode-coefficient variants: refuse an odd alternating ring before the run.
+    if profile == "alternating" and m % 2:
+        raise ConfigError("alternating profile needs an even element count")
+    col, pattern = (1, alternating_signs(m)) if profile == "alternating" else (0, 1.0)
+
     def assemble(vals, t):
         modes = np.zeros((m, 3))
-        if profile == "alternating":
-            if alt is None:
-                raise ConfigError("alternating profile needs an even element count")
-            modes[:, 1] = alt * vals[0]
-        else:
-            modes[:, 0] = vals[0]
+        modes[:, col] = pattern * vals[0]
         return modes
 
     return assemble

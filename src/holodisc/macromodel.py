@@ -36,8 +36,9 @@ An evaluation is then a few whole-array operations: the bank rhs is
 forcing side is one (31, 12) matrix product with the stack.  Its rows are
 the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
-delta2 U and U^2.  The bank is advanced jointly with U, so every scheme
-sees consistent substage values.
+delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
+both read from the joint state, so every scheme sees consistent substage
+values.
 
 The weak models (``weakmodel``) bind the same skeleton closures and
 coupling constants (``_ssm1_skeleton``/``_ssm1_coupling``,
@@ -78,7 +79,6 @@ __all__ = [
     "strongquad_expressions",
     "strongquad_linear_matrix",
     "strongquad_rhs",
-    "variant_rhs",
     "stage_block",
 ]
 
@@ -154,18 +154,16 @@ class ChainBank:
     nothing.  Chain c occupies consecutive rows of the packed state Z, row
     0 of the block being its output per element; blocks follow sorted-key
     order.  specs lists the (rates, input) chains, exprs the rows of the
-    drive stack the chains read.  The layout is ``chain_layout``'s, shared
-    by every rebinding, with the rates spread over (S, m) (a plain product
-    beats a broadcast one): per row a negated decay rate and a feed, its
-    row in [Z; drive stack]; per chain its last row.  ``rows`` maps each
-    key to its block of rows, ``out_rows`` each chain's output row.
-    rhs_flat fills ``_ext``, the bank's own [Z; drive stack] buffer.
+    drive stack the chains read.  The layout is ``chain_layout``'s, with
+    the rates spread over (S, m) (a plain product beats a broadcast one):
+    per row a negated decay rate and a feed, its row in [Z; drive stack];
+    per chain its last row.  ``rows`` maps each key to its block of rows,
+    ``out_rows`` each chain's output row.
 
     build_bank adds the variant's compiled form: ``coupling``, the
     coefficients of the chain outputs in dU/dt; ``skeleton``, its
-    deterministic part with every constant resolved; for ssm1 ``drives``,
-    its drive-stack buffer; and ``cfg``, the configuration they were
-    resolved for.
+    deterministic part with every constant resolved; and ``cfg``, the
+    configuration they were resolved for.
     """
 
     def __init__(self, m: int, specs=(), exprs=()):
@@ -186,8 +184,7 @@ class ChainBank:
         }
         self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
         self.Z = np.zeros((feed.size, self.m))
-        self._ext = np.empty((feed.size + len(self.exprs), self.m))
-        self.coupling = self.skeleton = self.drives = self.cfg = None
+        self.coupling = self.skeleton = self.cfg = None
 
     def keys(self) -> list[tuple]:
         return list(self.rows)
@@ -245,19 +242,20 @@ class ChainBank:
     def rhs_flat(self, flat: np.ndarray, drives) -> np.ndarray:
         """Cascade derivatives of a packed state, given the drive stack.
 
-        drives is the variant's (len(exprs), m) drive stack; each chain
-        integrates its row.  Returns the derivatives packed like flat.
+        drives is the variant's drive stack, any numbers that broadcast to
+        (len(exprs), m) (ssm1's is phi itself); each chain integrates its
+        row.  Returns the derivatives packed like flat.
         """
         Z = self._shaped(flat)
         if not self.rows:
             return np.zeros(0)
-        if np.shape(drives) != (len(self.exprs), self.m):
+        ext = np.empty((len(Z) + len(self.exprs), self.m))
+        try:
+            return packed_chain_rhs(Z, self._layout, drives, ext,
+                                    np.empty_like(Z)).ravel()
+        except (TypeError, ValueError):
             raise ConfigError(
-                f"need a ({len(self.exprs)}, {self.m}) drive stack, "
-                f"got shape {np.shape(drives)}"
-            )
-        return packed_chain_rhs(Z, self._layout, drives, self._ext,
-                                np.empty_like(Z)).ravel()
+                f"drives do not broadcast to {ext[len(Z):].shape}") from None
 
 
 def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:
@@ -397,7 +395,7 @@ def _ssm1_skeleton(cfg: ModelConfig):
 
 def ssm1_rhs(
     U: np.ndarray, phi: float, bank: ChainBank, cfg: ModelConfig, outputs=None
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, float]:
     """Slow-manifold model under single-mode alternating forcing.
 
     The forcing pattern phi_{j,1} = -+ phi(t) alternates across elements
@@ -406,10 +404,10 @@ def ssm1_rhs(
     ``bank.outputs()`` unless a caller holding the states elsewhere passes
     them, shape (chains, m).
 
-    Returns the amplitude derivative and the bank's (1, m) drive stack for
-    this evaluation, so the caller can advance U and the chains jointly;
-    the stack is the bank's ``drives`` buffer, refilled by every call.
-    The bank must come from build_bank(cfg).
+    Returns the amplitude derivative and the drive stack for this
+    evaluation, so the caller can advance U and the chains jointly: phi
+    itself, which broadcasts over the bank's one drive row.  The bank must
+    come from build_bank(cfg).
     """
     U = np.asarray(U, dtype=float)
     phi = float(phi)
@@ -418,8 +416,7 @@ def ssm1_rhs(
         outputs = bank.outputs()
     dU = bank.skeleton(U, phi)
     dU += (U * phi) * (bank.coupling @ outputs)
-    bank.drives.fill(phi)
-    return dU, bank.drives
+    return dU, phi
 
 
 def nsm_field_at_grid(
@@ -643,14 +640,16 @@ def _strongquad_skeleton(cfg: ModelConfig):
 
 
 def strongquad_rhs(
-    U: np.ndarray, modes: np.ndarray, bank: ChainBank, cfg: ModelConfig
+    U: np.ndarray, modes: np.ndarray, bank: ChainBank, cfg: ModelConfig,
+    outputs=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """General-forcing model, complete through quadratic forcing terms.
 
     modes holds the per-element forcing coefficients, shape (m, 3).  One
     product of the bank's (31, 12) matrix (the bank must come from
     build_bank(cfg)) with the expression stack gives the five forcing rows
-    and the couplings' weights on the chain outputs; the weighted outputs
+    and the couplings' weights on the chain outputs, ``bank.outputs()``
+    unless the caller passes them, shape (chains, m); the weighted outputs
     join the rows of 1 and U.  Returns the amplitude derivative and the
     (12, m) expression stack, which is also the bank's drive stack.
     """
@@ -661,12 +660,14 @@ def strongquad_rhs(
             f"need mode coefficients of shape ({cfg.m}, 3), got {modes.shape}"
         )
     _check_compiled(bank, cfg)
+    if outputs is None:
+        outputs = bank.outputs()
     ex = strongquad_expressions(modes)
     W = bank.coupling @ ex
     n = bank.out_rows.size
     F = W[2 * n:]
     F[:2] += np.einsum("kcj,cj->kj", W[:2 * n].reshape(2, n, cfg.m),
-                       bank.outputs())
+                       outputs)
     return bank.skeleton(U, F), ex
 
 
@@ -681,7 +682,6 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         lead, k = _ssm1_coupling(cfg)
         bank.coupling[[bank.index(*spec) for spec in specs]] = lead * k
         bank.skeleton = _ssm1_skeleton(cfg)
-        bank.drives = np.empty((1, cfg.m))
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
         bank.coupling = np.concatenate(
@@ -694,45 +694,47 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
     return bank
 
 
-def variant_rhs(U, forcing_value, bank, cfg):
-    """Dispatch to the variant's evolution; returns (dU, bank drive stack)."""
-    if cfg.variant == "lowg":
-        return lowg_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
-    if cfg.variant == "lattice":
-        return lattice_coarse_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
-    if cfg.variant == "ssm1":
-        return ssm1_rhs(U, forcing_value, bank, cfg)
-    return strongquad_rhs(U, forcing_value, bank, cfg)
+# Up to this many states with one drive row, a joint stage gathers a bank
+# from y element by element; any other bank by rows of y[sz] as (S, m).
+# Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, flat against rows: a feed
+# 4.1 / 6.6 us (ssm1, m = 4), 71 / 33 us (strongquad, m = 1024); a whole
+# ssm1 block 71.5 / 75.7 us at 2044 states, 70.1 / 67.2 us at 2240.
+_FLAT_STATES = 2048
 
 
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
-    """block(y, forcing, dy): a joint stage's coarse side, for a y holding
-    the bank's packed state at sz and U at sU.  It writes the variant's rhs
-    and the bank's ``packed_chain_rhs`` into dy[sU] and dy[sz], bit for bit:
-    ssm1 by gathers from y and one flat feed index, the others through a
-    rebound bank."""
-    cfg, shape, chains = bank.cfg, bank.Z.shape, bool(bank.rows)
-    if cfg.variant == "ssm1":
-        cols = np.arange(cfg.m)
-        out_at = sz.start + cfg.m * bank.out_rows[:, None] + cols
-        neg_rates, feed, last = bank._layout
-        flat = (neg_rates.ravel(), (cfg.m * feed[:, None] + cols).ravel(), last)
-        ext = np.empty(bank.n_states + cfg.m)
+    """block(y, forcing, dy): a joint stage's coarse side for a y holding the
+    bank's packed state at sz and U at sU.  It reads only y, and writes the
+    variant's rhs and ``packed_chain_rhs`` into dy[sU] and dy[sz]."""
+    cfg, m = bank.cfg, bank.m
+    if not bank.rows:
+        rhs = lowg_rhs if cfg.variant == "lowg" else lattice_coarse_rhs
 
-        def block(y, phi, dy):
-            dU, drives = ssm1_rhs(y[sU], phi, bank, cfg, y[out_at])
+        def block(y, forcing, dy):
+            dy[sU] = rhs(y[sU], forcing, cfg)
+
+        return block
+    rhs = ssm1_rhs if cfg.variant == "ssm1" else strongquad_rhs
+    neg_rates, feed, last = bank._layout
+    if bank.n_states <= _FLAT_STATES and len(bank.exprs) == 1:
+        cols = np.arange(m)
+        out_at = sz.start + m * bank.out_rows[:, None] + cols
+        flat = (neg_rates.ravel(), (m * feed[:, None] + cols).ravel(), last)
+        ext = np.empty(bank.n_states + m)
+
+        def block(y, forcing, dy):
+            dU, drives = rhs(y[sU], forcing, bank, cfg, y[out_at])
             dy[sU] = dU
             packed_chain_rhs(y[sz], flat, drives, ext, dy[sz])
 
         return block
+    shape, out_rows = bank.Z.shape, bank.out_rows
+    ext = np.empty((len(feed) + len(bank.exprs), m))
 
     def block(y, forcing, dy):
-        # Rebind the bank to this stage's state: a view, no copy.
-        bank.Z = Z = y[sz].reshape(shape)
-        dU, drives = variant_rhs(y[sU], forcing, bank, cfg)
-        if chains:
-            packed_chain_rhs(Z, bank._layout, drives, bank._ext,
-                             dy[sz].reshape(shape))
+        Z = y[sz].reshape(shape)
+        dU, drives = rhs(y[sU], forcing, bank, cfg, Z[out_rows])
+        packed_chain_rhs(Z, bank._layout, drives, ext, dy[sz].reshape(shape))
         dy[sU] = dU
 
     return block

@@ -29,11 +29,9 @@ from holodisc.harness import (
     lattice_coarse_experiment,
     run_fig3_experiment,
 )
-from holodisc.macromodel import (
-    strongquad_quadratic_terms,
-    variant_rhs,
-)
+from holodisc.macromodel import strongquad_quadratic_terms
 from holodisc.weakmodel import simulate_quadrature_ensemble
+from test_paired_stage import variant_rhs
 
 ALT4 = alternating_signs(4)
 

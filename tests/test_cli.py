@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from holodisc import ConvTerm, reduce_by_parts
-from holodisc.cli import main
+from holodisc import ConfigError, ConvTerm, reduce_by_parts
+from holodisc.cli import _macro_assemble, main
 
 
 def invoke(*args):
@@ -121,6 +121,16 @@ class TestMacro:
         result = invoke_entry("macro", "--model", "ssm1", "--m", "5",
                               "--tend", "0.05")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("model", ["lowg", "strongquad"])
+    def test_odd_alternating_profile_exits_two_before_the_run(self, model):
+        with pytest.raises(ConfigError, match="even element count"):
+            _macro_assemble(model, "alternating", 5)
+        result = invoke_entry("macro", "--model", model, "--profile",
+                              "alternating", "--m", "5", "--tend", "0.05")
+        assert result.returncode == 2
+        assert ("alternating profile needs an even element count"
+                in result.stderr)
 
     def test_rejects_a_step_that_does_not_divide_the_run(self):
         result = invoke_entry("macro", "--tend", "1.0", "--dt", "0.3")

@@ -35,7 +35,6 @@ from holodisc import (
     phasor_drift,
     stochastic_replace,
     strongquad_rhs,
-    variant_rhs,
 )
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import stepper
@@ -48,7 +47,11 @@ from holodisc.macromodel import (
     strongquad_quadratic_terms,
 )
 from holodisc.weakmodel import _OFFSET_WEIGHTS, _slot_amplitudes, _split_expr
-from test_paired_stage import reference_ssm1_weights, unbound_ssm1_det_linear
+from test_paired_stage import (
+    reference_ssm1_weights,
+    unbound_ssm1_det_linear,
+    variant_rhs,
+)
 
 RTOL = 1e-12
 

@@ -19,12 +19,12 @@ from holodisc import (
     run_macro_forced,
     ssm1_rhs,
     strongquad_rhs,
-    variant_rhs,
 )
 from holodisc.macromodel import (
     EXPR_NAMES,
     strongquad_expressions,
 )
+from test_paired_stage import variant_rhs
 
 
 def cfg_for(variant, **kw):
@@ -208,7 +208,8 @@ class TestSsm1Structure:
                           ((b[1], b[6]), "z61")):
             expected = expected + weights[key] * phi * bank.output(pair, "phi")
         assert np.allclose(dU, expected)
-        assert inputs.shape == (1, cfg.m) and np.allclose(inputs, phi)
+        assert np.array_equal(np.broadcast_to(inputs, (1, cfg.m)),
+                              np.full((1, cfg.m), phi))
 
     def test_forcing_alternates_across_elements(self):
         cfg = cfg_for("ssm1", gamma=0.0)

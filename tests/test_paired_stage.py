@@ -9,7 +9,9 @@ builds its own signals and bank, so it shares no set-up with the compiled
 stage.  Each case gives its fine side as the grid's own (kind, spacing or
 H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
 ``lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
-``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
+``variant_rhs`` is the per-variant dispatch the stage made before
+``stage_block`` bound each variant's rhs, kept here as a reference for the
+tests.  ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
 are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
@@ -23,22 +25,36 @@ from holodisc import (
     FineSide,
     ModelConfig,
     SignalSpec,
+    VARIANTS,
     build_bank,
     build_weak_model,
     burgers_rhs,
+    lattice_coarse_rhs,
     lattice_rhs,
+    lowg_rhs,
     make_signal,
     ssm1_rhs,
     strongquad_rhs,
-    variant_rhs,
 )
+from holodisc import macromodel
 from holodisc.harness import _compile_stage
 from holodisc.forcing import lorenz_point
-from holodisc.macromodel import alternating_signs
+from holodisc.macromodel import alternating_signs, stage_block
 from holodisc.microscale import burgers_form, lattice_form
 from holodisc.stencil import ring_images
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
+
+
+def variant_rhs(U, forcing_value, bank, cfg):
+    """Dispatch to the variant's evolution; returns (dU, bank drive stack)."""
+    if cfg.variant == "lowg":
+        return lowg_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
+    if cfg.variant == "lattice":
+        return lattice_coarse_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
+    if cfg.variant == "ssm1":
+        return ssm1_rhs(U, forcing_value, bank, cfg)
+    return strongquad_rhs(U, forcing_value, bank, cfg)
 
 
 def fine_side(u0, profiles, grid):
@@ -252,19 +268,68 @@ def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
         assert np.array_equal(banks["strongquad"].skeleton(U, F), want)
 
 
-def test_ssm1_rhs_refills_the_banks_drive_row():
+def test_ssm1_rhs_returns_phi_as_its_drive():
+    """A returned drive is the caller's own: a second call leaves it as it
+    was, and the bank keeps no drive buffer."""
     cfg = ModelConfig(variant="ssm1", alpha=0.7, eps=0.3, H=np.pi / 2.0, m=6)
     bank = build_bank(cfg)
     bank.Z[:] = np.random.default_rng(2).normal(size=bank.Z.shape)
     U = np.linspace(-1.0, 1.0, 6)
+    drives = []
     for phi in (0.3, -2.0):
-        dU, drives = ssm1_rhs(U, phi, bank, cfg)
+        dU, drive = ssm1_rhs(U, phi, bank, cfg)
         want = unbound_ssm1_det_linear(U, phi, cfg)
         want += (U * phi) * (bank.coupling @ bank.outputs())
         assert np.array_equal(dU, want)
-        assert drives is bank.drives
-        assert np.array_equal(drives, np.full((1, 6), phi))
+        drives.append(drive)
+    assert drives == [0.3, -2.0] and not hasattr(bank, "drives")
+    flat = bank.Z.ravel()
+    assert np.array_equal(bank.rhs_flat(flat, drives[0]),
+                          bank.rhs_flat(flat, np.full((1, 6), 0.3)))
     quad = build_bank(ModelConfig(variant="strongquad", alpha=0.7, eps=0.3,
                                   H=np.pi / 2.0, m=6))
     _, ex = strongquad_rhs(U, np.ones((6, 3)), quad, quad.cfg)
-    assert quad.drives is None and ex.shape == (12, 6)
+    assert not hasattr(quad, "drives") and ex.shape == (12, 6)
+
+
+def coarse_forcing(cfg, rng):
+    """A random forcing object of cfg's variant."""
+    if cfg.variant == "ssm1":
+        return float(rng.normal())
+    if cfg.variant == "lattice":
+        return rng.normal(size=2 * cfg.m)
+    return rng.normal(size=(cfg.m, 3))
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stage_block_reads_only_y_and_writes_only_its_slices(
+        variant, m, monkeypatch):
+    """In a joint state with driver and fine slices, from a NaN dy, each
+    body (every bank by rows, then every bank with one drive row by flat
+    gathers) leaves y and the bank's state alone, writes dy[sz] and dy[sU]
+    and nothing else, and the two bodies agree bit for bit."""
+    rng = np.random.default_rng(m)
+    cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                      m=m)
+    forcing = coarse_forcing(cfg, rng)
+    fine = fine_side(np.ones(8), np.ones((1, 8)), UNIT_GRID)
+    coarse = CoarseSide(cfg, np.ones(m), lambda v, t: forcing)
+    joint = _compile_stage([LORENZ], 5, cfg.dt, "rk4", fine, coarse)
+    _, _, sz, sU = joint.slices
+    y = joint.y0 + rng.normal(size=joint.y0.size)
+    y_in = y.copy()
+    written = np.zeros(y.size, bool)
+    written[sz] = written[sU] = True
+    got = []
+    for limit in (0, 10**9):
+        monkeypatch.setattr(macromodel, "_FLAT_STATES", limit)
+        bank = build_bank(cfg)
+        Z = bank.Z
+        dy = np.full_like(y, np.nan)
+        stage_block(bank, sz, sU)(y, forcing, dy)
+        assert np.array_equal(y, y_in)
+        assert bank.Z is Z and not Z.any()
+        assert np.array_equal(~np.isnan(dy), written)
+        got.append(dy)
+    assert np.array_equal(got[0], got[1], equal_nan=True)
