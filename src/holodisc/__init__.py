@@ -56,7 +56,6 @@ from .macromodel import (
     build_bank,
     lattice_coarse_rhs,
     lowg_rhs,
-    nsm_field_at_grid,
     nsm_subgrid_field,
     ssm1_rhs,
     strongquad_rhs,
@@ -121,7 +120,6 @@ __all__ = [
     "lattice_coarse_rhs",
     "ssm1_rhs",
     "strongquad_rhs",
-    "nsm_field_at_grid",
     "nsm_subgrid_field",
     "harmonic_drift_1",
     "harmonic_drift_2",

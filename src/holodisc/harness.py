@@ -48,7 +48,7 @@ from .macromodel import (
     ModelConfig,
     build_bank,
     lowg_rhs,
-    nsm_field_at_grid,
+    nsm_subgrid_field,
     ssm1_chain_specs,
     stage_block,
 )
@@ -456,7 +456,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
         if U0.shape != (cfg.m,):
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
         bank = build_bank(cfg)
-        Z0 = bank.Z.ravel()
+        Z0 = np.zeros(bank.n_states)
     y0 = np.concatenate([sigset.d0, u0, Z0, U0])
     e0, e1, e2 = np.cumsum([sigset.total_dim, u0.size, Z0.size]).tolist()
     sd, su, sz, sU = slice(0, e0), slice(e0, e1), slice(e1, e2), slice(e2, None)
@@ -571,7 +571,8 @@ def run_macro_forced(
 
 def nsm_series(cfg: ModelConfig, U_hist, bank_hist) -> np.ndarray:
     """Grid-value reconstruction along a recorded coarse trajectory: one
-    nsm_field_at_grid on a bank holding the whole history's states."""
+    nsm_subgrid_field at theta = 0 on the chain outputs of every recorded
+    row, gathered by the layout's ``out_rows``."""
     bank = build_bank(cfg)
     U_hist = np.asarray(U_hist, dtype=float)
     bank_hist = np.asarray(bank_hist, dtype=float)
@@ -580,8 +581,9 @@ def nsm_series(cfg: ModelConfig, U_hist, bank_hist) -> np.ndarray:
             f"bank history has {bank_hist.size} entries, need {len(U_hist)} "
             f"rows of the bank's {bank.n_states}"
         )
-    bank.Z = bank_hist.reshape(len(U_hist), *bank.Z.shape)
-    return nsm_field_at_grid(U_hist, bank, cfg)
+    rows = bank_hist.reshape(len(U_hist), bank.n_states // cfg.m, cfg.m)
+    return nsm_subgrid_field(U_hist, rows[:, bank.out_rows].swapaxes(0, 1),
+                             cfg, 0.0)
 
 
 def _write_csv(path: str, header: str, columns) -> None:

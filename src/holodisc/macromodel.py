@@ -14,8 +14,8 @@ a periodic domain of length m H.  Four deterministic-skeleton variants:
 
 ``ssm1``
     Single-mode alternating forcing phi_j,1 = -+ phi(t): the slow-manifold
-    model with four memory chains per element, plus reconstruction of grid
-    values and the subgrid field.
+    model with four memory chains per element, plus the reconstruction
+    of the subgrid field (the grid values at theta = 0) from chain outputs.
 
 ``strongquad``
     General three-mode forcing, complete through quadratic forcing terms:
@@ -38,7 +38,7 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
 both read from the joint state, so every scheme sees consistent substage
-values.
+values; the reconstruction reads a recorded history's ``out_rows``.
 
 The weak models (``weakmodel``) bind the same skeleton closures and
 coupling constants (``_ssm1_skeleton``/``_ssm1_coupling``,
@@ -70,7 +70,6 @@ __all__ = [
     "lattice_coarse_rhs",
     "ssm1_chain_specs",
     "ssm1_rhs",
-    "nsm_field_at_grid",
     "nsm_subgrid_field",
     "QuadTerm",
     "strongquad_quadratic_terms",
@@ -158,7 +157,10 @@ class ChainBank:
     the rates spread over (S, m) (a plain product beats a broadcast one):
     per row a negated decay rate and a feed, its row in [Z; drive stack];
     per chain its last row.  ``rows`` maps each key to its block of rows,
-    ``out_rows`` each chain's output row.
+    ``out_rows`` each chain's output row.  Z, a packed state of its own,
+    is touched only by ``__init__``, ``states``, ``unpack`` and
+    ``bound_to``, which tests use and the benchmark's tracer probes; no
+    engine reads it, each gathers chain outputs from its own states.
 
     build_bank adds the variant's compiled form: ``coupling``, the
     coefficients of the chain outputs in dU/dt; ``skeleton``, its
@@ -193,37 +195,32 @@ class ChainBank:
         return len(self.rows)
 
     def index(self, rates, input_key: str) -> int:
-        """Position of a chain in the layout (its row in ``outputs()``)."""
+        """Position of a chain in the layout (its entry in ``out_rows``)."""
         return self.keys().index((canonical_rates(rates), str(input_key)))
 
     def states(self, rates, input_key: str) -> np.ndarray:
-        """A chain's cascade levels, shape (levels, m); a view into Z.
-        A Z of stacked (S, m) states gives (..., levels, m)."""
+        """A chain's cascade levels, shape (levels, m); a view into Z."""
         k = (canonical_rates(rates), str(input_key))
         try:
-            return self.Z[..., self.rows[k], :]
+            return self.Z[self.rows[k]]
         except KeyError:
             raise ConfigError(f"bank has no chain {k}") from None
 
     def output(self, rates, input_key: str) -> np.ndarray:
-        """Chain output per element, shape (m,) (or (..., m))."""
-        return self.states(rates, input_key)[..., 0, :]
-
-    def outputs(self) -> np.ndarray:
-        """Every chain's output, shape (chains, m), in layout order."""
-        return self.Z[self.out_rows]
+        """Chain output per element, shape (m,)."""
+        return self.states(rates, input_key)[0]
 
     @property
     def n_states(self) -> int:
-        return self.Z.size
+        return self._layout[0].size
 
     def _shaped(self, flat) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
-        if flat.size != self.Z.size:
+        if flat.size != self.n_states:
             raise ConfigError(
-                f"flat vector has {flat.size} entries, bank holds {self.Z.size}"
+                f"flat vector has {flat.size} entries, bank holds {self.n_states}"
             )
-        return flat.reshape(self.Z.shape)
+        return flat.reshape(self._layout[0].shape)
 
     def unpack(self, flat: np.ndarray) -> None:
         """Take the chain states from a packed vector (Z.ravel() order)."""
@@ -353,11 +350,6 @@ def ssm1_chain_specs(cfg: ModelConfig) -> tuple[tuple[tuple, str], ...]:
     )
 
 
-def _ssm1_outputs(bank: ChainBank, cfg: ModelConfig) -> list[np.ndarray]:
-    """Outputs of Z1, Z21, Z41, Z61, in that order."""
-    return [bank.output(*spec) for spec in ssm1_chain_specs(cfg)]
-
-
 def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
     """The memory term U phi (c . Z) as (lead, k), c = lead k: lead =
     eps^2 alpha^2, k the constants of Z1, Z21, Z41, Z61 (spec order)."""
@@ -394,15 +386,14 @@ def _ssm1_skeleton(cfg: ModelConfig):
 
 
 def ssm1_rhs(
-    U: np.ndarray, phi: float, bank: ChainBank, cfg: ModelConfig, outputs=None
+    U: np.ndarray, phi: float, bank: ChainBank, cfg: ModelConfig, outputs
 ) -> tuple[np.ndarray, float]:
     """Slow-manifold model under single-mode alternating forcing.
 
     The forcing pattern phi_{j,1} = -+ phi(t) alternates across elements
     (lower sign on even 0-based j); phi(t) is the scalar drive.  Memory
-    enters through the bank's four chains, all fed by phi: their outputs,
-    ``bank.outputs()`` unless a caller holding the states elsewhere passes
-    them, shape (chains, m).
+    enters through the bank's four chains, all fed by phi: outputs holds
+    their outputs, the ``bank.out_rows`` of the states, shape (chains, m).
 
     Returns the amplitude derivative and the drive stack for this
     evaluation, so the caller can advance U and the chains jointly: phi
@@ -412,68 +403,40 @@ def ssm1_rhs(
     U = np.asarray(U, dtype=float)
     phi = float(phi)
     _check_compiled(bank, cfg)
-    if outputs is None:
-        outputs = bank.outputs()
     dU = bank.skeleton(U, phi)
     dU += (U * phi) * (bank.coupling @ outputs)
     return dU, phi
 
 
-def nsm_field_at_grid(
-    U: np.ndarray, bank: ChainBank, cfg: ModelConfig
-) -> np.ndarray:
-    """Reconstructed fine-scale value at each element's centre.
-
-    The memory chains shift the true grid value off the amplitude:
-
-        u_j(X_j) = U_j -+ eps alpha U_j [ (2H/pi^2) Z1
-                   - (4/H)(Z21/3 - Z41/15 + Z61/35) ] phi,
-
-    with the same alternation as the forcing (chains already carry phi).
-    The arithmetic is elementwise, so U of shape (r, m) on a bank holding
-    r stacked states reconstructs a whole history.
-    """
-    a, e, H = cfg.alpha, cfg.eps, cfg.H
-    U = np.asarray(U, dtype=float)
-    alt = alternating_signs(cfg.m)
-    z1, z21, z41, z61 = _ssm1_outputs(bank, cfg)
-    offset = (2.0 * H / _PI2) * z1 - (4.0 / H) * (
-        z21 / 3.0 - z41 / 15.0 + z61 / 35.0
-    )
-    return U + alt * e * a * U * offset
-
-
-def nsm_subgrid_field(
-    U: np.ndarray, bank: ChainBank, cfg: ModelConfig, theta
-) -> np.ndarray:
+def nsm_subgrid_field(U: np.ndarray, outputs, cfg: ModelConfig,
+                      theta) -> np.ndarray:
     """Reconstructed fine-scale field across each element.
 
-    theta is the subgrid coordinate pi (x - X_j)/H; scalars give shape (m,),
-    arrays give shape theta.shape + (m,).  At theta = +-pi with gamma = 1
-    and eps = 0 the field reproduces the neighbouring amplitudes exactly
-    (the coupling condition).
+    outputs holds Z1, Z21, Z41 and Z61 (layout order), shape (4,) +
+    U.shape; U of shape (r, m) reconstructs a recorded history.  theta is
+    the subgrid coordinate pi (x - X_j)/H; scalars give U's shape, arrays
+    theta.shape + (m,).  At theta = 0, where cos and sin are exact, it is
+    the grid value u_j(X_j) = U_j -+ eps alpha U_j [(2H/pi^2) Z1 - (4/H)
+    (Z21/3 - Z41/15 + Z61/35)] phi (chains carry phi).  At theta = +-pi,
+    gamma = 1 and eps = 0 it reproduces the neighbouring amplitudes.
     """
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    outputs = np.asarray(outputs, dtype=float)
+    if cfg.variant != "ssm1" or outputs.shape[:1] != (4,):
+        raise ConfigError(f"no reconstruction for variant {cfg.variant!r} "
+                          f"from outputs of shape {outputs.shape}")
     U = np.asarray(U, dtype=float)
     alt = alternating_signs(cfg.m)
     theta = np.asarray(theta, dtype=float)[..., None]
-    z1, z21, z41, z61 = _ssm1_outputs(bank, cfg)
-
-    out = U + g * (
-        (theta / np.pi) * mudelta(U)
-        + (theta**2 / (2.0 * _PI2)) * delta2(U)
-    )
+    z1, z21, z41, z61 = outputs
+    out = U + g * ((theta / np.pi) * mudelta(U)
+                   + (theta**2 / (2.0 * _PI2)) * delta2(U))
     out = out + alt * e * np.sin(theta) * z1
-    out = out + alt * e * a * U * (
+    return out + alt * e * a * U * (
         (2.0 * H / _PI2) * z1
-        - (4.0 / H)
-        * (
-            np.cos(2.0 * theta) / 3.0 * z21
-            - np.cos(4.0 * theta) / 15.0 * z41
-            + np.cos(6.0 * theta) / 35.0 * z61
-        )
-    )
-    return out
+        - (4.0 / H) * (np.cos(2.0 * theta) * (z21 / 3.0)
+                       - np.cos(4.0 * theta) * (z41 / 15.0)
+                       + np.cos(6.0 * theta) * (z61 / 35.0)))
 
 
 # -- general quadratic-forcing model -----------------------------------------
@@ -641,16 +604,16 @@ def _strongquad_skeleton(cfg: ModelConfig):
 
 def strongquad_rhs(
     U: np.ndarray, modes: np.ndarray, bank: ChainBank, cfg: ModelConfig,
-    outputs=None,
+    outputs,
 ) -> tuple[np.ndarray, np.ndarray]:
     """General-forcing model, complete through quadratic forcing terms.
 
     modes holds the per-element forcing coefficients, shape (m, 3).  One
     product of the bank's (31, 12) matrix (the bank must come from
     build_bank(cfg)) with the expression stack gives the five forcing rows
-    and the couplings' weights on the chain outputs, ``bank.outputs()``
-    unless the caller passes them, shape (chains, m); the weighted outputs
-    join the rows of 1 and U.  Returns the amplitude derivative and the
+    and the couplings' weights on outputs, the ``bank.out_rows`` of the
+    states, shape (chains, m); the weighted outputs join the rows of 1 and
+    U.  Returns the amplitude derivative and the
     (12, m) expression stack, which is also the bank's drive stack.
     """
     U = np.asarray(U, dtype=float)
@@ -660,8 +623,6 @@ def strongquad_rhs(
             f"need mode coefficients of shape ({cfg.m}, 3), got {modes.shape}"
         )
     _check_compiled(bank, cfg)
-    if outputs is None:
-        outputs = bank.outputs()
     ex = strongquad_expressions(modes)
     W = bank.coupling @ ex
     n = bank.out_rows.size
@@ -728,7 +689,7 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
             packed_chain_rhs(y[sz], flat, drives, ext, dy[sz])
 
         return block
-    shape, out_rows = bank.Z.shape, bank.out_rows
+    shape, out_rows = neg_rates.shape, bank.out_rows
     ext = np.empty((len(feed) + len(bank.exprs), m))
 
     def block(y, forcing, dy):

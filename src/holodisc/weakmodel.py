@@ -293,6 +293,10 @@ class WeakCoarseModel:
         self.cfg = cfg
         self.signal = signal
         self._white = signal.kind == "white-noise"
+        if tuple(mode_scales) != (1.0, 1.0, 1.0) and not (
+                self._white and cfg.variant == "strongquad"):
+            raise ConfigError(f"weak {cfg.variant} under {signal.kind} forcing "
+                              f"reads no mode_scales, got {tuple(mode_scales)}")
         check_scheme_legal(cfg.scheme, self._white)
         if self._white and cfg.seed is None:
             raise ConfigError("a white-noise weak model needs cfg.seed: its "
@@ -531,7 +535,8 @@ def build_weak_model(
     times the scalar signal (pass the pattern, complex entries allowed for
     per-element phases); strongquad white noise treats every (element, mode)
     stream as independent with per-mode intensities
-    signal.intensity * mode_scales[k].
+    signal.intensity * mode_scales[k]; no other model reads mode_scales,
+    so it refuses any but the default.
 
     The result carries no memory chains.
     """

@@ -165,6 +165,15 @@ class TestWeak:
         assert result.returncode == 2
         assert "1.0" in result.stderr and "0.3" in result.stderr
 
+    def test_unread_mode_scales_exit_two(self):
+        result = invoke_entry(
+            "weak", "--model", "ssm1", "--m", "4", "--dt", "0.01",
+            "--tend", "0.1", "--forcing", '{"kind": "harmonic", "omega": 2.0}',
+            "--mode-scales", "7,7",
+        )
+        assert result.returncode == 2
+        assert "mode_scales" in result.stderr and result.stdout == ""
+
 
 class TestReduce:
     def test_matches_library_reduction(self):

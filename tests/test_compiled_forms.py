@@ -193,7 +193,9 @@ def test_strongquad_matches_the_term_loop(m):
         modes = rng.normal(size=(m, 3))
         states = chain_states(strongquad_chain_specs(cfg), flat, m)
         want_dU, ex = reference_strongquad_rhs(U, modes, states, cfg)
-        got_dU, drives = strongquad_rhs(U, modes, bank.bound_to(flat), cfg)
+        view = bank.bound_to(flat)
+        got_dU, drives = strongquad_rhs(U, modes, view, cfg,
+                                        view.Z[view.out_rows])
         assert_close(got_dU, want_dU)
         assert np.array_equal(drives[:9], np.stack([ex[k] for k in NINE_NAMES]))
         assert np.array_equal(drives[9:], delta2(drives[6:9]))
@@ -391,11 +393,12 @@ def test_bound_bank_shares_the_layout_and_reads_its_state():
 def test_bank_refuses_another_models_configuration():
     bank = build_bank(cfg_for("strongquad", 4))
     other = cfg_for("strongquad", 4, dt=5e-3)  # same model, other stepping
-    strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank, other)
+    outputs = bank.Z[bank.out_rows]
+    strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank, other, outputs)
     with pytest.raises(ConfigError, match="compiled"):
         strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank,
                        ModelConfig(variant="strongquad", alpha=0.7, eps=0.1,
-                                   gamma=0.8, H=np.pi / 2.0, m=4))
+                                   gamma=0.8, H=np.pi / 2.0, m=4), outputs)
 
 
 def reference_streams(cfg, sigma):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import golden_runs
 from holodisc import (
@@ -23,15 +24,18 @@ from holodisc import (
     default_spec,
     fit_emergence_rate,
     lowg_rhs,
-    nsm_field_at_grid,
     nsm_series,
     rms,
     run_macro_forced,
     run_paired,
     spec_from_dict,
 )
+from holodisc import harness
+from holodisc.cli import main
 from holodisc.harness import consistency_experiment, default_window_start
+from holodisc.macromodel import ChainBank
 from holodisc.microscale import burgers_form, lattice_form
+from test_paired_stage import nsm_field_at_grid
 
 
 class TestHelpers:
@@ -233,6 +237,16 @@ class TestPairedEngines:
         with pytest.raises(ConfigError, match="9 rows"):
             nsm_series(cfg, U_hist, bank_hist[:-1])
 
+    @pytest.mark.parametrize("variant", ["lowg", "strongquad"])
+    def test_nsm_series_refuses_other_variants(self, variant):
+        """Only ssm1 has a reconstruction; another variant's history of the
+        right size is refused by name, not unpacked."""
+        cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05,
+                          H=np.pi / 2.0, m=4)
+        bank_hist = np.zeros((3, build_bank(cfg).n_states))
+        with pytest.raises(ConfigError, match=repr(variant)):
+            nsm_series(cfg, np.ones((3, 4)), bank_hist)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_macro_blowup_is_diagnosed(self):
         cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05,
@@ -432,3 +446,44 @@ class TestConsistencyExperiment:
         assert metrics["order_linear"] == convergence_order(hs, err_lin)
         assert metrics["finest_error_full"] == err_full[-1]
         assert metrics["finest_error_linear"] == err_lin[-1]
+
+
+def test_engines_never_touch_the_banks_state_helpers(monkeypatch, tmp_path):
+    """The engines read chain states from the joint state and recorded
+    histories, never through a bank: with ChainBank's state helpers made to
+    raise, a short fig3 through the CLI, run_macro_forced for ssm1 and
+    strongquad at m = 4 and 1024, and nsm_series all still run, and every
+    bank the engine builds keeps the zero state it was built with."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine called a bank state helper")
+
+    for name in ("states", "output", "unpack", "bound_to", "rhs_flat"):
+        monkeypatch.setattr(ChainBank, name, refuse)
+    built = []
+
+    def recording_build_bank(cfg):
+        built.append(build_bank(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_bank", recording_build_bank)
+    cfg_file = tmp_path / "f3.json"
+    cfg_file.write_text(json.dumps({"t0": 0.02, "t1": 0.04}))
+    result = CliRunner().invoke(main, ["compare", "--experiment", "fig3",
+                                       "--config", str(cfg_file)])
+    assert result.exit_code == 0, result.output
+    harmonic = SignalSpec(kind="harmonic", omega=2.0)
+    for m in (4, 1024):
+        for variant in ("ssm1", "strongquad"):
+            cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05,
+                              H=np.pi / 2.0, m=m, dt=0.01)
+            pattern = np.ones((m, 3))
+            assemble = ((lambda v, t: v[0]) if variant == "ssm1"
+                        else (lambda v, t: pattern * v[0]))
+            _, U_hist, bank_hist, _ = run_macro_forced(
+                cfg, np.ones(m), [harmonic], assemble, 0.02, seed=0)
+            assert np.all(np.isfinite(U_hist)) and bank_hist.any()
+            if variant == "ssm1":
+                v_hist = nsm_series(cfg, U_hist, bank_hist)
+                assert np.all(np.isfinite(v_hist))
+    assert len(built) == 2 + 4 + 2
+    assert all(not bank.Z.any() for bank in built)

@@ -14,7 +14,6 @@ from holodisc import (
     lattice_coarse_rhs,
     lowg_rhs,
     mode_decay_rate,
-    nsm_field_at_grid,
     nsm_subgrid_field,
     run_macro_forced,
     ssm1_rhs,
@@ -22,9 +21,10 @@ from holodisc import (
 )
 from holodisc.macromodel import (
     EXPR_NAMES,
+    ssm1_chain_specs,
     strongquad_expressions,
 )
-from test_paired_stage import variant_rhs
+from test_paired_stage import nsm_field_at_grid, variant_rhs
 
 
 def cfg_for(variant, **kw):
@@ -105,21 +105,54 @@ class TestCouplingLimits:
         cfg = cfg_for("ssm1", eps=0.0, gamma=1.0)
         U = np.array([0.3, -1.2, 0.8, 0.1])
         bank = build_bank(cfg)
-        right = nsm_subgrid_field(U, bank, cfg, np.pi)
-        left = nsm_subgrid_field(U, bank, cfg, -np.pi)
+        outputs = bank.Z[bank.out_rows]
+        right = nsm_subgrid_field(U, outputs, cfg, np.pi)
+        left = nsm_subgrid_field(U, outputs, cfg, -np.pi)
         assert np.allclose(right, np.roll(U, -1), atol=1e-12)
         assert np.allclose(left, np.roll(U, 1), atol=1e-12)
 
     def test_subgrid_centre_matches_grid_value(self):
+        """At theta = 0 the subgrid field is the grid-value reconstruction
+        bit for bit: on random U and chains spanning ten decades, at gamma
+        below and at 1, for one state and for an (r, m) history with its
+        (4, r, m) outputs."""
+        r = 7
+        for m, gamma in ((4, 0.6), (4, 1.0), (64, 0.6)):
+            cfg = cfg_for("ssm1", m=m, alpha=0.7, eps=0.3, gamma=gamma)
+            bank = build_bank(cfg)
+            rng = np.random.default_rng(m)
+            U = rng.normal(size=(r, m)) * 10.0 ** rng.integers(-6, 4, (r, 1))
+            hist = rng.normal(size=(r, bank.n_states)) * 10.0 ** rng.integers(
+                -6, 4, (r, 1))
+            want = np.empty_like(U)
+            for k in range(r):
+                bank.unpack(hist[k])
+                want[k] = nsm_field_at_grid(U[k], bank, cfg)
+                got = nsm_subgrid_field(U[k], bank.Z[bank.out_rows], cfg, 0.0)
+                assert np.array_equal(got, want[k])
+            outputs = hist.reshape(r, -1, m)[:, bank.out_rows].swapaxes(0, 1)
+            got = nsm_subgrid_field(U, outputs, cfg, 0.0)
+            assert np.array_equal(got, want)
+
+    def test_outputs_are_the_spec_chains_in_order(self):
+        """The reconstruction reads Z1, Z21, Z41, Z61 as the layout's
+        first four output rows."""
         cfg = cfg_for("ssm1")
-        U = np.array([0.3, -1.2, 0.8, 0.1])
         bank = build_bank(cfg)
-        for k in bank.keys():
-            bank.states(*k)[:] = 0.05
-        assert np.allclose(
-            nsm_subgrid_field(U, bank, cfg, 0.0),
-            nsm_field_at_grid(U, bank, cfg),
-        )
+        assert [bank.index(*spec) for spec in ssm1_chain_specs(cfg)] == [
+            0, 1, 2, 3]
+
+    @pytest.mark.parametrize("variant", ["lowg", "lattice", "strongquad"])
+    def test_reconstruction_refuses_other_variants(self, variant):
+        cfg = cfg_for(variant)
+        with pytest.raises(ConfigError, match=repr(variant)):
+            nsm_subgrid_field(np.ones(4), np.zeros((4, 4)), cfg, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 13])
+    def test_reconstruction_refuses_other_output_counts(self, n):
+        with pytest.raises(ConfigError, match="'ssm1'"):
+            nsm_subgrid_field(np.ones(4), np.zeros((n, 4)), cfg_for("ssm1"),
+                              0.0)
 
 
 class TestAlternatingImages:
@@ -196,7 +229,7 @@ class TestSsm1Structure:
         for k in bank.keys():
             bank.states(*k)[:] = 0.1 * np.arange(cfg.m)
         phi = 0.8
-        dU, inputs = ssm1_rhs(U, phi, bank, cfg)
+        dU, inputs = ssm1_rhs(U, phi, bank, cfg, bank.Z[bank.out_rows])
         expected = bank.skeleton(U, phi)
         lead = cfg.eps**2 * cfg.alpha**2 * U
         weights = {"z1": lead * 0.0195 * cfg.H**2}

@@ -11,7 +11,10 @@ H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
 ``lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
 ``variant_rhs`` is the per-variant dispatch the stage made before
 ``stage_block`` bound each variant's rhs, kept here as a reference for the
-tests.  ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
+tests; it hands the rhs the bank's own chain outputs.  ``nsm_field_at_grid``
+is the grid-value reconstruction as it was before it became
+``nsm_subgrid_field`` at theta = 0, reading the bank's chains by key.
+``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
 are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
@@ -39,7 +42,7 @@ from holodisc import (
 from holodisc import macromodel
 from holodisc.harness import _compile_stage
 from holodisc.forcing import lorenz_point
-from holodisc.macromodel import alternating_signs, stage_block
+from holodisc.macromodel import alternating_signs, ssm1_chain_specs, stage_block
 from holodisc.microscale import burgers_form, lattice_form
 from holodisc.stencil import ring_images
 
@@ -52,9 +55,26 @@ def variant_rhs(U, forcing_value, bank, cfg):
         return lowg_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
     if cfg.variant == "lattice":
         return lattice_coarse_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
+    outputs = bank.Z[bank.out_rows]
     if cfg.variant == "ssm1":
-        return ssm1_rhs(U, forcing_value, bank, cfg)
-    return strongquad_rhs(U, forcing_value, bank, cfg)
+        return ssm1_rhs(U, forcing_value, bank, cfg, outputs)
+    return strongquad_rhs(U, forcing_value, bank, cfg, outputs)
+
+
+def nsm_field_at_grid(U, bank, cfg):
+    """Reconstructed fine-scale value at each element's centre:
+
+        u_j(X_j) = U_j -+ eps alpha U_j [ (2H/pi^2) Z1
+                   - (4/H)(Z21/3 - Z41/15 + Z61/35) ] phi.
+    """
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    U = np.asarray(U, dtype=float)
+    alt = alternating_signs(cfg.m)
+    z1, z21, z41, z61 = [bank.output(*spec) for spec in ssm1_chain_specs(cfg)]
+    offset = (2.0 * H / np.pi**2) * z1 - (4.0 / H) * (
+        z21 / 3.0 - z41 / 15.0 + z61 / 35.0
+    )
+    return U + alt * e * a * U * offset
 
 
 def fine_side(u0, profiles, grid):
@@ -253,8 +273,9 @@ def test_bound_skeletons_are_the_unbound_ones_bit_for_bit(m, gamma):
         F = rng.normal(size=(5, m))
         want = unbound_ssm1_det_linear(U, phi, ssm1)
         assert np.array_equal(bank.skeleton(U, phi), want)
-        want += (U * phi) * (bank.coupling @ bank.outputs())
-        assert np.array_equal(ssm1_rhs(U, phi, bank, ssm1)[0], want)
+        outputs = bank.Z[bank.out_rows]
+        want += (U * phi) * (bank.coupling @ outputs)
+        assert np.array_equal(ssm1_rhs(U, phi, bank, ssm1, outputs)[0], want)
         outputs = rng.normal(size=(len(bank), m))
         assert np.array_equal(
             ssm1_rhs(U, phi, bank, ssm1, outputs)[0],
@@ -277,9 +298,9 @@ def test_ssm1_rhs_returns_phi_as_its_drive():
     U = np.linspace(-1.0, 1.0, 6)
     drives = []
     for phi in (0.3, -2.0):
-        dU, drive = ssm1_rhs(U, phi, bank, cfg)
+        dU, drive = ssm1_rhs(U, phi, bank, cfg, bank.Z[bank.out_rows])
         want = unbound_ssm1_det_linear(U, phi, cfg)
-        want += (U * phi) * (bank.coupling @ bank.outputs())
+        want += (U * phi) * (bank.coupling @ bank.Z[bank.out_rows])
         assert np.array_equal(dU, want)
         drives.append(drive)
     assert drives == [0.3, -2.0] and not hasattr(bank, "drives")
@@ -288,7 +309,8 @@ def test_ssm1_rhs_returns_phi_as_its_drive():
                           bank.rhs_flat(flat, np.full((1, 6), 0.3)))
     quad = build_bank(ModelConfig(variant="strongquad", alpha=0.7, eps=0.3,
                                   H=np.pi / 2.0, m=6))
-    _, ex = strongquad_rhs(U, np.ones((6, 3)), quad, quad.cfg)
+    _, ex = strongquad_rhs(U, np.ones((6, 3)), quad, quad.cfg,
+                           quad.Z[quad.out_rows])
     assert not hasattr(quad, "drives") and ex.shape == (12, 6)
 
 

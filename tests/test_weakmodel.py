@@ -265,6 +265,38 @@ class TestWeakStrongquad:
             )
 
 
+class TestModeScales:
+    """Only white-noise strongquad reads mode_scales; every other weak model
+    refuses any but the default instead of ignoring it."""
+
+    def unread(self):
+        quad = ModelConfig(variant="strongquad", alpha=0.3, eps=0.05,
+                           H=np.pi / 2.0, m=4)
+        harmonic = SignalSpec(kind="harmonic", omega=2.0)
+        return [(ssm1_cfg(), harmonic, None),
+                (ssm1_cfg(scheme="euler-maruyama", seed=1),
+                 SignalSpec(kind="white-noise"), None),
+                (quad, harmonic, np.ones((4, 3)))]
+
+    @pytest.mark.parametrize("scales", [(5.0, 0.0, -3.0), (9.0,), (1.0, 1.0)])
+    def test_unread_scales_are_refused(self, scales):
+        for cfg, signal, pattern in self.unread():
+            with pytest.raises(ConfigError, match="mode_scales"):
+                build_weak_model(cfg, signal, pattern, scales)
+            build_weak_model(cfg, signal, pattern, (1, 1, 1))
+
+    def test_white_strongquad_reads_them(self):
+        cfg = ModelConfig(variant="strongquad", alpha=0.3, eps=0.05,
+                          H=np.pi / 2.0, m=4, scheme="euler-maruyama", seed=1)
+        white = SignalSpec(kind="white-noise")
+        ends = [build_weak_model(cfg, white, mode_scales=scales).run(
+                    np.ones(4), 0.01)[1][-1]
+                for scales in ((1.0, 1.0, 1.0), (5.0, 0.0, -3.0))]
+        assert not np.array_equal(*ends)
+        with pytest.raises(ConfigError, match="three entries"):
+            build_weak_model(cfg, white, mode_scales=(9.0,))
+
+
 class TestWeakScheme:
     """Every weak model steps its one rhs by cfg.scheme through stepper."""
 
