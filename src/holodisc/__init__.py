@@ -64,7 +64,6 @@ from .microscale import (
     burgers_rhs,
     check_scheme_legal,
     lattice_decay_rates,
-    lattice_rhs,
     rk4_step,
 )
 from .stencil import delta2, delta4, mudelta
@@ -107,7 +106,6 @@ __all__ = [
     "Reduction",
     "reduce_by_parts",
     "burgers_rhs",
-    "lattice_rhs",
     "lattice_decay_rates",
     "rk4_step",
     "check_scheme_legal",

@@ -61,6 +61,40 @@ def _parse_rates(text: str) -> tuple[float, ...]:
     return rates
 
 
+# The options micro, macro and weak share, declared once; _options applies
+# a run of them in the order named.
+_SHARED = {
+    "alpha": click.option("--alpha", default=0.3, show_default=True),
+    "eps": click.option("--eps", default=0.05, show_default=True),
+    "gamma": click.option("--gamma", default=1.0, show_default=True),
+    "h": click.option("--h", "H", default=float(np.pi / 2), show_default=True,
+                      help="Element half-width."),
+    "m": click.option("--m", default=4, show_default=True, help="Element count."),
+    "dt": click.option("--dt", default=1e-3, show_default=True),
+    "tend": click.option("--tend", default=10.0, show_default=True),
+    "u0": click.option("--u0", default=1.0, show_default=True,
+                       help="Constant initial state."),
+    "scheme": click.option("--scheme", default="rk4", show_default=True,
+                           type=click.Choice(["rk4", "euler", "euler-maruyama"])),
+    "forcing": click.option("--forcing", default=None,
+                            help="SignalSpec as inline JSON or a JSON file path."),
+    "seed": click.option("--seed", default=20260819, show_default=True),
+    "record_every": click.option("--record-every", default=10, show_default=True),
+    "out": click.option("--out", default=None, type=click.Path(),
+                        help="CSV output path."),
+}
+
+
+def _options(names: str):
+    """Apply the shared options named (space-separated), first on top."""
+    def apply(command):
+        for name in reversed(names.split()):
+            command = _SHARED[name](command)
+        return command
+
+    return apply
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="holodisc")
 def main():
@@ -70,23 +104,14 @@ def main():
 @main.command()
 @click.option("--n", default=32, show_default=True, help="Grid points.")
 @click.option("--dx", default=float(np.pi / 16), show_default=True)
-@click.option("--alpha", default=0.3, show_default=True)
-@click.option("--eps", default=0.05, show_default=True)
-@click.option("--dt", default=1e-3, show_default=True)
-@click.option("--tend", default=10.0, show_default=True)
-@click.option("--u0", default=1.0, show_default=True, help="Constant initial state.")
+@_options("alpha eps dt tend u0")
 @click.option("--form", default="advective", show_default=True,
               type=click.Choice(["advective", "conservative", "skew"]))
-@click.option("--scheme", default="rk4", show_default=True,
-              type=click.Choice(["rk4", "euler", "euler-maruyama"]))
+@_options("scheme")
 @click.option("--profile", default="uniform", show_default=True,
               type=click.Choice(["uniform", "cos2x"]),
               help="Spatial forcing profile.")
-@click.option("--forcing", default=None,
-              help="SignalSpec as inline JSON or a JSON file path.")
-@click.option("--seed", default=20260819, show_default=True)
-@click.option("--record-every", default=10, show_default=True)
-@click.option("--out", default=None, type=click.Path(), help="CSV output path.")
+@_options("forcing seed record_every out")
 def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
           seed, record_every, out):
     """Run the fine periodic field under one forcing signal."""
@@ -106,6 +131,16 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
     )
 
 
+def _mode_pattern(profile, m):
+    """(column, pattern): the mode a scalar signal drives and its element
+    signs, 1.0 for a uniform profile; refuses an odd alternating ring."""
+    if profile != "alternating":
+        return 0, 1.0
+    if m % 2:
+        raise ConfigError("alternating profile needs an even element count")
+    return 1, alternating_signs(m)
+
+
 def _macro_assemble(variant, profile, m):
     """Map scalar signal values to the variant's forcing object."""
     if variant == "ssm1":
@@ -116,9 +151,7 @@ def _macro_assemble(variant, profile, m):
         ones = np.ones(2 * m)
         return lambda vals, t: ones * vals[0]
     # Mode-coefficient variants: refuse an odd alternating ring before the run.
-    if profile == "alternating" and m % 2:
-        raise ConfigError("alternating profile needs an even element count")
-    col, pattern = (1, alternating_signs(m)) if profile == "alternating" else (0, 1.0)
+    col, pattern = _mode_pattern(profile, m)
 
     def assemble(vals, t):
         modes = np.zeros((m, 3))
@@ -131,27 +164,13 @@ def _macro_assemble(variant, profile, m):
 @main.command()
 @click.option("--model", "variant", default="ssm1", show_default=True,
               type=click.Choice(list(VARIANTS)))
-@click.option("--alpha", default=0.3, show_default=True)
-@click.option("--eps", default=0.05, show_default=True)
-@click.option("--gamma", default=1.0, show_default=True)
-@click.option("--h", "H", default=float(np.pi / 2), show_default=True,
-              help="Element half-width.")
-@click.option("--m", default=4, show_default=True, help="Element count.")
-@click.option("--dt", default=1e-3, show_default=True)
-@click.option("--tend", default=10.0, show_default=True)
-@click.option("--u0", default=1.0, show_default=True)
-@click.option("--scheme", default="rk4", show_default=True,
-              type=click.Choice(["rk4", "euler", "euler-maruyama"]))
+@_options("alpha eps gamma h m dt tend u0 scheme")
 @click.option("--profile", default="uniform", show_default=True,
               type=click.Choice(["uniform", "alternating"]),
               help="How the scalar signal is laid out in space "
                    "(ignored by ssm1, whose drive is already the "
                    "alternating mode's scalar).")
-@click.option("--forcing", default=None,
-              help="SignalSpec as inline JSON or a JSON file path.")
-@click.option("--seed", default=20260819, show_default=True)
-@click.option("--record-every", default=10, show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_options("forcing seed record_every out")
 @click.option("--dump-bank", is_flag=True, help="Append memory states to the CSV.")
 def macro(variant, alpha, eps, gamma, H, m, dt, tend, u0, scheme, profile,
           forcing, seed, record_every, out, dump_bank):
@@ -183,28 +202,19 @@ def macro(variant, alpha, eps, gamma, H, m, dt, tend, u0, scheme, profile,
 @main.command()
 @click.option("--model", "variant", default="ssm1", show_default=True,
               type=click.Choice(["ssm1", "strongquad"]))
-@click.option("--alpha", default=0.3, show_default=True)
-@click.option("--eps", default=0.05, show_default=True)
-@click.option("--gamma", default=1.0, show_default=True)
-@click.option("--h", "H", default=float(np.pi / 2), show_default=True)
-@click.option("--m", default=4, show_default=True)
-@click.option("--dt", default=1e-3, show_default=True)
-@click.option("--tend", default=10.0, show_default=True)
-@click.option("--u0", default=1.0, show_default=True)
+@_options("alpha eps gamma h m dt tend u0")
 @click.option("--profile", default="uniform", show_default=True,
               type=click.Choice(["uniform", "alternating"]),
               help="Mode pattern for strongquad harmonic forcing.")
-@click.option("--forcing", default=None,
-              help="Harmonic or white-noise SignalSpec (JSON or file).")
+@_options("forcing")
 @click.option("--mode-scales", default="1,1,1", show_default=True,
               help="Per-mode intensity scales for strongquad white noise.")
-@click.option("--seed", default=20260819, show_default=True)
-@click.option("--record-every", default=10, show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_options("seed record_every out")
 @click.option("--report", is_flag=True, help="Print the drift report JSON.")
 def weak(variant, alpha, eps, gamma, H, m, dt, tend, u0, profile, forcing,
          mode_scales, seed, record_every, out, report):
-    """Run a weak (memoryless) coarse model."""
+    """Run a weak (memoryless) coarse model under a harmonic or white-noise
+    signal."""
     signal = _parse_signal(forcing)
     if signal.kind == "constant":
         raise ConfigError(
@@ -217,11 +227,9 @@ def weak(variant, alpha, eps, gamma, H, m, dt, tend, u0, profile, forcing,
     )
     pattern = None
     if variant == "strongquad" and signal.kind == "harmonic":
+        col, signs = _mode_pattern(profile, m)
         pattern = np.zeros((m, 3))
-        if profile == "alternating":
-            pattern[:, 1] = alternating_signs(m)
-        else:
-            pattern[:, 0] = 1.0
+        pattern[:, col] = signs
     scales = _parse_rates(mode_scales)
     model = build_weak_model(cfg, signal, pattern, scales)
     times, hist = model.run(np.full(m, u0), tend, record_every=record_every)
@@ -274,8 +282,6 @@ def compare(experiment, config, out_dir):
             overrides = json.load(fh)
     spec = spec_from_dict(experiment, overrides)
     report = EXPERIMENTS[experiment](spec, out_dir)
-    if out_dir:
-        report.save(os.path.join(out_dir, f"{experiment}_report.json"))
     click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str))
     if not report.passed:
         sys.exit(1)

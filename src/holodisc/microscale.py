@@ -4,12 +4,13 @@ Two discretisations of u_t + alpha u u_x = u_xx + eps phi(x, t):
 
 * ``burgers_rhs``: standard second-order centred differences on a fine
   periodic grid of spacing dx, with a choice of advection form.
-* ``lattice_rhs``: the half-spacing lattice used to shadow the coarse
+* ``lattice_form``: the half-spacing lattice used to shadow the coarse
   models.  Points sit at x_i = i H/2 (two per element), and the printed
-  coefficients absorb the spacing, so the rhs takes H itself.
+  coefficients absorb the spacing, so the form takes H itself.
 
-Each is its checks plus a bound form (``burgers_form``, ``lattice_form``)
-that engines resolve once per run and that writes into the caller's slice.
+Each is a bound form (``burgers_form``, ``lattice_form``) that engines
+resolve once per run and that writes into the caller's slice;
+``burgers_rhs`` is the Burgers form's one-call check.
 Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine (paired fine/coarse runs, memory cascades, weak models,
 experiments) hands it a one-step map, so every run counts its steps, records
@@ -29,7 +30,6 @@ from .errors import ConfigError, StabilityError
 __all__ = [
     "burgers_rhs",
     "burgers_form",
-    "lattice_rhs",
     "lattice_form",
     "lattice_decay_rates",
     "rk4_step",
@@ -99,20 +99,15 @@ def burgers_form(dx, alpha, eps, form="advective"):
     return rhs
 
 
-def lattice_rhs(u, H, alpha, eps, phi):
-    """Half-spacing lattice right-hand side.
+def lattice_form(H, alpha, eps):
+    """Half-spacing lattice right-hand side, H checked once: rhs(u, phi, out)
+    writes into out, as burgers_form's.
 
     Points at x_i = i H/2, two per element of half-width H:
 
         du_i/dt = (4/H^2)(u_{i+1} - 2 u_i + u_{i-1})
                   - (alpha/H) u_i (u_{i+1} - u_{i-1}) + eps phi_i.
     """
-    u = np.asarray(u, dtype=float)
-    return lattice_form(H, alpha, eps)(u, phi, np.empty_like(u))
-
-
-def lattice_form(H, alpha, eps):
-    """lattice_rhs with H checked once: rhs(u, phi, out), as burgers_form's."""
     if H <= 0.0:
         raise ConfigError(f"element half-width must be positive, got {H}")
     c2, c1 = 4.0 / H**2, alpha / H

@@ -38,6 +38,11 @@ run, kept in tests/data/fine_stage_golden.npz and matched exactly.
 (300 steps; ``weak_white`` and ``weak_harmonic`` above hold it only within
 1e-12) under harmonic forcing and white noise, kept in
 tests/data/weak_golden.npz and matched exactly.
+tests/data/default_specs.json holds every experiment's default spec and
+tests/data/cli_options.json the options of ``micro``, ``macro`` and
+``weak`` (flags, default, type, choices), both recorded before the
+experiments and the shared options were each declared in one place; no
+recorder here rewrites them.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
@@ -89,6 +94,8 @@ LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
 STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
 WEAK_DATA = os.path.join(HERE, "data", "weak_golden.npz")
+DEFAULT_SPECS_DATA = os.path.join(HERE, "data", "default_specs.json")
+CLI_OPTIONS_DATA = os.path.join(HERE, "data", "cli_options.json")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
 WHITE = SignalSpec(kind="white-noise", intensity=1.0)
 

@@ -19,7 +19,6 @@ from holodisc import (
     harmonic_drift_1,
     harmonic_drift_2,
     integrate_chain,
-    lattice_rhs,
     lowg_rhs,
     reduce_by_parts,
 )
@@ -30,6 +29,7 @@ from holodisc.harness import (
     run_fig3_experiment,
 )
 from holodisc.macromodel import strongquad_quadratic_terms
+from holodisc.microscale import lattice_form
 from holodisc.weakmodel import simulate_quadrature_ensemble
 from test_paired_stage import variant_rhs
 
@@ -60,7 +60,7 @@ def test_ac1_constant_states_are_equilibria():
     for form in ("advective", "conservative", "skew"):
         rhs = burgers_rhs(u, np.pi / 16.0, 0.3, 0.0, np.zeros(24), form=form)
         worst = max(worst, float(np.max(np.abs(rhs))))
-    rhs = lattice_rhs(u[:8], np.pi / 2.0, 0.3, 0.0, np.zeros(8))
+    rhs = lattice_form(np.pi / 2.0, 0.3, 0.0)(u[:8], np.zeros(8), np.empty(8))
     worst = max(worst, float(np.max(np.abs(rhs))))
     elapsed = time.perf_counter() - start
     print(f"\nAC-1: max |rhs| over constant states = {worst:.3e} "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import golden_runs
 from holodisc import ConfigError, ConvTerm, reduce_by_parts
 from holodisc.cli import _macro_assemble, main
 
@@ -34,6 +35,22 @@ class TestTopLevel:
         assert result.exit_code == 0
         for cmd in ("micro", "macro", "weak", "reduce", "compare"):
             assert cmd in result.output
+
+
+class TestSharedOptions:
+    @pytest.mark.parametrize("command", ["micro", "macro", "weak"])
+    def test_runs_list_the_recorded_options_defaults_and_types(self, command):
+        """Recorded before the shared options were declared once."""
+        with open(golden_runs.CLI_OPTIONS_DATA) as fh:
+            recorded = json.load(fh)[command]
+        got = [{"opts": p.opts, "default": p.default, "type": p.type.name,
+                "choices": list(getattr(p.type, "choices", None) or []) or None,
+                "is_flag": bool(getattr(p, "is_flag", False))}
+               for p in main.commands[command].params]
+        assert got == recorded
+        help_text = invoke(command, "--help").output
+        for option in recorded:
+            assert option["opts"][0] in help_text
 
 
 class TestMicro:
@@ -232,6 +249,27 @@ class TestCompare:
         assert "error: bad signal fields" in result.stderr
         assert repr(field) in result.stderr and "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_a_field_the_experiment_does_not_read_exits_two_naming_it(
+            self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signal": {"kind": "lorenz"}}))
+        result = invoke_entry("compare", "--experiment", "lattice",
+                              "--config", str(cfg))
+        assert result.returncode == 2
+        assert "error: lattice reads no spec fields ['signal']" in result.stderr
+        assert result.stdout == ""
+
+    def test_out_dir_holds_the_report_and_no_metrics_copy(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extras": {"periods": 2}}))
+        result = invoke("compare", "--experiment", "weak-drift",
+                        "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        saved = json.loads((tmp_path / "out" / "weak-drift_report.json").read_text())
+        assert saved == json.loads(result.output)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            "weak-drift_report.json"]
 
     def test_config_overrides_are_applied(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -18,6 +18,7 @@ and weak strongquad at m = 8, recorded before 1-D memory cascades were
 stepped on Python floats.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,16 @@ def test_weak_drift_matches_its_recording():
     assert all(report.checks.values()), report.checks
     with open(golden_runs.WEAK_DRIFT_DATA) as fh:
         assert report.metrics == json.load(fh)
+
+
+def test_weak_drift_steps_its_chains_by_the_spec_scheme():
+    spec = golden_runs.weak_drift_spec()
+    reports = {scheme: golden_runs.weak_drift_experiment(
+        dataclasses.replace(spec, scheme=scheme)) for scheme in ("rk4", "euler")}
+    assert reports["euler"].config["scheme"] == "euler"
+    for label in ("z1", "z21", "z41", "z61"):
+        key = f"avg_{label}"
+        assert reports["euler"].metrics[key] != reports["rk4"].metrics[key], key
 
 
 @pytest.mark.parametrize("runs, golden, name", EXACT_RUNS,

@@ -1,6 +1,7 @@
 """Experiment specs, reports, paired engines, and the analysis helpers."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,94 @@ class TestSpecFromDict:
             "levels": 2, "record_every": 10}
         assert spec_from_dict("fig3", {"alpha": 0.5}).extras == {"record_every": 10}
         assert default_spec("consistency").extras == {}
+
+
+class TestExperimentTable:
+    """One declaration per experiment: its defaults, the fields it reads,
+    and the files its shell writes.  The defaults, the benchmark's override
+    sets and the CSV headers were recorded before the declarations moved
+    to the experiments' definitions."""
+
+    # The spec fields each experiment reads, besides name, seed and extras.
+    READS = {
+        "fig1": ["alpha", "dt", "dx", "eps", "scheme", "t1"],
+        "fig3": ["H", "alpha", "dt", "dx", "eps", "gamma", "m", "scheme",
+                 "signal", "t0", "t1"],
+        "consistency": ["alpha"],
+        "emergence": ["H"],
+        "lattice": ["H", "alpha", "dt", "eps", "m", "scheme", "t0", "t1"],
+        "weak-drift": ["H", "alpha", "dt", "eps", "m", "scheme", "signal"],
+    }
+
+    def test_default_specs_are_the_recorded_ones(self):
+        with open(golden_runs.DEFAULT_SPECS_DATA) as fh:
+            recorded = json.load(fh)
+        assert sorted(EXPERIMENTS) == sorted(recorded)
+        for name, want in recorded.items():
+            got = json.loads(json.dumps(default_spec(name).to_dict()))
+            assert got == want, name
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("lattice", "signal", {"kind": "lorenz"}),
+        ("fig1", "signal", {"kind": "lorenz"}),
+        ("fig1", "t0", 0.5),
+        ("weak-drift", "t1", 20.0),
+        ("weak-drift", "gamma", 0.5),
+        ("consistency", "m", 8),
+        ("emergence", "alpha", 0.1),
+        ("fig3", "alpa", 0.5),
+    ])
+    def test_a_field_the_experiment_does_not_read_is_refused(self, name, field,
+                                                             value):
+        reads = self.READS[name]
+        match = (rf"^{name} reads no spec fields \['{field}'\]; "
+                 rf"it reads {re.escape(repr(reads))}$")
+        with pytest.raises(ConfigError, match=match):
+            spec_from_dict(name, {field: value, "alpha": 0.1})
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_every_field_the_experiment_reads_is_taken(self, name):
+        base = default_spec(name).to_dict()
+        data = {key: base[key] for key in self.READS[name] if key != "signal"}
+        spec = spec_from_dict(name, {**data, "name": name, "seed": 7,
+                                     "extras": {}})
+        assert spec.to_dict() == {**base, "seed": 7}
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig3", {"t0": 0.2, "t1": 0.4, "dt": 1e-3}),
+        ("fig1", {"t1": 10.0, "dt": 0.01}),
+        ("weak-drift", {"dt": 0.0039986521016740165, "extras": {"periods": 2}}),
+        ("lattice", {"t0": 0.4, "t1": 1.0, "dt": 2e-3}),
+    ])
+    def test_the_benchmark_override_sets_are_taken(self, name, overrides):
+        spec = spec_from_dict(name, {**overrides, "seed": 3})
+        assert spec.seed == 3
+        for key, value in overrides.items():
+            if key != "extras":
+                assert getattr(spec, key) == value
+
+    @pytest.mark.parametrize("name, overrides, tables", [
+        ("fig1", {"t1": 1.5}, {"fig1.csv": (
+            ",".join(["t"] + [f"u{i}" for i in range(32)]), 31)}),
+        ("fig3", {"t0": 0.2, "t1": 0.4},
+         {"fig3.csv": ("t,u_probe,U_probe,v_probe,eps_phi", 41)}),
+        ("consistency", None, {"consistency.csv": ("H,err_full,err_linear", 4)}),
+        ("emergence", None, {}),
+        ("lattice", {"t0": 0.4, "t1": 1.0},
+         {"lattice.csv": ("level,alpha,eps,sup_error", 3)}),
+        ("weak-drift", {"extras": {"periods": 2}}, {}),
+    ])
+    def test_a_run_with_an_out_dir_writes_its_tables_and_report(
+            self, tmp_path, name, overrides, tables):
+        out = tmp_path / "out"
+        report = EXPERIMENTS[name](spec_from_dict(name, overrides), str(out))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*tables, f"{name}_report.json"])
+        for file, (header, rows) in tables.items():
+            lines = (out / file).read_text().splitlines()
+            assert lines[0] == header and len(lines) == 1 + rows
+        saved = json.loads((out / f"{name}_report.json").read_text())
+        assert saved == json.loads(json.dumps(report.to_dict(), default=str))
 
 
 class TestComparisonReport:

@@ -8,7 +8,7 @@ bound bank and the bank's ``rhs_flat``, joined by ``np.concatenate``.  It
 builds its own signals and bank, so it shares no set-up with the compiled
 stage.  Each case gives its fine side as the grid's own (kind, spacing or
 H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
-``lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
+``reference_lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
 ``variant_rhs`` is the per-variant dispatch the stage made before
 ``stage_block`` bound each variant's rhs, kept here as a reference for the
 tests; it hands the rhs the bank's own chain outputs.  ``nsm_field_at_grid``
@@ -33,7 +33,6 @@ from holodisc import (
     build_weak_model,
     burgers_rhs,
     lattice_coarse_rhs,
-    lattice_rhs,
     lowg_rhs,
     make_signal,
     ssm1_rhs,
@@ -45,6 +44,7 @@ from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs, ssm1_chain_specs, stage_block
 from holodisc.microscale import burgers_form, lattice_form
 from holodisc.stencil import ring_images
+from test_fine_forms import reference_lattice_rhs
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
@@ -105,7 +105,7 @@ def reference_stage(signals, fine, grid, coarse, y, t, draws=None):
         if kind == "burgers":
             out.append(burgers_rhs(u, h, alpha, eps, phi, form))
         else:
-            out.append(lattice_rhs(u, h, alpha, eps, phi))
+            out.append(reference_lattice_rhs(u, h, alpha, eps, phi))
     if coarse is not None:
         cfg = coarse.cfg
         bank = build_bank(cfg)
