@@ -267,7 +267,7 @@ class ComparisonReport:
 
 # -- experiment table -----------------------------------------------------------
 
-class Experiment(NamedTuple):
+class Declaration(NamedTuple):
     """One declared experiment: the spec fields it reads (besides name, seed
     and extras, which every spec takes), its whole-number extras as key ->
     (default, least), and the spec defaults it sets."""
@@ -277,7 +277,7 @@ class Experiment(NamedTuple):
     defaults: dict
 
 
-_DECLARED: dict[str, Experiment] = {}
+_DECLARED: dict[str, Declaration] = {}
 EXPERIMENTS = {}
 
 
@@ -309,7 +309,7 @@ def experiment(name: str, reads: str, extras=None, **defaults):
 
         run.__name__ = run.__qualname__ = body.__name__
         run.__doc__ = body.__doc__
-        _DECLARED[name] = Experiment(tuple(reads.split()), extras or {}, defaults)
+        _DECLARED[name] = Declaration(tuple(reads.split()), extras or {}, defaults)
         EXPERIMENTS[name] = run
         return run
 
