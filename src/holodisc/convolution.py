@@ -19,8 +19,11 @@ every row's derivative from one gather, serves ``integrate_chains``,
 ``macromodel.ChainBank`` and the quadrature ensemble; ``integrate_chains``
 steps all rows through ``microscale.march``, one drive call per stage time.
 A 1-D packed state, a few scalar rows, is stepped on Python floats
-instead, which round + and * as numpy float64 does: the same operations in
-the same order give the same bits, without numpy's dispatch per operation.
+instead, by straight-line code generated once per run from its layout
+(``_float_advance``): one local per row and stage, no loop and no list.
+Python floats round + and * as numpy float64 does, so the same operations
+in the same order give the same bits, without numpy's dispatch per
+operation.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -151,10 +154,11 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     naming the first bad chain.
 
     When every state is (levels,), the packed state is 1-D and each scheme
-    steps it on Python floats (``_float_advance``), its drive taken as a
-    float: a number, or an array of one entry.  The step keeps
-    packed_chain_rhs's and rk4_step's or euler_step's operations in their
-    order, so its bits are theirs.  (levels, m) states step as arrays.
+    steps it on Python floats, by a step generated for this layout
+    (``_float_advance``), its drive taken as a float: a number, or an
+    array of one entry.  The step keeps packed_chain_rhs's and rk4_step's
+    or euler_step's operations in their order, so its bits are theirs.
+    (levels, m) states step as arrays.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -204,35 +208,46 @@ def _float_drive(drive_fn):
 def _float_advance(layout, drive_at, dt, scheme):
     """The scheme's step of a 1-D packed state, on Python floats.
 
-    Each row's derivative is packed_chain_rhs's neg_rate * z + feed, and
-    the steps are rk4_step's and euler_step's operations in their order;
-    Python floats round + and * as numpy float64 does, so the bits are
-    theirs, without numpy's dispatch on a state of a few entries.
+    Generated for the layout, once per integrate_chains call, as
+    straight-line code with one local per row and stage.  Each row's
+    derivative is packed_chain_rhs's neg_rate * z + feed, and the steps are
+    rk4_step's and euler_step's operations in their order; Python floats
+    round + and * as numpy float64 does, so the bits are theirs, without
+    numpy's dispatch on a state of a few entries.  The source is built from
+    row indices and fixed names only: the rates, dt, h, dt/6 and drive_at
+    reach it by value, through the exec namespace.
     """
     neg_rates, feed, _ = layout
-    rows = list(zip(neg_rates.tolist(), range(feed.size), feed.tolist()))
+    n = feed.size
+    rows = list(enumerate(feed.tolist()))
+
+    def derivs(k, w):
+        """Lines k_i = r_i * w_i + w_feed: the next level, or the drive d."""
+        return [f"{k}{i} = r{i} * {w}{i} + " + (f"{w}{j}" if j < n else "d")
+                for i, j in rows]
+
+    def stage(w, k, by):
+        """Lines w_i = k_i * by + z_i: the next stage's arguments."""
+        return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(n)]
+
+    body = ["".join(f"z{i}, " for i in range(n)) + "= y.tolist()",
+            "d = drive_at(t)", *derivs("a", "z")]
+    if scheme == "rk4":
+        body += ["d = drive_at(t + h)", *stage("p", "a", "h"), *derivs("b", "p"),
+                 *stage("q", "b", "h"), *derivs("c", "q"),
+                 "d = drive_at(t + dt)", *stage("s", "c", "dt"), *derivs("e", "s")]
+        new = [f"(((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
+               for i in range(n)]
+    else:
+        new = [f"z{i} + dt * a{i}" for i in range(n)]
+    body.append(f"return array([{', '.join(new)}])")
+    source = "def step(y, t):\n" + "".join(f"    {line}\n" for line in body)
     dt = float(dt)
-    h, sixth = 0.5 * dt, dt / 6.0
-
-    def f(ext):
-        """Each row's derivative from ext, the stage's [state; drive]."""
-        return [r * ext[i] + ext[j] for r, i, j in rows]
-
-    def rk4(y, t):
-        u = y.tolist()
-        k1 = f(u + [drive_at(t)])
-        d = drive_at(t + h)
-        k2 = f([k * h + x for k, x in zip(k1, u)] + [d])
-        k3 = f([k * h + x for k, x in zip(k2, u)] + [d])
-        k4 = f([k * dt + x for k, x in zip(k3, u)] + [drive_at(t + dt)])
-        return np.array([(((b * 2.0 + a) + c * 2.0) + e) * sixth + x
-                         for a, b, c, e, x in zip(k1, k2, k3, k4, u)])
-
-    def euler(y, t):
-        u = y.tolist()
-        return np.array([x + dt * k for x, k in zip(u, f(u + [drive_at(t)]))])
-
-    return rk4 if scheme == "rk4" else euler
+    namespace = {"array": np.array, "drive_at": drive_at, "dt": dt,
+                 "h": 0.5 * dt, "sixth": dt / 6.0}
+    namespace.update((f"r{i}", r) for i, r in enumerate(neg_rates.tolist()))
+    exec(compile(source, "<convolution float step>", "exec"), namespace)
+    return namespace["step"]
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

@@ -189,10 +189,11 @@ class ExperimentSpec:
     """Resolved parameters of one experiment.
 
     t0 and t1 bound the comparison window (after the initial transient and
-    up to the end of the run).  Paired runs derive both sides' forcing
-    from the one ``seed``.  extras holds the whole-number knobs that only
-    some experiments read (their ``experiment`` declaration), filled with
-    their defaults.
+    up to the end of the run); only those the experiment reads are checked,
+    and an undeclared name is held to both.  Paired runs derive both sides'
+    forcing from the one ``seed``.  extras holds the whole-number knobs that
+    only some experiments read (their ``experiment`` declaration), filled
+    with their defaults.
     """
 
     name: str
@@ -211,12 +212,15 @@ class ExperimentSpec:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.t0 <= 0.0:
+        reads = _DECLARED[self.name].reads if self.name in _DECLARED else ("t0", "t1")
+        if "t0" in reads and self.t0 <= 0.0:
             raise ConfigError(f"window start must be positive, got {self.t0}")
-        if self.t1 <= self.t0:
+        if "t0" in reads and "t1" in reads and self.t1 <= self.t0:
             raise ConfigError(
                 f"window end must exceed its start, got [{self.t0}, {self.t1}]"
             )
+        if "t1" in reads and self.t1 <= 0.0:
+            raise ConfigError(f"run end must be positive, got {self.t1}")
         if self.dt <= 0.0:
             raise ConfigError(f"time step must be positive, got {self.dt}")
         object.__setattr__(self, "extras", _whole_extras(self.name, self.extras))

@@ -520,6 +520,8 @@ def test_packed_ssm1_chains_match_under_an_element_drive(scheme):
 @example([(1.0,), (0.9, 1.7, 2.6)], "rk4", 0, as_row)
 @example([(1.0, 4.0)], "euler-maruyama", 0, np.asarray)
 @example([(2.0,), (1.3, 1.3, 0.7)], "euler", 3, float)
+@example([(1.3, 1.3, 2.0, 0.7, 1.3, 5.0, 2.0, 2.0, 11.0)], "rk4", 0, float)
+@example([(2.0,)], "euler-maruyama", 0, as_row)
 def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m,
                                                           form):
     if m == 0:
@@ -550,3 +552,27 @@ def test_drive_is_called_once_per_distinct_stage_time(scheme, per_step, m):
     calls.clear()
     integrate_chain((2.0,), drive, n * 0.01, 0.01, states0[0][:1], scheme)
     assert len(calls) <= per_step * n
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_float_step_calls_the_drive_at_the_array_steps_times(scheme):
+    """1-D states (the float step) and the same chains as (levels, 1) states
+    (the array step) call the drive at the same stage times, bit for bit
+    and in the same order, and record the same histories."""
+    chains = [(1.0,), (1.0, 4.0), (0.7, 1.3, 1.3)]
+    n, dt = 400, 0.0123
+    calls = {1: [], 2: []}
+
+    def drive_for(ndim):
+        def drive(t):
+            calls[ndim].append(t)
+            return harmonic(t)
+        return drive
+
+    _, flat = integrate_chains(chains, drive_for(1), n * dt, dt, None, scheme)
+    states0 = [np.zeros((len(rates), 1)) for rates in chains]
+    _, rows = integrate_chains(chains, drive_for(2), n * dt, dt, states0, scheme)
+    assert len(calls[1]) >= n
+    assert calls[1] == calls[2]
+    for f, r in zip(flat, rows):
+        assert np.array_equal(f, r[..., 0])

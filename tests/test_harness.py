@@ -81,6 +81,18 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(name="bad", t0=2.0, t1=1.0)
 
+    def test_window_checks_bind_only_the_fields_read(self):
+        """fig1 reads t1 alone: its run end is checked, not against a t0
+        it never reads; fig3 and lattice read both."""
+        assert spec_from_dict("fig1", {"t1": 0.5}).t1 == 0.5
+        with pytest.raises(ConfigError, match="run end must be positive"):
+            spec_from_dict("fig1", {"t1": 0.0})
+        for name in ("fig3", "lattice"):
+            with pytest.raises(ConfigError, match="must exceed its start"):
+                spec_from_dict(name, {"t0": 2.0, "t1": 1.0})
+            with pytest.raises(ConfigError, match="start must be positive"):
+                spec_from_dict(name, {"t0": 0.0})
+
     def test_paired_runs_must_share_seed(self):
         """One seed drives both sides; a per-side seed is no spec field."""
         for knob in ("micro_seed", "macro_seed"):
