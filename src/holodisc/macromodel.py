@@ -38,7 +38,8 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
 both read from the joint state, so every scheme sees consistent substage
-values; the reconstruction reads a recorded history's ``out_rows``.
+values (small ssm1 rings on Python floats, with the same bits); the
+reconstruction reads a recorded history's ``out_rows``.
 
 The weak models (``weakmodel``) bind the same skeleton closures and
 coupling constants (``_ssm1_skeleton``/``_ssm1_coupling``,
@@ -164,8 +165,10 @@ class ChainBank:
 
     build_bank adds the variant's compiled form: ``coupling``, the
     coefficients of the chain outputs in dU/dt; ``skeleton``, its
-    deterministic part with every constant resolved; and ``cfg``, the
-    configuration they were resolved for.
+    deterministic part with every constant resolved; ``float_rhs``, ssm1's
+    dU on Python floats for a ring of at most ``_FLOAT_RING`` elements
+    (None otherwise); and ``cfg``, the configuration they were resolved
+    for.
     """
 
     def __init__(self, m: int, specs=(), exprs=()):
@@ -186,7 +189,7 @@ class ChainBank:
         }
         self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
         self.Z = np.zeros((feed.size, self.m))
-        self.coupling = self.skeleton = self.cfg = None
+        self.coupling = self.skeleton = self.float_rhs = self.cfg = None
 
     def keys(self) -> list[tuple]:
         return list(self.rows)
@@ -362,14 +365,22 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
     ])
 
 
+def _ssm1_constants(cfg: ModelConfig):
+    """The constants of ssm1's skeleton for cfg: g, c1, c2, c4, ca, cu, c3,
+    the bracket's b1 and b2, and the per-element alternating lead
+    alt * eps alpha H."""
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    return (g, 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2), a * g / H,
+            a * a * g / 12.0, 0.00363 * a * a * H * H, 0.1028, 0.0716,
+            alternating_signs(cfg.m) * (e * a * H))
+
+
 def _ssm1_skeleton(cfg: ModelConfig):
     """ssm1's skeleton and forcing-linear terms, dU(U, phi) without the
     memory products, for cfg, its constants resolved once.  U's width-2
-    ring pad is one gather, the values ring_pad copies."""
-    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
-    c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
-    ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
-    alt_lead = alternating_signs(cfg.m) * (e * a * H)
+    ring pad is one gather, the values ring_pad copies.  _ssm1_float_rhs
+    makes these operations in this order on Python floats."""
+    g, c1, c2, c4, ca, cu, c3, b1, b2, alt_lead = _ssm1_constants(cfg)
     pad_at = np.arange(-2, cfg.m + 2) % cfg.m
 
     def skeleton(U, phi):
@@ -378,11 +389,48 @@ def _ssm1_skeleton(cfg: ModelConfig):
         dU -= c4 * d4U
         dU -= ca * U * mdU
         dU += cu * U * U * d2U
-        bracket = c1 * U + g * (0.1028 * U + 0.0716 * d2U) - c3 * U**3
+        bracket = c1 * U + g * (b1 * U + b2 * d2U) - c3 * U**3
         dU -= alt_lead * bracket * phi
         return dU
 
     return skeleton
+
+
+# ssm1 rings of at most this many elements compute dU on Python floats
+# (_ssm1_float_rhs) and step their joint-stage block on floats; larger rings
+# and strongquad use whole-array numpy and read y[sz] by rows as (S, m).
+# Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block, float
+# against rows over three scans, in us: 22-25 / 48-51 at m = 4, 36-45 /
+# 36-45 at m = 16, 41-46 / 37-47 at m = 18, 50-56 / 43 at m = 24, 119-151
+# / 42-60 at m = 64.
+_FLOAT_RING = 16
+
+
+def _ssm1_float_rhs(cfg: ModelConfig):
+    """rhs(U, phi, memory): ssm1_rhs's dU as a list of Python floats, the
+    memory term coupling @ outputs given, for a ring of at most
+    _FLOAT_RING elements.  It makes _ssm1_skeleton's operations and then
+    the memory product (U phi) memory in their order, so its bits are the
+    array path's, without numpy's dispatch per operation on a few
+    entries.  U**3 and the memory term stay numpy calls (see stage_block)."""
+    g, c1, c2, c4, ca, cu, c3, b1, b2, alt_lead = _ssm1_constants(cfg)
+    alt_lead = alt_lead.tolist()
+
+    def rhs(U, phi, memory):
+        u = U.tolist()
+        ul, ur = u[-1:] + u[:-1], u[1:] + u[:1]
+        d2 = [(r - 2.0 * c) + l for l, c, r in zip(ul, u, ur)]
+        # Per element: U, its neighbours, delta2 U and its neighbours,
+        # U**3, alt eps alpha H and the memory term.
+        return [c2 * d - c4 * ((dr - 2.0 * d) + dl) - ca * c * (0.5 * (r - l))
+                + cu * c * c * d
+                - a * (c1 * c + g * (b1 * c + b2 * d) - c3 * q) * phi
+                + c * phi * w
+                for c, l, r, d, dl, dr, q, a, w in zip(
+                    u, ul, ur, d2, d2[-1:] + d2[:-1], d2[1:] + d2[:1],
+                    (U**3).tolist(), alt_lead, memory.tolist())]
+
+    return rhs
 
 
 def ssm1_rhs(
@@ -398,11 +446,14 @@ def ssm1_rhs(
     Returns the amplitude derivative and the drive stack for this
     evaluation, so the caller can advance U and the chains jointly: phi
     itself, which broadcasts over the bank's one drive row.  The bank must
-    come from build_bank(cfg).
+    come from build_bank(cfg); a ring of at most _FLOAT_RING elements
+    computes dU by its ``float_rhs``, with the same bits.
     """
     U = np.asarray(U, dtype=float)
     phi = float(phi)
     _check_compiled(bank, cfg)
+    if bank.float_rhs is not None:
+        return np.array(bank.float_rhs(U, phi, bank.coupling @ outputs)), phi
     dU = bank.skeleton(U, phi)
     dU += (U * phi) * (bank.coupling @ outputs)
     return dU, phi
@@ -643,6 +694,8 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         lead, k = _ssm1_coupling(cfg)
         bank.coupling[[bank.index(*spec) for spec in specs]] = lead * k
         bank.skeleton = _ssm1_skeleton(cfg)
+        if cfg.m <= _FLOAT_RING:
+            bank.float_rhs = _ssm1_float_rhs(cfg)
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
         bank.coupling = np.concatenate(
@@ -655,18 +708,44 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
     return bank
 
 
-# Up to this many states with one drive row, a joint stage gathers a bank
-# from y element by element; any other bank by rows of y[sz] as (S, m).
-# Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, flat against rows: a feed
-# 4.1 / 6.6 us (ssm1, m = 4), 71 / 33 us (strongquad, m = 1024); a whole
-# ssm1 block 71.5 / 75.7 us at 2044 states, 70.1 / 67.2 us at 2240.
-_FLAT_STATES = 2048
+def _ssm1_float_block(bank: ChainBank, sz: slice, sU: slice):
+    """stage_block's body for an ssm1 bank with a float rhs: ssm1_rhs on
+    the chain outputs gathered from y, then packed_chain_rhs's rows
+    r * z + feed on Python floats, in its order."""
+    m, cfg = bank.m, bank.cfg
+    neg_rates, feed, _ = bank._layout
+    cols = np.arange(m)
+    out_at = sz.start + m * bank.out_rows[:, None] + cols
+    # Per state: its negated rate and its feed in [chain states; phi * m].
+    cells = list(zip(neg_rates.ravel().tolist(),
+                     (m * feed[:, None] + cols).ravel().tolist()))
+
+    def block(y, forcing, dy):
+        dU, phi = ssm1_rhs(y[sU], forcing, bank, cfg, y[out_at])
+        ext = y[sz].tolist()
+        ext += [phi] * m
+        dy[sz] = [r * ext[k] + ext[f] for k, (r, f) in enumerate(cells)]
+        dy[sU] = dU
+
+    return block
 
 
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
     """block(y, forcing, dy): a joint stage's coarse side for a y holding the
     bank's packed state at sz and U at sU.  It reads only y, and writes the
-    variant's rhs and ``packed_chain_rhs`` into dy[sU] and dy[sz]."""
+    variant's rhs and ``packed_chain_rhs`` into dy[sU] and dy[sz].
+
+    A bank with chains has two bodies, chosen from the ring by build_bank.
+    An ssm1 bank of at most _FLOAT_RING elements has a ``float_rhs``
+    (``_ssm1_float_rhs``), and its block (``_ssm1_float_block``) computes
+    on Python floats: ssm1_rhs's dU from one tolist of U, and the cascade
+    feed from one tolist of the chain states, written into dy[sz] from a
+    list.  Both keep the array operations in their order, so the bits are
+    the rows body's, without numpy's dispatch per operation on arrays of a
+    few entries.  U**3 and the memory term coupling @ outputs stay numpy
+    calls: numpy's SIMD power rounds otherwise than Python's u**3 or
+    u*u*u, its matmul otherwise than a sequential sum.  Any other bank
+    reads the rows of y[sz] as (S, m) and calls the variant's rhs."""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
         rhs = lowg_rhs if cfg.variant == "lowg" else lattice_coarse_rhs
@@ -675,22 +754,11 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
             dy[sU] = rhs(y[sU], forcing, cfg)
 
         return block
+    if bank.float_rhs is not None:
+        return _ssm1_float_block(bank, sz, sU)
     rhs = ssm1_rhs if cfg.variant == "ssm1" else strongquad_rhs
-    neg_rates, feed, last = bank._layout
-    if bank.n_states <= _FLAT_STATES and len(bank.exprs) == 1:
-        cols = np.arange(m)
-        out_at = sz.start + m * bank.out_rows[:, None] + cols
-        flat = (neg_rates.ravel(), (m * feed[:, None] + cols).ravel(), last)
-        ext = np.empty(bank.n_states + m)
-
-        def block(y, forcing, dy):
-            dU, drives = rhs(y[sU], forcing, bank, cfg, y[out_at])
-            dy[sU] = dU
-            packed_chain_rhs(y[sz], flat, drives, ext, dy[sz])
-
-        return block
-    shape, out_rows = neg_rates.shape, bank.out_rows
-    ext = np.empty((len(feed) + len(bank.exprs), m))
+    shape, out_rows = bank._layout[0].shape, bank.out_rows
+    ext = np.empty((shape[0] + len(bank.exprs), m))
 
     def block(y, forcing, dy):
         Z = y[sz].reshape(shape)

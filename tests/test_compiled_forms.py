@@ -36,6 +36,7 @@ from holodisc import (
     stochastic_replace,
     strongquad_rhs,
 )
+from holodisc import convolution
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import stepper
 from holodisc.macromodel import (
@@ -576,3 +577,20 @@ def test_float_step_calls_the_drive_at_the_array_steps_times(scheme):
     assert calls[1] == calls[2]
     for f, r in zip(flat, rows):
         assert np.array_equal(f, r[..., 0])
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
+    """Two runs of one layout share a compiled float step, yet each steps
+    with its own rates and dt: bit for bit its (levels, 1) array run."""
+    before = convolution._float_step_code.cache_info().hits
+    for chains, dt in (([(1.0,), (1.0, 4.0)], 0.0123),
+                       ([(2.5,), (0.3, 7.0)], 0.004)):
+        n = 200
+        _, flat = integrate_chains(chains, harmonic, n * dt, dt, None, scheme)
+        states0 = [np.zeros((len(rates), 1)) for rates in chains]
+        _, rows = integrate_chains(chains, harmonic, n * dt, dt, states0,
+                                   scheme)
+        for f, r in zip(flat, rows):
+            assert np.array_equal(f, r[..., 0])
+    assert convolution._float_step_code.cache_info().hits > before

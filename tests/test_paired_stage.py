@@ -6,7 +6,8 @@ derivatives through ``lorenz_point`` on the driver slices and their values
 through ``Signal.value``, the fine rhs, the variant's rhs on a freshly
 bound bank and the bank's ``rhs_flat``, joined by ``np.concatenate``.  It
 builds its own signals and bank, so it shares no set-up with the compiled
-stage.  Each case gives its fine side as the grid's own (kind, spacing or
+stage, and clears the bank's ``float_rhs``, so ssm1's dU is the array
+path's at every ring and a float body is checked against it.  Each case gives its fine side as the grid's own (kind, spacing or
 H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
 ``reference_lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
 ``variant_rhs`` is the per-variant dispatch the stage made before
@@ -18,6 +19,8 @@ is the grid-value reconstruction as it was before it became
 are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -109,6 +112,7 @@ def reference_stage(signals, fine, grid, coarse, y, t, draws=None):
     if coarse is not None:
         cfg = coarse.cfg
         bank = build_bank(cfg)
+        bank.float_rhs = None
         flat = y[pos:pos + bank.n_states]
         dU, drives = variant_rhs(y[pos + bank.n_states:],
                                  coarse.assemble(vals, t),
@@ -328,9 +332,9 @@ def coarse_forcing(cfg, rng):
 def test_stage_block_reads_only_y_and_writes_only_its_slices(
         variant, m, monkeypatch):
     """In a joint state with driver and fine slices, from a NaN dy, each
-    body (every bank by rows, then every bank with one drive row by flat
-    gathers) leaves y and the bank's state alone, writes dy[sz] and dy[sU]
-    and nothing else, and the two bodies agree bit for bit."""
+    body (every bank by rows, then ssm1 at every m on Python floats)
+    leaves y and the bank's state alone, writes dy[sz] and dy[sU] and
+    nothing else, and the two bodies agree bit for bit."""
     rng = np.random.default_rng(m)
     cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
                       m=m)
@@ -344,8 +348,8 @@ def test_stage_block_reads_only_y_and_writes_only_its_slices(
     written = np.zeros(y.size, bool)
     written[sz] = written[sU] = True
     got = []
-    for limit in (0, 10**9):
-        monkeypatch.setattr(macromodel, "_FLAT_STATES", limit)
+    for ring in (0, 10**9):
+        monkeypatch.setattr(macromodel, "_FLOAT_RING", ring)
         bank = build_bank(cfg)
         Z = bank.Z
         dy = np.full_like(y, np.nan)
@@ -355,3 +359,42 @@ def test_stage_block_reads_only_y_and_writes_only_its_slices(
         assert np.array_equal(~np.isnan(dy), written)
         got.append(dy)
     assert np.array_equal(got[0], got[1], equal_nan=True)
+
+
+SCALES = (1e-6, 1e-2, 1.0, 30.0, 1e3)
+
+
+@pytest.mark.parametrize("white", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("past", [0, 2])
+def test_ssm1_stage_at_the_float_ring_is_the_concatenating_stage(
+        past, gamma, white, monkeypatch):
+    """At the largest ring the float body takes and at the next even one
+    (rows, then the float body forced), under rk4 and euler-maruyama's
+    white draws, over signal, chain and amplitude magnitudes 1e-6..1e3."""
+    m = macromodel._FLOAT_RING + past
+    scheme = "euler-maruyama" if white else "rk4"
+    cfg = ModelConfig(variant="ssm1", alpha=1.3, eps=-0.6, gamma=gamma,
+                      H=0.9, m=m, scheme=scheme)
+    coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
+    signals = [SignalSpec(kind="white-noise") if white else LORENZ]
+    # The body the ring constant chooses, then past it the float body.
+    runs = [(macromodel._FLOAT_RING,
+             "stage_block" if past else "_ssm1_float_block")]
+    if past:
+        runs.append((m, "_ssm1_float_block"))
+    for ring, body in runs:
+        monkeypatch.setattr(macromodel, "_FLOAT_RING", ring)
+        joint = _compile_stage(signals, 5, cfg.dt, scheme, None, coarse)
+        sd, _, sz, sU = joint.slices
+        assert (stage_block(build_bank(cfg), sz, sU).__qualname__
+                == body + ".<locals>.block")
+        rng = np.random.default_rng(m)
+        for zs, us in itertools.product(SCALES, repeat=2):
+            y = joint.y0.copy()
+            for scale, block in zip((us, zs, us), (sd, sz, sU)):
+                y[block] = scale * rng.normal(size=y[block].size)
+            draws = [us * rng.normal()] if white else joint.sigset.no_draws
+            t = float(rng.uniform(0.0, 10.0))
+            want = reference_stage(signals, None, None, coarse, y, t, draws)
+            assert np.array_equal(joint.stage(y, t, draws), want)
