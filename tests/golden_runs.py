@@ -37,7 +37,11 @@ run, kept in tests/data/fine_stage_golden.npz and matched exactly.
 ``WEAK_RUNS`` pins weak ``ssm1`` at m = 4 and weak ``strongquad`` at m = 8
 (300 steps; ``weak_white`` and ``weak_harmonic`` above hold it only within
 1e-12) under harmonic forcing and white noise, kept in
-tests/data/weak_golden.npz and matched exactly.
+tests/data/weak_golden.npz and matched exactly.  ``AMPLITUDE_RUNS`` pins
+coarse-only ``ssm1`` at m = 4 and 8 with |U| near 1e3 and the chain states
+near 2e2, where a one-ulp change in ``U**3`` shows (the runs above, near
+|U| = 1, round it away), kept in
+tests/data/amplitude_golden.npz and matched exactly.
 tests/data/default_specs.json holds every experiment's default spec and
 tests/data/cli_options.json the options of ``micro``, ``macro`` and
 ``weak`` (flags, default, type, choices), both recorded before the
@@ -46,7 +50,7 @@ recorder here rewrites them.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak|amplitude]
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
 STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
 WEAK_DATA = os.path.join(HERE, "data", "weak_golden.npz")
+AMPLITUDE_DATA = os.path.join(HERE, "data", "amplitude_golden.npz")
 DEFAULT_SPECS_DATA = os.path.join(HERE, "data", "default_specs.json")
 CLI_OPTIONS_DATA = os.path.join(HERE, "data", "cli_options.json")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
@@ -501,6 +506,30 @@ WEAK_RUNS = {f.__name__: f for f in (weak_ssm1_harmonic, weak_ssm1_white,
                                      weak_strongquad_white)}
 
 
+def _ssm1_large(m):
+    """ssm1 near |U| = 1e3 under a harmonic drive of amplitude 3e3, which
+    takes the chain states to about 2e2 by t = 0.2: there c3 U**3 carries
+    dU, so a one-ulp change in it moves U's bits."""
+    cfg = ModelConfig(variant="ssm1", alpha=0.1, eps=0.01, gamma=0.7, H=1.0,
+                      m=m, dt=1e-3)
+    U0 = 1e3 * (1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m))
+    signal = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=3e3)
+    t, U, bank, vals = run_macro_forced(
+        cfg, U0, [signal], lambda v, t: float(v[0]), 0.2, 40, record_every=10)
+    return {"t": t, "U": U, "bank": bank, "vals": vals}
+
+
+def ssm1_large_m4():
+    return _ssm1_large(4)
+
+
+def ssm1_large_m8():
+    return _ssm1_large(8)
+
+
+AMPLITUDE_RUNS = {f.__name__: f for f in (ssm1_large_m4, ssm1_large_m8)}
+
+
 def _record_runs(runs, path):
     arrays = {}
     for name, run in runs.items():
@@ -523,6 +552,10 @@ def record_weak(path=WEAK_DATA):
     return _record_runs(WEAK_RUNS, path)
 
 
+def record_amplitude(path=AMPLITUDE_DATA):
+    return _record_runs(AMPLITUDE_RUNS, path)
+
+
 def record(path=DATA):
     return _record_runs(RUNS, path)
 
@@ -537,13 +570,14 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
-    elif which in ("coarse", "stage", "fine-stage", "weak"):
+    elif which in ("coarse", "stage", "fine-stage", "weak", "amplitude"):
         recorders = {"coarse": record, "stage": record_stage,
-                     "fine-stage": record_fine_stage, "weak": record_weak}
+                     "fine-stage": record_fine_stage, "weak": record_weak,
+                     "amplitude": record_amplitude}
         for key, value in recorders[which]().items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
             f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
-            "loops, stage, fine-stage or weak"
+            "loops, stage, fine-stage, weak or amplitude"
         )

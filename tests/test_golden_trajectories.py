@@ -15,7 +15,9 @@ lattice) before the fine side was; both must be reproduced bit for bit.
 So must the weak runs in tests/data/weak_golden.npz: weak ssm1, recorded
 before the weak models were built on the strong variants' compiled forms,
 and weak strongquad at m = 8, recorded before 1-D memory cascades were
-stepped on Python floats.
+stepped on Python floats.  The large-amplitude ssm1 runs in
+tests/data/amplitude_golden.npz, recorded before march screened its state
+by one sum of squares, must be reproduced bit for bit too.
 """
 
 import dataclasses
@@ -30,10 +32,12 @@ GOLDEN = np.load(golden_runs.DATA)
 STAGE_GOLDEN = np.load(golden_runs.STAGE_DATA)
 FINE_STAGE_GOLDEN = np.load(golden_runs.FINE_STAGE_DATA)
 WEAK_GOLDEN = np.load(golden_runs.WEAK_DATA)
+AMPLITUDE_GOLDEN = np.load(golden_runs.AMPLITUDE_DATA)
 EXACT_RUNS = [(runs, golden, name)
               for runs, golden in ((golden_runs.STAGE_RUNS, STAGE_GOLDEN),
                                    (golden_runs.FINE_STAGE_RUNS, FINE_STAGE_GOLDEN),
-                                   (golden_runs.WEAK_RUNS, WEAK_GOLDEN))
+                                   (golden_runs.WEAK_RUNS, WEAK_GOLDEN),
+                                   (golden_runs.AMPLITUDE_RUNS, AMPLITUDE_GOLDEN))
               for name in runs]
 
 
