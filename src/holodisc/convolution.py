@@ -17,7 +17,8 @@ levels into rows and gives each row its feed: the next level, or at a
 chain's end its drive row, stacked below the state.  ``packed_chain_rhs``,
 every row's derivative from one gather, serves ``integrate_chains``,
 ``macromodel.ChainBank`` and the quadrature ensemble; ``integrate_chains``
-steps all rows through ``microscale.march``, one drive call per stage time.
+steps all rows through ``microscale.march``, one drive call per new stage
+time.
 A 1-D packed state, a few scalar rows, is stepped on Python floats
 instead, by straight-line code generated from its layout and compiled
 once per layout and scheme (``_float_advance``): one local per row and
@@ -147,9 +148,12 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     """Integrate cascades sharing one drive as one packed state.
 
     Each chain starts from rest or from its states0 entry, (levels,) or
-    (levels, m).  drive_fn must be a pure function of t: it is called once
-    per distinct stage time for all chains (RK4's midpoints share a call).
-    The run takes round(t_end / dt) steps, the nearest whole number, so it
+    (levels, m).  drive_fn must be a pure function of t: one call serves
+    all chains, and a stage at the time of the stage before it reuses it.
+    So RK4's midpoints share a call, and a step's last stage shares one
+    with the next step's first only where t + dt equals the next start
+    (k + 1) dt in floating point, about two steps in three: some 2.3 calls
+    per RK4 step.  The run takes round(t_end / dt) steps, the nearest whole number, so it
     may end a fraction of a step off t_end.  Returns times, shape (n+1,),
     and per chain in the order given its history: a view, (n+1, levels[,
     m]), into one packed array.  A non-finite state raises StabilityError
@@ -177,34 +181,29 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     layout = chain_layout(chains, Z.ndim)
     rows = [slice(e + 1 - len(r), e + 1) for r, e in zip(chains, layout[2])]
     ext = np.empty((len(Z) + 1,) + Z.shape[1:])
-    value = drive_fn if Z.ndim > 1 else _float_drive(drive_fn)
-    drive = [None, None]  # the last stage time and its drive
+    on_floats = Z.ndim == 1
+    last_s = last_d = None  # the last stage time and its drive
 
     def drive_at(s):
-        if drive[0] != s:
-            drive[:] = s, value(s)
-        return drive[1]
+        nonlocal last_s, last_d
+        if s != last_s:
+            d = drive_fn(s)
+            if on_floats:  # a number, or an array of one entry
+                d = float(d) if isinstance(d, float) else np.asarray(d, float).item()
+            last_s, last_d = s, d
+        return last_d
 
     def rhs(y, s):
         return packed_chain_rhs(y, layout, drive_at(s), ext)
 
     advance = stepper(rhs, dt, scheme)  # checks dt and the scheme for both
-    if Z.ndim == 1:
+    if on_floats:
         advance = _float_advance(layout, drive_at, dt, scheme)
     times, history = march(
         advance, Z, 0.0, int(round(t_end / dt)), dt,
         blocks=[(f"memory chain {r}", row) for r, row in zip(chains, rows)],
     )
     return times, [history[:, row] for row in rows]
-
-
-def _float_drive(drive_fn):
-    """drive_fn with its value as a Python float: a number or a size-1 array."""
-    def value(s):
-        d = drive_fn(s)
-        return float(d) if isinstance(d, float) else np.asarray(d, float).item()
-
-    return value
 
 
 def _float_advance(layout, drive_at, dt, scheme):

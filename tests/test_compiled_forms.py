@@ -555,6 +555,56 @@ def test_drive_is_called_once_per_distinct_stage_time(scheme, per_step, m):
     assert len(calls) <= per_step * n
 
 
+def stage_times(n, dt, scheme):
+    """The stage times of n steps from t = 0, as march and the scheme form
+    them, each repeat of the time before it dropped."""
+    times = []
+    for k in range(n):
+        t = 0.0 + k * dt
+        h = 0.5 * dt
+        for s in (t, t + h, t + h, t + dt) if scheme == "rk4" else (t,):
+            if not times or s != times[-1]:
+                times.append(s)
+    return times
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("m", [0, 3])
+def test_drive_is_called_at_the_stage_times_less_repeats(scheme, m):
+    """integrate_chains keeps one drive value, that of the last stage time:
+    on the float path (m = 0) and on (levels, m) states alike, the drive is
+    called at every stage time that differs from the one before it."""
+    calls = []
+    shape = np.ones(m) if m else 1.0
+
+    def drive(t):
+        calls.append(t)
+        return shape * harmonic(t)
+
+    n, dt = 300, 0.0123
+    states0 = [np.zeros((2, m) if m else 2), np.zeros((1, m) if m else 1)]
+    integrate_chains([(1.3, 1.3), (2.0,)], drive, n * dt, dt, states0, scheme)
+    assert calls == stage_times(n, dt, scheme)
+    if scheme == "rk4":  # t + dt is not always the next step's start
+        assert 2 * n < len(calls) < 3 * n
+
+
+def test_float_path_takes_every_one_entry_drive_alike():
+    """A Python float, an np.float64, a 0-d and a shape-(1,) array give the
+    float step the same drive, and so the same histories."""
+    chains = [(1.0,), (1.0, 4.0), (0.7, 1.3)]
+    runs = [integrate_chains(chains, lambda t, form=form: form(harmonic(t)),
+                             1.0, 0.01)[1] for form in DRIVE_FORMS]
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+def test_float_path_refuses_a_two_entry_drive():
+    with pytest.raises(ValueError, match="size 1"):
+        integrate_chains([(1.0,)], lambda t: np.full(2, harmonic(t)), 0.1, 0.01)
+
+
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 def test_float_step_calls_the_drive_at_the_array_steps_times(scheme):
     """1-D states (the float step) and the same chains as (levels, 1) states

@@ -62,6 +62,30 @@ class TestMarch:
         with pytest.raises(StabilityError, match="^state went non-finite"):
             march(lambda y, t: y * np.inf, np.ones(2), 0.0, 2, 0.1)
 
+    # The screen is one sum of squares; these run with warnings as errors,
+    # so it must not warn when the sum overflows or an entry is not finite.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_a_finite_state_whose_squares_overflow_marches_on(self, shape):
+        y0 = np.full(shape, 1e200)
+        times, hist = march(lambda y, t: -y, y0, 0.0, 5, 0.1)
+        assert times.size == 6
+        assert np.array_equal(hist, [(-1.0) ** k * y0 for k in range(6)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_entry_of_a_levels_by_m_state_is_named(self, bad):
+        def advance(y, t):
+            out = y + 1.0
+            if t >= 0.2:
+                out[2, 1] = bad
+            return out
+
+        blocks = (("upper", slice(0, 2)), ("lower", slice(2, 4)))
+        msg = r"^lower went non-finite at t = 0\.3; reduce dt$"
+        with pytest.raises(StabilityError, match=msg):
+            march(advance, np.zeros((4, 3)), 0.0, 10, 0.1, blocks=blocks)
+
 
 class TestExactSteps:
     def test_counts_whole_steps(self):
