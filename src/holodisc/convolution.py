@@ -153,11 +153,11 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     So RK4's midpoints share a call, and a step's last stage shares one
     with the next step's first only where t + dt equals the next start
     (k + 1) dt in floating point, about two steps in three: some 2.3 calls
-    per RK4 step.  The run takes round(t_end / dt) steps, the nearest whole number, so it
-    may end a fraction of a step off t_end.  Returns times, shape (n+1,),
-    and per chain in the order given its history: a view, (n+1, levels[,
-    m]), into one packed array.  A non-finite state raises StabilityError
-    naming the first bad chain.
+    per RK4 step.  The run takes round(t_end / dt) steps, the nearest
+    whole number, so it may end a fraction of a step off t_end.  Returns
+    times, shape (n+1,), and per chain in the order given its history: a
+    view, (n+1, levels[, m]), into one packed array.  A non-finite state
+    raises StabilityError naming the first bad chain.
 
     When every state is (levels,), the packed state is 1-D and each scheme
     steps it on Python floats, by a step generated for this layout

@@ -535,9 +535,26 @@ def test_packed_unsorted_chains_match_the_chain_step_loop(chains, scheme, m,
                         states0, scheme)
 
 
+def stage_times(n, dt, scheme):
+    """The stage times of n steps from t = 0, as march and the scheme form
+    them, each repeat of the time before it dropped."""
+    times, h = [], 0.5 * dt
+    for k in range(n):
+        t = 0.0 + k * dt
+        for s in (t, t + h, t + h, t + dt) if scheme == "rk4" else (t,):
+            if not times or s != times[-1]:
+                times.append(s)
+    return times
+
+
 @pytest.mark.parametrize("scheme, per_step", [("rk4", 3), ("euler", 1)])
 @pytest.mark.parametrize("m", [0, 3])
 def test_drive_is_called_once_per_distinct_stage_time(scheme, per_step, m):
+    """integrate_chains keeps one drive value, that of the last stage time:
+    on the float path (m = 0) and on (levels, m) states alike, the drive is
+    called at every stage time that differs from the one before it.  An RK4
+    step whose t + dt is not the next step's start in floating point calls
+    it three times, not two."""
     calls = []
     shape = np.ones(m) if m else 1.0
 
@@ -546,47 +563,15 @@ def test_drive_is_called_once_per_distinct_stage_time(scheme, per_step, m):
         return shape * harmonic(t)
 
     n = 50
-    states0 = [np.zeros((2, m) if m else 2)]
-    integrate_chains([(1.3, 1.3)], drive, n * 0.01, 0.01, states0, scheme)
+    states0 = [np.zeros((2, m) if m else 2), np.zeros((1, m) if m else 1)]
+    integrate_chains([(1.3, 1.3), (2.0,)], drive, n * 0.01, 0.01, states0,
+                     scheme)
+    assert calls == stage_times(n, 0.01, scheme)
     assert len(calls) <= per_step * n
     assert len(calls) == len(set(calls))
     calls.clear()
     integrate_chain((2.0,), drive, n * 0.01, 0.01, states0[0][:1], scheme)
-    assert len(calls) <= per_step * n
-
-
-def stage_times(n, dt, scheme):
-    """The stage times of n steps from t = 0, as march and the scheme form
-    them, each repeat of the time before it dropped."""
-    times = []
-    for k in range(n):
-        t = 0.0 + k * dt
-        h = 0.5 * dt
-        for s in (t, t + h, t + h, t + dt) if scheme == "rk4" else (t,):
-            if not times or s != times[-1]:
-                times.append(s)
-    return times
-
-
-@pytest.mark.parametrize("scheme", ["rk4", "euler"])
-@pytest.mark.parametrize("m", [0, 3])
-def test_drive_is_called_at_the_stage_times_less_repeats(scheme, m):
-    """integrate_chains keeps one drive value, that of the last stage time:
-    on the float path (m = 0) and on (levels, m) states alike, the drive is
-    called at every stage time that differs from the one before it."""
-    calls = []
-    shape = np.ones(m) if m else 1.0
-
-    def drive(t):
-        calls.append(t)
-        return shape * harmonic(t)
-
-    n, dt = 300, 0.0123
-    states0 = [np.zeros((2, m) if m else 2), np.zeros((1, m) if m else 1)]
-    integrate_chains([(1.3, 1.3), (2.0,)], drive, n * dt, dt, states0, scheme)
-    assert calls == stage_times(n, dt, scheme)
-    if scheme == "rk4":  # t + dt is not always the next step's start
-        assert 2 * n < len(calls) < 3 * n
+    assert calls == stage_times(n, 0.01, scheme)
 
 
 def test_float_path_takes_every_one_entry_drive_alike():
