@@ -50,7 +50,7 @@ recorder here rewrites them.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak|amplitude]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak|amplitude|memory]
 """
 
 from __future__ import annotations
@@ -67,11 +67,13 @@ from holodisc import (
     FineSide,
     ModelConfig,
     SignalSpec,
+    build_bank,
     build_weak_model,
     default_spec,
     run_macro_forced,
     run_paired,
     simulate_quadrature_ensemble,
+    ssm1_rhs,
 )
 from holodisc import harness
 from holodisc.harness import (
@@ -99,6 +101,7 @@ STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
 WEAK_DATA = os.path.join(HERE, "data", "weak_golden.npz")
 AMPLITUDE_DATA = os.path.join(HERE, "data", "amplitude_golden.npz")
+MEMORY_DATA = os.path.join(HERE, "data", "memory_golden.npz")
 DEFAULT_SPECS_DATA = os.path.join(HERE, "data", "default_specs.json")
 CLI_OPTIONS_DATA = os.path.join(HERE, "data", "cli_options.json")
 HARMONIC = SignalSpec(kind="harmonic", omega=2.0, phase=0.3, amplitude=1.0)
@@ -530,6 +533,34 @@ def ssm1_large_m8():
 AMPLITUDE_RUNS = {f.__name__: f for f in (ssm1_large_m4, ssm1_large_m8)}
 
 
+def _ssm1_memory(m, draws=8):
+    """ssm1_rhs's dU at draws random (U, phi, chain outputs) with the
+    outputs near 1e8: there the memory product (U phi) (coupling @
+    outputs), about 1e3, carries dU, so a one-ulp change in it moves dU's
+    bits.  m = 4 takes the float body, m = 18 the rows body."""
+    cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, gamma=0.7,
+                      H=np.pi / 2.0, m=m)
+    bank = build_bank(cfg)
+    rng = np.random.default_rng(m)
+    U = 1.0 + rng.normal(size=(draws, m))
+    phi = rng.normal(size=draws)
+    outputs = 1e8 * rng.normal(size=(draws, 4, m))
+    dU = np.array([ssm1_rhs(u, p, bank, cfg, z)[0]
+                   for u, p, z in zip(U, phi, outputs)])
+    return {"U": U, "phi": phi, "outputs": outputs, "dU": dU}
+
+
+def ssm1_memory_m4():
+    return _ssm1_memory(4)
+
+
+def ssm1_memory_m18():
+    return _ssm1_memory(18)
+
+
+MEMORY_RUNS = {f.__name__: f for f in (ssm1_memory_m4, ssm1_memory_m18)}
+
+
 def _record_runs(runs, path):
     arrays = {}
     for name, run in runs.items():
@@ -556,6 +587,10 @@ def record_amplitude(path=AMPLITUDE_DATA):
     return _record_runs(AMPLITUDE_RUNS, path)
 
 
+def record_memory(path=MEMORY_DATA):
+    return _record_runs(MEMORY_RUNS, path)
+
+
 def record(path=DATA):
     return _record_runs(RUNS, path)
 
@@ -570,14 +605,15 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
-    elif which in ("coarse", "stage", "fine-stage", "weak", "amplitude"):
+    elif which in ("coarse", "stage", "fine-stage", "weak", "amplitude",
+                   "memory"):
         recorders = {"coarse": record, "stage": record_stage,
                      "fine-stage": record_fine_stage, "weak": record_weak,
-                     "amplitude": record_amplitude}
+                     "amplitude": record_amplitude, "memory": record_memory}
         for key, value in recorders[which]().items():
             print(f"{key}: {value.shape}")
     else:
         raise SystemExit(
             f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
-            "loops, stage, fine-stage, weak or amplitude"
+            "loops, stage, fine-stage, weak, amplitude or memory"
         )

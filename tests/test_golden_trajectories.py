@@ -17,7 +17,9 @@ before the weak models were built on the strong variants' compiled forms,
 and weak strongquad at m = 8, recorded before 1-D memory cascades were
 stepped on Python floats.  The large-amplitude ssm1 runs in
 tests/data/amplitude_golden.npz, recorded before march screened its state
-by one sum of squares, must be reproduced bit for bit too.
+by one sum of squares, must be reproduced bit for bit too, and so must
+ssm1_rhs's dU at chain outputs near 1e8 in tests/data/memory_golden.npz,
+recorded before ssm1's float and array bodies shared one point expression.
 """
 
 import dataclasses
@@ -33,11 +35,13 @@ STAGE_GOLDEN = np.load(golden_runs.STAGE_DATA)
 FINE_STAGE_GOLDEN = np.load(golden_runs.FINE_STAGE_DATA)
 WEAK_GOLDEN = np.load(golden_runs.WEAK_DATA)
 AMPLITUDE_GOLDEN = np.load(golden_runs.AMPLITUDE_DATA)
+MEMORY_GOLDEN = np.load(golden_runs.MEMORY_DATA)
 EXACT_RUNS = [(runs, golden, name)
               for runs, golden in ((golden_runs.STAGE_RUNS, STAGE_GOLDEN),
                                    (golden_runs.FINE_STAGE_RUNS, FINE_STAGE_GOLDEN),
                                    (golden_runs.WEAK_RUNS, WEAK_GOLDEN),
-                                   (golden_runs.AMPLITUDE_RUNS, AMPLITUDE_GOLDEN))
+                                   (golden_runs.AMPLITUDE_RUNS, AMPLITUDE_GOLDEN),
+                                   (golden_runs.MEMORY_RUNS, MEMORY_GOLDEN))
               for name in runs]
 
 
