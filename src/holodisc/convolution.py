@@ -76,10 +76,6 @@ class ConvChain:
     def __post_init__(self):
         object.__setattr__(self, "rates", _validate_rates(self.rates))
 
-    @property
-    def levels(self) -> int:
-        return len(self.rates)
-
     def steady_gain(self) -> float:
         """Output per unit constant drive: 1 / prod(rates)."""
         return float(1.0 / np.prod(self.rates))

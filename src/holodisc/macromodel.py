@@ -38,13 +38,14 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
 both read from the joint state, so every scheme sees consistent substage
-values (small ssm1 rings on Python floats, with the same bits); the
-reconstruction reads a recorded history's ``out_rows``.
+values (small ssm1 rings on Python floats, with the same bits, since
+ssm1's formula is written once for floats and arrays); the reconstruction
+reads a recorded history's ``out_rows``.
 
 The weak models (``weakmodel``) bind the same skeleton closures and
-coupling constants (``_ssm1_skeleton``/``_ssm1_coupling``,
-``_strongquad_skeleton``/``strongquad_linear_matrix``) without a bank's
-chain state.
+coupling constants (``_ssm1_forms``' skeleton and ``_ssm1_coupling``,
+``_strongquad_skeleton`` and ``strongquad_linear_matrix``) without a
+bank's chain state.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class ChainBank:
     coefficients of the chain outputs in dU/dt; ``skeleton``, its
     deterministic part with every constant resolved; ``float_rhs``, ssm1's
     dU on Python floats for a ring of at most ``_FLOAT_RING`` elements
-    (None otherwise); and ``cfg``, the configuration they were resolved
-    for.
+    (None otherwise), the same formula as its skeleton (``_ssm1_forms``);
+    and ``cfg``, the configuration they were resolved for.
     """
 
     def __init__(self, m: int, specs=(), exprs=()):
@@ -365,72 +366,58 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
     ])
 
 
-def _ssm1_constants(cfg: ModelConfig):
-    """The constants of ssm1's skeleton for cfg: g, c1, c2, c4, ca, cu, c3,
-    the bracket's b1 and b2, and the per-element alternating lead
-    alt * eps alpha H."""
-    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
-    return (g, 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2), a * g / H,
-            a * a * g / 12.0, 0.00363 * a * a * H * H, 0.1028, 0.0716,
-            alternating_signs(cfg.m) * (e * a * H))
-
-
-def _ssm1_skeleton(cfg: ModelConfig):
-    """ssm1's skeleton and forcing-linear terms, dU(U, phi) without the
-    memory products, for cfg, its constants resolved once.  U's width-2
-    ring pad is one gather, the values ring_pad copies.  _ssm1_float_rhs
-    makes these operations in this order on Python floats."""
-    g, c1, c2, c4, ca, cu, c3, b1, b2, alt_lead = _ssm1_constants(cfg)
-    pad_at = np.arange(-2, cfg.m + 2) % cfg.m
-
-    def skeleton(U, phi):
-        mdU, d2U, d4U = pad_images(U[pad_at])
-        dU = c2 * d2U
-        dU -= c4 * d4U
-        dU -= ca * U * mdU
-        dU += cu * U * U * d2U
-        bracket = c1 * U + g * (b1 * U + b2 * d2U) - c3 * U**3
-        dU -= alt_lead * bracket * phi
-        return dU
-
-    return skeleton
-
-
 # ssm1 rings of at most this many elements compute dU on Python floats
-# (_ssm1_float_rhs) and step their joint-stage block on floats; larger rings
-# and strongquad use whole-array numpy and read y[sz] by rows as (S, m).
-# Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block, float
-# against rows over three scans, in us: 22-25 / 48-51 at m = 4, 36-45 /
-# 36-45 at m = 16, 41-46 / 37-47 at m = 18, 50-56 / 43 at m = 24, 119-151
-# / 42-60 at m = 64.
+# (_ssm1_forms' float_rhs) and step their joint-stage block on floats;
+# larger rings and strongquad use whole-array numpy and read y[sz] by rows
+# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1
+# block, float against rows over three scans, in us: 22-25 / 48-51 at m = 4,
+# 36-45 / 36-45 at m = 16, 41-46 / 37-47 at m = 18, 50-56 / 43 at m = 24,
+# 119-151 / 42-60 at m = 64.
 _FLOAT_RING = 16
 
 
-def _ssm1_float_rhs(cfg: ModelConfig):
-    """rhs(U, phi, memory): ssm1_rhs's dU as a list of Python floats, the
-    memory term coupling @ outputs given, for a ring of at most
-    _FLOAT_RING elements.  It makes _ssm1_skeleton's operations and then
-    the memory product (U phi) memory in their order, so its bits are the
-    array path's, without numpy's dispatch per operation on a few
-    entries.  U**3 and the memory term stay numpy calls (see stage_block)."""
-    g, c1, c2, c4, ca, cu, c3, b1, b2, alt_lead = _ssm1_constants(cfg)
-    alt_lead = alt_lead.tolist()
+def _ssm1_forms(cfg: ModelConfig):
+    """(skeleton, float_rhs): ssm1's dU for cfg, its constants resolved
+    once and its formula written once, as point(u, md, d2, d4, u3, lead,
+    phi): the skeleton and forcing-linear terms (dU without the memory
+    product) from U, its mudelta, delta2 and delta4 images, U**3 and the
+    lead alt eps alpha H.  Python floats and equal-shape float64 arrays
+    round + and * alike, so both bodies get the same bits.  skeleton(U,
+    phi) applies point to whole arrays, U's width-2 ring pad being one
+    gather.  float_rhs(U, phi, memory), for a ring of at most _FLOAT_RING
+    elements, applies it per element on Python floats and adds the memory
+    product (U phi) memory, without numpy's dispatch per operation on a few
+    entries.  U**3 and memory stay numpy calls (see stage_block)."""
+    a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
+    c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
+    ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
+    alt_lead = alternating_signs(cfg.m) * (e * a * H)
+    pad_at = np.arange(-2, cfg.m + 2) % cfg.m
 
-    def rhs(U, phi, memory):
+    def point(u, md, d2, d4, u3, lead, phi):
+        bracket = c1 * u + g * (0.1028 * u + 0.0716 * d2) - c3 * u3
+        return (c2 * d2 - c4 * d4 - ca * u * md + cu * u * u * d2
+                - lead * bracket * phi)
+
+    def skeleton(U, phi):
+        md, d2, d4 = pad_images(U[pad_at])
+        return point(U, md, d2, d4, U**3, alt_lead, phi)
+
+    leads = alt_lead.tolist()
+
+    def float_rhs(U, phi, memory):
         u = U.tolist()
         ul, ur = u[-1:] + u[:-1], u[1:] + u[:1]
         d2 = [(r - 2.0 * c) + l for l, c, r in zip(ul, u, ur)]
         # Per element: U, its neighbours, delta2 U and its neighbours,
-        # U**3, alt eps alpha H and the memory term.
-        return [c2 * d - c4 * ((dr - 2.0 * d) + dl) - ca * c * (0.5 * (r - l))
-                + cu * c * c * d
-                - a * (c1 * c + g * (b1 * c + b2 * d) - c3 * q) * phi
+        # U**3, the lead and the memory term.
+        return [point(c, 0.5 * (r - l), d, (dr - 2.0 * d) + dl, q, a, phi)
                 + c * phi * w
                 for c, l, r, d, dl, dr, q, a, w in zip(
                     u, ul, ur, d2, d2[-1:] + d2[:-1], d2[1:] + d2[:1],
-                    (U**3).tolist(), alt_lead, memory.tolist())]
+                    (U**3).tolist(), leads, memory.tolist())]
 
-    return rhs
+    return skeleton, float_rhs
 
 
 def ssm1_rhs(
@@ -693,9 +680,9 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         bank.coupling = np.zeros(len(bank))
         lead, k = _ssm1_coupling(cfg)
         bank.coupling[[bank.index(*spec) for spec in specs]] = lead * k
-        bank.skeleton = _ssm1_skeleton(cfg)
+        bank.skeleton, float_rhs = _ssm1_forms(cfg)
         if cfg.m <= _FLOAT_RING:
-            bank.float_rhs = _ssm1_float_rhs(cfg)
+            bank.float_rhs = float_rhs
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
         bank.coupling = np.concatenate(
@@ -737,12 +724,13 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
 
     A bank with chains has two bodies, chosen from the ring by build_bank.
     An ssm1 bank of at most _FLOAT_RING elements has a ``float_rhs``
-    (``_ssm1_float_rhs``), and its block (``_ssm1_float_block``) computes
-    on Python floats: ssm1_rhs's dU from one tolist of U, and the cascade
-    feed from one tolist of the chain states, written into dy[sz] from a
-    list.  Both keep the array operations in their order, so the bits are
-    the rows body's, without numpy's dispatch per operation on arrays of a
-    few entries.  U**3 and the memory term coupling @ outputs stay numpy
+    (``_ssm1_forms``' float body), and its block (``_ssm1_float_block``)
+    computes on Python floats: ssm1_rhs's dU from one tolist of U, by the
+    point expression the skeleton applies to arrays, and the cascade feed
+    from one tolist of the chain states, written into dy[sz] from a list.
+    Both keep the array operations in their order, so the bits are the rows
+    body's, without numpy's dispatch per operation on arrays of a few
+    entries.  U**3 and the memory term coupling @ outputs stay numpy
     calls: numpy's SIMD power rounds otherwise than Python's u**3 or
     u*u*u, its matmul otherwise than a sequential sum.  Any other bank
     reads the rows of y[sz] as (S, m) and calls the variant's rhs."""

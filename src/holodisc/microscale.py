@@ -228,7 +228,9 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
     cover the state, upstream first; a non-finite state raises
     StabilityError naming the first bad block.  One sum of squares screens
     each step: it is finite unless an entry is not or the sum overflows (a
-    2-norm above about 1.3e154), and only then is each entry tested.
+    2-norm above about 1.3e154), and only then is each entry tested.  The
+    steps run with numpy's overflow, invalid and divide warnings off: a
+    blow-up is reported once, by that error.
     """
     if record_every < 1:
         raise ConfigError("record_every must be at least 1")
@@ -238,14 +240,16 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
     history = np.empty((n_rec,) + y.shape)
     times[0], history[0] = t0, y
     rec = 0
-    for k in range(n_steps):
-        y = advance(y, t0 + k * dt)
-        if not isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
-            bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
-            t = t0 + (k + 1) * dt
-            raise StabilityError(f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            rec += 1
-            times[rec], history[rec] = t0 + (k + 1) * dt, y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            y = advance(y, t0 + k * dt)
+            if not isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
+                bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
+                t = t0 + (k + 1) * dt
+                raise StabilityError(
+                    f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")
+            if (k + 1) % record_every == 0 or k + 1 == n_steps:
+                rec += 1
+                times[rec], history[rec] = t0 + (k + 1) * dt, y
     return times, history
 

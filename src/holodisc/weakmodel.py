@@ -31,7 +31,7 @@ from .macromodel import (
     EXPR_NAMES,
     ModelConfig,
     _ssm1_coupling,
-    _ssm1_skeleton,
+    _ssm1_forms,
     _strongquad_skeleton,
     ssm1_chain_specs,
     strongquad_expressions,
@@ -321,7 +321,7 @@ class WeakCoarseModel:
     def _build_ssm1(self):
         """Resolve weak ssm1's drifts and noise amplitudes; returns its rhs."""
         cfg, signal = self.cfg, self.signal
-        skeleton, (lead, k) = _ssm1_skeleton(cfg), _ssm1_coupling(cfg)
+        skeleton, (lead, k) = _ssm1_forms(cfg)[0], _ssm1_coupling(cfg)
         rates = [canonical_rates(r) for r, _ in ssm1_chain_specs(cfg)]
 
         def add_products(dU, U, v):

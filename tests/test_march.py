@@ -152,8 +152,13 @@ class TestFig1Scheme:
             EXPERIMENTS["fig1"](spec)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 class TestBlowupNaming:
+    def test_march_names_an_overflowing_step_without_a_warning(self):
+        with pytest.raises(StabilityError,
+                           match=r"^state went non-finite at t = 0\.1;"):
+            march(lambda y, t: y * 1e200, np.array([1e200, 1.0]), 0.0, 3, 0.1)
+
     def test_integrate_chains_names_the_chain(self):
         with pytest.raises(StabilityError,
                            match=r"memory chain \(1000\.0, 2\.0\) went non-finite"):
