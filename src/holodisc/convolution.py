@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ReductionError
+from .errors import ConfigError, ReductionError, check_positive
 from .microscale import march, stepper
 
 __all__ = [
@@ -165,8 +165,7 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
         raise ConfigError("need at least one chain")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ConfigError("need t_end > 0 and dt > 0")
+    check_positive("run end t_end", t_end)  # and stepper checks dt
     if states0 is None:
         states0 = [np.zeros(len(rates)) for rates in chains]
     states0 = [np.asarray(z, dtype=float) for z in states0]

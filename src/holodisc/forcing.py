@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 
 __all__ = [
     "csn",
@@ -53,17 +53,16 @@ def csn(k: int, theta):
 
 def mode_decay_rate(k: int, H: float) -> float:
     """Relaxation rate (k pi / H)^2 of subgrid mode k on an element of half-width H."""
-    if H <= 0.0:
-        raise ConfigError(f"element half-width must be positive, got {H}")
+    check_positive("element half-width H", H)
     return (k * np.pi / H) ** 2
 
 
-def lorenz_point(xi, eta, zeta):
+def lorenz_point(xi, eta, zeta, sigma=LORENZ_SIGMA, rho=LORENZ_RHO, beta=LORENZ_BETA):
     """(dxi, deta, dzeta): the package's one copy of the Lorenz equations,
     on Python floats (one system, no numpy dispatch) or on equal-shape
-    arrays (one system per entry); +, - and * round alike in both."""
-    return (LORENZ_SIGMA * (eta - xi), xi * (LORENZ_RHO - zeta) - eta,
-            xi * eta - LORENZ_BETA * zeta)
+    arrays (one system per entry, the constants best passed as 0-d
+    operands); +, - and * round alike in both."""
+    return (sigma * (eta - xi), xi * (rho - zeta) - eta, xi * eta - beta * zeta)
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,7 @@ class WhiteNoiseSignal(Signal):
 
     def draw(self, rng: np.random.Generator, dt: float, size=None):
         """One per-step sample intensity * N(0,1) / sqrt(dt)."""
-        if dt <= 0.0:
-            raise ConfigError(f"white-noise draw needs dt > 0, got {dt}")
+        check_positive("white-noise draw's dt", dt)
         return self.intensity * rng.standard_normal(size) / np.sqrt(dt)
 
 
@@ -263,8 +261,7 @@ class ElementGrid:
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 3:
             raise ConfigError(f"need at least 3 elements, got m={self.m}")
-        if self.H <= 0.0:
-            raise ConfigError(f"element half-width must be positive, got {self.H}")
+        check_positive("element half-width H", self.H)
 
     @property
     def length(self) -> float:

@@ -36,8 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import integrate_chains
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 from .forcing import (
+    LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA,
     ElementGrid,
     SignalSpec,
     csn,
@@ -64,6 +65,7 @@ from .microscale import (
     rk4_step,
     stepper,
 )
+from .stencil import operands
 from .weakmodel import build_weak_model
 
 __all__ = [
@@ -213,16 +215,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         reads = _DECLARED[self.name].reads if self.name in _DECLARED else ("t0", "t1")
-        if "t0" in reads and self.t0 <= 0.0:
-            raise ConfigError(f"window start must be positive, got {self.t0}")
+        if "t0" in reads:
+            check_positive("window start", self.t0)
         if "t0" in reads and "t1" in reads and self.t1 <= self.t0:
             raise ConfigError(
                 f"window end must exceed its start, got [{self.t0}, {self.t1}]"
             )
-        if "t1" in reads and self.t1 <= 0.0:
-            raise ConfigError(f"run end must be positive, got {self.t1}")
-        if self.dt <= 0.0:
-            raise ConfigError(f"time step must be positive, got {self.dt}")
+        if "t1" in reads:
+            check_positive("run end", self.t1)
+        check_positive("time step dt", self.dt)
         object.__setattr__(self, "extras", _whole_extras(self.name, self.extras))
 
     def to_dict(self) -> dict:
@@ -613,14 +614,15 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 def _fig1_stage(n, dx, alpha, eps):
     """fig1's stage f(y, t) on y = [xi | eta | zeta | u]: one fresh dy, the
-    Lorenz field in its three rows, the bound Burgers form (forced by xi)
-    in the last."""
+    Lorenz field in its three rows (its constants 0-d operands), the bound
+    Burgers form (forced by xi) in the last."""
     fine = burgers_form(dx, alpha, eps)
     a, b, c = n, 2 * n, 3 * n
+    lorenz = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
 
     def f(y, t):
         dy = np.empty_like(y)
-        dy[:a], dy[a:b], dy[b:c] = lorenz_point(y[:a], y[a:b], y[b:c])
+        dy[:a], dy[a:b], dy[b:c] = lorenz_point(y[:a], y[a:b], y[b:c], *lorenz)
         fine(y[c:], y[:a], dy[c:])
         return dy
 

@@ -57,10 +57,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import canonical_rates, chain_layout, packed_chain_rhs
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .forcing import mode_decay_rate
 from .microscale import SCHEMES
-from .stencil import delta2, mudelta, pad_images, ring_images, ring_pad
+from .stencil import (delta2, mudelta, operands, pad_images, ring_images,
+                      ring_index, ring_pad)
 
 __all__ = [
     "VARIANTS",
@@ -117,12 +118,12 @@ class ModelConfig:
             )
         if int(self.m) != self.m or self.m < 3:
             raise ConfigError(f"need at least 3 elements, got m={self.m}")
-        if self.H <= 0.0:
-            raise ConfigError(f"element half-width must be positive, got {self.H}")
+        check_positive("element half-width H", self.H)
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"coupling gamma must lie in [0, 1], got {self.gamma}")
-        if self.dt <= 0.0:
-            raise ConfigError(f"time step must be positive, got {self.dt}")
+        check_positive("time step dt", self.dt)
+        if not np.isfinite([self.alpha, self.eps]).all():
+            raise ConfigError(f"alpha {self.alpha} and eps {self.eps} must be finite")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant in ("lowg", "lattice") and self.gamma != 1.0:
@@ -369,11 +370,11 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
 # ssm1 rings of at most this many elements compute dU on Python floats
 # (_ssm1_forms' float_rhs) and step their joint-stage block on floats;
 # larger rings and strongquad use whole-array numpy and read y[sz] by rows
-# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1
-# block, float against rows over three scans, in us: 22-25 / 48-51 at m = 4,
-# 36-45 / 36-45 at m = 16, 41-46 / 37-47 at m = 18, 50-56 / 43 at m = 24,
-# 119-151 / 42-60 at m = 64.
-_FLOAT_RING = 16
+# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block,
+# float against rows over three scans, in us: 8 / 14-17 at m = 4, 12 / 15-16
+# at 8, 15-22 / 15-26 at 12 (float ahead in each), 16-23 / 16-19 at 14,
+# 19-22 / 16-21 at 16, 19-32 / 15-26 at 18, 25-36 / 15-24 at m = 24.
+_FLOAT_RING = 12
 
 
 def _ssm1_forms(cfg: ModelConfig):
@@ -383,25 +384,29 @@ def _ssm1_forms(cfg: ModelConfig):
     product) from U, its mudelta, delta2 and delta4 images, U**3 and the
     lead alt eps alpha H.  Python floats and equal-shape float64 arrays
     round + and * alike, so both bodies get the same bits.  skeleton(U,
-    phi) applies point to whole arrays, U's width-2 ring pad being one
-    gather.  float_rhs(U, phi, memory), for a ring of at most _FLOAT_RING
-    elements, applies it per element on Python floats and adds the memory
-    product (U phi) memory, without numpy's dispatch per operation on a few
-    entries.  U**3 and memory stay numpy calls (see stage_block)."""
+    phi) applies point, its constants 0-d operands, to whole arrays, U's
+    width-2 ring pad being one gather.  float_rhs(U, phi, memory), for a
+    ring of at most _FLOAT_RING elements, applies it per element on Python
+    floats (constants too) and adds (U phi) memory, without numpy's
+    per-call dispatch.  U**3 and memory stay numpy calls (see stage_block)."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
-    c1, c2, c4 = 2.0 / _PI2, g / H**2, g * g / (12.0 * H**2)
-    ca, cu, c3 = a * g / H, a * a * g / 12.0, 0.00363 * a * a * H * H
+    constants = (2.0 / _PI2, g, 0.1028, 0.0716, 0.00363 * a * a * H * H,
+                 g / H**2, g * g / (12.0 * H**2), a * g / H, a * a * g / 12.0)
     alt_lead = alternating_signs(cfg.m) * (e * a * H)
-    pad_at = np.arange(-2, cfg.m + 2) % cfg.m
+    pad_at, (three,) = ring_index(cfg.m, 2), operands(3.0)
 
-    def point(u, md, d2, d4, u3, lead, phi):
-        bracket = c1 * u + g * (0.1028 * u + 0.0716 * d2) - c3 * u3
-        return (c2 * d2 - c4 * d4 - ca * u * md + cu * u * u * d2
-                - lead * bracket * phi)
+    def bind(c1, g, k1, k2, c3, c2, c4, ca, cu):
+        def point(u, md, d2, d4, u3, lead, phi):
+            bracket = c1 * u + g * (k1 * u + k2 * d2) - c3 * u3
+            return (c2 * d2 - c4 * d4 - ca * u * md + cu * u * u * d2
+                    - lead * bracket * phi)
+        return point
+
+    array_point, point = bind(*operands(*constants)), bind(*constants)
 
     def skeleton(U, phi):
         md, d2, d4 = pad_images(U[pad_at])
-        return point(U, md, d2, d4, U**3, alt_lead, phi)
+        return array_point(U, md, d2, d4, U**three, alt_lead, phi)
 
     leads = alt_lead.tolist()
 
@@ -415,7 +420,7 @@ def _ssm1_forms(cfg: ModelConfig):
                 + c * phi * w
                 for c, l, r, d, dl, dr, q, a, w in zip(
                     u, ul, ur, d2, d2[-1:] + d2[:-1], d2[1:] + d2[:1],
-                    (U**3).tolist(), leads, memory.tolist())]
+                    (U**three).tolist(), leads, memory.tolist())]
 
     return skeleton, float_rhs
 
@@ -627,7 +632,7 @@ def _strongquad_skeleton(cfg: ModelConfig):
     linear matrix applied to the expression stack, plus the memory
     couplings (strong) or their drifts and noises (weak)."""
     a, g, H = cfg.alpha, cfg.gamma, cfg.H
-    ca, c2, c4 = g * a / H, g / H**2, g * g / (12.0 * H**2)
+    ca, c2, c4 = operands(g * a / H, g / H**2, g * g / (12.0 * H**2))
 
     def skeleton(U, F):
         mdU, d2U, d4U = ring_images(U)

@@ -10,7 +10,8 @@ Two discretisations of u_t + alpha u u_x = u_xx + eps phi(x, t):
 
 Each is a bound form (``burgers_form``, ``lattice_form``) that engines
 resolve once per run and that writes into the caller's slice;
-``burgers_rhs`` is the Burgers form's one-call check.
+``burgers_rhs`` is the Burgers form's one-call check.  The forms and the
+steppers bind their constants as 0-d operands (``stencil.operands``).
 Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine (paired fine/coarse runs, memory cascades, weak models,
 experiments) hands it a one-step map, so every run counts its steps, records
@@ -23,11 +24,13 @@ pairing of forcing paths between fine and coarse runs.
 
 from __future__ import annotations
 
+import functools
 from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigError, StabilityError
+from .errors import ConfigError, StabilityError, check_positive
+from .stencil import operands, ring_index
 
 __all__ = [
     "burgers_rhs",
@@ -42,11 +45,11 @@ __all__ = [
     "check_scheme_legal",
 ]
 
-# burgers_rhs's advection terms over (u_i, u_{i+1}, u_{i-1}, dx).
+# burgers_rhs's advection terms over (u_i, u_{i+1}, u_{i-1}, k dx), and k.
 _ADVECTION = {
-    "advective": lambda u, up, um, dx: u * (up - um) / (2.0 * dx),
-    "conservative": lambda u, up, um, dx: (up**2 - um**2) / (4.0 * dx),
-    "skew": lambda u, up, um, dx: (u * (up - um) + up**2 - um**2) / (6.0 * dx),
+    "advective": (lambda u, up, um, d: u * (up - um) / d, 2.0),
+    "conservative": (lambda u, up, um, d: (up**2 - um**2) / d, 4.0),
+    "skew": (lambda u, up, um, d: (u * (up - um) + up**2 - um**2) / d, 6.0),
 }
 SCHEMES = ("rk4", "euler", "euler-maruyama")
 
@@ -83,19 +86,19 @@ def burgers_form(dx, alpha, eps, form="advective"):
     """burgers_rhs with dx and form checked once: rhs(u, phi, out) writes the
     derivative of the 1-D float ring u into out (which must not overlap u)
     with burgers_rhs's arithmetic in its order, and returns out."""
-    if dx <= 0.0:
-        raise ConfigError(f"grid spacing must be positive, got {dx}")
+    check_positive("grid spacing dx", dx)
     if form not in _ADVECTION:
         raise ConfigError(
             f"unknown advection form {form!r}; expected one of {tuple(_ADVECTION)}"
         )
-    advection = _ADVECTION[form]
+    advection, k = _ADVECTION[form]
+    two, dx2, den, alpha, eps = operands(2.0, dx**2, k * dx, alpha, eps)
 
     def rhs(u, phi, out):
-        p = np.concatenate((u[-1:], u, u[:1]))  # ring_pad, u already float
+        p = u[ring_index(len(u))]
         up, um = p[2:], p[:-2]
-        diffusion = (up - 2.0 * u + um) / dx**2
-        return np.add(diffusion - alpha * advection(u, up, um, dx), eps * phi,
+        diffusion = (up - two * u + um) / dx2
+        return np.add(diffusion - alpha * advection(u, up, um, den), eps * phi,
                       out=out)
 
     return rhs
@@ -110,14 +113,13 @@ def lattice_form(H, alpha, eps):
         du_i/dt = (4/H^2)(u_{i+1} - 2 u_i + u_{i-1})
                   - (alpha/H) u_i (u_{i+1} - u_{i-1}) + eps phi_i.
     """
-    if H <= 0.0:
-        raise ConfigError(f"element half-width must be positive, got {H}")
-    c2, c1 = 4.0 / H**2, alpha / H
+    check_positive("element half-width H", H)
+    c2, c1, two, eps = operands(4.0 / H**2, alpha / H, 2.0, eps)
 
     def rhs(u, phi, out):
-        p = np.concatenate((u[-1:], u, u[:1]))
+        p = u[ring_index(len(u))]
         up, um = p[2:], p[:-2]
-        return np.add(c2 * (up - 2.0 * u + um) - c1 * u * (up - um), eps * phi,
+        return np.add(c2 * (up - two * u + um) - c1 * u * (up - um), eps * phi,
                       out=out)
 
     return rhs
@@ -125,9 +127,14 @@ def lattice_form(H, alpha, eps):
 
 def lattice_decay_rates(H: float) -> tuple[float, float]:
     """Decay rates (8/H^2, 16/H^2) of a decoupled element's two fast modes."""
-    if H <= 0.0:
-        raise ConfigError(f"element half-width must be positive, got {H}")
+    check_positive("element half-width H", H)
     return 8.0 / H**2, 16.0 / H**2
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(dt):
+    """(h, and as 0-d operands h, dt, dt/6 and 2) of a step of dt."""
+    return (0.5 * dt,) + operands(0.5 * dt, dt, dt / 6.0, 2.0)
 
 
 def rk4_step(u, rhs, t, dt):
@@ -136,34 +143,34 @@ def rk4_step(u, rhs, t, dt):
     u + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage argument u + h k, computed
     as the textbook expression's operations in its order (IEEE + and *
     commute exactly, so the bits are its bits) with two temporaries of the
-    state for the combination.  It writes into neither u nor any array rhs
-    returned, nor a stage argument once rhs has seen it: rhs may return a
-    shared array or keep a view of its argument.
+    state for the combination, its weights dt's 0-d operands.  It writes
+    into neither u nor any array rhs returned, nor a stage argument once rhs
+    has seen it: rhs may return a shared array or keep a view of its argument.
     """
-    h = 0.5 * dt
+    h, h_, dt_, dt6, two = _weights(dt)
     k1 = rhs(u, t)
-    w = k1 * h
+    w = k1 * h_
     w += u
     k2 = rhs(w, t + h)
-    w = k2 * h
+    w = k2 * h_
     w += u
     k3 = rhs(w, t + h)
-    w = k3 * dt
+    w = k3 * dt_
     w += u
     k4 = rhs(w, t + dt)
-    acc = k2 * 2.0
+    acc = k2 * two
     acc += k1
-    w = k3 * 2.0
+    w = k3 * two
     acc += w
     acc += k4
-    acc *= dt / 6.0
+    acc *= dt6
     acc += u
     return acc
 
 
 def euler_step(u, rhs, t, dt):
     """One forward Euler step of du/dt = rhs(u, t)."""
-    return u + dt * rhs(u, t)
+    return u + _weights(dt)[2] * rhs(u, t)
 
 
 def stepper(rhs, dt, scheme="rk4"):
@@ -175,8 +182,7 @@ def stepper(rhs, dt, scheme="rk4"):
     any scheme).  That legality is checked where signals meet engines, via
     ``check_scheme_legal``.
     """
-    if dt <= 0.0:
-        raise ConfigError(f"time step must be positive, got {dt}")
+    check_positive("time step dt", dt)
     if scheme == "rk4":
         one = rk4_step
     elif scheme in ("euler", "euler-maruyama"):
@@ -199,9 +205,8 @@ def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:
 
 def exact_steps(t_end: float, dt: float) -> int:
     """Number of dt steps that lands on t_end; refuses any other dt."""
-    if dt <= 0.0:
-        raise ConfigError(f"time step must be positive, got {dt}")
-    n = int(round(t_end / dt))
+    check_positive("time step dt", dt)
+    n = int(round(t_end / dt)) if isfinite(t_end / dt) else -1
     if n < 0 or abs(n * dt - t_end) > 1e-9 * abs(t_end):
         raise ConfigError(
             f"run length t_end = {t_end!r} is not a whole, non-negative "

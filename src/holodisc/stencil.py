@@ -17,10 +17,24 @@ combination delta2/H^2 - delta4/(12 H^2) -> f'' + O(H^4).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["delta2", "mudelta", "delta4", "ring_pad", "ring_images",
-           "pad_images"]
+           "pad_images", "ring_index", "operands"]
+
+
+def operands(*values) -> tuple[np.ndarray, ...]:
+    """Each value as a read-only (shared) float64 0-d array: an operand with a
+    Python float's bits, without numpy resolving its type at every call."""
+    return tuple(np.broadcast_to(np.float64(v), ()) for v in values)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_index(m: int, width: int = 1) -> np.ndarray:
+    """Read-only index: s[..., ring_index(m, width)] is ring_pad(s, width)."""
+    return np.broadcast_to(np.arange(-width, m + width) % m, (m + 2 * width,))
 
 
 def ring_pad(s: np.ndarray, width: int = 1) -> np.ndarray:
@@ -49,14 +63,17 @@ def ring_images(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pad_images(q)
 
 
+_TWO, _HALF = operands(2.0, 0.5)
+
+
 def pad_images(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ring_images of the ring whose width-2 pad is q, for a caller that
     pads the ring itself."""
-    d2 = q[..., 2:] - 2.0 * q[..., 1:-1] + q[..., :-2]
+    d2 = q[..., 2:] - _TWO * q[..., 1:-1] + q[..., :-2]
     return (
-        0.5 * (q[..., 3:-1] - q[..., 1:-3]),
+        _HALF * (q[..., 3:-1] - q[..., 1:-3]),
         d2[..., 1:-1],
-        d2[..., 2:] - 2.0 * d2[..., 1:-1] + d2[..., :-2],
+        d2[..., 2:] - _TWO * d2[..., 1:-1] + d2[..., :-2],
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import ConvChain, canonical_rates, chain_layout, packed_chain_rhs
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .forcing import SignalSpec
 from .macromodel import (
     EXPR_NAMES,
@@ -61,8 +61,7 @@ def harmonic_drift_1(beta_k, omega_mu, omega_rho, phase) -> float:
     average away); amplitudes other than one scale the result by their
     product.
     """
-    if beta_k <= 0.0:
-        raise ConfigError(f"decay rate must be positive, got {beta_k}")
+    check_positive("decay rate beta_k", beta_k)
     if omega_mu != omega_rho:
         return 0.0
     return (beta_k * np.cos(phase) - omega_mu * np.sin(phase)) / (
@@ -513,8 +512,7 @@ class WeakCoarseModel:
         U0 = np.asarray(U0, dtype=float)
         if U0.shape != (cfg.m,):
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
-        if t_end <= 0.0:
-            raise ConfigError(f"need t_end > 0, got {t_end}")
+        check_positive("run end t_end", t_end)
         self.rng = self._rng()
         return march(
             self.step, U0, 0.0, exact_steps(t_end, cfg.dt), cfg.dt, record_every,

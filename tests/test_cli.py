@@ -239,6 +239,19 @@ class TestCompare:
         assert "'periods' must be a whole number >= 1, got 0" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("dt, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                           ("0", "0")])
+    def test_a_time_step_not_finite_and_positive_exits_two_naming_dt(
+            self, tmp_path, dt, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dt": %s}' % dt)
+        result = invoke_entry("compare", "--experiment", "fig1",
+                              "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: time step dt must be positive and finite, got {shown}"]
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("field", ["sede", "seed"])
     def test_unknown_signal_field_exits_two_naming_it(self, tmp_path, field):
         cfg = tmp_path / "cfg.json"

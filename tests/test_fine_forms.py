@@ -136,12 +136,13 @@ def test_fig1_stage_is_the_interleaved_stage_bit_for_bit(n, seed, dx, alpha, eps
 
 
 def test_bound_forms_check_once_at_binding():
-    with pytest.raises(ConfigError, match="grid spacing"):
-        burgers_form(0.0, 1.0, 0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="grid spacing dx"):
+            burgers_form(bad, 1.0, 0.0)
+        with pytest.raises(ConfigError, match="half-width H"):
+            lattice_form(bad, 1.0, 0.0)
     with pytest.raises(ConfigError, match="unknown advection form"):
         burgers_form(0.1, 1.0, 0.0, "upwind")
-    with pytest.raises(ConfigError, match="half-width"):
-        lattice_form(-1.0, 1.0, 0.0)
 
 
 class TestWholePoints:

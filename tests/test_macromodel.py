@@ -63,6 +63,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             cfg_for("lowg", m=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", np.nan), ("dt", np.inf), ("H", np.inf), ("H", np.nan),
+        ("alpha", np.nan), ("alpha", -np.inf), ("eps", np.nan),
+        ("eps", np.inf)])
+    def test_refuses_a_value_that_is_not_finite_naming_its_field(
+            self, field, value):
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            cfg_for("ssm1", **{field: value})
+
 
 class TestEquilibria:
     def test_unforced_constant_state_is_stationary(self):

@@ -174,17 +174,22 @@ def stiff_rhs(u, t):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 64), st.integers(0, 2**32 - 1),
+@given(st.integers(0, 64), st.integers(0, 2**32 - 1),
        st.floats(1e-6, 0.5), st.floats(-10.0, 10.0))
 @example(18432, 0, 1e-3, 0.25)
 @example(18432, 7, 0.37, -3.0)
+@example(0, 11, 0.01, 2.5)
 def test_rk4_step_is_the_textbook_expression_byte_for_byte(n, seed, dt, t):
-    """The goldens cannot see a last-bit change in one step; this can."""
+    """The goldens cannot see a last-bit change in one step; this can.  Both
+    rk4_step and stepper's map, on arrays and (n = 0) a Python float."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0, size=n)
-    got = rk4_step(u, stiff_rhs, t, dt)
-    want = textbook_rk4_step(u, stiff_rhs, t, dt)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if n == 0:
+        u = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 1.0))
+    want = np.asarray(textbook_rk4_step(u, stiff_rhs, t, dt))
+    for got in (rk4_step(u, stiff_rhs, t, dt), stepper(stiff_rhs, dt)(u, t)):
+        got = np.asarray(got)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_rk4_step_writes_into_no_array_it_was_handed():
@@ -213,8 +218,11 @@ class TestStepper:
         rhs = lambda u, t: -u
         with pytest.raises(ConfigError, match="unknown scheme"):
             stepper(rhs, 0.1, "leapfrog")
-        with pytest.raises(ConfigError, match="positive"):
-            stepper(rhs, 0.0)
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match="time step dt must be positive"):
+                stepper(rhs, bad)
+            with pytest.raises(ConfigError, match="time step dt must be positive"):
+                exact_steps(1.0, bad)
 
 
 class TestIntegrate:

@@ -14,7 +14,7 @@ from holodisc import (
     mode_decay_rate,
     mudelta,
 )
-from holodisc.stencil import ring_images
+from holodisc.stencil import operands, ring_images, ring_index, ring_pad
 
 
 def ring(m, seed=0):
@@ -86,6 +86,31 @@ def test_ring_images_equal_the_separate_operators(m, kind):
 def test_ring_images_refuse_a_ring_shorter_than_their_pad():
     with pytest.raises(ValueError, match="2 or more values"):
         ring_images(np.ones(1))
+
+
+def test_operands_are_read_only_and_round_as_python_floats():
+    """Forms share their bound constants, so none may be written in place;
+    as operands they give a Python float's bits."""
+    u = ring(64) * 1e3
+    values = (2.0, 1.0 / 3.0, 3, -7.5e-300)
+    for v, a in zip(values, operands(*values)):
+        assert a.shape == () and a.dtype == np.float64
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[()] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(a, 2.0, out=a)
+        for got, want in ((u * a, u * v), (u / a, u / v), (u + a, u + v),
+                          (a - u, v - u), (abs(u)**a, abs(u)**v)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, width", [(1, 1), (2, 2), (5, 1), (64, 2)])
+def test_ring_index_is_a_cached_read_only_ring_pad(m, width):
+    at = ring_index(m, width)
+    assert at is ring_index(m, width) and not at.flags.writeable
+    s = np.stack([ring(m), ring(m, 1)])
+    assert np.array_equal(s[..., at], ring_pad(s, width))
 
 
 class TestOperatorAlgebra:
