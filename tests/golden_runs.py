@@ -22,7 +22,9 @@ metrics and checks are kept in tests/data/paired_golden.json.
 the ``emergence`` report, white-noise quadrature samples for one and two
 signals, and one fixed-step ``microscale.march`` run (recorded through
 the former ``microscale.integrate``), kept in
-tests/data/loops_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
+tests/data/loops_golden.json.  ``REDUCTION_TERMS`` pins
+``reduce_by_parts(term).to_dict()`` for terms whose products merge
+coincident terms, kept in tests/data/reduction_golden.json.  ``STAGE_RUNS`` pins the ``run_paired`` stage
 paths the recordings above leave out (``lowg`` under a Lorenz drive, a
 fine-only run with several signals, white-noise ``ssm1`` and
 ``strongquad`` at m = 8, fig3's fine and ``ssm1`` sides together under
@@ -50,7 +52,7 @@ recorder here rewrites them.
 
 Record (overwrites the named data file; ``coarse`` is the default):
 
-    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|stage|fine-stage|weak|amplitude|memory]
+    PYTHONPATH=src python tests/golden_runs.py [coarse|weak-drift|paired|loops|reduction|stage|fine-stage|weak|amplitude|memory]
 """
 
 from __future__ import annotations
@@ -64,12 +66,14 @@ import numpy as np
 
 from holodisc import (
     CoarseSide,
+    ConvTerm,
     FineSide,
     ModelConfig,
     SignalSpec,
     build_bank,
     build_weak_model,
     default_spec,
+    reduce_by_parts,
     run_macro_forced,
     run_paired,
     simulate_quadrature_ensemble,
@@ -97,6 +101,7 @@ DATA = os.path.join(HERE, "data", "coarse_golden.npz")
 WEAK_DRIFT_DATA = os.path.join(HERE, "data", "weak_drift_golden.json")
 PAIRED_DATA = os.path.join(HERE, "data", "paired_golden.json")
 LOOPS_DATA = os.path.join(HERE, "data", "loops_golden.json")
+REDUCTION_DATA = os.path.join(HERE, "data", "reduction_golden.json")
 STAGE_DATA = os.path.join(HERE, "data", "stage_golden.npz")
 FINE_STAGE_DATA = os.path.join(HERE, "data", "fine_stage_golden.npz")
 WEAK_DATA = os.path.join(HERE, "data", "weak_golden.npz")
@@ -267,6 +272,31 @@ def loop_runs():
         },
         "integrate": _forced_burgers_run(),
     }
+
+
+# (coeff, left_rates, right_rates, left, right): repeated rates, so the
+# reduction meets coincident boundary and canonical terms and merges them.
+REDUCTION_TERMS = (
+    (1.0, (2.0, 2.0), (2.0, 2.0), "rho", "mu"),
+    (1.0, (1.3, 1.3), (0.7,), "rho", "mu"),
+    (1.0, (1.0, 4.0, 9.0), (1.0, 4.0, 9.0), "rho", "mu"),
+    (1.5, (1.0, 2.0), (3.0,), "rho", "mu"),
+    (-0.25, (4.0, 1.0), (2.0, 1.0, 1.0), "phi", "phi"),
+    (2.0, (), (3.0, 5.0), "rho", "mu"),
+)
+
+
+def reduction_runs():
+    """reduce_by_parts(term).to_dict() for each of REDUCTION_TERMS, in order."""
+    return [reduce_by_parts(ConvTerm(*args)).to_dict() for args in REDUCTION_TERMS]
+
+
+def record_reduction(path=REDUCTION_DATA):
+    runs = reduction_runs()
+    with open(path, "w") as fh:
+        json.dump(runs, fh, indent=2)
+        fh.write("\n")
+    return runs
 
 
 def record_loops(path=LOOPS_DATA):
@@ -605,6 +635,8 @@ if __name__ == "__main__":
     elif which == "loops":
         runs = record_loops()
         print(json.dumps({k: runs[k] for k in ("fig1", "emergence")}, indent=2))
+    elif which == "reduction":
+        print(f"{len(record_reduction())} reductions")
     elif which in ("coarse", "stage", "fine-stage", "weak", "amplitude",
                    "memory"):
         recorders = {"coarse": record, "stage": record_stage,
@@ -615,5 +647,5 @@ if __name__ == "__main__":
     else:
         raise SystemExit(
             f"unknown recording {which!r}; expected coarse, weak-drift, paired, "
-            "loops, stage, fine-stage, weak, amplitude or memory"
+            "loops, reduction, stage, fine-stage, weak, amplitude or memory"
         )

@@ -1,9 +1,12 @@
 """Memory chains, their drifts, and the integration-by-parts algebra."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden_runs
 from holodisc import (
     ConfigError,
     ConvChain,
@@ -199,6 +202,12 @@ class TestByParts:
                 np.prod(t.left_rates or (1.0,)) * np.prod(t.right_rates or (1.0,))
             )
         assert np.isclose(total, original, rtol=1e-10, atol=1e-12)
+
+    def test_reductions_match_their_recording(self):
+        """Merged boundary and canonical terms, recorded before the merge
+        was rewritten, compared exactly."""
+        with open(golden_runs.REDUCTION_DATA) as fh:
+            assert golden_runs.reduction_runs() == json.load(fh)
 
     def test_repeated_rates_are_legal(self):
         term = ConvTerm(

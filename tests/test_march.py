@@ -134,6 +134,20 @@ class TestLoopGolden:
         with open(golden_runs.LOOPS_DATA) as fh:
             assert golden_runs.loop_runs() == json.load(fh)
 
+    def test_emergence_metrics_keep_their_order(self):
+        """The recording sorts its keys; the report's own order is pinned here."""
+        report = EXPERIMENTS["emergence"](spec_from_dict("emergence", None))
+        assert list(report.metrics) == [
+            f"{kind}_{name}_{mode}"
+            for kind, modes in (("continuum", ("k1", "k2")),
+                                ("lattice", ("f1", "f2")))
+            for mode in modes
+            for name in ("rate", "target", "rel_err")
+        ]
+        assert list(report.checks) == [
+            "continuum_k1_within_2pct", "continuum_k2_within_2pct",
+            "lattice_f1_within_2pct", "lattice_f2_within_2pct"]
+
 
 class TestFig1Scheme:
     def test_euler_differs_from_rk4(self):
