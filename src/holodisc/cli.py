@@ -27,7 +27,7 @@ from .harness import (
     spec_from_dict,
 )
 from .macromodel import VARIANTS, ModelConfig, alternating_signs
-from .microscale import burgers_form, exact_steps
+from .microscale import SCHEMES, burgers_form, exact_steps
 from .weakmodel import build_weak_model
 
 def _parse_signal(text: str | None) -> SignalSpec:
@@ -75,7 +75,7 @@ _SHARED = {
     "u0": click.option("--u0", default=1.0, show_default=True,
                        help="Constant initial state."),
     "scheme": click.option("--scheme", default="rk4", show_default=True,
-                           type=click.Choice(["rk4", "euler", "euler-maruyama"])),
+                           type=click.Choice(SCHEMES)),
     "forcing": click.option("--forcing", default=None,
                             help="SignalSpec as inline JSON or a JSON file path."),
     "seed": click.option("--seed", default=20260819, show_default=True),
@@ -132,13 +132,17 @@ def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
 
 
 def _mode_pattern(profile, m):
-    """(column, pattern): the mode a scalar signal drives and its element
-    signs, 1.0 for a uniform profile; refuses an odd alternating ring."""
+    """The (m, 3) modes a unit scalar signal drives: mode 0 on every element
+    for a uniform profile, mode 1 by the element signs for an alternating
+    one; refuses an odd alternating ring."""
+    pattern = np.zeros((m, 3))
     if profile != "alternating":
-        return 0, 1.0
-    if m % 2:
+        pattern[:, 0] = 1.0
+    elif m % 2:
         raise ConfigError("alternating profile needs an even element count")
-    return 1, alternating_signs(m)
+    else:
+        pattern[:, 1] = alternating_signs(m)
+    return pattern
 
 
 def _macro_assemble(variant, profile, m):
@@ -151,14 +155,8 @@ def _macro_assemble(variant, profile, m):
         ones = np.ones(2 * m)
         return lambda vals, t: ones * vals[0]
     # Mode-coefficient variants: refuse an odd alternating ring before the run.
-    col, pattern = _mode_pattern(profile, m)
-
-    def assemble(vals, t):
-        modes = np.zeros((m, 3))
-        modes[:, col] = pattern * vals[0]
-        return modes
-
-    return assemble
+    pattern = _mode_pattern(profile, m)
+    return lambda vals, t: pattern * vals[0]
 
 
 @main.command()
@@ -227,9 +225,7 @@ def weak(variant, alpha, eps, gamma, H, m, dt, tend, u0, profile, forcing,
     )
     pattern = None
     if variant == "strongquad" and signal.kind == "harmonic":
-        col, signs = _mode_pattern(profile, m)
-        pattern = np.zeros((m, 3))
-        pattern[:, col] = signs
+        pattern = _mode_pattern(profile, m)
     scales = _parse_rates(mode_scales)
     model = build_weak_model(cfg, signal, pattern, scales)
     times, hist = model.run(np.full(m, u0), tend, record_every=record_every)

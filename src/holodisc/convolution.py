@@ -113,14 +113,15 @@ def chain_layout(chains, ndim: int = 1, drive_rows=0):
     Returns per row its negated decay rate, shaped to broadcast against a
     packed state of rank ndim, and its feed, its row in [state; drive rows]:
     the next level, or at a chain's end its drive_rows entry (default 0);
-    and per chain its last row.
+    and per chain its slice of rows, output row first.
     """
     col = (-1,) + (1,) * (ndim - 1)
     rates = np.asarray([r for chain in chains for r in chain], dtype=float)
-    last = np.cumsum([len(chain) for chain in chains], dtype=int) - 1
+    ends = np.cumsum([len(chain) for chain in chains], dtype=int)
     feed = np.arange(1, rates.size + 1)
-    feed[last] = rates.size + np.asarray(drive_rows, dtype=int)
-    return -rates.reshape(col), feed, last
+    feed[ends - 1] = rates.size + np.asarray(drive_rows, dtype=int)
+    rows = [slice(e - len(c), e) for c, e in zip(chains, ends.tolist())]
+    return -rates.reshape(col), feed, rows
 
 
 def packed_chain_rhs(Z, layout, drives, ext, out=None):
@@ -174,7 +175,6 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
         raise ConfigError(f"cascade states {shapes} do not fit chains {chains}")
     Z = np.concatenate(states0)
     layout = chain_layout(chains, Z.ndim)
-    rows = [slice(e + 1 - len(r), e + 1) for r, e in zip(chains, layout[2])]
     ext = np.empty((len(Z) + 1,) + Z.shape[1:])
     on_floats = Z.ndim == 1
     last_s = last_d = None  # the last stage time and its drive
@@ -196,9 +196,9 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
         advance = _float_advance(layout, drive_at, dt, scheme)
     times, history = march(
         advance, Z, 0.0, int(round(t_end / dt)), dt,
-        blocks=[(f"memory chain {r}", row) for r, row in zip(chains, rows)],
+        blocks=[(f"memory chain {r}", row) for r, row in zip(chains, layout[2])],
     )
-    return times, [history[:, row] for row in rows]
+    return times, [history[:, row] for row in layout[2]]
 
 
 def _float_advance(layout, drive_at, dt, scheme):
@@ -346,25 +346,13 @@ class Reduction:
 
 def _merge(terms: list[ConvTerm]) -> list[ConvTerm]:
     # Permutation invariance of chain outputs justifies keying by sorted
-    # rates; coefficients of coincident terms add.
-    merged: dict = {}
-    order: list = []
+    # rates; coefficients of coincident terms add, in first-seen order.
+    coeffs: dict = {}
     for t in terms:
-        key = (
-            tuple(sorted(t.left_rates)),
-            tuple(sorted(t.right_rates)),
-            t.left,
-            t.right,
-        )
-        if key in merged:
-            old = merged[key]
-            merged[key] = ConvTerm(
-                old.coeff + t.coeff, key[0], key[1], t.left, t.right
-            )
-        else:
-            merged[key] = ConvTerm(t.coeff, key[0], key[1], t.left, t.right)
-            order.append(key)
-    return [merged[k] for k in order if merged[k].coeff != 0.0]
+        key = (tuple(sorted(t.left_rates)), tuple(sorted(t.right_rates)),
+               t.left, t.right)
+        coeffs[key] = coeffs.get(key, 0.0) + t.coeff
+    return [ConvTerm(c, *key) for key, c in coeffs.items() if c != 0.0]
 
 
 def reduce_by_parts(term: ConvTerm) -> Reduction:

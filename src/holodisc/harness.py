@@ -834,32 +834,24 @@ def emergence_experiment(spec):
     theta = np.linspace(-np.pi, np.pi, 129)
     h = theta[1] - theta[0]
     c = (np.pi / H) ** 2
-    metrics = {}
-    checks = {}
-    for k in (1, 2):
-        target = mode_decay_rate(k, H)
-        rate = _slaved_decay_rate(
-            csn(k, theta),
-            lambda u: c * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,
-            theta.size // 2, 0.2 / (c * 4.0 / h**2), target,
-        )
+    # (kind, mode, start, diffusion, centre, dt, target rate) per case
+    cases = [("continuum", f"k{k}", csn(k, theta),
+              lambda u: c * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,
+              theta.size // 2, 0.2 / (c * 4.0 / h**2), mode_decay_rate(k, H))
+             for k in (1, 2)]
+    fast_modes = ([0.0, -1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 1.0, -1.0, 1.0])
+    cases += [("lattice", f"f{mode}", np.array(u0),
+               lambda u: (4.0 / H**2) * (u[2:] - 2.0 * u[1:-1] + u[:-2]),
+               2, 0.01 * H**2, target)
+              for mode, u0, target in zip((1, 2), fast_modes, lattice_decay_rates(H))]
+    metrics, checks = {}, {}
+    for kind, mode, u0, lap, centre, dt, target in cases:
+        rate = _slaved_decay_rate(u0, lap, centre, dt, target)
         rel = abs(rate - target) / target
-        metrics[f"continuum_rate_k{k}"] = rate
-        metrics[f"continuum_target_k{k}"] = target
-        metrics[f"continuum_rel_err_k{k}"] = rel
-        checks[f"continuum_k{k}_within_2pct"] = rel <= 0.02
-    fast_modes = ((1, [0.0, -1.0, 0.0, 1.0, 0.0]), (2, [1.0, -1.0, 1.0, -1.0, 1.0]))
-    for (mode, u0), target in zip(fast_modes, lattice_decay_rates(H)):
-        rate = _slaved_decay_rate(
-            np.array(u0),
-            lambda u: (4.0 / H**2) * (u[2:] - 2.0 * u[1:-1] + u[:-2]),
-            2, 0.01 * H**2, target,
-        )
-        rel = abs(rate - target) / target
-        metrics[f"lattice_rate_f{mode}"] = rate
-        metrics[f"lattice_target_f{mode}"] = target
-        metrics[f"lattice_rel_err_f{mode}"] = rel
-        checks[f"lattice_f{mode}_within_2pct"] = rel <= 0.02
+        metrics[f"{kind}_rate_{mode}"] = rate
+        metrics[f"{kind}_target_{mode}"] = target
+        metrics[f"{kind}_rel_err_{mode}"] = rel
+        checks[f"{kind}_{mode}_within_2pct"] = rel <= 0.02
     return metrics, checks, {}
 
 

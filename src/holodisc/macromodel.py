@@ -59,7 +59,7 @@ import numpy as np
 from .convolution import canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError, check_positive
 from .forcing import mode_decay_rate
-from .microscale import SCHEMES
+from .microscale import check_scheme_legal
 from .stencil import (delta2, mudelta, operands, pad_images, ring_images,
                       ring_index, ring_pad)
 
@@ -124,8 +124,7 @@ class ModelConfig:
         check_positive("time step dt", self.dt)
         if not np.isfinite([self.alpha, self.eps]).all():
             raise ConfigError(f"alpha {self.alpha} and eps {self.eps} must be finite")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        check_scheme_legal(self.scheme, False)
         if self.variant in ("lowg", "lattice") and self.gamma != 1.0:
             raise ConfigError(
                 f"variant {self.variant!r} is derived at full coupling; "
@@ -159,7 +158,7 @@ class ChainBank:
     drive stack the chains read.  The layout is ``chain_layout``'s, with
     the rates spread over (S, m) (a plain product beats a broadcast one):
     per row a negated decay rate and a feed, its row in [Z; drive stack];
-    per chain its last row.  ``rows`` maps each key to its block of rows,
+    per chain its rows.  ``rows`` maps each key to its block of rows,
     ``out_rows`` each chain's output row.  Z, a packed state of its own,
     is touched only by ``__init__``, ``states``, ``unpack`` and
     ``bound_to``, which tests use and the benchmark's tracer probes; no
@@ -182,13 +181,10 @@ class ChainBank:
         for _, name in keys:
             if name not in self.exprs:
                 raise ConfigError(f"no drive row for chain input {name!r}")
-        neg_rates, feed, last = chain_layout(
+        neg_rates, feed, rows = chain_layout(
             [k[0] for k in keys], 2, [self.exprs.index(k[1]) for k in keys])
-        self._layout = (np.repeat(neg_rates, self.m, axis=1), feed, last)
-        self.rows: dict[tuple, slice] = {
-            key: slice(e + 1 - len(key[0]), e + 1)
-            for key, e in zip(keys, last.tolist())
-        }
+        self._layout = (np.repeat(neg_rates, self.m, axis=1), feed, rows)
+        self.rows: dict[tuple, slice] = dict(zip(keys, rows))
         self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
         self.Z = np.zeros((feed.size, self.m))
         self.coupling = self.skeleton = self.float_rhs = self.cfg = None
@@ -574,13 +570,10 @@ def strongquad_quadratic_terms(cfg: ModelConfig) -> tuple[QuadTerm, ...]:
 
 
 def strongquad_chain_specs(cfg: ModelConfig) -> tuple[tuple[tuple, str], ...]:
-    """Distinct (rates, input) chains the quadratic couplings consume."""
-    seen: list[tuple[tuple, str]] = []
-    for term in strongquad_quadratic_terms(cfg):
-        key = (canonical_rates(term.rates), term.right)
-        if key not in seen:
-            seen.append(key)
-    return tuple(seen)
+    """Distinct (rates, input) chains the quadratic couplings consume, in
+    first-seen order."""
+    return tuple(dict.fromkeys((canonical_rates(term.rates), term.right)
+                               for term in strongquad_quadratic_terms(cfg)))
 
 
 def _strongquad_coupling(bank: ChainBank, cfg: ModelConfig) -> np.ndarray:

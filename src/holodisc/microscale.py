@@ -183,17 +183,14 @@ def stepper(rhs, dt, scheme="rk4"):
     ``check_scheme_legal``.
     """
     check_positive("time step dt", dt)
-    if scheme == "rk4":
-        one = rk4_step
-    elif scheme in ("euler", "euler-maruyama"):
-        one = euler_step
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    check_scheme_legal(scheme, False)
+    one = rk4_step if scheme == "rk4" else euler_step
     return lambda u, t: one(u, rhs, t, dt)
 
 
 def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:
-    """White-noise forcing is legal only under euler-maruyama."""
+    """The one check of a scheme name; white-noise forcing is legal only
+    under euler-maruyama."""
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if forcing_is_white and scheme != "euler-maruyama":
