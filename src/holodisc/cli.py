@@ -223,9 +223,8 @@ def weak(variant, alpha, eps, gamma, H, m, dt, tend, u0, profile, forcing,
         variant=variant, alpha=alpha, eps=eps, gamma=gamma, H=H, m=m,
         dt=dt, scheme=scheme, seed=seed,
     )
-    pattern = None
-    if variant == "strongquad" and signal.kind == "harmonic":
-        pattern = _mode_pattern(profile, m)
+    pattern = (_mode_pattern(profile, m)
+               if variant == "strongquad" and signal.kind == "harmonic" else None)
     scales = _parse_rates(mode_scales)
     model = build_weak_model(cfg, signal, pattern, scales)
     times, hist = model.run(np.full(m, u0), tend, record_every=record_every)

@@ -62,8 +62,8 @@ def _validate_rates(rates) -> tuple[float, ...]:
     rates = tuple(float(r) for r in np.atleast_1d(np.asarray(rates, dtype=float)))
     if len(rates) == 0:
         raise ConfigError("a chain needs at least one rate")
-    if any(r <= 0.0 for r in rates):
-        raise ConfigError(f"chain rates must be positive, got {rates}")
+    for r in rates:
+        check_positive(f"every chain rate of {rates}", r)
     return rates
 
 
@@ -289,8 +289,8 @@ class ConvTerm:
     def __post_init__(self):
         for name in ("left_rates", "right_rates"):
             rates = tuple(float(r) for r in getattr(self, name))
-            if any(r <= 0.0 for r in rates):
-                raise ReductionError(f"{name} must be positive, got {rates}")
+            for r in rates:
+                check_positive(f"every rate of {name} {rates}", r, ReductionError)
             object.__setattr__(self, name, rates)
 
     def label(self) -> str:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one positivity check."""
+"""Exception types shared across the package, and its checks of numbers."""
 
 from math import isfinite
 
@@ -23,7 +23,14 @@ class ReductionError(HolodiscError):
     """Invalid symbolic convolution term (e.g. non-positive decay rate)."""
 
 
-def check_positive(what: str, value) -> None:
+def check_positive(what: str, value, error=ConfigError) -> None:
     """Refuse a value that is not finite and positive, naming it by what."""
     if not (isfinite(value) and value > 0.0):
-        raise ConfigError(f"{what} must be positive and finite, got {value}")
+        raise error(f"{what} must be positive and finite, got {value}")
+
+
+def check_finite(what: str, value, least=None) -> None:
+    """Refuse a value that is not finite, or is below least when given."""
+    if not isfinite(value) or (least is not None and value < least):
+        bound = "" if least is None else f" and at least {least:g}"
+        raise ConfigError(f"{what} must be finite{bound}, got {value}")

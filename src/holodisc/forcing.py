@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_positive
+from .errors import ConfigError, DataError, check_finite, check_positive
 
 __all__ = [
     "csn",
@@ -106,10 +106,13 @@ class SignalSpec:
             raise ConfigError(
                 f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}"
             )
-        if self.kind == "harmonic" and self.omega <= 0.0:
-            raise ConfigError("harmonic signal needs omega > 0")
-        if self.kind == "white-noise" and self.intensity < 0.0:
-            raise ConfigError("white-noise intensity must be non-negative")
+        for name in ("amplitude", "omega", "phase", "value", "intensity",
+                     "xi0", "eta0"):
+            check_finite(f"signal {name}", getattr(self, name))
+        if self.kind == "harmonic":
+            check_positive("harmonic signal omega", self.omega)
+        if self.kind == "white-noise":
+            check_finite("white-noise intensity", self.intensity, 0.0)
         if self.kind == "file" and not self.path:
             raise ConfigError("file signal needs a path")
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import canonical_rates, chain_layout, packed_chain_rhs
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, check_finite, check_positive
 from .forcing import mode_decay_rate
 from .microscale import check_scheme_legal
 from .stencil import (delta2, mudelta, operands, pad_images, ring_images,
@@ -122,8 +122,8 @@ class ModelConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"coupling gamma must lie in [0, 1], got {self.gamma}")
         check_positive("time step dt", self.dt)
-        if not np.isfinite([self.alpha, self.eps]).all():
-            raise ConfigError(f"alpha {self.alpha} and eps {self.eps} must be finite")
+        check_finite("alpha", self.alpha)
+        check_finite("eps", self.eps)
         check_scheme_legal(self.scheme, False)
         if self.variant in ("lowg", "lattice") and self.gamma != 1.0:
             raise ConfigError(

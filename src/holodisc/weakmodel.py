@@ -71,8 +71,8 @@ def harmonic_drift_1(beta_k, omega_mu, omega_rho, phase) -> float:
 
 def harmonic_drift_2(beta_k, beta_l, omega_mu, omega_rho, phase) -> float:
     """Long-time average with a double convolution Z[beta_l, beta_k]."""
-    if beta_k <= 0.0 or beta_l <= 0.0:
-        raise ConfigError("decay rates must be positive")
+    check_positive("decay rate beta_k", beta_k)
+    check_positive("decay rate beta_l", beta_l)
     if omega_mu != omega_rho:
         return 0.0
     w2 = omega_mu**2
@@ -200,8 +200,8 @@ def simulate_quadrature_ensemble(
     raises ConfigError.  Returns y(t_end) for each path.
     """
     rates = canonical_rates(rates)
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ConfigError("need t_end > 0 and dt > 0")
+    check_positive("run end t_end", t_end)
+    n = exact_steps(t_end, dt)
     rng = np.random.default_rng(seed)
     layout = chain_layout([rates], 2)
     sq = np.sqrt(dt)
@@ -217,7 +217,6 @@ def simulate_quadrature_ensemble(
         out[-1] = y[-1] + dt * rho * 0.5 * (z[0] + out[0])
         return out
 
-    n = exact_steps(t_end, dt)
     _, hist = march(advance, np.zeros((len(rates) + 1, n_paths)), 0.0, n, dt,
                     n, ((f"memory chain {rates}", slice(0, -1)),
                         ("quadrature sum", slice(-1, None))))

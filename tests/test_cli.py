@@ -9,8 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import golden_runs
-from holodisc import ConfigError, ConvTerm, reduce_by_parts
-from holodisc.cli import _macro_assemble, main
+from holodisc import ConfigError, ConvTerm, cli, reduce_by_parts
+from holodisc.cli import _macro_assemble, _mode_pattern, main
+from holodisc.macromodel import alternating_signs
 
 
 def invoke(*args):
@@ -155,6 +156,33 @@ class TestMacro:
         assert "1.0" in result.stderr and "0.3" in result.stderr
 
 
+class TestModePattern:
+    @pytest.mark.parametrize("profile, col", [("uniform", 0), ("alternating", 1)])
+    def test_macro_and_weak_lay_the_signal_on_one_pattern(
+            self, monkeypatch, profile, col):
+        seen = {}
+
+        def macro_run(cfg, U0, signals, assemble, *args, **kwargs):
+            seen["macro"] = assemble([1.0], 0.0)
+            raise RuntimeError("stop before the run")
+
+        def weak_build(cfg, signal, pattern, scales):
+            seen["weak"] = pattern
+            raise RuntimeError("stop before the run")
+
+        monkeypatch.setattr(cli, "run_macro_forced", macro_run)
+        monkeypatch.setattr(cli, "build_weak_model", weak_build)
+        for command, kind in (("macro", "lorenz"), ("weak", "harmonic")):
+            result = invoke(command, "--model", "strongquad", "--profile", profile,
+                            "--m", "6", "--forcing", json.dumps({"kind": kind}))
+            assert str(result.exception) == "stop before the run"
+        want = np.zeros((6, 3))
+        want[:, col] = alternating_signs(6) if col else 1.0
+        assert np.array_equal(_mode_pattern(profile, 6), want)
+        assert np.array_equal(seen["macro"], want)
+        assert np.array_equal(seen["weak"], want)
+
+
 class TestWeak:
     def test_report_prints_drift_json(self):
         result = invoke(
@@ -250,6 +278,17 @@ class TestCompare:
         assert result.returncode == 2
         assert result.stderr.splitlines() == [
             f"error: time step dt must be positive and finite, got {shown}"]
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("field", ["amplitude", "phase", "xi0", "eta0"])
+    def test_a_signal_number_not_finite_exits_two_naming_it(self, tmp_path, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"signal": {"kind": "lorenz", "%s": NaN}}' % field)
+        result = invoke_entry("compare", "--experiment", "fig3",
+                              "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: signal {field} must be finite, got nan"]
         assert result.stdout == ""
 
     @pytest.mark.parametrize("field", ["sede", "seed"])

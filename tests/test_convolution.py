@@ -11,6 +11,7 @@ from holodisc import (
     ConfigError,
     ConvChain,
     ConvTerm,
+    ReductionError,
     canonical_rates,
     harmonic_drift_1,
     harmonic_drift_2,
@@ -33,6 +34,17 @@ class TestConvChain:
     def test_rates_must_be_positive(self):
         with pytest.raises(ConfigError):
             ConvChain((1.0, -2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rates_must_be_finite(self, bad, at):
+        rates = [2.0, 3.0, 1.0]
+        rates[at] = bad
+        with pytest.raises(ConfigError, match=f"must be positive and finite, "
+                                              f"got {bad}"):
+            ConvChain(tuple(rates))
+        with pytest.raises(ConfigError, match=f"got {bad}"):
+            canonical_rates(rates)
 
     def test_steady_gain_is_product_of_inverses(self):
         chain = ConvChain((2.0, 5.0))
@@ -116,6 +128,18 @@ class TestHarmonicDrifts:
         b, w, ph = 1.5, 2.0, 0.7
         expected = 0.5 * (b * np.cos(ph) - w * np.sin(ph)) / (b * b + w * w)
         assert np.isclose(harmonic_drift_1(b, w, w, ph), expected)
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_drift_rates_must_be_positive_and_finite(self, at, bad):
+        rates = [1.0, 4.0]
+        rates[at] = bad
+        name = ("beta_k", "beta_l")[at]
+        with pytest.raises(ConfigError, match=f"^decay rate {name} must be "):
+            harmonic_drift_2(*rates, 2.0, 2.0, 0.4)
+        if at == 0:
+            with pytest.raises(ConfigError, match="^decay rate beta_k must be "):
+                harmonic_drift_1(bad, 2.0, 2.0, 0.4)
 
     def test_mismatched_frequencies_average_to_zero(self):
         assert harmonic_drift_1(1.0, 2.0, 3.0, 0.4) == 0.0
@@ -208,6 +232,14 @@ class TestByParts:
         was rewritten, compared exactly."""
         with open(golden_runs.REDUCTION_DATA) as fh:
             assert golden_runs.reduction_runs() == json.load(fh)
+
+    @pytest.mark.parametrize("side", ["left_rates", "right_rates"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2.0])
+    def test_rates_must_be_positive_and_finite(self, side, bad):
+        rates = {"left_rates": (1.0, 2.0), "right_rates": (3.0,), side: (1.0, bad)}
+        with pytest.raises(ReductionError, match=f"{side} .* must be positive "
+                                                 f"and finite, got {bad}"):
+            ConvTerm(coeff=1.0, **rates)
 
     def test_repeated_rates_are_legal(self):
         term = ConvTerm(

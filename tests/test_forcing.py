@@ -33,6 +33,27 @@ class TestSignalSpec:
         with pytest.raises(ConfigError):
             SignalSpec(kind="white-noise", intensity=-1.0)
 
+    @pytest.mark.parametrize("kind", ["constant", "harmonic", "lorenz",
+                                      "white-noise"])
+    @pytest.mark.parametrize("field", ["amplitude", "omega", "phase", "value",
+                                       "intensity", "xi0", "eta0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_number_must_be_finite(self, kind, field, bad):
+        with pytest.raises(ConfigError, match=f"signal {field} must be "):
+            SignalSpec(kind=kind, **{field: bad})
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_harmonic_omega_is_checked_by_name(self, omega):
+        with pytest.raises(ConfigError, match="^harmonic signal omega must be "
+                                              "positive and finite, got "):
+            SignalSpec(kind="harmonic", omega=omega)
+
+    def test_white_noise_intensity_may_be_zero(self):
+        SignalSpec(kind="white-noise", intensity=0.0)
+        with pytest.raises(ConfigError, match="^white-noise intensity must be "
+                                              "finite and at least 0, got -1.0$"):
+            SignalSpec(kind="white-noise", intensity=-1.0)
+
 
 class TestDeterministicSignals:
     def test_constant_value(self):

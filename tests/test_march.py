@@ -11,8 +11,10 @@ from holodisc import (
     ModelConfig,
     SignalSpec,
     StabilityError,
+    build_bank,
     build_weak_model,
     chain_rhs,
+    run_paired,
 )
 from holodisc.convolution import (
     chain_layout,
@@ -21,7 +23,7 @@ from holodisc.convolution import (
     packed_chain_rhs,
 )
 from holodisc.harness import EXPERIMENTS, spec_from_dict
-from holodisc.microscale import exact_steps, march, stepper
+from holodisc.microscale import check_scheme_legal, exact_steps, march, stepper
 
 
 class TestMarch:
@@ -126,6 +128,55 @@ class TestPackedChainRhs:
         want = np.concatenate([chain_rhs(Z[a:b], rates, drive) for rates, (a, b)
                                in zip(chains, [(0, 2), (2, 3), (3, 6)])])
         assert np.array_equal(got, want)
+
+
+class TestOneSchemeCheck:
+    MESSAGE = ("^unknown scheme 'rk5'; expected one of "
+               r"\('rk4', 'euler', 'euler-maruyama'\)$")
+
+    def cfg(self, scheme):
+        return ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                           m=4, dt=0.1, scheme=scheme)
+
+    def test_every_entry_refuses_an_unknown_scheme_alike(self):
+        refusals = {
+            "ModelConfig": lambda: self.cfg("rk5"),
+            "stepper": lambda: stepper(lambda u, t: -u, 0.1, "rk5"),
+            "check_scheme_legal": lambda: check_scheme_legal("rk5", False),
+            "integrate_chains": lambda: integrate_chains(
+                [(1.0,)], lambda t: 1.0, 1.0, 0.1, scheme="rk5"),
+            "run_paired": lambda: run_paired(
+                [SignalSpec(kind="constant")], 0, 1.0, 0.1, "rk5"),
+        }
+        for name, refuse in refusals.items():
+            with pytest.raises(ConfigError, match=self.MESSAGE):
+                refuse()
+
+    def test_a_weak_model_refuses_it_past_its_config(self):
+        """The frozen config is forced to rk5 to reach the model's own check."""
+        cfg = self.cfg("rk4")
+        object.__setattr__(cfg, "scheme", "rk5")
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            build_weak_model(cfg, SignalSpec(kind="harmonic"))
+
+
+class TestChainRows:
+    @pytest.mark.parametrize("variant, m", [("ssm1", 4), ("strongquad", 8)])
+    def test_layout_slices_are_the_bank_rows_and_index_the_histories(
+            self, variant, m):
+        cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                          m=m)
+        bank = build_bank(cfg)
+        chains = [rates for rates, _ in bank.keys()]
+        rows = chain_layout(chains, 2)[2]
+        assert rows == list(bank.rows.values())
+        assert [r.start for r in rows] == bank.out_rows.tolist()
+        drive = lambda t: np.cos(2.0 * t)
+        _, hists = integrate_chains(chains, drive, 0.5, 0.01)
+        packed = np.concatenate(hists, axis=1)
+        for rates, row, hist in zip(chains, rows, hists):
+            assert np.array_equal(packed[:, row], hist)
+            assert np.array_equal(integrate_chain(rates, drive, 0.5, 0.01)[1], hist)
 
 
 class TestLoopGolden:

@@ -102,6 +102,17 @@ class TestStochasticReplacement:
         with pytest.raises(ConfigError, match="whole"):
             simulate_quadrature_ensemble((1.0,), 1.0, 0.3, 10, seed=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field, name", [(1, "run end t_end"),
+                                             (2, "time step dt")])
+    def test_quadrature_run_end_and_step_must_be_positive_and_finite(
+            self, field, name, bad):
+        args = [(1.0,), 1.0, 0.1, 10]
+        args[field] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and "
+                                              f"finite, got {bad}"):
+            simulate_quadrature_ensemble(*args, seed=5)
+
 
 class TestWeakSsm1Harmonic:
     def signal(self, phase=0.3):
