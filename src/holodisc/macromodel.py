@@ -185,7 +185,7 @@ class ChainBank:
             [k[0] for k in keys], 2, [self.exprs.index(k[1]) for k in keys])
         self._layout = (np.repeat(neg_rates, self.m, axis=1), feed, rows)
         self.rows: dict[tuple, slice] = dict(zip(keys, rows))
-        self.out_rows = np.asarray([s.start for s in self.rows.values()], int)
+        self.out_rows = np.asarray([s.start for s in rows], int)
         self.Z = np.zeros((feed.size, self.m))
         self.coupling = self.skeleton = self.float_rhs = self.cfg = None
 
