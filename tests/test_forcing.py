@@ -42,12 +42,6 @@ class TestSignalSpec:
         with pytest.raises(ConfigError, match=f"signal {field} must be "):
             SignalSpec(kind=kind, **{field: bad})
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
-    def test_harmonic_omega_is_checked_by_name(self, omega):
-        with pytest.raises(ConfigError, match="^harmonic signal omega must be "
-                                              "positive and finite, got "):
-            SignalSpec(kind="harmonic", omega=omega)
-
     def test_white_noise_intensity_may_be_zero(self):
         SignalSpec(kind="white-noise", intensity=0.0)
         with pytest.raises(ConfigError, match="^white-noise intensity must be "
