@@ -22,7 +22,9 @@ time.
 A 1-D packed state, a few scalar rows, is stepped on Python floats
 instead, by straight-line code generated from its layout and compiled
 once per layout and scheme (``_float_advance``): one local per row and
-stage, no loop and no list.
+stage, no loop and no list.  Its rows come from one template
+(``_float_rows``), which ``macromodel``'s small-ring ssm1 block also
+generates its cascade feed from.
 Python floats round + and * as numpy float64 does, so the same operations
 in the same order give the same bits, without numpy's dispatch per
 operation.
@@ -215,11 +217,37 @@ def _float_advance(layout, drive_at, dt, scheme):
     """
     neg_rates, feed, _ = layout
     dt = float(dt)
-    namespace = {"array": np.array, "drive_at": drive_at, "dt": dt,
-                 "h": 0.5 * dt, "sixth": dt / 6.0}
-    namespace.update((f"r{i}", r) for i, r in enumerate(neg_rates.tolist()))
-    exec(_float_step_code(tuple(feed.tolist()), scheme), namespace)
-    return namespace["step"]
+    return _float_bind(_float_step_code(tuple(feed.tolist()), scheme), "step",
+                       neg_rates.tolist(), array=np.array, drive_at=drive_at,
+                       dt=dt, h=0.5 * dt, sixth=dt / 6.0)
+
+
+def _float_rows(feed, w, drive):
+    """packed_chain_rhs's rows as float source: r_i * w_i + w_feed, the
+    state w_j it feeds on, or the drive past the last row."""
+    n = len(feed)
+    return [f"r{i} * {w}{i} + " + (f"{w}{j}" if j < n else drive)
+            for i, j in enumerate(feed)]
+
+
+def _float_unpack(w, n, value):
+    """The source line w0, ..., w{n-1}, = value: one local per entry."""
+    return "".join(f"{w}{i}, " for i in range(n)) + f"= {value}"
+
+
+def _float_code(head, lines, where):
+    """Compile the generated function def head: lines, named for where."""
+    source = f"def {head}:\n" + "".join(f"    {line}\n" for line in lines)
+    return compile(source, f"<{where}>", "exec")
+
+
+def _float_bind(code, name, rates=(), **values):
+    """The function name that code defines, run in a fresh namespace which
+    holds the values, and each rate as r_i, by value."""
+    namespace = {f"r{i}": r for i, r in enumerate(rates)}
+    namespace.update(values)
+    exec(code, namespace)
+    return namespace[name]
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,19 +259,18 @@ def _float_step_code(feed: tuple, scheme: str):
     rates, dt and drive bound with it.
     """
     n = len(feed)
-    rows = list(enumerate(feed))
 
     def derivs(k, w):
         """Lines k_i = r_i * w_i + w_feed: the next level, or the drive d."""
-        return [f"{k}{i} = r{i} * {w}{i} + " + (f"{w}{j}" if j < n else "d")
-                for i, j in rows]
+        return [f"{k}{i} = {row}"
+                for i, row in enumerate(_float_rows(feed, w, "d"))]
 
     def stage(w, k, by):
         """Lines w_i = k_i * by + z_i: the next stage's arguments."""
         return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(n)]
 
-    body = ["".join(f"z{i}, " for i in range(n)) + "= y.tolist()",
-            "d = drive_at(t)", *derivs("a", "z")]
+    body = [_float_unpack("z", n, "y.tolist()"), "d = drive_at(t)",
+            *derivs("a", "z")]
     if scheme == "rk4":
         body += ["d = drive_at(t + h)", *stage("p", "a", "h"), *derivs("b", "p"),
                  *stage("q", "b", "h"), *derivs("c", "q"),
@@ -253,8 +280,7 @@ def _float_step_code(feed: tuple, scheme: str):
     else:
         new = [f"z{i} + dt * a{i}" for i in range(n)]
     body.append(f"return array([{', '.join(new)}])")
-    source = "def step(y, t):\n" + "".join(f"    {line}\n" for line in body)
-    return compile(source, "<convolution float step>", "exec")
+    return _float_code("step(y, t)", body, "convolution float step")
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

@@ -2,6 +2,8 @@
 
 from math import isfinite
 
+import numpy as np
+
 
 class HolodiscError(Exception):
     """Base class for all package-specific errors."""
@@ -30,7 +32,16 @@ def check_positive(what: str, value, error=ConfigError) -> None:
 
 
 def check_finite(what: str, value, least=None) -> None:
-    """Refuse a value that is not finite, or is below least when given."""
+    """Refuse a value that is not finite, or is below least when given;
+    an array by its first such entry."""
+    if np.ndim(value):
+        values = np.asarray(value, dtype=float).ravel()
+        failing = ~np.isfinite(values)
+        if least is not None:
+            failing |= values < least
+        for v in values[failing][:1].tolist():
+            check_finite(what, v, least)
+        return
     if not isfinite(value) or (least is not None and value < least):
         bound = "" if least is None else f" and at least {least:g}"
         raise ConfigError(f"{what} must be finite{bound}, got {value}")

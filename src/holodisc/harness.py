@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import integrate_chains
-from .errors import ConfigError, DataError, check_positive
+from .errors import ConfigError, DataError, check_finite, check_positive
 from .forcing import (
     LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA,
     ElementGrid,
@@ -460,6 +460,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     if fine is not None:
         fine_rhs = fine.rhs
         u0 = np.asarray(fine.u0, dtype=float)
+        check_finite("initial field u0", u0)
         profiles = np.asarray(fine.profiles, dtype=float)
         if profiles.shape != (len(sigset.signals),) + u0.shape:
             raise ConfigError("need one forcing profile per signal over u0")
@@ -474,6 +475,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
         U0 = np.asarray(coarse.U0, dtype=float)
         if U0.shape != (cfg.m,):
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
+        check_finite("initial amplitudes U0", U0)
         bank = build_bank(cfg)
         Z0 = np.zeros(bank.n_states)
     y0 = np.concatenate([sigset.d0, u0, Z0, U0])

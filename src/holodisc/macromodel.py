@@ -38,8 +38,9 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
 both read from the joint state, so every scheme sees consistent substage
-values (small ssm1 rings on Python floats, with the same bits, since
-ssm1's formula is written once for floats and arrays); the reconstruction
+values (small ssm1 rings on Python floats, by straight-line code
+generated per ring, with the same bits, since ssm1's formula is written
+once for floats and arrays); the reconstruction
 reads a recorded history's ``out_rows``.
 
 The weak models (``weakmodel``) bind the same skeleton closures and
@@ -56,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import canonical_rates, chain_layout, packed_chain_rhs
+from .convolution import (_float_bind, _float_code, _float_rows, _float_unpack,
+                          canonical_rates, chain_layout, packed_chain_rhs)
 from .errors import ConfigError, check_finite, check_positive
 from .forcing import mode_decay_rate
 from .microscale import check_scheme_legal
@@ -366,14 +368,16 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
 # ssm1 rings of at most this many elements compute dU on Python floats
 # (_ssm1_forms' float_rhs) and step their joint-stage block on floats;
 # larger rings and strongquad use whole-array numpy and read y[sz] by rows
-# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block,
-# float against rows over three scans, in us: 8 / 14-17 at m = 4, 12 / 15-16
-# at 8, 15-22 / 15-26 at 12 (float ahead in each), 16-23 / 16-19 at 14,
-# 19-22 / 16-21 at 16, 19-32 / 15-26 at 18, 25-36 / 15-24 at m = 24.
-_FLOAT_RING = 12
+# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block
+# on generated float code against rows, both in one process, min of 15
+# alternating rounds, three scans, in us: 19-30 / 27-48 at m = 12, 29-33 /
+# 47-48 at 14, 23-37 / 27-49 at 16, 24-27 / 27-30 at 18, 27-29 / 29-29 at
+# 20 (float ahead in each scan, the core's speed drifting between them).
+# Capped at 16, so that memory_golden.npz's m = 18 case runs the rows body.
+_FLOAT_RING = 16
 
 
-def _ssm1_forms(cfg: ModelConfig):
+def _ssm1_forms(cfg: ModelConfig, floats: bool = False):
     """(skeleton, float_rhs): ssm1's dU for cfg, its constants resolved
     once and its formula written once, as point(u, md, d2, d4, u3, lead,
     phi): the skeleton and forcing-linear terms (dU without the memory
@@ -381,10 +385,12 @@ def _ssm1_forms(cfg: ModelConfig):
     lead alt eps alpha H.  Python floats and equal-shape float64 arrays
     round + and * alike, so both bodies get the same bits.  skeleton(U,
     phi) applies point, its constants 0-d operands, to whole arrays, U's
-    width-2 ring pad being one gather.  float_rhs(U, phi, memory), for a
-    ring of at most _FLOAT_RING elements, applies it per element on Python
+    width-2 ring pad being one gather.  float_rhs(U, phi, memory), made
+    only when floats is true (else None), applies it per element on Python
     floats (constants too) and adds (U phi) memory, without numpy's
-    per-call dispatch.  U**3 and memory stay numpy calls (see stage_block)."""
+    per-call dispatch: straight-line code generated for the ring
+    (``_ssm1_float_code``), with point, the leads and 3.0 bound by value.
+    U**3 and memory stay numpy calls (see stage_block)."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     constants = (2.0 / _PI2, g, 0.1028, 0.0716, 0.00363 * a * a * H * H,
                  g / H**2, g * g / (12.0 * H**2), a * g / H, a * a * g / 12.0)
@@ -398,27 +404,39 @@ def _ssm1_forms(cfg: ModelConfig):
                     - lead * bracket * phi)
         return point
 
-    array_point, point = bind(*operands(*constants)), bind(*constants)
+    array_point = bind(*operands(*constants))
 
     def skeleton(U, phi):
         md, d2, d4 = pad_images(U[pad_at])
         return array_point(U, md, d2, d4, U**three, alt_lead, phi)
 
-    leads = alt_lead.tolist()
+    if not floats:
+        return skeleton, None
+    leads = {f"lead{j}": lead for j, lead in enumerate(alt_lead.tolist())}
+    return skeleton, _float_bind(_ssm1_float_code(cfg.m), "float_rhs",
+                                 point=bind(*constants), three=three, **leads)
 
-    def float_rhs(U, phi, memory):
-        u = U.tolist()
-        ul, ur = u[-1:] + u[:-1], u[1:] + u[:1]
-        d2 = [(r - 2.0 * c) + l for l, c, r in zip(ul, u, ur)]
-        # Per element: U, its neighbours, delta2 U and its neighbours,
-        # U**3, the lead and the memory term.
-        return [point(c, 0.5 * (r - l), d, (dr - 2.0 * d) + dl, q, a, phi)
-                + c * phi * w
-                for c, l, r, d, dl, dr, q, a, w in zip(
-                    u, ul, ur, d2, d2[-1:] + d2[:-1], d2[1:] + d2[:1],
-                    (U**three).tolist(), leads, memory.tolist())]
 
-    return skeleton, float_rhs
+@functools.lru_cache(maxsize=64)
+def _ssm1_float_code(m: int):
+    """The compiled source of _ssm1_forms' float_rhs for a ring of m.
+
+    One local per element for U, U**3 and the memory term, and for delta2
+    U, (u[j+1] - 2 u[j]) + u[j-1]; then per element one point call on U,
+    its mudelta, delta2 and delta4 images, U**3 and the lead, plus
+    u phi w, the array path's operations in their order.  Built from ring
+    indices and fixed names only, so one code object serves every bank of
+    m elements, whatever the constants and leads bound with it.
+    """
+    ring = [((j - 1) % m, j, (j + 1) % m) for j in range(m)]
+    lines = [_float_unpack("u", m, "U.tolist()"),
+             _float_unpack("c", m, "(U**three).tolist()"),
+             _float_unpack("w", m, "memory.tolist()")]
+    lines += [f"d{j} = (u{r} - 2.0 * u{j}) + u{l}" for l, j, r in ring]
+    dU = [f"point(u{j}, 0.5 * (u{r} - u{l}), d{j}, (d{r} - 2.0 * d{j}) + d{l}, "
+          f"c{j}, lead{j}, phi) + u{j} * phi * w{j}" for l, j, r in ring]
+    lines.append(f"return [{', '.join(dU)}]")
+    return _float_code("float_rhs(U, phi, memory)", lines, "ssm1 float rhs")
 
 
 def ssm1_rhs(
@@ -678,9 +696,7 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         bank.coupling = np.zeros(len(bank))
         lead, k = _ssm1_coupling(cfg)
         bank.coupling[[bank.index(*spec) for spec in specs]] = lead * k
-        bank.skeleton, float_rhs = _ssm1_forms(cfg)
-        if cfg.m <= _FLOAT_RING:
-            bank.float_rhs = float_rhs
+        bank.skeleton, bank.float_rhs = _ssm1_forms(cfg, cfg.m <= _FLOAT_RING)
     elif cfg.variant == "strongquad":
         bank = ChainBank(cfg.m, strongquad_chain_specs(cfg), EXPR_NAMES)
         bank.coupling = np.concatenate(
@@ -696,23 +712,34 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
 def _ssm1_float_block(bank: ChainBank, sz: slice, sU: slice):
     """stage_block's body for an ssm1 bank with a float rhs: ssm1_rhs on
     the chain outputs gathered from y, then packed_chain_rhs's rows
-    r * z + feed on Python floats, in its order."""
+    r * z + feed on Python floats, in its order, by a feed generated for
+    the bank's feeds (``_ssm1_feed_code``), its rates bound by value."""
     m, cfg = bank.m, bank.cfg
-    neg_rates, feed, _ = bank._layout
+    neg_rates, row_feed, _ = bank._layout
     cols = np.arange(m)
     out_at = sz.start + m * bank.out_rows[:, None] + cols
-    # Per state: its negated rate and its feed in [chain states; phi * m].
-    cells = list(zip(neg_rates.ravel().tolist(),
-                     (m * feed[:, None] + cols).ravel().tolist()))
+    # Per state its feed in [chain states; phi * m].
+    feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
+    feed = _float_bind(_ssm1_feed_code(feeds), "feed",
+                       neg_rates.ravel().tolist(), sz=sz)
 
     def block(y, forcing, dy):
         dU, phi = ssm1_rhs(y[sU], forcing, bank, cfg, y[out_at])
-        ext = y[sz].tolist()
-        ext += [phi] * m
-        dy[sz] = [r * ext[k] + ext[f] for k, (r, f) in enumerate(cells)]
+        dy[sz] = feed(y, phi)
         dy[sU] = dU
 
     return block
+
+
+@functools.lru_cache(maxsize=64)
+def _ssm1_feed_code(feeds: tuple):
+    """The compiled source of the float block's feed(y, phi) for a bank's
+    per-state feeds: one local per state from y[sz], then each state's
+    r * z + feed, the drive phi past the last state.  One code object
+    serves every bank with these feeds, whatever its rates and sz."""
+    lines = [_float_unpack("z", len(feeds), "y[sz].tolist()"),
+             f"return [{', '.join(_float_rows(feeds, 'z', 'phi'))}]"]
+    return _float_code("feed(y, phi)", lines, "ssm1 float feed")
 
 
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
@@ -723,12 +750,15 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     A bank with chains has two bodies, chosen from the ring by build_bank.
     An ssm1 bank of at most _FLOAT_RING elements has a ``float_rhs``
     (``_ssm1_forms``' float body), and its block (``_ssm1_float_block``)
-    computes on Python floats: ssm1_rhs's dU from one tolist of U, by the
-    point expression the skeleton applies to arrays, and the cascade feed
-    from one tolist of the chain states, written into dy[sz] from a list.
-    Both keep the array operations in their order, so the bits are the rows
-    body's, without numpy's dispatch per operation on arrays of a few
-    entries.  U**3 and the memory term coupling @ outputs stay numpy
+    computes on Python floats, by straight-line code with one local per
+    element or state and no loop: ssm1_rhs's dU from one tolist of U, by
+    the point expression the skeleton applies to arrays, and the cascade
+    feed from one tolist of the chain states, written into dy[sz] from a
+    list.  Each is compiled once per ring or feed list and cached; the
+    constants, leads and rates are bound by value at build.  Both keep the
+    array operations in their order, so the bits are the rows body's,
+    without numpy's dispatch per operation on arrays of a few entries.
+    U**3 and the memory term coupling @ outputs stay numpy
     calls: numpy's SIMD power rounds otherwise than Python's u**3 or
     u*u*u, its matmul otherwise than a sequential sum.  Any other bank
     reads the rows of y[sz] as (S, m) and calls the variant's rhs."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import ConvChain, canonical_rates, chain_layout, packed_chain_rhs
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, check_finite, check_positive
 from .forcing import SignalSpec
 from .macromodel import (
     EXPR_NAMES,
@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 
+def _check_harmonic(omega_mu, omega_rho, phase) -> None:
+    """A NaN frequency would read as an incommensurate pair: refuse it."""
+    check_finite("frequency omega_mu", omega_mu)
+    check_finite("frequency omega_rho", omega_rho)
+    check_finite("phase", phase)
+
+
 def harmonic_drift_1(beta_k, omega_mu, omega_rho, phase) -> float:
     """Long-time average of cos(omega_rho t + phase) * Z[beta_k] cos(omega_mu t).
 
@@ -62,6 +69,7 @@ def harmonic_drift_1(beta_k, omega_mu, omega_rho, phase) -> float:
     product.
     """
     check_positive("decay rate beta_k", beta_k)
+    _check_harmonic(omega_mu, omega_rho, phase)
     if omega_mu != omega_rho:
         return 0.0
     return (beta_k * np.cos(phase) - omega_mu * np.sin(phase)) / (
@@ -73,6 +81,7 @@ def harmonic_drift_2(beta_k, beta_l, omega_mu, omega_rho, phase) -> float:
     """Long-time average with a double convolution Z[beta_l, beta_k]."""
     check_positive("decay rate beta_k", beta_k)
     check_positive("decay rate beta_l", beta_l)
+    _check_harmonic(omega_mu, omega_rho, phase)
     if omega_mu != omega_rho:
         return 0.0
     w2 = omega_mu**2
@@ -89,6 +98,7 @@ def phasor_drift(rates, omega, left_phasor, right_phasor):
     0.5 Re[L conj(T R)] with T the chain transfer function at frequency
     omega.  Reduces to the scalar formulas for single cosines.
     """
+    check_finite("frequency omega", omega)
     T = ConvChain(canonical_rates(rates)).transfer(omega)
     L = np.asarray(left_phasor, dtype=complex)
     R = np.asarray(right_phasor, dtype=complex)
@@ -201,6 +211,7 @@ def simulate_quadrature_ensemble(
     """
     rates = canonical_rates(rates)
     check_positive("run end t_end", t_end)
+    check_finite("white-noise intensity", intensity, 0.0)
     n = exact_steps(t_end, dt)
     rng = np.random.default_rng(seed)
     layout = chain_layout([rates], 2)
@@ -511,6 +522,7 @@ class WeakCoarseModel:
         U0 = np.asarray(U0, dtype=float)
         if U0.shape != (cfg.m,):
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
+        check_finite("initial amplitudes U0", U0)
         check_positive("run end t_end", t_end)
         self.rng = self._rng()
         return march(

@@ -291,6 +291,22 @@ class TestCompare:
             f"error: signal {field} must be finite, got nan"]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("command, shown", [
+        (("macro", "--model", "ssm1", "--u0", "nan", "--m", "4"),
+         "initial amplitudes U0 must be finite, got nan"),
+        (("micro", "--u0", "inf"), "initial field u0 must be finite, got inf"),
+        (("weak", "--model", "ssm1", "--u0", "nan", "--m", "4", "--forcing",
+          '{"kind": "harmonic", "omega": 2.0}'),
+         "initial amplitudes U0 must be finite, got nan"),
+    ])
+    def test_a_non_finite_initial_state_exits_two_naming_it(self, command,
+                                                            shown):
+        """Refused before the first step, not blamed on dt."""
+        result = invoke_entry(*command, "--tend", "0.01")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [f"error: {shown}"]
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("field", ["sede", "seed"])
     def test_unknown_signal_field_exits_two_naming_it(self, tmp_path, field):
         cfg = tmp_path / "cfg.json"

@@ -36,12 +36,13 @@ from holodisc import (
     stochastic_replace,
     strongquad_rhs,
 )
-from holodisc import convolution
+from holodisc import convolution, macromodel
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import stepper
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
+    stage_block,
     strongquad_chain_specs,
     strongquad_expressions,
     strongquad_linear_matrix,
@@ -629,3 +630,31 @@ def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
         for f, r in zip(flat, rows):
             assert np.array_equal(f, r[..., 0])
     assert convolution._float_step_code.cache_info().hits > before
+
+
+def test_cached_ssm1_float_block_binds_each_banks_constants(monkeypatch):
+    """Two ssm1 banks of one ring share a compiled float rhs and feed, yet
+    each computes with its own alpha, H, gamma and chain rates: bit for bit
+    its rows body."""
+    m, caches = 6, (macromodel._ssm1_float_code, macromodel._ssm1_feed_code)
+    S = 7 * m
+    sz, sU = slice(2, 2 + S), slice(2 + S, None)
+    y = 30.0 * np.random.default_rng(3).normal(size=2 + S + m)
+    got, codes, misses = [], [], []
+    for kw in ({"alpha": 0.3, "H": np.pi / 2.0, "gamma": 1.0},
+               {"alpha": -1.7, "H": 0.45, "gamma": 0.35}):
+        cfg = ModelConfig(variant="ssm1", eps=0.3, m=m, **kw)
+        bank = build_bank(cfg)
+        dy = np.zeros_like(y)
+        stage_block(bank, sz, sU)(y, 0.7, dy)
+        codes.append(bank.float_rhs.__code__)
+        misses.append([cache.cache_info().misses for cache in caches])
+        with monkeypatch.context() as patch:
+            patch.setattr(macromodel, "_FLOAT_RING", 0)
+            want = np.zeros_like(y)
+            stage_block(build_bank(cfg), sz, sU)(y, 0.7, want)
+        assert np.array_equal(dy, want)
+        got.append(dy)
+    assert codes[0] is codes[1] and misses[0] == misses[1]
+    assert not np.array_equal(got[0][sz], got[1][sz])
+    assert not np.array_equal(got[0][sU], got[1][sU])

@@ -194,7 +194,8 @@ MAGNITUDES = st.sampled_from([1e-6, 1e-2, 1.0, 30.0, 1e3])
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.sampled_from([4, 6, 8, 64, 1024]), gamma=st.floats(0.0, 1.0),
+@given(m=st.sampled_from([4, 6, 8, 10, 12, 16, 64, 1024]),
+       gamma=st.floats(0.0, 1.0),
        alpha=st.floats(-2.0, 2.0), eps=st.floats(-1.0, 1.0),
        H=st.floats(0.05, 4.0), scales=st.tuples(MAGNITUDES, MAGNITUDES,
                                                  MAGNITUDES),

@@ -11,6 +11,7 @@ from holodisc import (
     build_bank,
     build_weak_model,
     harmonic_drift_1,
+    harmonic_drift_2,
     mode_decay_rate,
     phasor_drift,
     run_macro_forced,
@@ -112,6 +113,27 @@ class TestStochasticReplacement:
         with pytest.raises(ConfigError, match=f"^{name} must be positive and "
                                               f"finite, got {bad}"):
             simulate_quadrature_ensemble(*args, seed=5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: harmonic_drift_1(1.0, np.nan, np.nan, 0.0), "frequency omega_mu"),
+    (lambda: harmonic_drift_1(1.0, 2.0, np.inf, 0.0), "frequency omega_rho"),
+    (lambda: harmonic_drift_1(1.0, 2.0, 2.0, np.nan), "phase"),
+    (lambda: harmonic_drift_2(1.0, 2.0, np.nan, np.nan, 0.3),
+     "frequency omega_mu"),
+    (lambda: phasor_drift((1.0,), np.nan, 1, 1), "frequency omega"),
+    (lambda: simulate_quadrature_ensemble((1.0,), 1.0, 0.1, 4, seed=5,
+                                          intensity=np.nan),
+     "white-noise intensity"),
+    (lambda: simulate_quadrature_ensemble((1.0,), 1.0, 0.1, 4, seed=5,
+                                          intensity=-1.0),
+     "white-noise intensity"),
+])
+def test_weak_numbers_not_finite_are_refused_by_name(call, name):
+    """A NaN frequency would read as an incommensurate pair (drift 0.0), a
+    NaN intensity as a blow-up of the ensemble's step."""
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        call()
 
 
 class TestWeakSsm1Harmonic:
@@ -333,6 +355,12 @@ class TestWeakScheme:
         with pytest.raises(ConfigError, match="needs the euler-maruyama scheme"):
             build_weak_model(ssm1_cfg(scheme="rk4"),
                              SignalSpec(kind="white-noise"))
+
+    def test_run_refuses_non_finite_initial_amplitudes(self):
+        weak = self.harmonic_models("rk4")[0]
+        with pytest.raises(ConfigError, match="^initial amplitudes U0 must "
+                                              "be finite, got nan"):
+            weak.run(np.array([1.0, np.nan, 1.0, 1.0]), 0.5)
 
     @pytest.mark.parametrize("variant", ["ssm1", "strongquad"])
     def test_white_noise_needs_a_seed(self, variant):
