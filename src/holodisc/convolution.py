@@ -17,17 +17,17 @@ levels into rows and gives each row its feed: the next level, or at a
 chain's end its drive row, stacked below the state.  ``packed_chain_rhs``,
 every row's derivative from one gather, serves ``integrate_chains``,
 ``macromodel.ChainBank`` and the quadrature ensemble; ``integrate_chains``
-steps all rows through ``microscale.march``, one drive call per new stage
-time.
-A 1-D packed state, a few scalar rows, is stepped on Python floats
-instead, by straight-line code generated from its layout and compiled
-once per layout and scheme (``_float_advance``): one local per row and
-stage, no loop and no list.  Its rows come from one template
-(``_float_rows``), which ``macromodel``'s small-ring ssm1 block also
-generates its cascade feed from.
-Python floats round + and * as numpy float64 does, so the same operations
-in the same order give the same bits, without numpy's dispatch per
-operation.
+steps (levels, m) rows through ``microscale.march``, one drive call per
+new stage time.
+A 1-D packed state, a few scalar rows, runs its whole time loop on Python
+floats instead, in one function generated from its feeds and scheme and
+cached (``_float_run``): one local per row and stage, march's stage times,
+screen and error (``microscale.non_finite_error``).  A float step per
+march call spent almost half as long on march's array round trip as on its
+arithmetic.  Its rows come from one template (``_float_rows``), which
+``macromodel``'s small-ring ssm1 block also generates its cascade feed
+from.  Python floats round + and * as numpy float64 does, so the same
+operations in the same order give the same bits, without numpy's dispatch.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
 from .errors import ConfigError, ReductionError, check_positive
-from .microscale import march, stepper
+from .microscale import march, non_finite_error, stepper
 
 __all__ = [
     "ConvChain",
@@ -158,12 +159,13 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     view, (n+1, levels[, m]), into one packed array.  A non-finite state
     raises StabilityError naming the first bad chain.
 
-    When every state is (levels,), the packed state is 1-D and each scheme
-    steps it on Python floats, by a step generated for this layout
-    (``_float_advance``), its drive taken as a float: a number, or an
-    array of one entry.  The step keeps packed_chain_rhs's and rk4_step's
-    or euler_step's operations in their order, so its bits are theirs.
-    (levels, m) states step as arrays.
+    When every state is (levels,), the packed state is 1-D and the whole
+    run loops on Python floats, in a function generated for this layout's
+    feeds and the scheme (``_float_run``), its drive taken as a float: a
+    number, or an array of one entry.  It keeps packed_chain_rhs's and
+    rk4_step's or euler_step's operations in their order, march's times,
+    finiteness screen and error, so its bits and failures are march's.
+    (levels, m) states step as arrays, through march.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -190,36 +192,21 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
             last_s, last_d = s, d
         return last_d
 
-    def rhs(y, s):
-        return packed_chain_rhs(y, layout, drive_at(s), ext)
-
-    advance = stepper(rhs, dt, scheme)  # checks dt and the scheme for both
+    advance = stepper(lambda y, s: packed_chain_rhs(y, layout, drive_at(s), ext),
+                      dt, scheme)  # checks dt and the scheme for both
+    n = int(round(t_end / dt))
+    blocks = [(f"memory chain {r}", row) for r, row in zip(chains, layout[2])]
     if on_floats:
-        advance = _float_advance(layout, drive_at, dt, scheme)
-    times, history = march(
-        advance, Z, 0.0, int(round(t_end / dt)), dt,
-        blocks=[(f"memory chain {r}", row) for r, row in zip(chains, layout[2])],
-    )
+        history = np.empty((n + 1, len(Z)))
+        k = _float_run(tuple(layout[1].tolist()), scheme)(
+            Z.tolist(), layout[0].tolist(), drive_at, 0.0, n, float(dt),
+            memoryview(history.reshape(-1)))
+        if k < n:
+            raise non_finite_error(history[k + 1], blocks, 0.0, k, dt)
+        times = 0.0 + np.arange(n + 1) * dt  # march's t0 + k dt, bit for bit
+    else:
+        times, history = march(advance, Z, 0.0, n, dt, blocks=blocks)
     return times, [history[:, row] for row in layout[2]]
-
-
-def _float_advance(layout, drive_at, dt, scheme):
-    """The scheme's step of a 1-D packed state, on Python floats.
-
-    Straight-line code with one local per row and stage, generated for the
-    layout's feeds and the scheme (``_float_step_code``).  Each row's
-    derivative is packed_chain_rhs's neg_rate * z + feed, and the steps are
-    rk4_step's and euler_step's operations in their order; Python floats
-    round + and * as numpy float64 does, so the bits are theirs, without
-    numpy's dispatch on a state of a few entries.  The rates, dt, h, dt/6
-    and drive_at reach the code by value, through a fresh exec namespace
-    per call.
-    """
-    neg_rates, feed, _ = layout
-    dt = float(dt)
-    return _float_bind(_float_step_code(tuple(feed.tolist()), scheme), "step",
-                       neg_rates.tolist(), array=np.array, drive_at=drive_at,
-                       dt=dt, h=0.5 * dt, sixth=dt / 6.0)
 
 
 def _float_rows(feed, w, drive):
@@ -251,14 +238,15 @@ def _float_bind(code, name, rates=(), **values):
 
 
 @functools.lru_cache(maxsize=64)
-def _float_step_code(feed: tuple, scheme: str):
-    """The compiled source of _float_advance's step for a layout's feeds.
-
-    The source is built from row indices and fixed names only, so one code
-    object serves every call with these feeds and scheme, whatever the
-    rates, dt and drive bound with it.
-    """
-    n = len(feed)
+def _float_run(feed: tuple, scheme: str):
+    """run(z, rates, drive_at, t0, n, dt, out): n steps of the scheme from
+    the 1-D packed state z on Python floats, each state written in turn into
+    out, a flat (n + 1, rows) history; returns the first non-finite step,
+    else n.  One local per row and stage in one loop: packed_chain_rhs's
+    rows, rk4_step's or euler_step's operations in their order, stages at
+    march's t0 + k dt, and march's screen (a sum of squares, then each
+    entry only when it is not finite).  Cached per feeds and scheme."""
+    S = len(feed)
 
     def derivs(k, w):
         """Lines k_i = r_i * w_i + w_feed: the next level, or the drive d."""
@@ -267,20 +255,25 @@ def _float_step_code(feed: tuple, scheme: str):
 
     def stage(w, k, by):
         """Lines w_i = k_i * by + z_i: the next stage's arguments."""
-        return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(n)]
+        return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(S)]
 
-    body = [_float_unpack("z", n, "y.tolist()"), "d = drive_at(t)",
-            *derivs("a", "z")]
+    step = ["t = t0 + k * dt", "d = drive_at(t)", *derivs("a", "z")]
     if scheme == "rk4":
-        body += ["d = drive_at(t + h)", *stage("p", "a", "h"), *derivs("b", "p"),
+        step += ["d = drive_at(t + h)", *stage("p", "a", "h"), *derivs("b", "p"),
                  *stage("q", "b", "h"), *derivs("c", "q"),
-                 "d = drive_at(t + dt)", *stage("s", "c", "dt"), *derivs("e", "s")]
-        new = [f"(((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
-               for i in range(n)]
+                 "d = drive_at(t + dt)", *stage("s", "c", "dt"), *derivs("e", "s"),
+                 *(f"z{i} = (((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
+                   for i in range(S))]
     else:
-        new = [f"z{i} + dt * a{i}" for i in range(n)]
-    body.append(f"return array([{', '.join(new)}])")
-    return _float_code("step(y, t)", body, "convolution float step")
+        step += [f"z{i} = z{i} + dt * a{i}" for i in range(S)]
+    put = ["out[j] = z0", *(f"out[j + {i}] = z{i}" for i in range(1, S)), f"j += {S}"]
+    step += [*put, f"if not isfinite({' + '.join(f'z{i} * z{i}' for i in range(S))})"
+             f" and not all(map(isfinite, out[j - {S}:j])):", "    return k"]
+    body = [_float_unpack("z", S, "z"), _float_unpack("r", S, "rates"),
+            "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0", *put, "for k in range(n):",
+            *(f"    {line}" for line in step), "return n"]
+    return _float_bind(_float_code("run(z, rates, drive_at, t0, n, dt, out)", body,
+                                   "convolution float run"), "run", isfinite=isfinite)
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

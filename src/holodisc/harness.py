@@ -464,6 +464,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
         profiles = np.asarray(fine.profiles, dtype=float)
         if profiles.shape != (len(sigset.signals),) + u0.shape:
             raise ConfigError("need one forcing profile per signal over u0")
+        check_finite("forcing profiles", profiles)
         profiles_T = profiles.T
     if coarse is not None:
         cfg, assemble = coarse.cfg, coarse.assemble

@@ -761,7 +761,7 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     U**3 and the memory term coupling @ outputs stay numpy
     calls: numpy's SIMD power rounds otherwise than Python's u**3 or
     u*u*u, its matmul otherwise than a sequential sum.  Any other bank
-    reads the rows of y[sz] as (S, m) and calls the variant's rhs."""
+    reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
         rhs = lowg_rhs if cfg.variant == "lowg" else lattice_coarse_rhs
@@ -778,7 +778,7 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
 
     def block(y, forcing, dy):
         Z = y[sz].reshape(shape)
-        dU, drives = rhs(y[sU], forcing, bank, cfg, Z[out_rows])
+        dU, drives = rhs(y[sU], forcing, bank, cfg, Z.take(out_rows, 0))
         packed_chain_rhs(Z, bank._layout, drives, ext, dy[sz].reshape(shape))
         dy[sU] = dU
 

@@ -13,9 +13,10 @@ resolve once per run and that writes into the caller's slice;
 ``burgers_rhs`` is the Burgers form's one-call check.  The forms and the
 steppers bind their constants as 0-d operands (``stencil.operands``).
 Plus the package's fixed-step integration.  ``march`` is its one time
-loop: every engine (paired fine/coarse runs, memory cascades, weak models,
-experiments) hands it a one-step map, so every run counts its steps, records
-its history and reports a non-finite state the same way.  ``exact_steps`` is
+loop: every engine hands it a one-step map, so every run counts its steps,
+records its history and reports a non-finite state the same way; only the
+1-D memory cascades loop in generated float code, by march's times, screen
+and error (``non_finite_error``).  ``exact_steps`` is
 the one whole-steps rule for run lengths, ``exact_points`` its twin for
 grids.  The steppers are deliberately hand-rolled: runs must be
 bit-reproducible across platforms, and adaptive steppers would break the
@@ -42,6 +43,7 @@ __all__ = [
     "exact_steps",
     "exact_points",
     "march",
+    "non_finite_error",
     "check_scheme_legal",
 ]
 
@@ -246,12 +248,16 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
         for k in range(n_steps):
             y = advance(y, t0 + k * dt)
             if not isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
-                bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
-                t = t0 + (k + 1) * dt
-                raise StabilityError(
-                    f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")
+                raise non_finite_error(y, blocks, t0, k, dt)
             if (k + 1) % record_every == 0 or k + 1 == n_steps:
                 rec += 1
                 times[rec], history[rec] = t0 + (k + 1) * dt, y
     return times, history
 
+
+def non_finite_error(y, blocks, t0, k, dt):
+    """march's StabilityError for step k's non-finite state y: its first
+    non-finite block, at t0 + (k + 1) dt (the 1-D cascades' float run's too)."""
+    bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
+    t = t0 + (k + 1) * dt
+    return StabilityError(f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")

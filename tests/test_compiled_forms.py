@@ -617,9 +617,9 @@ def test_float_step_calls_the_drive_at_the_array_steps_times(scheme):
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
-    """Two runs of one layout share a compiled float step, yet each steps
+    """Two runs of one layout share a generated float run, yet each steps
     with its own rates and dt: bit for bit its (levels, 1) array run."""
-    before = convolution._float_step_code.cache_info().hits
+    before = convolution._float_run.cache_info().hits
     for chains, dt in (([(1.0,), (1.0, 4.0)], 0.0123),
                        ([(2.5,), (0.3, 7.0)], 0.004)):
         n = 200
@@ -629,7 +629,7 @@ def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
                                    scheme)
         for f, r in zip(flat, rows):
             assert np.array_equal(f, r[..., 0])
-    assert convolution._float_step_code.cache_info().hits > before
+    assert convolution._float_run.cache_info().hits > before
 
 
 def test_cached_ssm1_float_block_binds_each_banks_constants(monkeypatch):

@@ -293,6 +293,15 @@ class TestPairedEngines:
         return run_paired([signal], seed, t_end, 1e-3, scheme, fig3_fine(),
                           record_every=record_every)
 
+    def test_non_finite_forcing_profiles_are_refused_by_name(self):
+        """A NaN profile is the caller's input, not the step's blow-up."""
+        fine = FineSide(np.ones(8), np.full((1, 8), np.nan),
+                        burgers_form(np.pi / 4, 0.3, 0.05, "advective"))
+        with pytest.raises(ConfigError, match="^forcing profiles must be "
+                                              "finite, got nan$"):
+            run_paired([SignalSpec(kind="lorenz")], 5, 0.01, 1e-3, "rk4",
+                       fine=fine)
+
     def test_micro_runs_are_seed_reproducible(self):
         out = [self.micro(self.LORENZ, 0.2, seed=77, record_every=10)
                for _ in range(2)]

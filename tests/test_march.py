@@ -229,6 +229,33 @@ class TestBlowupNaming:
                            match=r"memory chain \(1000\.0, 2\.0\) went non-finite"):
             integrate_chains([(1.0,), (1000.0, 2.0)], lambda t: 1.0, 10.0, 0.01)
 
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    def test_float_run_raises_the_array_runs_error(self, scheme):
+        """1-D states (the generated float run) and the same chains as
+        (levels, 1) states (march) blow up with the one message."""
+        chains = [(1.0,), (1000.0, 2.0)]
+        messages = []
+        for states0 in (None, [np.zeros((len(r), 1)) for r in chains]):
+            with pytest.raises(StabilityError) as err:
+                integrate_chains(chains, lambda t: 1.0, 10.0, 0.01, states0,
+                                 scheme)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("memory chain (1000.0, 2.0) went non-finite")
+
+    def test_float_run_marches_on_when_the_sum_of_squares_overflows(self):
+        """Entries near 1e160 are finite though their sum of squares is not:
+        the float run keeps stepping, as march does, bit for bit."""
+        chains = [(1.0,), (2.0, 3.0)]
+        z0 = [np.array([1e160]), np.array([-2e160, 1.5e160])]
+        times, flat = integrate_chains(chains, np.cos, 0.5, 0.01, z0)
+        _, rows = integrate_chains(chains, np.cos, 0.5, 0.01,
+                                   [z[:, None] for z in z0])
+        assert len(times) == 51 and not np.isfinite(np.vdot(z0[1], z0[1]))
+        for f, r in zip(flat, rows):
+            assert np.isfinite(f).all() and abs(f[-1, 0]) > 1e159
+            assert np.array_equal(f, r[..., 0])
+
     def test_weak_run_names_the_amplitudes(self):
         cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
                           m=4, dt=5.0)
