@@ -161,11 +161,13 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
 
     When every state is (levels,), the packed state is 1-D and the whole
     run loops on Python floats, in a function generated for this layout's
-    feeds and the scheme (``_float_run``), its drive taken as a float: a
-    number, or an array of one entry.  It keeps packed_chain_rhs's and
+    feeds and the scheme (``_float_run``).  It keeps the last stage time
+    and its drive as locals, the drive a float: a number, or an array of
+    one entry (``_float_drive``).  It keeps packed_chain_rhs's and
     rk4_step's or euler_step's operations in their order, march's times,
     finiteness screen and error, so its bits and failures are march's.
-    (levels, m) states step as arrays, through march.
+    (levels, m) states step as arrays, through march, the last drive kept
+    by an lru_cache of one entry.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -180,26 +182,15 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     Z = np.concatenate(states0)
     layout = chain_layout(chains, Z.ndim)
     ext = np.empty((len(Z) + 1,) + Z.shape[1:])
-    on_floats = Z.ndim == 1
-    last_s = last_d = None  # the last stage time and its drive
-
-    def drive_at(s):
-        nonlocal last_s, last_d
-        if s != last_s:
-            d = drive_fn(s)
-            if on_floats:  # a number, or an array of one entry
-                d = float(d) if isinstance(d, float) else np.asarray(d, float).item()
-            last_s, last_d = s, d
-        return last_d
-
+    drive_at = functools.lru_cache(maxsize=1)(drive_fn)  # one call per new time
     advance = stepper(lambda y, s: packed_chain_rhs(y, layout, drive_at(s), ext),
                       dt, scheme)  # checks dt and the scheme for both
     n = int(round(t_end / dt))
     blocks = [(f"memory chain {r}", row) for r, row in zip(chains, layout[2])]
-    if on_floats:
+    if Z.ndim == 1:
         history = np.empty((n + 1, len(Z)))
         k = _float_run(tuple(layout[1].tolist()), scheme)(
-            Z.tolist(), layout[0].tolist(), drive_at, 0.0, n, float(dt),
+            Z.tolist(), layout[0].tolist(), drive_fn, 0.0, n, float(dt),
             memoryview(history.reshape(-1)))
         if k < n:
             raise non_finite_error(history[k + 1], blocks, 0.0, k, dt)
@@ -207,6 +198,11 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     else:
         times, history = march(advance, Z, 0.0, n, dt, blocks=blocks)
     return times, [history[:, row] for row in layout[2]]
+
+
+def _float_drive(d):
+    """A drive value as a Python float: a number, or an array of one entry."""
+    return float(d) if isinstance(d, float) else np.asarray(d, float).item()
 
 
 def _float_rows(feed, w, drive):
@@ -239,13 +235,14 @@ def _float_bind(code, name, rates=(), **values):
 
 @functools.lru_cache(maxsize=64)
 def _float_run(feed: tuple, scheme: str):
-    """run(z, rates, drive_at, t0, n, dt, out): n steps of the scheme from
+    """run(z, rates, drive_fn, t0, n, dt, out): n steps of the scheme from
     the 1-D packed state z on Python floats, each state written in turn into
     out, a flat (n + 1, rows) history; returns the first non-finite step,
     else n.  One local per row and stage in one loop: packed_chain_rhs's
     rows, rk4_step's or euler_step's operations in their order, stages at
     march's t0 + k dt, and march's screen (a sum of squares, then each
-    entry only when it is not finite).  Cached per feeds and scheme."""
+    entry only when it is not finite), the drive behind drive's one-entry
+    cache.  Cached per feeds and scheme."""
     S = len(feed)
 
     def derivs(k, w):
@@ -257,11 +254,17 @@ def _float_run(feed: tuple, scheme: str):
         """Lines w_i = k_i * by + z_i: the next stage's arguments."""
         return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(S)]
 
-    step = ["t = t0 + k * dt", "d = drive_at(t)", *derivs("a", "z")]
+    def drive(s):
+        """Lines setting d to drive_fn(s) as a float, calling it only when s
+        is not ts, the last stage time it was called at."""
+        return [f"if {s} != ts:", f"    ts, d = {s}, drive_fn({s})",
+                "    if type(d) is not float: d = as_float(d)"]
+
+    step = ["t = t0 + k * dt", *drive("t"), *derivs("a", "z")]
     if scheme == "rk4":
-        step += ["d = drive_at(t + h)", *stage("p", "a", "h"), *derivs("b", "p"),
-                 *stage("q", "b", "h"), *derivs("c", "q"),
-                 "d = drive_at(t + dt)", *stage("s", "c", "dt"), *derivs("e", "s"),
+        step += ["u = t + h", *drive("u"), *stage("p", "a", "h"), *derivs("b", "p"),
+                 *stage("q", "b", "h"), *derivs("c", "q"), "u = t + dt", *drive("u"),
+                 *stage("s", "c", "dt"), *derivs("e", "s"),
                  *(f"z{i} = (((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
                    for i in range(S))]
     else:
@@ -270,10 +273,11 @@ def _float_run(feed: tuple, scheme: str):
     step += [*put, f"if not isfinite({' + '.join(f'z{i} * z{i}' for i in range(S))})"
              f" and not all(map(isfinite, out[j - {S}:j])):", "    return k"]
     body = [_float_unpack("z", S, "z"), _float_unpack("r", S, "rates"),
-            "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0", *put, "for k in range(n):",
-            *(f"    {line}" for line in step), "return n"]
-    return _float_bind(_float_code("run(z, rates, drive_at, t0, n, dt, out)", body,
-                                   "convolution float run"), "run", isfinite=isfinite)
+            "h = 0.5 * dt", "sixth = dt / 6.0", "j, ts = 0, None", *put,
+            "for k in range(n):", *(f"    {line}" for line in step), "return n"]
+    return _float_bind(_float_code("run(z, rates, drive_fn, t0, n, dt, out)", body,
+                                   "convolution float run"), "run", isfinite=isfinite,
+                       as_float=_float_drive)
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

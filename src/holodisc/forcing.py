@@ -20,6 +20,7 @@ stepper), and tabulated files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,17 @@ class ConstantSignal(Signal):
 
 
 class HarmonicSignal(Signal):
+    """amplitude * cos(omega t + phase): by math.cos, a Python float, at a
+    float t (np.float64 too), a quarter of np.cos's cost; else by np.cos."""
+
     def __init__(self, amplitude: float, omega: float, phase: float):
         self.amplitude = float(amplitude)
         self.omega = float(omega)
         self.phase = float(phase)
 
     def value(self, t, driver=None):
-        return self.amplitude * np.cos(self.omega * t + self.phase)
+        cos = math.cos if isinstance(t, float) else np.cos
+        return self.amplitude * cos(self.omega * t + self.phase)
 
 
 class LorenzSignal(Signal):
@@ -199,7 +204,7 @@ class WhiteNoiseSignal(Signal):
     def draw(self, rng: np.random.Generator, dt: float, size=None):
         """One per-step sample intensity * N(0,1) / sqrt(dt)."""
         check_positive("white-noise draw's dt", dt)
-        return self.intensity * rng.standard_normal(size) / np.sqrt(dt)
+        return self.intensity * rng.standard_normal(size) / math.sqrt(dt)
 
 
 class FileSignal(Signal):

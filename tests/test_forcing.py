@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import golden_runs
 from holodisc import (
     ConfigError,
     DataError,
     ElementGrid,
     SignalSpec,
+    integrate_chain,
     make_signal,
     project_to_modes,
     run_paired,
 )
 from holodisc.forcing import lorenz_point
+from holodisc.harness import default_window_start
 
 
 class TestSignalSpec:
@@ -62,6 +65,27 @@ class TestDeterministicSignals:
         t = 0.8
         assert np.isclose(sig.value(t), 1.5 * np.cos(2.0 * t + 0.3))
 
+    def test_harmonic_value_at_a_float_is_its_value_in_an_array(self):
+        """A float t (np.float64 too) gives a Python float, bit for bit the
+        value at t in a one-entry array: at every stage time weak-drift's
+        cascades call the drive at, and at 10^4 random t with |t| <= 1e4."""
+        spec = golden_runs.weak_drift_spec()
+        periods, w = spec.extras["periods"], spec.signal.omega
+        t_end = default_window_start(spec.H) + periods * 2.0 * np.pi / w
+        calls = []
+        integrate_chain((1.0,), lambda t: calls.append(t) or 0.0, t_end, spec.dt)
+        random = np.random.default_rng(6).uniform(-1e4, 1e4, 10_000)
+        times = calls + random.tolist()
+        assert len(calls) > 2 * round(t_end / spec.dt)
+        for signal in (spec.signal, SignalSpec(kind="harmonic", amplitude=2.5,
+                                               omega=3.0, phase=-0.7)):
+            sig = make_signal(signal)
+            got = [sig.value(t) for t in times]
+            assert {type(v) for v in got} == {float}
+            assert type(sig.value(np.float64(times[7]))) is float
+            assert got == [sig.value(np.array([t]))[0] for t in times]
+            assert got == sig.value(np.array(times)).tolist()
+
     def test_file_interpolates(self, tmp_path):
         path = tmp_path / "sig.csv"
         t = np.linspace(0.0, 2.0, 21)
@@ -92,6 +116,19 @@ class TestStochasticSignals:
         sig = make_signal(SignalSpec(kind="white-noise", intensity=0.5))
         draws = sig.draw(rng, dt=0.01, size=4000)
         assert abs(np.std(draws) - 0.5 / np.sqrt(0.01)) < 0.3
+
+    def test_white_noise_draw_is_intensity_z_over_the_root_of_dt(self):
+        """Seeded draws equal intensity * z / np.sqrt(dt) bit for bit, one
+        sample or several, at 10^3 random dt; one sample at a float dt is
+        a Python float."""
+        sig = make_signal(SignalSpec(kind="white-noise", intensity=0.7))
+        dts = np.random.default_rng(2).uniform(1e-6, 2.0, 1000).tolist()
+        for seed, dt in enumerate(dts):
+            for size in (None, 3):
+                z = np.random.default_rng(seed).standard_normal(size)
+                got = sig.draw(np.random.default_rng(seed), dt, size)
+                assert np.array_equal(got, 0.7 * z / np.sqrt(dt))
+        assert type(sig.draw(np.random.default_rng(0), 0.01)) is float
 
     def test_draw_needs_positive_dt(self, rng):
         sig = make_signal(SignalSpec(kind="white-noise"))
