@@ -20,14 +20,14 @@ every row's derivative from one gather, serves ``integrate_chains``,
 steps (levels, m) rows through ``microscale.march``, one drive call per
 new stage time.
 A 1-D packed state, a few scalar rows, runs its whole time loop on Python
-floats instead, in one function generated from its feeds and scheme and
-cached (``_float_run``): one local per row and stage, march's stage times,
-screen and error (``microscale.non_finite_error``).  A float step per
-march call spent almost half as long on march's array round trip as on its
-arithmetic.  Its rows come from one template (``_float_rows``), which
-``macromodel``'s small-ring ssm1 block also generates its cascade feed
-from.  Python floats round + and * as numpy float64 does, so the same
-operations in the same order give the same bits, without numpy's dispatch.
+floats instead, in one function generated from its feeds, scheme and drive
+body and cached (``_float_run``): one local per row and stage, march's stage
+times, a harmonic drive inlined, and march's error (``non_finite_error``)
+from one screen of the history after the loop.  A float step per march call
+spent almost half as long on march's array round trip as on its arithmetic.
+Its rows come from one template (``_float_rows``), which ``macromodel``'s
+small-ring ssm1 block also generates its cascade feed from.  Python floats
+round + and * as numpy float64 does: same operations, same order, same bits.
 
 Products of two convolved signals reduce, by repeated integration by parts,
 to a sum of boundary products (which belong in the reconstructed subgrid
@@ -39,12 +39,13 @@ reduction symbolically and keeps a trace of every step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
 from .errors import ConfigError, ReductionError, check_positive
+from .forcing import HarmonicSignal
 from .microscale import march, non_finite_error, stepper
 
 __all__ = [
@@ -156,18 +157,18 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     per RK4 step.  The run takes round(t_end / dt) steps, the nearest
     whole number, so it may end a fraction of a step off t_end.  Returns
     times, shape (n+1,), and per chain in the order given its history: a
-    view, (n+1, levels[, m]), into one packed array.  A non-finite state
-    raises StabilityError naming the first bad chain.
+    view, (n+1, levels[, m]), into one packed array.
 
-    When every state is (levels,), the packed state is 1-D and the whole
-    run loops on Python floats, in a function generated for this layout's
-    feeds and the scheme (``_float_run``).  It keeps the last stage time
-    and its drive as locals, the drive a float: a number, or an array of
-    one entry (``_float_drive``).  It keeps packed_chain_rhs's and
-    rk4_step's or euler_step's operations in their order, march's times,
-    finiteness screen and error, so its bits and failures are march's.
-    (levels, m) states step as arrays, through march, the last drive kept
-    by an lru_cache of one entry.
+    When every state is (levels,), the whole run loops on Python floats in
+    a function generated for the layout's feeds and the scheme
+    (``_float_run``), with packed_chain_rhs's and rk4_step's or
+    euler_step's operations in their order at march's times: march's bits.
+    A HarmonicSignal's value is inlined there, its form evaluated at each
+    stage time; other drives are called as above, as floats
+    (``_float_drive``).  Its history is screened once, after the loop, so
+    a blow-up runs on to the last step.  (levels, m) states step through
+    march, the drive in a one-entry lru_cache.  A non-finite state raises
+    march's StabilityError, naming the first bad chain at the first bad step.
     """
     chains = [ConvChain(tuple(np.atleast_1d(rates))).rates for rates in chains]
     if not chains:
@@ -188,11 +189,14 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     n = int(round(t_end / dt))
     blocks = [(f"memory chain {r}", row) for r, row in zip(chains, layout[2])]
     if Z.ndim == 1:
-        history = np.empty((n + 1, len(Z)))
-        k = _float_run(tuple(layout[1].tolist()), scheme)(
-            Z.tolist(), layout[0].tolist(), drive_fn, 0.0, n, float(dt),
-            memoryview(history.reshape(-1)))
-        if k < n:
+        history, sig = np.empty((n + 1, len(Z))), getattr(drive_fn, "__self__", None)
+        inline = getattr(drive_fn, "__func__", None) is HarmonicSignal.value
+        _float_run(tuple(layout[1].tolist()), scheme, inline and (sig.form, sig.args))(
+            Z.tolist(), layout[0].tolist(), [getattr(sig, a) for a in sig.args]
+            if inline else drive_fn, 0.0, n, float(dt), memoryview(history.reshape(-1)))
+        ok = np.isfinite(history[1:]).all(axis=1)  # step k wrote row k + 1
+        if not ok.all():
+            k = int(ok.argmin())
             raise non_finite_error(history[k + 1], blocks, 0.0, k, dt)
         times = 0.0 + np.arange(n + 1) * dt  # march's t0 + k dt, bit for bit
     else:
@@ -234,15 +238,15 @@ def _float_bind(code, name, rates=(), **values):
 
 
 @functools.lru_cache(maxsize=64)
-def _float_run(feed: tuple, scheme: str):
-    """run(z, rates, drive_fn, t0, n, dt, out): n steps of the scheme from
-    the 1-D packed state z on Python floats, each state written in turn into
-    out, a flat (n + 1, rows) history; returns the first non-finite step,
-    else n.  One local per row and stage in one loop: packed_chain_rhs's
-    rows, rk4_step's or euler_step's operations in their order, stages at
-    march's t0 + k dt, and march's screen (a sum of squares, then each
-    entry only when it is not finite), the drive behind drive's one-entry
-    cache.  Cached per feeds and scheme."""
+def _float_run(feed: tuple, scheme: str, inline=None):
+    """run(z, rates, drive, t0, n, dt, out): n steps of the scheme from the
+    1-D packed state z on Python floats, each state written into out, a flat
+    (n + 1, rows) history the caller screens.  One local per row and stage
+    in one loop: packed_chain_rhs's rows, rk4_step's or euler_step's
+    operations in their order, stages at march's t0 + k dt.  An inline
+    (form, args) evaluates form at each stage time, drive holding the args'
+    values and cos math.cos; else drive is a function behind a one-entry
+    cache.  Cached per feeds, scheme and inline."""
     S = len(feed)
 
     def derivs(k, w):
@@ -255,9 +259,11 @@ def _float_run(feed: tuple, scheme: str):
         return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(S)]
 
     def drive(s):
-        """Lines setting d to drive_fn(s) as a float, calling it only when s
-        is not ts, the last stage time it was called at."""
-        return [f"if {s} != ts:", f"    ts, d = {s}, drive_fn({s})",
+        """Lines setting d to the drive at s as a float: inline's form, or
+        drive(s), called only when s is not ts, the last time it was."""
+        if inline:
+            return [f"d = {inline[0].format(t=s, **{a: a for a in inline[1]})}"]
+        return [f"if {s} != ts:", f"    ts, d = {s}, drive({s})",
                 "    if type(d) is not float: d = as_float(d)"]
 
     step = ["t = t0 + k * dt", *drive("t"), *derivs("a", "z")]
@@ -270,13 +276,12 @@ def _float_run(feed: tuple, scheme: str):
     else:
         step += [f"z{i} = z{i} + dt * a{i}" for i in range(S)]
     put = ["out[j] = z0", *(f"out[j + {i}] = z{i}" for i in range(1, S)), f"j += {S}"]
-    step += [*put, f"if not isfinite({' + '.join(f'z{i} * z{i}' for i in range(S))})"
-             f" and not all(map(isfinite, out[j - {S}:j])):", "    return k"]
     body = [_float_unpack("z", S, "z"), _float_unpack("r", S, "rates"),
-            "h = 0.5 * dt", "sixth = dt / 6.0", "j, ts = 0, None", *put,
-            "for k in range(n):", *(f"    {line}" for line in step), "return n"]
-    return _float_bind(_float_code("run(z, rates, drive_fn, t0, n, dt, out)", body,
-                                   "convolution float run"), "run", isfinite=isfinite,
+            f"{', '.join(inline[1])}, = drive" if inline else "ts = None",
+            "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0", *put,
+            "for k in range(n):", *(f"    {line}" for line in step + put)]
+    return _float_bind(_float_code("run(z, rates, drive, t0, n, dt, out)", body,
+                                   "convolution float run"), "run", cos=math.cos,
                        as_float=_float_drive)
 
 

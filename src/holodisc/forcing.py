@@ -152,16 +152,21 @@ class ConstantSignal(Signal):
 
 class HarmonicSignal(Signal):
     """amplitude * cos(omega t + phase): by math.cos, a Python float, at a
-    float t (np.float64 too), a quarter of np.cos's cost; else by np.cos."""
+    float t (np.float64 too), a quarter of np.cos's cost; else by np.cos.
+    form, over the constants args and a time t, is the formula's one copy:
+    value is compiled from it, and convolution's 1-D float loop inlines it."""
+
+    args = ("amplitude", "omega", "phase")
+    form = "{amplitude} * cos({omega} * {t} + {phase})"
 
     def __init__(self, amplitude: float, omega: float, phase: float):
         self.amplitude = float(amplitude)
         self.omega = float(omega)
         self.phase = float(phase)
 
-    def value(self, t, driver=None):
-        cos = math.cos if isinstance(t, float) else np.cos
-        return self.amplitude * cos(self.omega * t + self.phase)
+    exec("def value(self, t, driver=None):\n"  # form over self's constants
+         "    cos = math.cos if isinstance(t, float) else np.cos\n"
+         f"    return {form.format(t='t', **{a: 'self.' + a for a in args})}\n")
 
 
 class LorenzSignal(Signal):

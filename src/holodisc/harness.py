@@ -954,9 +954,9 @@ def weak_drift_experiment(spec):
     labels = ("z1", "z21", "z41", "z61")
     chains = [rates for rates, _key in ssm1_chain_specs(cfg)]
     times, hists = integrate_chains(chains, phi, t_end, dt, scheme=spec.scheme)
+    drive, mask = phi(times), times >= t_skip
     for label, rates, hist in zip(labels, chains, hists):
-        product = phi(times) * hist[:, 0]
-        mask = times >= t_skip
+        product = drive * hist[:, 0]
         avg = float(np.trapezoid(product[mask], times[mask]) / (t_end - t_skip))
         drift = report_drifts[label]
         # Bound on any drift with these rates; the denominator when the

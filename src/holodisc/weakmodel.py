@@ -26,7 +26,7 @@ import numpy as np
 
 from .convolution import ConvChain, canonical_rates, chain_layout, packed_chain_rhs
 from .errors import ConfigError, check_finite, check_positive
-from .forcing import SignalSpec
+from .forcing import SignalSpec, make_signal
 from .macromodel import (
     EXPR_NAMES,
     ModelConfig,
@@ -343,10 +343,10 @@ class WeakCoarseModel:
             A, w, ph = signal.amplitude, signal.omega, signal.phase
             P = A * np.exp(1j * ph)
             drifts = [float(phasor_drift(r, w, P, P)) for r in rates]
-            d = np.array(drifts)
+            d, phi = np.array(drifts), make_signal(signal).value
 
             def rhs(U, t):
-                return add_products(skeleton(U, A * np.cos(w * t + ph)), U, d)
+                return add_products(skeleton(U, phi(t)), U, d)
         else:
             sig = signal.intensity
             reps = [stochastic_replace(QuadraticTermDescriptor(0, 0, 0, 0, r),

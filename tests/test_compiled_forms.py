@@ -14,6 +14,8 @@ index chains by (sorted rates, input) in a dict of their own, so they share
 no layout code with ChainBank.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +39,8 @@ from holodisc import (
     strongquad_rhs,
 )
 from holodisc import convolution, macromodel
+from holodisc.forcing import HarmonicSignal, make_signal
+from holodisc.harness import default_spec
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import stepper
 from holodisc.macromodel import (
@@ -584,6 +588,32 @@ def test_float_path_takes_every_one_entry_drive_alike():
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler", "euler-maruyama"])
+@pytest.mark.parametrize("spec", [
+    default_spec("weak-drift").signal,
+    SignalSpec(kind="harmonic", amplitude=2.5, omega=3.0, phase=-0.7)],
+    ids=["weak-drift", "2.5-3.0--0.7"])
+def test_inline_harmonic_drive_is_the_called_drive_byte_for_byte(spec, scheme):
+    """A HarmonicSignal's own value is inlined in the float loop, which then
+    calls no value; behind a lambda it is called.  The two runs agree byte
+    for byte, times included."""
+    sig, chains = make_signal(spec), [(1.0,), (1.0, 4.0), (0.7, 1.3, 1.3)]
+    runs, calls = [], {}
+    for name, drive in (("called", lambda t: sig.value(t)), ("inline", sig.value)):
+        calls[name] = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code
+                       is HarmonicSignal.value.__code__ and calls[name].append(1))
+        try:
+            runs.append(integrate_chains(chains, drive, 5.0, 0.0123, None, scheme))
+        finally:
+            sys.setprofile(None)
+    assert calls["called"] and not calls["inline"]
+    (times, called), (got, inline) = runs
+    assert got.tobytes() == times.tobytes()
+    for a, b in zip(inline, called):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_float_path_refuses_a_two_entry_drive():

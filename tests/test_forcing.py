@@ -67,8 +67,9 @@ class TestDeterministicSignals:
 
     def test_harmonic_value_at_a_float_is_its_value_in_an_array(self):
         """A float t (np.float64 too) gives a Python float, bit for bit the
-        value at t in a one-entry array: at every stage time weak-drift's
-        cascades call the drive at, and at 10^4 random t with |t| <= 1e4."""
+        value at t in a one-entry array and the textbook expression over an
+        array: at every stage time weak-drift's cascades call the drive at,
+        and at 10^4 random t with |t| <= 1e4."""
         spec = golden_runs.weak_drift_spec()
         periods, w = spec.extras["periods"], spec.signal.omega
         t_end = default_window_start(spec.H) + periods * 2.0 * np.pi / w
@@ -85,6 +86,8 @@ class TestDeterministicSignals:
             assert type(sig.value(np.float64(times[7]))) is float
             assert got == [sig.value(np.array([t]))[0] for t in times]
             assert got == sig.value(np.array(times)).tolist()
+            A, w, ph = signal.amplitude, signal.omega, signal.phase
+            assert got == (A * np.cos(w * np.array(times) + ph)).tolist()
 
     def test_file_interpolates(self, tmp_path):
         path = tmp_path / "sig.csv"

@@ -22,6 +22,7 @@ from holodisc.convolution import (
     integrate_chains,
     packed_chain_rhs,
 )
+from holodisc.forcing import HarmonicSignal
 from holodisc.harness import EXPERIMENTS, spec_from_dict
 from holodisc.microscale import check_scheme_legal, exact_steps, march, stepper
 
@@ -229,16 +230,19 @@ class TestBlowupNaming:
                            match=r"memory chain \(1000\.0, 2\.0\) went non-finite"):
             integrate_chains([(1.0,), (1000.0, 2.0)], lambda t: 1.0, 10.0, 0.01)
 
-    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
-    def test_float_run_raises_the_array_runs_error(self, scheme):
-        """1-D states (the generated float run) and the same chains as
-        (levels, 1) states (march) blow up with the one message."""
+    @pytest.mark.parametrize("scheme, drive", [
+        *(pytest.param(s, lambda t: 1.0, id=s) for s in ("rk4", "euler")),
+        *(pytest.param(s, HarmonicSignal(1.0, 2.0, 0.3).value, id=f"{s}-harmonic")
+          for s in ("rk4", "euler"))])
+    def test_float_run_raises_the_array_runs_error(self, scheme, drive):
+        """1-D states (the generated float run, a harmonic drive inlined)
+        and the same chains as (levels, 1) states (march) blow up with the
+        one message."""
         chains = [(1.0,), (1000.0, 2.0)]
         messages = []
         for states0 in (None, [np.zeros((len(r), 1)) for r in chains]):
             with pytest.raises(StabilityError) as err:
-                integrate_chains(chains, lambda t: 1.0, 10.0, 0.01, states0,
-                                 scheme)
+                integrate_chains(chains, drive, 10.0, 0.01, states0, scheme)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("memory chain (1000.0, 2.0) went non-finite")
