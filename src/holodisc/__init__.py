@@ -54,8 +54,6 @@ from .macromodel import (
     ModelConfig,
     alternating_signs,
     build_bank,
-    lattice_coarse_rhs,
-    lowg_rhs,
     nsm_subgrid_field,
     ssm1_rhs,
     strongquad_rhs,
@@ -72,8 +70,6 @@ from .weakmodel import (
     StochasticReplacement,
     WeakCoarseModel,
     build_weak_model,
-    harmonic_drift_1,
-    harmonic_drift_2,
     phasor_drift,
     simulate_quadrature_ensemble,
     stochastic_replace,
@@ -114,13 +110,9 @@ __all__ = [
     "alternating_signs",
     "ChainBank",
     "build_bank",
-    "lowg_rhs",
-    "lattice_coarse_rhs",
     "ssm1_rhs",
     "strongquad_rhs",
     "nsm_subgrid_field",
-    "harmonic_drift_1",
-    "harmonic_drift_2",
     "phasor_drift",
     "QuadraticTermDescriptor",
     "StochasticReplacement",

@@ -49,7 +49,6 @@ from .forcing import (
 from .macromodel import (
     ModelConfig,
     build_bank,
-    lowg_rhs,
     nsm_subgrid_field,
     ssm1_chain_specs,
     stage_block,
@@ -753,10 +752,11 @@ def consistency_experiment(spec):
 
     Samples a smooth periodic profile at element spacings H = L/m for
     m = 8, 16, 32, 64 and measures sup-errors of (a) the full deterministic
-    coarse operator, unforced ``lowg_rhs``, against u'' - alpha u u',
-    expected order 2, and (b) the coupling-corrected linear operator
-    delta2/H^2 - delta4/(12 H^2), strongquad's skeleton at alpha = 0 with
-    zero forcing rows, against u'', expected order 4.
+    coarse operator, lowg's skeleton with zero forcing modes, against
+    u'' - alpha u u', expected order 2, and (b) the coupling-corrected
+    linear operator delta2/H^2 - delta4/(12 H^2), strongquad's skeleton at
+    alpha = 0 with zero forcing rows, against u'', expected order 4.  Both
+    are the ``build_bank`` skeletons the models run.
     """
     L = 2.0 * np.pi
     alpha = spec.alpha
@@ -777,8 +777,8 @@ def consistency_experiment(spec):
         X = H * np.arange(m)
         U = u_fn(X)
         exact_full = upp_fn(X) - alpha * U * up_fn(X)
-        model_full = lowg_rhs(U, np.zeros((m, 3)),
-                              ModelConfig("lowg", alpha, 0.0, H, m))
+        model_full = build_bank(ModelConfig("lowg", alpha, 0.0, H, m)
+                                ).skeleton(U, np.zeros((m, 3)))
         exact_lin = upp_fn(X)
         model_lin = build_bank(ModelConfig("strongquad", 0.0, 0.0, H, m)
                                ).skeleton(U, np.zeros((5, m)))

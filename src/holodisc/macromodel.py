@@ -22,8 +22,11 @@ a periodic domain of length m H.  Four deterministic-skeleton variants:
     33 memory-product couplings over 13 chains per element.
 
 Each variant is compiled once, by ``build_bank``, into a ChainBank: the
-packed layout of its memory chains plus the coefficients with which the
-chain outputs enter dU/dt.  All cascade levels live in one (S, m) array
+packed layout of its memory chains, the coefficients with which the chain
+outputs enter dU/dt, and its ``skeleton``, dU's deterministic part with
+every constant a 0-d operand (all of dU for the chainless lowg and
+lattice; U's ring pad is one gather, but strongquad's a concatenate, the
+cheaper at its m = 1024).  All cascade levels live in one (S, m) array
 (S = 7 levels for ssm1, 17 for strongquad), chains in sorted (rates,
 input) order, each chain's levels in consecutive rows, output first.  Per
 row the bank fixes a decay rate and whether the next row feeds it; per
@@ -63,7 +66,7 @@ from .errors import ConfigError, check_finite, check_positive
 from .forcing import mode_decay_rate
 from .microscale import check_scheme_legal
 from .stencil import (delta2, mudelta, operands, pad_images, ring_images,
-                      ring_index, ring_pad)
+                      ring_index)
 
 __all__ = [
     "VARIANTS",
@@ -71,8 +74,6 @@ __all__ = [
     "alternating_signs",
     "ChainBank",
     "build_bank",
-    "lowg_rhs",
-    "lattice_coarse_rhs",
     "ssm1_chain_specs",
     "ssm1_rhs",
     "nsm_subgrid_field",
@@ -168,10 +169,11 @@ class ChainBank:
 
     build_bank adds the variant's compiled form: ``coupling``, the
     coefficients of the chain outputs in dU/dt; ``skeleton``, its
-    deterministic part with every constant resolved; ``float_rhs``, ssm1's
-    dU on Python floats for a ring of at most ``_FLOAT_RING`` elements
-    (None otherwise), the same formula as its skeleton (``_ssm1_forms``);
-    and ``cfg``, the configuration they were resolved for.
+    deterministic part with every constant resolved (all of dU for lowg and
+    lattice, which have no chains); ``float_rhs``, ssm1's dU on Python
+    floats for a ring of at most ``_FLOAT_RING`` elements (None otherwise),
+    the same formula as its skeleton (``_ssm1_forms``); and ``cfg``, the
+    configuration they were resolved for.
     """
 
     def __init__(self, m: int, specs=(), exprs=()):
@@ -272,10 +274,10 @@ def _check_compiled(bank: ChainBank, cfg: ModelConfig) -> None:
         )
 
 
-# -- low-order model ---------------------------------------------------------
+# -- low-order and lattice models --------------------------------------------
 
-def lowg_rhs(U: np.ndarray, modes: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Low-order forced model at full coupling.
+def _lowg_skeleton(cfg: ModelConfig):
+    """lowg's dU(U, modes) for cfg, its constants resolved once.
 
     modes holds the per-element forcing coefficients, shape (m, 3):
     columns are the constant, sin theta, and cos 2 theta components.
@@ -287,32 +289,31 @@ def lowg_rhs(U: np.ndarray, modes: np.ndarray, cfg: ModelConfig) -> np.ndarray:
                   + 0.01643 alpha^2 H^2 eps^2 U_j.
     """
     a, e, H = cfg.alpha, cfg.eps, cfg.H
-    U = np.asarray(U, dtype=float)
-    modes = np.asarray(modes, dtype=float)
-    s0, s1, s2 = modes[:, 0], modes[:, 1], modes[:, 2]
-    mdU, d2U, _ = ring_images(U)
-    dU = (1.0 / H**2) * (1.0 + a * a * H * H * U * U / 12.0) * d2U
-    dU -= (a / H) * U * mdU
-    dU += e * (
-        s0
-        - a * (2.0 * H / _PI2) * s1 * U
-        - a * a * (8.0 * H * H / (3.0 * _PI4)) * s2 * U * U
-    )
-    dU += 0.01643 * a * a * H * H * e * e * U
-    return dU
+    c2, one, cu, twelve, ca, ce, k1, k2, drift = operands(
+        1.0 / H**2, 1.0, a * a * H * H, 12.0, a / H, e,
+        a * (2.0 * H / _PI2), a * a * (8.0 * H * H / (3.0 * _PI4)),
+        0.01643 * a * a * H * H * e * e)
+    pad_at = ring_index(cfg.m, 2)
+
+    def skeleton(U, modes):
+        s0, s1, s2 = modes.T
+        mdU, d2U, _ = pad_images(U[pad_at])
+        dU = c2 * (one + cu * U * U / twelve) * d2U
+        dU -= ca * U * mdU
+        dU += ce * (s0 - k1 * s1 * U - k2 * s2 * U * U)
+        dU += drift * U
+        return dU
+
+    return skeleton
 
 
-# -- coarse lattice model ----------------------------------------------------
-
-def lattice_coarse_rhs(
-    U: np.ndarray, phi_fine: np.ndarray, cfg: ModelConfig
-) -> np.ndarray:
-    """Evolution of the even lattice points from fine forcing samples.
+def _lattice_skeleton(cfg: ModelConfig):
+    """lattice's dU(U, phi_fine) for cfg, its constants resolved once.
 
     phi_fine holds forcing values at the 2m lattice points x_i = i H/2;
     element j's grid value sits at the even index 2j.  The forcing enters
     through two local restrictions, a weighted mean and a centred
-    difference:
+    difference, read from one ring gather of phi_fine:
 
         psi_j0 = phi_{2j-1}/4 + phi_{2j}/2 + phi_{2j+1}/4
         psi_j1 = (phi_{2j+1} - phi_{2j-1})/2
@@ -321,23 +322,28 @@ def lattice_coarse_rhs(
                   - (alpha/2H) U_j (U_{j+1} - U_{j-1})
                   + eps [psi_j0 - (alpha H / 8) U_j psi_j1].
     """
-    a, e, H = cfg.alpha, cfg.eps, cfg.H
-    U = np.asarray(U, dtype=float)
-    phi_fine = np.asarray(phi_fine, dtype=float)
-    if phi_fine.shape != (2 * cfg.m,):
-        raise ConfigError(
-            f"need forcing at 2m = {2 * cfg.m} lattice points, "
-            f"got shape {phi_fine.shape}"
-        )
-    padded = ring_pad(phi_fine)
-    left, centre, right = padded[:-2:2], padded[1:-1:2], padded[2::2]
-    psi0 = 0.25 * left + 0.5 * centre + 0.25 * right
-    psi1 = 0.5 * (right - left)
-    mdU, d2U, _ = ring_images(U)
-    dU = (1.0 / H**2) * d2U
-    dU -= (a / H) * U * mdU
-    dU += e * (psi0 - (a * H / 8.0) * U * psi1)
-    return dU
+    a, e, H, m = cfg.alpha, cfg.eps, cfg.H, cfg.m
+    c2, ca, ce, cp, quarter, half = operands(
+        1.0 / H**2, a / H, e, a * H / 8.0, 0.25, 0.5)
+    pad_at, fine_at = ring_index(m, 2), ring_index(2 * m)
+
+    def skeleton(U, phi_fine):
+        if phi_fine.shape != (2 * m,):
+            raise ConfigError(
+                f"need forcing at 2m = {2 * m} lattice points, "
+                f"got shape {phi_fine.shape}"
+            )
+        padded = phi_fine[fine_at]
+        left, centre, right = padded[:-2:2], padded[1:-1:2], padded[2::2]
+        psi0 = quarter * left + half * centre + quarter * right
+        psi1 = half * (right - left)
+        mdU, d2U, _ = pad_images(U[pad_at])
+        dU = c2 * d2U
+        dU -= ca * U * mdU
+        dU += ce * (psi0 - cp * U * psi1)
+        return dU
+
+    return skeleton
 
 
 # -- single-mode alternating-forcing model -----------------------------------
@@ -705,6 +711,8 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
         bank.skeleton = _strongquad_skeleton(cfg)
     else:
         bank = ChainBank(cfg.m)
+        bank.skeleton = (_lowg_skeleton if cfg.variant == "lowg"
+                         else _lattice_skeleton)(cfg)
     bank.cfg = cfg
     return bank
 
@@ -747,6 +755,7 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     bank's packed state at sz and U at sU.  It reads only y, and writes the
     variant's rhs and ``packed_chain_rhs`` into dy[sU] and dy[sz].
 
+    A bank without chains (lowg, lattice) writes its skeleton into dy[sU].
     A bank with chains has two bodies, chosen from the ring by build_bank.
     An ssm1 bank of at most _FLOAT_RING elements has a ``float_rhs``
     (``_ssm1_forms``' float body), and its block (``_ssm1_float_block``)
@@ -764,10 +773,8 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
-        rhs = lowg_rhs if cfg.variant == "lowg" else lattice_coarse_rhs
-
         def block(y, forcing, dy):
-            dy[sU] = rhs(y[sU], forcing, cfg)
+            dy[sU] = bank.skeleton(y[sU], forcing)
 
         return block
     if bank.float_rhs is not None:

@@ -6,8 +6,8 @@ memory, the models' statistics depend on those products only through their
 mean drift and effective noise, so each product can be replaced:
 
 * harmonic signals: the product's long-time average, a constant drift
-  (``harmonic_drift_1``/``harmonic_drift_2``, generalised to arbitrary
-  phasor patterns by ``phasor_drift``);
+  (``phasor_drift``, for any per-element phasor pattern; a single cosine
+  cos(omega t + phase) is the phasor exp(i phase));
 * white-noise signals: a drift (one half per same-signal single
   convolution, zero otherwise) plus fresh independent white noises with
   amplitudes fixed by the decay rates (``stochastic_replace``).
@@ -42,8 +42,6 @@ from .microscale import check_scheme_legal, exact_steps, march, stepper
 from .stencil import ring_pad
 
 __all__ = [
-    "harmonic_drift_1",
-    "harmonic_drift_2",
     "phasor_drift",
     "QuadraticTermDescriptor",
     "StochasticReplacement",
@@ -54,49 +52,12 @@ __all__ = [
 ]
 
 
-def _check_harmonic(omega_mu, omega_rho, phase) -> None:
-    """A NaN frequency would read as an incommensurate pair: refuse it."""
-    check_finite("frequency omega_mu", omega_mu)
-    check_finite("frequency omega_rho", omega_rho)
-    check_finite("phase", phase)
-
-
-def harmonic_drift_1(beta_k, omega_mu, omega_rho, phase) -> float:
-    """Long-time average of cos(omega_rho t + phase) * Z[beta_k] cos(omega_mu t).
-
-    Zero unless the frequencies agree exactly (incommensurate products
-    average away); amplitudes other than one scale the result by their
-    product.
-    """
-    check_positive("decay rate beta_k", beta_k)
-    _check_harmonic(omega_mu, omega_rho, phase)
-    if omega_mu != omega_rho:
-        return 0.0
-    return (beta_k * np.cos(phase) - omega_mu * np.sin(phase)) / (
-        2.0 * (beta_k**2 + omega_mu**2)
-    )
-
-
-def harmonic_drift_2(beta_k, beta_l, omega_mu, omega_rho, phase) -> float:
-    """Long-time average with a double convolution Z[beta_l, beta_k]."""
-    check_positive("decay rate beta_k", beta_k)
-    check_positive("decay rate beta_l", beta_l)
-    _check_harmonic(omega_mu, omega_rho, phase)
-    if omega_mu != omega_rho:
-        return 0.0
-    w2 = omega_mu**2
-    num = (beta_k * beta_l - w2) * np.cos(phase) - omega_mu * (
-        beta_k + beta_l
-    ) * np.sin(phase)
-    return num / (2.0 * (beta_k**2 + w2) * (beta_l**2 + w2))
-
-
 def phasor_drift(rates, omega, left_phasor, right_phasor):
     """General harmonic drift: average of Re[L e^{iwt}] * Z[rates] Re[R e^{iwt}].
 
     L and R may be complex arrays (per-element phasors); the result is
     0.5 Re[L conj(T R)] with T the chain transfer function at frequency
-    omega.  Reduces to the scalar formulas for single cosines.
+    omega.  L = exp(i phase), R = 1 is cos(omega t + phase) Z cos(omega t).
     """
     check_finite("frequency omega", omega)
     T = ConvChain(canonical_rates(rates)).transfer(omega)

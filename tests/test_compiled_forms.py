@@ -9,7 +9,9 @@ every stage, the four ssm1 products over their weights as a dict (on
 the weak one fed drifts and fresh noises, the cascade derivative chain by chain,
 the bank derivative as masked ufuncs over next-level links (the form the
 feed index replaced), the white-noise stream numbering dict, and one
-chain_step loop per chain for the packed multi-chain integrator.  They
+chain_step loop per chain for the packed multi-chain integrator, and
+lowg's and lattice's per-call rhs as they were before build_bank bound
+their constants.  They
 index chains by (sorted rates, input) in a dict of their own, so they share
 no layout code with ChainBank.
 """
@@ -43,6 +45,7 @@ from holodisc.forcing import HarmonicSignal, make_signal
 from holodisc.harness import default_spec
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import stepper
+from holodisc.stencil import ring_images, ring_pad
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
@@ -159,6 +162,72 @@ def reference_ssm1_rhs(U, phi, states, cfg):
     for label, rates in (("z1", (b[1],)), ("z21", (b[1], b[2])),
                          ("z41", (b[1], b[4])), ("z61", (b[1], b[6]))):
         dU = dU + weights[label] * phi * states[(rates, "phi")][0]
+    return dU
+
+
+_PI2 = np.pi**2
+_PI4 = np.pi**4
+
+
+def reference_lowg_rhs(U, modes, cfg):
+    """Low-order forced model at full coupling.
+
+    modes holds the per-element forcing coefficients, shape (m, 3):
+    columns are the constant, sin theta, and cos 2 theta components.
+
+        dU_j/dt = (1/H^2)(1 + alpha^2 H^2 U_j^2 / 12)(U_{j+1} - 2U_j + U_{j-1})
+                  - (alpha/2H) U_j (U_{j+1} - U_{j-1})
+                  + eps [phi_0 - alpha (2H/pi^2) phi_1 U_j
+                         - alpha^2 (8H^2/3pi^4) phi_2 U_j^2]
+                  + 0.01643 alpha^2 H^2 eps^2 U_j.
+    """
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    U = np.asarray(U, dtype=float)
+    modes = np.asarray(modes, dtype=float)
+    s0, s1, s2 = modes[:, 0], modes[:, 1], modes[:, 2]
+    mdU, d2U, _ = ring_images(U)
+    dU = (1.0 / H**2) * (1.0 + a * a * H * H * U * U / 12.0) * d2U
+    dU -= (a / H) * U * mdU
+    dU += e * (
+        s0
+        - a * (2.0 * H / _PI2) * s1 * U
+        - a * a * (8.0 * H * H / (3.0 * _PI4)) * s2 * U * U
+    )
+    dU += 0.01643 * a * a * H * H * e * e * U
+    return dU
+
+
+def reference_lattice_coarse_rhs(U, phi_fine, cfg):
+    """Evolution of the even lattice points from fine forcing samples.
+
+    phi_fine holds forcing values at the 2m lattice points x_i = i H/2;
+    element j's grid value sits at the even index 2j.  The forcing enters
+    through two local restrictions, a weighted mean and a centred
+    difference:
+
+        psi_j0 = phi_{2j-1}/4 + phi_{2j}/2 + phi_{2j+1}/4
+        psi_j1 = (phi_{2j+1} - phi_{2j-1})/2
+
+        dU_j/dt = (1/H^2)(U_{j+1} - 2U_j + U_{j-1})
+                  - (alpha/2H) U_j (U_{j+1} - U_{j-1})
+                  + eps [psi_j0 - (alpha H / 8) U_j psi_j1].
+    """
+    a, e, H = cfg.alpha, cfg.eps, cfg.H
+    U = np.asarray(U, dtype=float)
+    phi_fine = np.asarray(phi_fine, dtype=float)
+    if phi_fine.shape != (2 * cfg.m,):
+        raise ConfigError(
+            f"need forcing at 2m = {2 * cfg.m} lattice points, "
+            f"got shape {phi_fine.shape}"
+        )
+    padded = ring_pad(phi_fine)
+    left, centre, right = padded[:-2:2], padded[1:-1:2], padded[2::2]
+    psi0 = 0.25 * left + 0.5 * centre + 0.25 * right
+    psi1 = 0.5 * (right - left)
+    mdU, d2U, _ = ring_images(U)
+    dU = (1.0 / H**2) * d2U
+    dU -= (a / H) * U * mdU
+    dU += e * (psi0 - (a * H / 8.0) * U * psi1)
     return dU
 
 
@@ -405,6 +474,31 @@ def test_bank_refuses_another_models_configuration():
         strongquad_rhs(np.ones(4), np.zeros((4, 3)), bank,
                        ModelConfig(variant="strongquad", alpha=0.7, eps=0.1,
                                    gamma=0.8, H=np.pi / 2.0, m=4), outputs)
+
+
+@pytest.mark.parametrize("m", [3, 4, 16, 64])
+@pytest.mark.parametrize("variant", ["lowg", "lattice"])
+def test_chainless_skeleton_is_the_per_call_rhs_byte_for_byte(variant, m):
+    """build_bank's bound lowg and lattice skeletons give the bytes of the
+    per-call rhs they replaced, at amplitudes near 1 and near 1e3."""
+    rng = np.random.default_rng(m)
+    cfg = ModelConfig(variant=variant, alpha=1.3, eps=0.45, H=0.8, m=m)
+    skeleton = build_bank(cfg).skeleton
+    reference, shape = {"lowg": (reference_lowg_rhs, (m, 3)),
+                        "lattice": (reference_lattice_coarse_rhs, (2 * m,))}[variant]
+    for U in (rng.uniform(-1.0, 1.0, m), rng.uniform(-1e3, 1e3, m),
+              1e3 + rng.normal(size=m)):
+        forcing = rng.normal(size=shape)
+        assert (skeleton(U, forcing).tobytes()
+                == reference(U, forcing, cfg).tobytes())
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_lattice_skeleton_refuses_forcing_off_the_lattice(n):
+    skeleton = build_bank(ModelConfig("lattice", 0.3, 0.1, 1.0, 5)).skeleton
+    with pytest.raises(ConfigError, match=rf"^need forcing at 2m = 10 lattice "
+                                          rf"points, got shape \({n},\)$"):
+        skeleton(np.ones(5), np.ones(n))
 
 
 def reference_streams(cfg, sigma):

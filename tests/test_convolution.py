@@ -13,8 +13,6 @@ from holodisc import (
     ConvTerm,
     ReductionError,
     canonical_rates,
-    harmonic_drift_1,
-    harmonic_drift_2,
     integrate_chain,
     integrate_chains,
     phasor_drift,
@@ -124,41 +122,37 @@ class TestCanonicalisation:
 
 
 class TestHarmonicDrifts:
+    """phasor_drift on single cosines: L = exp(i phase), R = 1 averages
+    cos(w t + phase) * Z[rates] cos(w t)."""
+
     def test_single_rate_formula(self):
         b, w, ph = 1.5, 2.0, 0.7
         expected = 0.5 * (b * np.cos(ph) - w * np.sin(ph)) / (b * b + w * w)
-        assert np.isclose(harmonic_drift_1(b, w, w, ph), expected)
+        assert np.isclose(phasor_drift((b,), w, np.exp(1j * ph), 1.0), expected)
 
     @pytest.mark.parametrize("at", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_drift_rates_must_be_positive_and_finite(self, at, bad):
         rates = [1.0, 4.0]
         rates[at] = bad
-        name = ("beta_k", "beta_l")[at]
-        with pytest.raises(ConfigError, match=f"^decay rate {name} must be "):
-            harmonic_drift_2(*rates, 2.0, 2.0, 0.4)
-        if at == 0:
-            with pytest.raises(ConfigError, match="^decay rate beta_k must be "):
-                harmonic_drift_1(bad, 2.0, 2.0, 0.4)
-
-    def test_mismatched_frequencies_average_to_zero(self):
-        assert harmonic_drift_1(1.0, 2.0, 3.0, 0.4) == 0.0
-        assert harmonic_drift_2(1.0, 4.0, 2.0, 1.0, 0.4) == 0.0
+        with pytest.raises(ConfigError, match="^every chain rate of .* must be "):
+            phasor_drift(rates, 2.0, np.exp(0.4j), 1.0)
 
     def test_two_rate_resonant_null(self):
         """beta_k beta_l = omega^2 at zero phase kills the drift."""
-        assert abs(harmonic_drift_2(1.0, 4.0, 2.0, 2.0, 0.0)) < 1e-15
+        assert abs(phasor_drift((1.0, 4.0), 2.0, 1.0, 1.0)) < 1e-15
 
     def test_phasor_drift_reduces_to_scalar_formulas(self):
         b, w, ph = 1.2, 0.8, 0.3
         assert np.isclose(
             phasor_drift((b,), w, np.exp(1j * ph), 1.0),
-            harmonic_drift_1(b, w, w, ph),
+            (b * np.cos(ph) - w * np.sin(ph)) / (2.0 * (b**2 + w**2)),
         )
         bl = 2.1
+        num = (b * bl - w**2) * np.cos(ph) - w * (b + bl) * np.sin(ph)
         assert np.isclose(
             phasor_drift((b, bl), w, np.exp(1j * ph), 1.0),
-            harmonic_drift_2(b, bl, w, w, ph),
+            num / (2.0 * (b**2 + w**2) * (bl**2 + w**2)),
         )
 
     def test_phasor_drift_broadcasts(self):
@@ -175,7 +169,8 @@ class TestHarmonicDrifts:
         sel = times >= 8.0
         prod = np.cos(w * times[sel] + ph) * hist[sel, 0]
         avg = np.trapezoid(prod, times[sel]) / (times[sel][-1] - times[sel][0])
-        assert np.isclose(avg, harmonic_drift_1(b, w, w, ph), rtol=1e-2)
+        assert np.isclose(avg, phasor_drift((b,), w, np.exp(1j * ph), 1.0),
+                          rtol=1e-2)
 
 
 class TestByParts:

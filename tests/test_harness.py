@@ -24,7 +24,6 @@ from holodisc import (
     convergence_order,
     default_spec,
     fit_emergence_rate,
-    lowg_rhs,
     nsm_series,
     rms,
     run_macro_forced,
@@ -534,8 +533,9 @@ class TestConsistencyExperiment:
         assert report.config["name"] == "consistency"
 
     def test_report_reads_the_shipped_operators(self):
-        """Both error series come from unforced lowg_rhs and strongquad's
-        skeleton at alpha = 0, so a slip in either shows in the report."""
+        """Both error series come from the bank skeletons of unforced lowg
+        and of strongquad at alpha = 0, so a slip in either shows in the
+        report."""
         spec = default_spec("consistency")
         a, L = spec.alpha, 2.0 * np.pi
         hs, err_full, err_lin = [], [], []
@@ -545,7 +545,8 @@ class TestConsistencyExperiment:
             U = 0.4 + 0.3 * np.sin(X) + 0.1 * np.cos(2.0 * X)
             up = 0.3 * np.cos(X) - 0.2 * np.sin(2.0 * X)
             upp = -0.3 * np.sin(X) - 0.4 * np.cos(2.0 * X)
-            full = lowg_rhs(U, np.zeros((m, 3)), ModelConfig("lowg", a, 0.0, H, m))
+            full = build_bank(ModelConfig("lowg", a, 0.0, H, m)).skeleton(
+                U, np.zeros((m, 3)))
             lin = build_bank(ModelConfig("strongquad", 0.0, 0.0, H, m)).skeleton(
                 U, np.zeros((5, m)))
             hs.append(H)

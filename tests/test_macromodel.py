@@ -11,8 +11,6 @@ from holodisc import (
     VARIANTS,
     alternating_signs,
     build_bank,
-    lattice_coarse_rhs,
-    lowg_rhs,
     mode_decay_rate,
     nsm_subgrid_field,
     run_macro_forced,
@@ -87,7 +85,7 @@ class TestEquilibria:
         """lowg carries a forcing-variance drift even when the signal is off."""
         cfg = cfg_for("lowg")
         U = np.ones(4)
-        dU = lowg_rhs(U, np.zeros((4, 3)), cfg)
+        dU = build_bank(cfg).skeleton(U, np.zeros((4, 3)))
         expected = 0.01643 * cfg.alpha**2 * cfg.H**2 * cfg.eps**2
         assert np.allclose(dU, expected)
 
@@ -308,7 +306,8 @@ class TestPrintedCoefficients:
         """Forcing modes enter lowg at the printed powers of alpha."""
         cfg = cfg_for("lowg", alpha=1.0, eps=1.0, H=1.0)
         U = np.ones(4)
-        base = lowg_rhs(U, np.zeros((4, 3)), cfg)
+        skeleton = build_bank(cfg).skeleton
+        base = skeleton(U, np.zeros((4, 3)))
         for col, expected in (
             (0, 1.0),
             (1, -2.0 / np.pi**2),
@@ -316,7 +315,7 @@ class TestPrintedCoefficients:
         ):
             modes = np.zeros((4, 3))
             modes[:, col] = 1.0
-            out = lowg_rhs(U, modes, cfg) - base
+            out = skeleton(U, modes) - base
             assert np.allclose(out, expected), col
 
     def test_lattice_restriction_weights(self):
@@ -324,7 +323,7 @@ class TestPrintedCoefficients:
         cfg = cfg_for("lattice", alpha=0.0, eps=1.0, H=1.0)
         phi = np.zeros(8)
         phi[1] = 1.0
-        out = lattice_coarse_rhs(np.zeros(4), phi, cfg)
+        out = build_bank(cfg).skeleton(np.zeros(4), phi)
         assert np.allclose(out, [0.25, 0.25, 0.0, 0.0])
 
     def test_lattice_advective_forcing_uses_psi1(self):
@@ -332,8 +331,8 @@ class TestPrintedCoefficients:
         phi = np.zeros(8)
         phi[1] = 1.0
         U = np.ones(4)
-        base = lattice_coarse_rhs(U, np.zeros(8), cfg)
-        out = lattice_coarse_rhs(U, phi, cfg) - base
+        skeleton = build_bank(cfg).skeleton
+        out = skeleton(U, phi) - skeleton(U, np.zeros(8))
         # psi1 at element 0 is +1/2, at element 1 is -1/2
         coupling = -(cfg.alpha * cfg.H / 8.0)
         assert np.allclose(out, [0.25 + 0.5 * coupling, 0.25 - 0.5 * coupling,

@@ -12,7 +12,8 @@ H, alpha, eps, form), which ``reference_stage`` hands to ``burgers_rhs`` or
 ``reference_lattice_rhs`` and ``fine_side`` binds into the FineSide the stage runs.
 ``variant_rhs`` is the per-variant dispatch the stage made before
 ``stage_block`` bound each variant's rhs, kept here as a reference for the
-tests; it hands the rhs the bank's own chain outputs.  ``nsm_field_at_grid``
+tests; it hands the rhs the bank's own chain outputs, and lowg's and
+lattice's forcing to the bank's skeleton.  ``nsm_field_at_grid``
 is the grid-value reconstruction as it was before it became
 ``nsm_subgrid_field`` at theta = 0, reading the bank's chains by key.
 ``unbound_ssm1_det_linear`` and ``unbound_strongquad_det_linear``
@@ -35,8 +36,6 @@ from holodisc import (
     build_bank,
     build_weak_model,
     burgers_rhs,
-    lattice_coarse_rhs,
-    lowg_rhs,
     make_signal,
     ssm1_rhs,
     strongquad_rhs,
@@ -54,10 +53,8 @@ LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
 def variant_rhs(U, forcing_value, bank, cfg):
     """Dispatch to the variant's evolution; returns (dU, bank drive stack)."""
-    if cfg.variant == "lowg":
-        return lowg_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
-    if cfg.variant == "lattice":
-        return lattice_coarse_rhs(U, forcing_value, cfg), np.zeros((0, cfg.m))
+    if cfg.variant in ("lowg", "lattice"):
+        return bank.skeleton(U, forcing_value), np.zeros((0, cfg.m))
     outputs = bank.Z[bank.out_rows]
     if cfg.variant == "ssm1":
         return ssm1_rhs(U, forcing_value, bank, cfg, outputs)
