@@ -58,12 +58,23 @@ def mode_decay_rate(k: int, H: float) -> float:
     return (k * np.pi / H) ** 2
 
 
-def lorenz_point(xi, eta, zeta, sigma=LORENZ_SIGMA, rho=LORENZ_RHO, beta=LORENZ_BETA):
+def lorenz_point(xi, eta, zeta, sigma=LORENZ_SIGMA, rho=LORENZ_RHO,
+                 beta=LORENZ_BETA, out=None):
     """(dxi, deta, dzeta): the package's one copy of the Lorenz equations,
     on Python floats (one system, no numpy dispatch) or on equal-shape
     arrays (one system per entry, the constants best passed as 0-d
-    operands); +, - and * round alike in both."""
-    return (sigma * (eta - xi), xi * (rho - zeta) - eta, xi * eta - beta * zeta)
+    operands); +, - and * round alike in both.  Given out = (dxi, deta,
+    dzeta), arrays of the inputs' shape that must not overlap them, the
+    array form writes into out and returns it, with no temporaries: each
+    operation one ufunc call on the operator form's operands in their
+    order (dzeta's row first, its xi * eta held in dxi)."""
+    if out is None:
+        return (sigma * (eta - xi), xi * (rho - zeta) - eta, xi * eta - beta * zeta)
+    dxi, deta, dzeta = out
+    np.subtract(np.multiply(xi, eta, dxi), np.multiply(beta, zeta, dzeta), dzeta)
+    np.multiply(sigma, np.subtract(eta, xi, dxi), dxi)
+    np.subtract(np.multiply(xi, np.subtract(rho, zeta, deta), deta), eta, deta)
+    return out
 
 
 @dataclass(frozen=True)

@@ -499,7 +499,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
         dy = np.empty_like(y)
         vals = sigset.stage(t, y, dy, draws)
         if fine is not None:
-            fine_rhs(y[su], profiles_T @ vals, dy[su])
+            fine_rhs(y[su], np.dot(profiles_T, vals), dy[su])
         if coarse is not None:
             coarse_block(y, assemble(vals, t), dy)
         return dy
@@ -616,16 +616,18 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 def _fig1_stage(n, dx, alpha, eps):
     """fig1's stage f(y, t) on y = [xi | eta | zeta | u]: one fresh dy, the
-    Lorenz field in its three rows (its constants 0-d operands), the bound
-    Burgers form (forced by xi) in the last."""
+    Lorenz field written into its three rows in place (its constants 0-d
+    operands), the bound Burgers form (forced by xi) in the last."""
     fine = burgers_form(dx, alpha, eps)
-    a, b, c = n, 2 * n, 3 * n
-    lorenz = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
+    a, b, c, d = n, 2 * n, 3 * n, 4 * n
+    sigma, rho, beta = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
 
     def f(y, t):
-        dy = np.empty_like(y)
-        dy[:a], dy[a:b], dy[b:c] = lorenz_point(y[:a], y[a:b], y[b:c], *lorenz)
-        fine(y[c:], y[:a], dy[c:])
+        dy = np.empty(d)
+        xi = y[:a]
+        lorenz_point(xi, y[a:b], y[b:c], sigma, rho, beta,
+                     out=(dy[:a], dy[a:b], dy[b:c]))
+        fine(y[c:], xi, dy[c:])
         return dy
 
     return f

@@ -465,9 +465,9 @@ def ssm1_rhs(
     phi = float(phi)
     _check_compiled(bank, cfg)
     if bank.float_rhs is not None:
-        return np.array(bank.float_rhs(U, phi, bank.coupling @ outputs)), phi
+        return np.array(bank.float_rhs(U, phi, np.dot(bank.coupling, outputs))), phi
     dU = bank.skeleton(U, phi)
-    dU += (U * phi) * (bank.coupling @ outputs)
+    dU += (U * phi) * np.dot(bank.coupling, outputs)
     return dU, phi
 
 
@@ -767,10 +767,10 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     constants, leads and rates are bound by value at build.  Both keep the
     array operations in their order, so the bits are the rows body's,
     without numpy's dispatch per operation on arrays of a few entries.
-    U**3 and the memory term coupling @ outputs stay numpy
-    calls: numpy's SIMD power rounds otherwise than Python's u**3 or
-    u*u*u, its matmul otherwise than a sequential sum.  Any other bank
-    reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
+    U**3 and the memory term np.dot(coupling, outputs) stay numpy calls:
+    numpy's SIMD power rounds otherwise than Python's u**3 or u*u*u, its
+    dot (``@``'s bits, at half the cost) otherwise than a sequential sum.
+    Any other bank reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
         def block(y, forcing, dy):

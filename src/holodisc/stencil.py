@@ -27,8 +27,11 @@ __all__ = ["delta2", "mudelta", "delta4", "ring_pad", "ring_images",
 
 def operands(*values) -> tuple[np.ndarray, ...]:
     """Each value as a read-only (shared) float64 0-d array: an operand with a
-    Python float's bits, without numpy resolving its type at every call."""
-    return tuple(np.broadcast_to(np.float64(v), ()) for v in values)
+    Python float's bits, without numpy resolving its type at every call;
+    each a 0-d view of one read-only array, cheap to bind."""
+    a = np.array(values, dtype=np.float64)
+    a.flags.writeable = False
+    return tuple(a[i, ...] for i in range(len(values)))
 
 
 @functools.lru_cache(maxsize=None)

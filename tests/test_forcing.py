@@ -15,8 +15,9 @@ from holodisc import (
     project_to_modes,
     run_paired,
 )
-from holodisc.forcing import lorenz_point
+from holodisc.forcing import LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA, lorenz_point
 from holodisc.harness import default_window_start
+from holodisc.stencil import operands
 
 
 class TestSignalSpec:
@@ -162,6 +163,32 @@ class TestLorenz:
                          xi * eta - (8.0 / 3.0) * zeta], axis=-1)
         assert np.array_equal(np.stack(lorenz_point(xi, eta, zeta), axis=-1), want)
         assert np.array_equal(np.array(lorenz_point(*s[0])), want[0])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+    def test_in_place_form_is_the_operator_form_byte_for_byte(self, scale):
+        """out= writes the operator form's bytes, nan, inf and -0.0 included,
+        touches nothing but out, and returns out."""
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5])
+        grid = np.stack(np.meshgrid(special, special, special)).reshape(3, -1)
+        constants = ((), operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA),
+                     operands(-2.5, -0.0, 1e-3))
+        rng = np.random.default_rng(int(np.log10(scale)) + 6)
+        cases = [rng.normal(scale=scale, size=(3, n)) for n in range(1, 65)]
+        for rows in cases[::7]:
+            hit = rng.random(rows.shape) < 0.3
+            rows[hit] = rng.choice(special, hit.sum())
+        for rows in cases + [grid * scale]:
+            n = rows.shape[1]
+            before = rows.tobytes()
+            for c in constants:
+                buf = np.full(5 * n, 7.0)
+                out = (buf[n:2 * n], buf[2 * n:3 * n], buf[3 * n:4 * n])
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = np.stack(lorenz_point(*rows, *c))
+                    assert lorenz_point(*rows, *c, out=out) is out
+                assert np.stack(out).tobytes() == want.tobytes()
+                assert np.all(buf[:n] == 7.0) and np.all(buf[4 * n:] == 7.0)
+                assert rows.tobytes() == before
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
     def test_one_system_on_floats_is_the_array_form(self, state):
