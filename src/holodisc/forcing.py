@@ -147,11 +147,6 @@ class Signal:
     def value(self, t: float, driver: np.ndarray | None = None) -> float:
         raise NotImplementedError
 
-    def stage_value(self, t: float, y: np.ndarray, dy: np.ndarray, at: int):
-        """value at t within a joint state y whose driver starts at index at;
-        writes the driver's derivative into dy at the same indices."""
-        return self.value(t)
-
 
 class ConstantSignal(Signal):
     def __init__(self, value: float):
@@ -197,11 +192,6 @@ class LorenzSignal(Signal):
         if driver is None:
             raise ConfigError("lorenz signal needs its driver state to evaluate")
         return self.amplitude * driver[0]
-
-    def stage_value(self, t, y, dy, at):
-        xi, eta, zeta = y[at:at + 3].tolist()
-        dy[at], dy[at + 1], dy[at + 2] = lorenz_point(xi, eta, zeta)
-        return self.amplitude * xi
 
 
 class WhiteNoiseSignal(Signal):

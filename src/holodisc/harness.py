@@ -352,29 +352,53 @@ def spec_from_dict(name: str, data: dict | None) -> ExperimentSpec:
 # -- paired engine -------------------------------------------------------------
 
 class _SignalSet:
-    """Several signals with one concatenated driver state and one stream."""
+    """Several signals with one driver block and one stream.
+
+    The Lorenz drivers lead the joint state y as one component-major block
+    [xi | eta | zeta], an entry per Lorenz signal in spec order.
+    stage(t, y, dy, draws) writes its derivative into dy by one
+    ``lorenz_point`` call (on Python floats for one signal, else in place
+    on the rows) and returns the values in spec order: amplitude * xi,
+    value(t) or the draw; the xi row itself for unit Lorenz signals alone.
+    """
 
     def __init__(self, specs, seed: int, keeps):
         self.signals = [make_signal(s) for s in specs]
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
-        inits = [sig.driver_init(self.rng) for sig in self.signals]
-        dims = [sig.driver_dim for sig in self.signals]
-        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self.total_dim = int(self.offsets[-1])
-        self.d0 = np.concatenate(inits) if self.total_dim else np.zeros(0)
+        lorenz = [k for k, sig in enumerate(self.signals) if sig.driver_dim]
+        n = len(lorenz)
+        inits = [self.signals[k].driver_init(self.rng) for k in lorenz]
+        self.total_dim = 3 * n
+        self.d0 = np.array(inits, dtype=float).reshape(n, 3).T.ravel()
         self.any_white = any(sig.is_white for sig in self.signals)
-        self.stagers = list(zip([sig.stage_value for sig in self.signals],
-                                self.offsets.tolist()))
         self.no_draws = [None] * len(self.signals)
         # Key k: the draws of the step ending at k dt if keeps(k); 0: zeros.
         self.keeps, self.steps = keeps, 0
         self.drawn = {0: [0.0 if sig.is_white else None for sig in self.signals]}
 
-    def stage(self, t, y, dy, draws):
-        """Values at a stage of the joint state y, whose drivers lead; writes
-        the drivers' derivatives into dy.  White signals give their draws."""
-        return np.array([f(t, y, dy, at) if d is None else d
-                         for (f, at), d in zip(self.stagers, draws)])
+        a, b, c = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+        consts = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
+        amps = np.array([self.signals[k].amplitude for k in lorenz])
+        others = [(k, sig.value) for k, sig in enumerate(self.signals)
+                  if not sig.driver_dim]
+
+        def drive(t, y, dy, draws=None):
+            xi = y[a]
+            if n == 1:
+                dy[0], dy[1], dy[2] = lorenz_point(*y[:3].tolist())
+            elif n:
+                lorenz_point(xi, y[b], y[c], *consts, out=(dy[a], dy[b], dy[c]))
+            return xi
+
+        def stage(t, y, dy, draws):
+            vals = np.empty(len(draws))
+            vals[lorenz] = amps * drive(t, y, dy)
+            for k, value in others:
+                vals[k] = value(t) if draws[k] is None else draws[k]
+            return vals
+
+        # 1.0 * xi is xi: unit Lorenz signals alone are their xi row.
+        self.stage = stage if others or np.any(amps != 1.0) else drive
 
     def draws(self, dt):
         """One step's draws, a sample per white signal and None for the
@@ -446,12 +470,14 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     """Check the sides against the run, build the bank, and bind the stage.
 
     A stage fills one fresh dy block by block: the drivers' derivatives
-    and the signal values from ``Signal.stage_value``, the fine side's bound
-    form, and the variant's ``stage_block``: dU and the bank's cascade
-    derivative, written in place.  Each block is the arithmetic its side
-    does alone.  Called without draws, a white stage draws the step's
-    samples and keeps those of the steps keeps(k) names
-    (``_SignalSet.draws``); euler-maruyama calls it once per step.
+    and the signal values from ``_SignalSet.stage``, the fine side's bound
+    form, forced by ``np.dot(profiles.T, vals)`` or, under identity
+    profiles, by the values themselves (the product's bits), and the
+    variant's ``stage_block``: dU and the bank's cascade derivative,
+    written in place.  Each block is the arithmetic its side does alone.
+    Called without draws, a white stage draws the step's samples and keeps
+    those of the steps keeps(k) names (``_SignalSet.draws``);
+    euler-maruyama calls it once per step.
     """
     sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
@@ -465,6 +491,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
             raise ConfigError("need one forcing profile per signal over u0")
         check_finite("forcing profiles", profiles)
         profiles_T = profiles.T
+        identity = np.array_equal(profiles, np.eye(len(profiles)))
     if coarse is not None:
         cfg, assemble = coarse.cfg, coarse.assemble
         if (cfg.dt, cfg.scheme) != (dt, scheme):
@@ -491,15 +518,16 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
 
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
-    white, no_draws = sigset.any_white, sigset.no_draws
+    white, no_draws, size = sigset.any_white, sigset.no_draws, y0.size
 
     def stage(y, t, draws=None):
         if draws is None:
             draws = sigset.draws(dt) if white else no_draws
-        dy = np.empty_like(y)
+        dy = np.empty(size)
         vals = sigset.stage(t, y, dy, draws)
         if fine is not None:
-            fine_rhs(y[su], np.dot(profiles_T, vals), dy[su])
+            fine_rhs(y[su], vals if identity else np.dot(profiles_T, vals),
+                     dy[su])
         if coarse is not None:
             coarse_block(y, assemble(vals, t), dy)
         return dy
@@ -530,9 +558,9 @@ def run_paired(
     The stage is compiled once, before the first step: the bank, the
     variant's constants, the state layout and every check are resolved
     then, and each stage writes its blocks into one fresh derivative
-    vector (Lorenz drivers on Python floats, the fine field's and the
-    bank's derivatives in place) with the arithmetic of the separate runs,
-    so joint and separate runs agree bit for bit.
+    vector (the Lorenz drivers' one block, the fine field's and the bank's
+    derivatives in place) with the arithmetic of the separate runs, so
+    joint and separate runs agree bit for bit.
 
     Raises
     ------
@@ -614,25 +642,6 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 # -- experiments ---------------------------------------------------------------
 
-def _fig1_stage(n, dx, alpha, eps):
-    """fig1's stage f(y, t) on y = [xi | eta | zeta | u]: one fresh dy, the
-    Lorenz field written into its three rows in place (its constants 0-d
-    operands), the bound Burgers form (forced by xi) in the last."""
-    fine = burgers_form(dx, alpha, eps)
-    a, b, c, d = n, 2 * n, 3 * n, 4 * n
-    sigma, rho, beta = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
-
-    def f(y, t):
-        dy = np.empty(d)
-        xi = y[:a]
-        lorenz_point(xi, y[a:b], y[b:c], sigma, rho, beta,
-                     out=(dy[:a], dy[a:b], dy[b:c]))
-        fine(y[c:], xi, dy[c:])
-        return dy
-
-    return f
-
-
 @experiment("fig1", "alpha eps dx dt t1 scheme", {"record_every": (5, 1)},
             dt=0.01, t0=1.0, t1=40.0)
 def run_fig1_experiment(spec):
@@ -640,22 +649,20 @@ def run_fig1_experiment(spec):
 
     Every grid point carries its own Lorenz system, started from
     (5, 8, N(10, 1)); the forcing value at point i is that system's first
-    component; dx must tile the ring 2 pi.  The state is component-major,
-    [xi | eta | zeta | u], and its stage is bound once (``_fig1_stage``).
-    Produces the forced-field history and sanity metrics.
+    component; dx must tile the ring 2 pi.  A fine-only ``run_paired`` run
+    of n Lorenz signals under identity profiles: its state is
+    component-major, [xi | eta | zeta | u].  Produces the forced-field
+    history and sanity metrics.
     """
     n = exact_points(2.0 * np.pi, spec.dx)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    y0 = np.concatenate([np.full(n, 5.0), np.full(n, 8.0),
-                         rng.normal(10.0, 1.0, n), np.ones(n)])
-    f = _fig1_stage(n, spec.dx, spec.alpha, spec.eps)
-    times, hist = march(
-        stepper(f, spec.dt, spec.scheme), y0, 0.0,
-        exact_steps(spec.t1, spec.dt), spec.dt,
-        spec.extras["record_every"],
-        (("signal driver", slice(0, 3 * n)), ("fine field", slice(3 * n, None))),
+    run = run_paired(
+        [SignalSpec(kind="lorenz", xi0=5.0, eta0=8.0)] * n, spec.seed,
+        spec.t1, spec.dt, spec.scheme,
+        fine=FineSide(np.ones(n), np.eye(n),
+                      burgers_form(spec.dx, spec.alpha, spec.eps)),
+        record_every=spec.extras["record_every"],
     )
-    u_hist = hist[:, 3 * n :]
+    times, u_hist = run.times, run.u
 
     sup = float(np.max(np.abs(u_hist)))
     metrics = {

@@ -6,7 +6,9 @@ bound form is held here to a tests-only copy of the rhs as it was before
 the forms were bound (``reference_burgers_rhs``, ``reference_lattice_rhs``,
 ``reference_lorenz_rhs``), one evaluation at a time, compared byte for
 byte.  ``reference_fig1_stage`` is fig1's stage as it was on the
-interleaved state [(xi, eta, zeta) per point | u].
+interleaved state [(xi, eta, zeta) per point | u]; ``fig1_stage`` is
+fig1's joint stage, compiled by run_paired's ``_compile_stage`` from
+fig1's sides, on the component-major state [xi | eta | zeta | u].
 """
 
 import numpy as np
@@ -16,10 +18,12 @@ from hypothesis.extra.numpy import arrays
 
 from holodisc import (
     ConfigError,
+    FineSide,
+    SignalSpec,
     burgers_rhs,
     spec_from_dict,
 )
-from holodisc.harness import EXPERIMENTS, _fig1_stage
+from holodisc.harness import EXPERIMENTS, _compile_stage
 from holodisc.microscale import burgers_form, exact_points, lattice_form
 from holodisc.stencil import ring_pad
 
@@ -71,10 +75,18 @@ def reference_fig1_stage(n, dx, alpha, eps):
     return f
 
 
-def interleaved_order(n):
-    """Index into the interleaved state of each component-major entry."""
+def fig1_stage(n, dx, alpha, eps):
+    """fig1's joint stage: n Lorenz signals, identity profiles, no coarse side."""
+    fine = FineSide(np.ones(n), np.eye(n), burgers_form(dx, alpha, eps))
+    return _compile_stage([SignalSpec(kind="lorenz", xi0=5.0, eta0=8.0)] * n,
+                          0, 0.01, "rk4", fine, None).stage
+
+
+def interleaved_order(n, size=None):
+    """Index into the interleaved state of each component-major entry; the
+    rest of a state of size entries (4 n by default) as it is."""
     return np.concatenate([np.arange(3 * n).reshape(n, 3).T.ravel(),
-                           np.arange(3 * n, 4 * n)])
+                           np.arange(3 * n, size or 4 * n)])
 
 
 def same_bits(a, b):
@@ -130,7 +142,7 @@ def test_fig1_stage_is_the_interleaved_stage_bit_for_bit(n, seed, dx, alpha, eps
     y = np.concatenate([rng.normal(0.0, 10.0, 3 * n), rng.normal(1.0, 0.5, n)])
     interleaved = np.empty_like(y)
     interleaved[order] = y
-    got = _fig1_stage(n, dx, alpha, eps)(y, 0.3)
+    got = fig1_stage(n, dx, alpha, eps)(y, 0.3)
     want = reference_fig1_stage(n, dx, alpha, eps)(interleaved, 0.3)
     assert same_bits(got, want[order])
 

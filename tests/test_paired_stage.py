@@ -46,7 +46,7 @@ from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs, ssm1_chain_specs, stage_block
 from holodisc.microscale import burgers_form, lattice_form
 from holodisc.stencil import ring_images
-from test_fine_forms import reference_lattice_rhs
+from test_fine_forms import interleaved_order, reference_lattice_rhs
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
@@ -165,16 +165,99 @@ CASES = {
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_stage_is_the_concatenating_stage_bit_for_bit(case):
+    """reference_stage runs on the interleaved drivers, one (xi, eta, zeta)
+    per Lorenz signal (a permutation only with two Lorenz signals or more)."""
     signals, fine, grid, coarse = CASES[case]()
     dt = coarse.cfg.dt if coarse is not None else 1e-3
     joint = _compile_stage(signals, 5, dt, "rk4", fine, coarse)
+    order = interleaved_order(joint.sigset.total_dim // 3, joint.y0.size)
     rng = np.random.default_rng(len(case))
     for t in (0.0, 0.37, 2.5):
         y = joint.y0 + rng.normal(size=joint.y0.size)
-        want = reference_stage(signals, fine, grid, coarse, y, t)
+        interleaved = np.empty_like(y)
+        interleaved[order] = y
+        want = reference_stage(signals, fine, grid, coarse, interleaved, t)[order]
         for _ in range(2):  # the stage's buffers carry nothing over
             got = joint.stage(y, t)
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def lorenz_specs(amplitudes):
+    return [SignalSpec(kind="lorenz", amplitude=a, xi0=k - 2.0, eta0=3.0 - k)
+            for k, a in enumerate(amplitudes)]
+
+
+def forcing_of(signals, profiles):
+    """The forcing each fine stage hands its form, with the joint state."""
+    seen = []
+
+    def rhs(u, phi, out):
+        seen.append(phi)
+        out[:] = 0.0
+        return out
+
+    fine = FineSide(np.ones(profiles.shape[1]), profiles, rhs)
+    joint = _compile_stage(signals, 3, 1e-3, "rk4", fine, None)
+    y = joint.y0 + np.random.default_rng(len(signals)).normal(
+        scale=10.0, size=joint.y0.size)
+    joint.stage(y, 0.5)
+    return seen[-1], y
+
+
+def test_identity_profiles_pass_the_values_through():
+    """The xi row itself is the forcing, with np.dot(I, xi)'s bits."""
+    n = 32
+    phi, y = forcing_of(lorenz_specs([1.0] * n), np.eye(n))
+    assert np.shares_memory(phi, y) and np.array_equal(phi, y[:n])
+    assert phi.tobytes() == np.dot(np.eye(n), y[:n]).tobytes()
+
+
+@pytest.mark.parametrize("profiles", [
+    2.0 * np.eye(8), np.eye(8)[np.random.default_rng(8).permutation(8)],
+    np.eye(3, 8)], ids=["twice-identity", "permutation", "eye-3-8"])
+def test_other_profiles_keep_the_product(profiles):
+    k = len(profiles)
+    phi, y = forcing_of(lorenz_specs([1.0] * k), profiles)
+    assert not np.shares_memory(phi, y)
+    assert phi.tobytes() == np.dot(profiles.T, y[:k]).tobytes()
+
+
+@pytest.mark.parametrize("amplitudes", [(1.0, 1.0, 1.0), (1.0, 0.5, 1.0)])
+def test_lorenz_values_are_amplitude_times_xi(amplitudes):
+    joint = _compile_stage(lorenz_specs(amplitudes), 3, 1e-3, "rk4", None, None)
+    y = joint.y0 + np.random.default_rng(4).normal(size=9)
+    vals = joint.sigset.stage(0.5, y, np.empty(9), joint.sigset.no_draws)
+    assert vals.tobytes() == (np.array(amplitudes) * y[:3]).tobytes()
+
+
+@pytest.mark.parametrize("lorenz", [1, 3])
+def test_mixed_signals_give_values_in_spec_order(lorenz):
+    """Under euler-maruyama, Lorenz signals (amplitudes 1, 0.5, 1) mixed
+    with a harmonic and a white signal: the values in spec order, and each
+    driver's derivative lorenz_point on its system's floats."""
+    harmonic, white = HARMONICS[0], SignalSpec(kind="white-noise")
+    chaotic = lorenz_specs([1.0, 0.5, 1.0][:lorenz])
+    signals = [chaotic[0], harmonic, *chaotic[1:2], white, *chaotic[2:]]
+    joint = _compile_stage(signals, 3, 1e-3, "euler-maruyama", None, None)
+    rng = np.random.default_rng(lorenz)
+    y = joint.y0 + rng.normal(size=joint.y0.size)
+    draws = [None] * len(signals)
+    draws[signals.index(white)] = float(rng.normal())
+    t = 0.7
+    dy = joint.stage(y, t, draws)
+    vals = joint.sigset.stage(t, y, np.empty_like(y), draws)
+    xi, eta, zeta = y.reshape(3, lorenz).tolist()
+    want, j = [], 0
+    for spec, draw in zip(signals, draws):
+        if spec.kind == "lorenz":
+            want.append(spec.amplitude * xi[j])
+            assert (dy[j], dy[lorenz + j], dy[2 * lorenz + j]) == lorenz_point(
+                xi[j], eta[j], zeta[j])
+            assert (joint.y0[j], joint.y0[lorenz + j]) == (spec.xi0, spec.eta0)
+            j += 1
+        else:
+            want.append(make_signal(spec).value(t) if draw is None else draw)
+    assert vals.tolist() == want
 
 
 def test_white_stage_takes_the_step_draws():
