@@ -184,8 +184,8 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     layout = chain_layout(chains, Z.ndim)
     ext = np.empty((len(Z) + 1,) + Z.shape[1:])
     drive_at = functools.lru_cache(maxsize=1)(drive_fn)  # one call per new time
-    advance = stepper(lambda y, s: packed_chain_rhs(y, layout, drive_at(s), ext),
-                      dt, scheme)  # checks dt and the scheme for both
+    advance = stepper(lambda y, dy: lambda s: packed_chain_rhs(
+        y, layout, drive_at(s), ext, dy), dt, scheme)  # checks dt, scheme for both
     n = int(round(t_end / dt))
     blocks = [(f"memory chain {r}", row) for r, row in zip(chains, layout[2])]
     if Z.ndim == 1:

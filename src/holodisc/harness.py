@@ -61,7 +61,7 @@ from .microscale import (
     lattice_decay_rates,
     lattice_form,
     march,
-    rk4_step,
+    rk4_step,  # unused here; kept importable as harness.rk4_step
     stepper,
 )
 from .stencil import operands
@@ -355,11 +355,11 @@ class _SignalSet:
     """Several signals with one driver block and one stream.
 
     The Lorenz drivers lead the joint state y as one component-major block
-    [xi | eta | zeta], an entry per Lorenz signal in spec order.
-    stage(t, y, dy, draws) writes its derivative into dy by one
-    ``lorenz_point`` call (on Python floats for one signal, else in place
-    on the rows) and returns the values in spec order: amplitude * xi,
-    value(t) or the draw; the xi row itself for unit Lorenz signals alone.
+    [xi | eta | zeta], an entry per Lorenz signal in spec order.  bind(y,
+    dy) returns values(t, draws): one ``lorenz_point`` call (on floats for
+    one signal, else in place on the rows) writes dy, and the values come
+    in spec order, amplitude * xi, value(t) or the draw; the xi row itself
+    for unit Lorenz signals alone.  history gives them for recorded rows.
     """
 
     def __init__(self, specs, seed: int, keeps):
@@ -381,24 +381,38 @@ class _SignalSet:
         amps = np.array([self.signals[k].amplitude for k in lorenz])
         others = [(k, sig.value) for k, sig in enumerate(self.signals)
                   if not sig.driver_dim]
+        # 1.0 * xi is xi: unit Lorenz signals alone are their xi row.
+        unit = not others and not np.any(amps != 1.0)
 
-        def drive(t, y, dy, draws=None):
-            xi = y[a]
-            if n == 1:
-                dy[0], dy[1], dy[2] = lorenz_point(*y[:3].tolist())
-            elif n:
-                lorenz_point(xi, y[b], y[c], *consts, out=(dy[a], dy[b], dy[c]))
-            return xi
+        def bind(y, dy):
+            rows, head, outs = (y[a], y[b], y[c]), y[:3], (dy[a], dy[b], dy[c])
 
-        def stage(t, y, dy, draws):
-            vals = np.empty(len(draws))
-            vals[lorenz] = amps * drive(t, y, dy)
+            def drive(t, draws):
+                if n == 1:
+                    dy[0], dy[1], dy[2] = lorenz_point(*head.tolist())
+                elif n:
+                    lorenz_point(*rows, *consts, out=outs)
+                return rows[0]
+
+            def values(t, draws):
+                vals = np.empty(len(draws))
+                vals[lorenz] = amps * drive(t, draws)
+                for k, value in others:
+                    vals[k] = value(t) if draws[k] is None else draws[k]
+                return vals
+            return drive if unit else values
+
+        def history(times, hist, ends):
+            if unit:
+                return hist[:, a]
+            vals = np.empty((len(times), len(self.signals)))
+            vals[:, lorenz] = amps * hist[:, a]
             for k, value in others:
-                vals[k] = value(t) if draws[k] is None else draws[k]
+                vals[:, k] = ([self.drawn[e][k] for e in ends] if
+                              self.signals[k].is_white else [value(t) for t in times])
             return vals
 
-        # 1.0 * xi is xi: unit Lorenz signals alone are their xi row.
-        self.stage = stage if others or np.any(amps != 1.0) else drive
+        self.bind, self.history = bind, history
 
     def draws(self, dt):
         """One step's draws, a sample per white signal and None for the
@@ -456,28 +470,28 @@ class PairedRun(NamedTuple):
 class _Joint(NamedTuple):
     """run_paired's joint state, resolved once: the signals, the start
     state, its (drivers, fine, bank, amplitudes) slices and named blocks,
-    and the stage derivative stage(y, t, draws=None)."""
+    and the stepper's binder bind(y, dy) -> stage(t, draws=None)."""
 
     sigset: _SignalSet
     y0: np.ndarray
     slices: tuple
     blocks: list
-    stage: object
+    bind: object
 
 
 def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                    keeps=lambda k: True) -> _Joint:
     """Check the sides against the run, build the bank, and bind the stage.
 
-    A stage fills one fresh dy block by block: the drivers' derivatives
-    and the signal values from ``_SignalSet.stage``, the fine side's bound
-    form, forced by ``np.dot(profiles.T, vals)`` or, under identity
-    profiles, by the values themselves (the product's bits), and the
-    variant's ``stage_block``: dU and the bank's cascade derivative,
-    written in place.  Each block is the arithmetic its side does alone.
-    Called without draws, a white stage draws the step's samples and keeps
-    those of the steps keeps(k) names (``_SignalSet.draws``);
-    euler-maruyama calls it once per step.
+    bind(y, dy) takes each block's views of y and dy once, and its stage
+    fills dy block by block: the drivers' derivatives and the signal values
+    from ``_SignalSet.bind``, the fine side's bound form, forced by
+    ``np.dot(profiles.T, vals)`` or, under identity profiles, by the values
+    themselves (the product's bits), and the variant's ``stage_block``: dU
+    and the bank's cascade derivative, written in place.  Each block is the
+    arithmetic its side does alone.  Called without draws, a white stage
+    draws the step's samples and keeps those of the steps keeps(k) names
+    (``_SignalSet.draws``); euler-maruyama calls it once per step.
     """
     sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
@@ -518,21 +532,22 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
 
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
-    white, no_draws, size = sigset.any_white, sigset.no_draws, y0.size
+    white, no_draws = sigset.any_white, sigset.no_draws
 
-    def stage(y, t, draws=None):
-        if draws is None:
-            draws = sigset.draws(dt) if white else no_draws
-        dy = np.empty(size)
-        vals = sigset.stage(t, y, dy, draws)
-        if fine is not None:
-            fine_rhs(y[su], vals if identity else np.dot(profiles_T, vals),
-                     dy[su])
-        if coarse is not None:
-            coarse_block(y, assemble(vals, t), dy)
-        return dy
+    def bind(y, dy):
+        values, u, du = sigset.bind(y, dy), y[su], dy[su]
+        block = coarse_block(y, dy) if coarse is not None else None
+        def stage(t, draws=None):
+            if draws is None:
+                draws = sigset.draws(dt) if white else no_draws
+            vals = values(t, draws)
+            if fine is not None:
+                fine_rhs(u, vals if identity else np.dot(profiles_T, vals), du)
+            if coarse is not None:
+                block(assemble(vals, t))
+        return stage
 
-    return _Joint(sigset, y0, (sd, su, sz, sU), blocks, stage)
+    return _Joint(sigset, y0, (sd, su, sz, sU), blocks, bind)
 
 
 def run_paired(
@@ -557,10 +572,10 @@ def run_paired(
 
     The stage is compiled once, before the first step: the bank, the
     variant's constants, the state layout and every check are resolved
-    then, and each stage writes its blocks into one fresh derivative
-    vector (the Lorenz drivers' one block, the fine field's and the bank's
-    derivatives in place) with the arithmetic of the separate runs, so
-    joint and separate runs agree bit for bit.
+    then; it is bound once per buffer pair of the stepper's frame, and each
+    stage writes its blocks into the frame's derivative in place with the
+    arithmetic of the separate runs, so joint and separate runs agree bit
+    for bit.  The values history is read off the recorded rows.
 
     Raises
     ------
@@ -572,21 +587,15 @@ def run_paired(
         When the state goes non-finite, naming the most upstream bad block.
     """
     n_steps = exact_steps(t_end, dt)
-    sigset, y, (_, su, sz, sU), blocks, stage = _compile_stage(
+    sigset, y, (_, su, sz, sU), blocks, bind = _compile_stage(
         signal_specs, seed, dt, scheme, fine, coarse,
         lambda k: k % record_every == 0 or k == n_steps)
-    times, hist = march(stepper(stage, dt, scheme), y, 0.0, n_steps, dt,
+    times, hist = march(stepper(bind, dt, scheme), y, 0.0, n_steps, dt,
                         record_every, blocks)
     ends = np.minimum(record_every * np.arange(times.size), n_steps).tolist()
-    scratch = np.empty(sigset.total_dim)
-    vals_hist = np.array([
-        sigset.stage(t, row, scratch,
-                     sigset.drawn[k] if sigset.any_white else sigset.no_draws)
-        for t, row, k in zip(times.tolist(), hist, ends)
-    ])
     return PairedRun(
         times,
-        vals_hist,
+        sigset.history(times.tolist(), hist, ends),
         hist[:, su] if fine is not None else None,
         hist[:, sU] if coarse is not None else None,
         hist[:, sz] if coarse is not None else None,
@@ -820,13 +829,13 @@ def _slaved_decay_rate(u, lap, centre: int, dt: float, target: float) -> float:
     window [0.5, 3] / target.
     """
 
-    def f(u_, t):
-        du = np.empty_like(u_)
-        du[1:-1] = lap(u_)
-        du[0] = du[-1] = du[centre]
-        return du
+    def bind(u_, du):
+        def stage(t):
+            du[1:-1] = lap(u_)
+            du[0] = du[-1] = du[centre]
+        return stage
 
-    times, hist = march(lambda u_, t: rk4_step(u_, f, t, dt), u, 0.0,
+    times, hist = march(stepper(bind, dt), u, 0.0,
                         int(round(4.0 / target / dt)), dt)
     devs = np.max(np.abs(hist - hist[:, [centre]]), axis=1)
     return fit_emergence_rate(times, devs, 0.5 / target, 3.0 / target)

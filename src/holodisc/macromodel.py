@@ -729,31 +729,33 @@ def _ssm1_float_block(bank: ChainBank, sz: slice, sU: slice):
     # Per state its feed in [chain states; phi * m].
     feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
     feed = _float_bind(_ssm1_feed_code(feeds), "feed",
-                       neg_rates.ravel().tolist(), sz=sz)
+                       neg_rates.ravel().tolist())
 
-    def block(y, forcing, dy):
-        dU, phi = ssm1_rhs(y[sU], forcing, bank, cfg, y[out_at])
-        dy[sz] = feed(y, phi)
-        dy[sU] = dU
+    def block(y, dy):
+        U, Z, dU, dZ = y[sU], y[sz], dy[sU], dy[sz]
+        def stage(forcing):
+            dU[:], phi = ssm1_rhs(U, forcing, bank, cfg, y[out_at])
+            dZ[:] = feed(Z, phi)
+        return stage
 
     return block
 
 
 @functools.lru_cache(maxsize=64)
 def _ssm1_feed_code(feeds: tuple):
-    """The compiled source of the float block's feed(y, phi) for a bank's
-    per-state feeds: one local per state from y[sz], then each state's
-    r * z + feed, the drive phi past the last state.  One code object
-    serves every bank with these feeds, whatever its rates and sz."""
-    lines = [_float_unpack("z", len(feeds), "y[sz].tolist()"),
+    """The compiled source of the float block's feed(Z, phi) for a bank's
+    per-state feeds: one local per state of the packed states Z, then each
+    state's r * z + feed, the drive phi past the last state.  One code
+    object serves every bank with these feeds, whatever its rates."""
+    lines = [_float_unpack("z", len(feeds), "Z.tolist()"),
              f"return [{', '.join(_float_rows(feeds, 'z', 'phi'))}]"]
-    return _float_code("feed(y, phi)", lines, "ssm1 float feed")
+    return _float_code("feed(Z, phi)", lines, "ssm1 float feed")
 
 
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
-    """block(y, forcing, dy): a joint stage's coarse side for a y holding the
-    bank's packed state at sz and U at sU.  It reads only y, and writes the
-    variant's rhs and ``packed_chain_rhs`` into dy[sU] and dy[sz].
+    """block(y, dy) -> stage(forcing), a joint stage's coarse side for a y with
+    the bank's packed state at sz and U at sU, bound once: it reads only y,
+    and writes the variant's rhs and ``packed_chain_rhs`` into dy[sU], dy[sz].
 
     A bank without chains (lowg, lattice) writes its skeleton into dy[sU].
     A bank with chains has two bodies, chosen from the ring by build_bank.
@@ -773,8 +775,9 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     Any other bank reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
-        def block(y, forcing, dy):
-            dy[sU] = bank.skeleton(y[sU], forcing)
+        def block(y, dy):
+            U, dU = y[sU], dy[sU]
+            return lambda forcing: np.copyto(dU, bank.skeleton(U, forcing))
 
         return block
     if bank.float_rhs is not None:
@@ -783,10 +786,11 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     shape, out_rows = bank._layout[0].shape, bank.out_rows
     ext = np.empty((shape[0] + len(bank.exprs), m))
 
-    def block(y, forcing, dy):
-        Z = y[sz].reshape(shape)
-        dU, drives = rhs(y[sU], forcing, bank, cfg, Z.take(out_rows, 0))
-        packed_chain_rhs(Z, bank._layout, drives, ext, dy[sz].reshape(shape))
-        dy[sU] = dU
+    def block(y, dy):
+        Z, U, dZ, dU = y[sz].reshape(shape), y[sU], dy[sz].reshape(shape), dy[sU]
+        def stage(forcing):
+            dU[:], drives = rhs(U, forcing, bank, cfg, Z.take(out_rows, 0))
+            packed_chain_rhs(Z, bank._layout, drives, ext, dZ)
+        return stage
 
     return block

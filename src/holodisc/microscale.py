@@ -16,11 +16,12 @@ Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine hands it a one-step map, so every run counts its steps,
 records its history and reports a non-finite state the same way; only the
 1-D memory cascades loop in generated float code, by march's times, screen
-and error (``non_finite_error``).  ``exact_steps`` is
-the one whole-steps rule for run lengths, ``exact_points`` its twin for
-grids.  The steppers are deliberately hand-rolled: runs must be
-bit-reproducible across platforms, and adaptive steppers would break the
-pairing of forcing paths between fine and coarse runs.
+and error (``non_finite_error``).  Each map steps in place on a ``stepper``
+frame of preallocated buffers, its stages bound once per buffer pair.
+``exact_steps`` is the one whole-steps rule for run lengths,
+``exact_points`` its twin for grids.  The steppers are deliberately
+hand-rolled: runs must be bit-reproducible across platforms, and adaptive
+steppers would break the pairing of forcing paths between fine and coarse runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "lattice_decay_rates",
     "rk4_step",
     "stepper",
+    "plain",
     "exact_steps",
     "exact_points",
     "march",
@@ -140,44 +142,31 @@ def _weights(dt):
 
 
 def rk4_step(u, rhs, t, dt):
-    """One classical Runge-Kutta step of du/dt = rhs(u, t).
-
-    u + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage argument u + h k, computed
-    as the textbook expression's operations in its order (IEEE + and *
-    commute exactly, so the bits are its bits) with two temporaries of the
-    state for the combination, its weights dt's 0-d operands.  It writes
-    into neither u nor any array rhs returned, nor a stage argument once rhs
-    has seen it: rhs may return a shared array or keep a view of its argument.
-    """
-    h, h_, dt_, dt6, two = _weights(dt)
-    k1 = rhs(u, t)
-    w = k1 * h_
-    w += u
-    k2 = rhs(w, t + h)
-    w = k2 * h_
-    w += u
-    k3 = rhs(w, t + h)
-    w = k3 * dt_
-    w += u
-    k4 = rhs(w, t + dt)
-    acc = k2 * two
-    acc += k1
-    w = k3 * two
-    acc += w
-    acc += k4
-    acc *= dt6
-    acc += u
-    return acc
+    """One classical Runge-Kutta step of du/dt = rhs(u, t) on a fresh ``stepper``
+    frame: rhs may return a shared array, or view its argument until it returns."""
+    return stepper(plain(rhs), dt)(u, t)
 
 
-def euler_step(u, rhs, t, dt):
-    """One forward Euler step of du/dt = rhs(u, t)."""
-    return u + _weights(dt)[2] * rhs(u, t)
+def plain(rhs):
+    """A stepper's binder for a plain rhs(y, t): its stage copies rhs(src, t),
+    a fresh array or a shared one, into dst."""
+    return lambda src, dst: lambda t: np.copyto(dst, rhs(src, t))
 
 
-def stepper(rhs, dt, scheme="rk4"):
-    """The scheme's one-step map advance(u, t) for rhs and dt, checked once,
-    for ``march``.
+def stepper(bind, dt, scheme="rk4"):
+    """The scheme's one-step map advance(u, t) for dt, checked once, for
+    ``march``, stepping in place on one frame of buffers.
+
+    bind(src, dst), called once per pair of the frame's buffers, returns a
+    stage(t) that reads only src, writes the derivative into dst, and keeps
+    neither after it returns (``plain`` binds a plain rhs(y, t)).  The
+    frame, allocated at the first call and for a new shape, holds two state
+    buffers used in turn, and under rk4 one per stage argument and two for
+    the derivatives.  advance writes into no u and returns the buffer it
+    wrote, which the next call does not write.  RK4 and Euler keep the
+    textbook operations in their order (IEEE + and * commute exactly, so
+    the bits are theirs): RK4 sums 2 k2 + k1 into the new state once k2 is
+    in, and its one temporary 2 k3 goes into k3's buffer.
 
     euler-maruyama advances identically to euler; the distinction is which
     forcing kinds are legal (white noise demands it, smooth kinds may use
@@ -186,8 +175,46 @@ def stepper(rhs, dt, scheme="rk4"):
     """
     check_positive("time step dt", dt)
     check_scheme_legal(scheme, False)
-    one = rk4_step if scheme == "rk4" else euler_step
-    return lambda u, t: one(u, rhs, t, dt)
+    h, h_, dt_, dt6, two = _weights(dt)
+    rk4 = scheme == "rk4"
+    cur = nxt = s_cur = s_nxt = k1 = k2 = a2 = a3 = a4 = s2 = s3 = s4 = None
+
+    def advance(u, t):
+        nonlocal cur, nxt, s_cur, s_nxt, k1, k2, a2, a3, a4, s2, s3, s4
+        if u is cur:
+            s1 = s_cur
+        else:
+            u = np.asarray(u, dtype=float)
+            if cur is None or u.shape != cur.shape:
+                cur, nxt, k1, *rest = [np.empty(u.shape)
+                                       for _ in range(7 if rk4 else 3)]
+                s_cur, s_nxt = bind(cur, k1), bind(nxt, k1)
+                if rk4:  # k3 into k1's buffer and k4 into k2's, once read
+                    k2, a2, a3, a4 = rest
+                    s2, s3, s4 = bind(a2, k2), bind(a3, k1), bind(a4, k2)
+            if np.may_share_memory(u, nxt):
+                u = u.copy()
+            s1 = bind(u, k1)
+        dst = nxt
+        s1(t)
+        if rk4:
+            np.add(np.multiply(k1, h_, a2), u, a2)
+            s2(t + h)
+            np.add(np.multiply(k2, h_, a3), u, a3)
+            np.add(np.multiply(k2, two, dst), k1, dst)
+            s3(t + h)
+            np.add(np.multiply(k1, dt_, a4), u, a4)
+            dst += np.multiply(k1, two, k1)
+            s4(t + dt)
+            dst += k2
+            dst *= dt6
+        else:
+            np.multiply(dt_, k1, dst)
+        dst += u
+        cur, nxt, s_cur, s_nxt = dst, cur, s_nxt, s_cur
+        return dst
+
+    return advance
 
 
 def check_scheme_legal(scheme: str, forcing_is_white: bool) -> None:

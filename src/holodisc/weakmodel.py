@@ -38,7 +38,7 @@ from .macromodel import (
     strongquad_linear_matrix,
     strongquad_quadratic_terms,
 )
-from .microscale import check_scheme_legal, exact_steps, march, stepper
+from .microscale import check_scheme_legal, exact_steps, march, plain, stepper
 from .stencil import ring_pad
 
 __all__ = [
@@ -284,7 +284,7 @@ class WeakCoarseModel:
             rhs = self._build_strongquad(mode_pattern, mode_scales)
         if not self._white:
             self.deterministic_rhs = rhs
-        self._advance = stepper(rhs, cfg.dt, cfg.scheme)
+        self._advance = stepper(plain(rhs), cfg.dt, cfg.scheme)
 
     # -- construction --------------------------------------------------------
 
@@ -473,9 +473,9 @@ class WeakCoarseModel:
         }
 
     def step(self, U: np.ndarray, t: float) -> np.ndarray:
-        """One cfg.dt step by cfg.scheme; under white noise the rhs draws
-        from ``rng``."""
-        return self._advance(np.asarray(U, dtype=float), t)
+        """One cfg.dt step by cfg.scheme (under white noise the rhs draws from
+        ``rng``), into a stepper frame's buffer the next call does not write."""
+        return self._advance(U, t)
 
     def run(self, U0, t_end: float, record_every: int = 1):
         """Integrate from t = 0 in whole cfg.dt steps; returns (times, U history)."""

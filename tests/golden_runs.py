@@ -93,6 +93,7 @@ from holodisc.microscale import (
     exact_steps,
     lattice_form,
     march,
+    plain,
     stepper,
 )
 
@@ -255,7 +256,7 @@ def _forced_burgers_run():
     def rhs(u, t):
         return burgers_rhs(u, x[1], 0.8, 0.5, np.cos(x + 3.0 * t))
 
-    times, hist = march(stepper(rhs, 1e-2), 1.0 + 0.5 * np.sin(x), 0.25,
+    times, hist = march(stepper(plain(rhs), 1e-2), 1.0 + 0.5 * np.sin(x), 0.25,
                         exact_steps(0.75 - 0.25, 1e-2), 1e-2, record_every=7)
     return {"times": times.tolist(), "history": hist.tolist()}
 

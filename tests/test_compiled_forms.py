@@ -44,7 +44,7 @@ from holodisc import convolution, macromodel
 from holodisc.forcing import HarmonicSignal, make_signal
 from holodisc.harness import default_spec
 from holodisc.convolution import chain_layout, packed_chain_rhs
-from holodisc.microscale import stepper
+from holodisc.microscale import plain, stepper
 from holodisc.stencil import ring_images, ring_pad
 from holodisc.macromodel import (
     EXPR_NAMES,
@@ -236,7 +236,7 @@ def chain_step(states, rates, drive_fn, t, dt, scheme="rk4"):
     def f(y, s):
         return chain_rhs(y, rates, drive_fn(s))
 
-    return stepper(f, dt, scheme)(np.asarray(states, dtype=float), t)
+    return stepper(plain(f), dt, scheme)(np.asarray(states, dtype=float), t)
 
 
 def reference_integrate(chains, drive_fn, n, dt, states0, scheme):
@@ -770,13 +770,13 @@ def test_cached_ssm1_float_block_binds_each_banks_constants(monkeypatch):
         cfg = ModelConfig(variant="ssm1", eps=0.3, m=m, **kw)
         bank = build_bank(cfg)
         dy = np.zeros_like(y)
-        stage_block(bank, sz, sU)(y, 0.7, dy)
+        stage_block(bank, sz, sU)(y, dy)(0.7)
         codes.append(bank.float_rhs.__code__)
         misses.append([cache.cache_info().misses for cache in caches])
         with monkeypatch.context() as patch:
             patch.setattr(macromodel, "_FLOAT_RING", 0)
             want = np.zeros_like(y)
-            stage_block(build_bank(cfg), sz, sU)(y, 0.7, want)
+            stage_block(build_bank(cfg), sz, sU)(y, want)(0.7)
         assert np.array_equal(dy, want)
         got.append(dy)
     assert codes[0] is codes[1] and misses[0] == misses[1]

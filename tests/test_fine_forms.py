@@ -78,8 +78,20 @@ def reference_fig1_stage(n, dx, alpha, eps):
 def fig1_stage(n, dx, alpha, eps):
     """fig1's joint stage: n Lorenz signals, identity profiles, no coarse side."""
     fine = FineSide(np.ones(n), np.eye(n), burgers_form(dx, alpha, eps))
-    return _compile_stage([SignalSpec(kind="lorenz", xi0=5.0, eta0=8.0)] * n,
-                          0, 0.01, "rk4", fine, None).stage
+    return bound_stage(_compile_stage(
+        [SignalSpec(kind="lorenz", xi0=5.0, eta0=8.0)] * n,
+        0, 0.01, "rk4", fine, None).bind)
+
+
+def bound_stage(bind):
+    """The stage(t, draws=None) a binder binds, as a function stage(y, t,
+    draws=None) of the state: y bound afresh into a fresh dy, returned."""
+    def stage(y, t, *draws):
+        dy = np.empty_like(y)
+        bind(y, dy)(t, *draws)
+        return dy
+
+    return stage
 
 
 def interleaved_order(n, size=None):

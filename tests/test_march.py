@@ -24,7 +24,8 @@ from holodisc.convolution import (
 )
 from holodisc.forcing import HarmonicSignal
 from holodisc.harness import EXPERIMENTS, spec_from_dict
-from holodisc.microscale import check_scheme_legal, exact_steps, march, stepper
+from holodisc.microscale import (
+    check_scheme_legal, exact_steps, march, plain, stepper)
 
 
 class TestMarch:
@@ -107,7 +108,7 @@ class TestExactSteps:
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
             weak.run(np.ones(4), 1.0)
         with pytest.raises(ConfigError, match=r"1\.0.*0\.3"):
-            march(stepper(lambda v, s: -v, 0.3), np.ones(2),
+            march(stepper(plain(lambda v, s: -v), 0.3), np.ones(2),
                   0.0, exact_steps(1.0, 0.3), 0.3)
         times, _ = weak.run(np.ones(4), 1.2)
         assert times.size == 5 and times[-1] == pytest.approx(1.2)

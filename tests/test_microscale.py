@@ -11,12 +11,12 @@ from holodisc import (
     check_scheme_legal,
     rk4_step,
 )
-from holodisc.microscale import exact_steps, lattice_form, march, stepper
+from holodisc.microscale import exact_steps, lattice_form, march, plain, stepper
 
 
 def rk4_march(u0, rhs, t0, t_end, dt, record_every=1):
     """Fixed-step rk4 from t0 to t_end through march, as the engines run."""
-    return march(stepper(rhs, dt), u0, t0,
+    return march(stepper(plain(rhs), dt), u0, t0,
                  exact_steps(t_end - t0, dt), dt, record_every)
 
 
@@ -154,8 +154,8 @@ class TestSteppers:
     def test_euler_maruyama_advances_like_euler(self):
         u0 = np.array([2.0, -1.0])
         rhs = lambda u, t: -0.5 * u + t
-        a = stepper(rhs, 0.01, scheme="euler")(u0, 0.3)
-        b = stepper(rhs, 0.01, scheme="euler-maruyama")(u0, 0.3)
+        a = stepper(plain(rhs), 0.01, scheme="euler")(u0, 0.3)
+        b = stepper(plain(rhs), 0.01, scheme="euler-maruyama")(u0, 0.3)
         assert np.array_equal(a, b)
 
 
@@ -187,7 +187,8 @@ def test_rk4_step_is_the_textbook_expression_byte_for_byte(n, seed, dt, t):
     if n == 0:
         u = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 1.0))
     want = np.asarray(textbook_rk4_step(u, stiff_rhs, t, dt))
-    for got in (rk4_step(u, stiff_rhs, t, dt), stepper(stiff_rhs, dt)(u, t)):
+    for got in (rk4_step(u, stiff_rhs, t, dt),
+                stepper(plain(stiff_rhs), dt)(u, t)):
         got = np.asarray(got)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -211,6 +212,57 @@ def test_rk4_step_writes_into_no_array_it_was_handed():
     for y, at_call in seen:
         assert np.array_equal(y, at_call)
     assert all(got is not y for y, _ in seen) and got is not shared
+
+
+def textbook_euler_step(u, rhs, t, dt):
+    """euler_step as the textbook expression."""
+    return u + dt * rhs(u, t)
+
+
+TEXTBOOK = {"rk4": textbook_rk4_step, "euler": textbook_euler_step}
+
+
+def bound_stiff(src, dst):
+    """stiff_rhs as a bound stage: it reads only src and writes only dst."""
+    return lambda t: np.copyto(dst, stiff_rhs(src, t))
+
+
+SHAPES = st.sampled_from([(), (1,), (7,), (64,), (3, 1), (4, 5), (6, 64)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(SHAPES, st.sampled_from(["rk4", "euler"]),
+       st.sampled_from(["bound", "fresh", "shared"]), st.integers(3, 6),
+       st.integers(0, 2**32 - 1), st.floats(1e-6, 0.5), st.floats(-10.0, 10.0))
+@example((), "rk4", "shared", 3, 0, 1e-3, 0.25)
+@example((6, 64), "euler", "bound", 4, 7, 0.37, -3.0)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # some runs blow up
+def test_steps_on_one_frame_are_the_textbook_steps_byte_for_byte(
+        shape, scheme, kind, n, seed, dt, t):
+    """n consecutive steps of one stepper, each handed the state the last
+    returned, on 0-d, 1-D and (levels, m) states: a bound stage writing its
+    dst, or a plain rhs returning a fresh array or one shared array that it
+    overwrites at every call; each step's bits are the textbook step's, and
+    no step writes into the state the step before returned."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 1.0, size=shape)
+    shared = np.empty(shape)
+
+    def into_shared(y, s):
+        shared[...] = stiff_rhs(y, s)
+        return shared
+
+    rhs = into_shared if kind == "shared" else stiff_rhs
+    advance = stepper(bound_stiff if kind == "bound" else plain(rhs), dt, scheme)
+    want, got = u, u
+    for k in range(n):
+        s = t + k * dt
+        want = np.asarray(TEXTBOOK[scheme](want, stiff_rhs, s, dt))
+        before, kept = got, np.array(got, copy=True)
+        got = advance(got, s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert before.tobytes() == kept.tobytes() and got is not before
 
 
 class TestStepper:

@@ -41,12 +41,12 @@ from holodisc import (
     strongquad_rhs,
 )
 from holodisc import macromodel
-from holodisc.harness import _compile_stage
+from holodisc.harness import _compile_stage, run_paired
 from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs, ssm1_chain_specs, stage_block
-from holodisc.microscale import burgers_form, lattice_form
+from holodisc.microscale import burgers_form, exact_steps, lattice_form, march, stepper
 from holodisc.stencil import ring_images
-from test_fine_forms import interleaved_order, reference_lattice_rhs
+from test_fine_forms import bound_stage, interleaved_order, reference_lattice_rhs
 
 LORENZ = SignalSpec(kind="lorenz", xi0=10.0, eta0=8.0)
 
@@ -178,7 +178,7 @@ def test_stage_is_the_concatenating_stage_bit_for_bit(case):
         interleaved[order] = y
         want = reference_stage(signals, fine, grid, coarse, interleaved, t)[order]
         for _ in range(2):  # the stage's buffers carry nothing over
-            got = joint.stage(y, t)
+            got = bound_stage(joint.bind)(y, t)
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -200,7 +200,7 @@ def forcing_of(signals, profiles):
     joint = _compile_stage(signals, 3, 1e-3, "rk4", fine, None)
     y = joint.y0 + np.random.default_rng(len(signals)).normal(
         scale=10.0, size=joint.y0.size)
-    joint.stage(y, 0.5)
+    bound_stage(joint.bind)(y, 0.5)
     return seen[-1], y
 
 
@@ -226,7 +226,7 @@ def test_other_profiles_keep_the_product(profiles):
 def test_lorenz_values_are_amplitude_times_xi(amplitudes):
     joint = _compile_stage(lorenz_specs(amplitudes), 3, 1e-3, "rk4", None, None)
     y = joint.y0 + np.random.default_rng(4).normal(size=9)
-    vals = joint.sigset.stage(0.5, y, np.empty(9), joint.sigset.no_draws)
+    vals = joint.sigset.bind(y, np.empty(9))(0.5, joint.sigset.no_draws)
     assert vals.tobytes() == (np.array(amplitudes) * y[:3]).tobytes()
 
 
@@ -244,8 +244,8 @@ def test_mixed_signals_give_values_in_spec_order(lorenz):
     draws = [None] * len(signals)
     draws[signals.index(white)] = float(rng.normal())
     t = 0.7
-    dy = joint.stage(y, t, draws)
-    vals = joint.sigset.stage(t, y, np.empty_like(y), draws)
+    dy = bound_stage(joint.bind)(y, t, draws)
+    vals = joint.sigset.bind(y, np.empty_like(y))(t, draws)
     xi, eta, zeta = y.reshape(3, lorenz).tolist()
     want, j = [], 0
     for spec, draw in zip(signals, draws):
@@ -260,6 +260,46 @@ def test_mixed_signals_give_values_in_spec_order(lorenz):
     assert vals.tolist() == want
 
 
+def per_row_values(signals, seed, t_end, dt, scheme, fine, record_every):
+    """run_paired's values history as its per-row loop computed it: the
+    run's own stage evaluated on each recorded row, its driver derivative
+    written into a scratch vector, a white signal given its step's draws."""
+    n_steps = exact_steps(t_end, dt)
+    sigset, y0, _, blocks, bind = _compile_stage(
+        signals, seed, dt, scheme, fine, None,
+        lambda k: k % record_every == 0 or k == n_steps)
+    times, hist = march(stepper(bind, dt, scheme), y0, 0.0, n_steps, dt,
+                        record_every, blocks)
+    ends = np.minimum(record_every * np.arange(times.size), n_steps).tolist()
+    scratch = np.empty(sigset.total_dim)
+    return np.array([
+        sigset.bind(row, scratch)(
+            t, sigset.drawn[k] if sigset.any_white else sigset.no_draws)
+        for t, row, k in zip(times.tolist(), hist, ends)
+    ])
+
+
+VALUE_RUNS = {
+    "unit-lorenz": (lorenz_specs([1.0] * 3), "rk4"),
+    "half-lorenz-harmonic": ([*lorenz_specs([0.5]), HARMONICS[0]], "rk4"),
+    "white": ([SignalSpec(kind="white-noise"), *lorenz_specs([1.0, 0.5]),
+               HARMONICS[1]], "euler-maruyama"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALUE_RUNS))
+def test_values_history_is_the_per_row_stage(case):
+    """The values read from the history are the stage's on each recorded
+    row, bit for bit, at every record_every-th step and the last."""
+    signals, scheme = VALUE_RUNS[case]
+    fine = fine_side(np.ones(8), np.ones((len(signals), 8)), UNIT_GRID)
+    args = (signals, 11, 0.25, 0.01, scheme, fine, 4)
+    got = run_paired(*args[:5], fine=fine, record_every=4).values
+    want = per_row_values(*args)
+    assert got.shape == want.shape == (8, len(signals))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_white_stage_takes_the_step_draws():
     white = [SignalSpec(kind="white-noise")]
     fine, grid, coarse = fig3_sides("euler-maruyama")
@@ -267,7 +307,7 @@ def test_white_stage_takes_the_step_draws():
     y = joint.y0 + np.random.default_rng(1).normal(size=joint.y0.size)
     for draw in (0.0, -3.5, 12.25):
         want = reference_stage(white, fine, grid, coarse, y, 0.2, [draw])
-        assert np.array_equal(joint.stage(y, 0.2, [draw]), want)
+        assert np.array_equal(bound_stage(joint.bind)(y, 0.2, [draw]), want)
 
 
 MAGNITUDES = st.sampled_from([1e-6, 1e-2, 1.0, 30.0, 1e3])
@@ -298,7 +338,7 @@ def test_ssm1_block_is_the_concatenating_stage_bit_for_bit(
     draws = [scales[0] * rng.normal()] if white else joint.sigset.no_draws
     t = float(rng.uniform(0.0, 10.0))
     want = reference_stage(signals, None, None, coarse, y, t, draws)
-    assert np.array_equal(joint.stage(y, t, draws), want)
+    assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)
 
 
 def unbound_ssm1_det_linear(U, phi, cfg):
@@ -434,7 +474,7 @@ def test_stage_block_reads_only_y_and_writes_only_its_slices(
         bank = build_bank(cfg)
         Z = bank.Z
         dy = np.full_like(y, np.nan)
-        stage_block(bank, sz, sU)(y, forcing, dy)
+        stage_block(bank, sz, sU)(y, dy)(forcing)
         assert np.array_equal(y, y_in)
         assert bank.Z is Z and not Z.any()
         assert np.array_equal(~np.isnan(dy), written)
@@ -478,4 +518,4 @@ def test_ssm1_stage_at_the_float_ring_is_the_concatenating_stage(
             draws = [us * rng.normal()] if white else joint.sigset.no_draws
             t = float(rng.uniform(0.0, 10.0))
             want = reference_stage(signals, None, None, coarse, y, t, draws)
-            assert np.array_equal(joint.stage(y, t, draws), want)
+            assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)

@@ -18,7 +18,7 @@ from holodisc import (
     stochastic_replace,
 )
 from holodisc.macromodel import ssm1_chain_specs
-from holodisc.microscale import march, stepper
+from holodisc.microscale import march, plain, stepper
 
 
 def weak_quadrature_samples(rates, t_end, n_paths, seed, same_signal=True,
@@ -334,13 +334,34 @@ class TestWeakScheme:
         return [build_weak_model(ssm1_cfg(eps=0.5, dt=0.01, scheme=scheme), spec),
                 build_weak_model(quad, spec, mode_pattern=pattern)]
 
+    def test_step_returns_an_array_the_next_call_keeps(self):
+        """step returns a buffer of the model's frame: the next call, on
+        that state, on the start again or on an older state, writes
+        elsewhere, and each result is a fresh model's step."""
+        U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(4) / 4)
+        for scheme in ("rk4", "euler"):
+            for weak, fresh in zip(self.harmonic_models(scheme),
+                                   self.harmonic_models(scheme)):
+                U1 = weak.step(U0, 0.0)
+                kept1 = U1.copy()
+                U2 = weak.step(U1, 0.01)
+                assert np.array_equal(U1, kept1)
+                kept2 = U2.copy()
+                again = weak.step(U0, 0.0)
+                assert np.array_equal(U2, kept2) and np.array_equal(again, kept1)
+                U3 = weak.step(U2, 0.01)  # not the state the last call returned
+                assert np.array_equal(again, kept1)
+                assert np.array_equal(U3, fresh.step(kept2, 0.01))
+                assert np.array_equal(kept2, fresh.step(kept1, 0.01))
+
     def test_harmonic_models_step_by_the_configured_scheme(self):
         U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(4) / 4)
         for weak, rk4 in zip(self.harmonic_models("euler"),
                              self.harmonic_models("rk4")):
             t, U = weak.run(U0, 0.5)
-            want_t, want = march(stepper(weak.deterministic_rhs, 0.01, "euler"),
-                                 U0, 0.0, 50, 0.01)
+            want_t, want = march(
+                stepper(plain(weak.deterministic_rhs), 0.01, "euler"),
+                U0, 0.0, 50, 0.01)
             assert np.array_equal(t, want_t) and np.array_equal(U, want)
             assert not np.array_equal(U, rk4.run(U0, 0.5)[1])
 
