@@ -161,8 +161,8 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
 
     When every state is (levels,), the whole run loops on Python floats in
     a function generated for the layout's feeds and the scheme
-    (``_float_run``), with packed_chain_rhs's and rk4_step's or
-    euler_step's operations in their order at march's times: march's bits.
+    (``_float_run``), with packed_chain_rhs's and the stepper's RK4 or
+    Euler operations in their order at march's times: march's bits.
     A HarmonicSignal's value is inlined there, its form evaluated at each
     stage time; other drives are called as above, as floats
     (``_float_drive``).  Its history is screened once, after the loop, so
@@ -242,7 +242,7 @@ def _float_run(feed: tuple, scheme: str, inline=None):
     """run(z, rates, drive, t0, n, dt, out): n steps of the scheme from the
     1-D packed state z on Python floats, each state written into out, a flat
     (n + 1, rows) history the caller screens.  One local per row and stage
-    in one loop: packed_chain_rhs's rows, rk4_step's or euler_step's
+    in one loop: packed_chain_rhs's rows, the stepper's RK4 or Euler
     operations in their order, stages at march's t0 + k dt.  An inline
     (form, args) evaluates form at each stage time, drive holding the args'
     values and cos math.cos; else drive is a function behind a one-entry

@@ -363,7 +363,7 @@ class _SignalSet:
     """
 
     def __init__(self, specs, seed: int, keeps):
-        self.signals = [make_signal(s) for s in specs]
+        self.signals = signals = [make_signal(s) for s in specs]
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         lorenz = [k for k, sig in enumerate(self.signals) if sig.driver_dim]
         n = len(lorenz)
@@ -374,7 +374,7 @@ class _SignalSet:
         self.no_draws = [None] * len(self.signals)
         # Key k: the draws of the step ending at k dt if keeps(k); 0: zeros.
         self.keeps, self.steps = keeps, 0
-        self.drawn = {0: [0.0 if sig.is_white else None for sig in self.signals]}
+        self.drawn = drawn = {0: [0.0 if sig.is_white else None for sig in signals]}
 
         a, b, c = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
         consts = operands(LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA)
@@ -405,11 +405,11 @@ class _SignalSet:
         def history(times, hist, ends):
             if unit:
                 return hist[:, a]
-            vals = np.empty((len(times), len(self.signals)))
+            vals = np.empty((len(times), len(signals)))
             vals[:, lorenz] = amps * hist[:, a]
-            for k, value in others:
-                vals[:, k] = ([self.drawn[e][k] for e in ends] if
-                              self.signals[k].is_white else [value(t) for t in times])
+            for k, value in others:  # no self here: a cycle would outlive the run
+                vals[:, k] = ([drawn[e][k] for e in ends] if
+                              signals[k].is_white else [value(t) for t in times])
             return vals
 
         self.bind, self.history = bind, history

@@ -215,16 +215,11 @@ def test_rk4_step_writes_into_no_array_it_was_handed():
 
 
 def textbook_euler_step(u, rhs, t, dt):
-    """euler_step as the textbook expression."""
+    """The stepper's Euler step as the textbook expression."""
     return u + dt * rhs(u, t)
 
 
 TEXTBOOK = {"rk4": textbook_rk4_step, "euler": textbook_euler_step}
-
-
-def bound_stiff(src, dst):
-    """stiff_rhs as a bound stage: it reads only src and writes only dst."""
-    return lambda t: np.copyto(dst, stiff_rhs(src, t))
 
 
 SHAPES = st.sampled_from([(), (1,), (7,), (64,), (3, 1), (4, 5), (6, 64)])
@@ -243,7 +238,8 @@ def test_steps_on_one_frame_are_the_textbook_steps_byte_for_byte(
     returned, on 0-d, 1-D and (levels, m) states: a bound stage writing its
     dst, or a plain rhs returning a fresh array or one shared array that it
     overwrites at every call; each step's bits are the textbook step's, and
-    no step writes into the state the step before returned."""
+    no step writes into the state the step before returned; a bound stage
+    is bound once per buffer pair, the start state's on the first step."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 1.0, size=shape)
     shared = np.empty(shape)
@@ -252,8 +248,14 @@ def test_steps_on_one_frame_are_the_textbook_steps_byte_for_byte(
         shared[...] = stiff_rhs(y, s)
         return shared
 
+    binds = []
+
+    def bound(src, dst):  # stiff_rhs bound: it reads src and writes dst only
+        binds.append((src, dst))
+        return lambda s: np.copyto(dst, stiff_rhs(src, s))
+
     rhs = into_shared if kind == "shared" else stiff_rhs
-    advance = stepper(bound_stiff if kind == "bound" else plain(rhs), dt, scheme)
+    advance = stepper(bound if kind == "bound" else plain(rhs), dt, scheme)
     want, got = u, u
     for k in range(n):
         s = t + k * dt
@@ -263,6 +265,8 @@ def test_steps_on_one_frame_are_the_textbook_steps_byte_for_byte(
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert before.tobytes() == kept.tobytes() and got is not before
+    if kind == "bound":  # two states, (three stage arguments,) the start
+        assert len(binds) == (6 if scheme == "rk4" else 3)
 
 
 class TestStepper:

@@ -21,7 +21,9 @@ are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -298,6 +300,23 @@ def test_values_history_is_the_per_row_stage(case):
     want = per_row_values(*args)
     assert got.shape == want.shape == (8, len(signals))
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_run_is_freed_without_the_cycle_collector():
+    """Nothing the signals or the stepper bind refers back to them, so a
+    run's _SignalSet and its frame go with the run, not at a later
+    collection."""
+    gc.disable()
+    try:
+        joint = _compile_stage(VALUE_RUNS["white"][0], 11, 0.01,
+                               "euler-maruyama", None, None)
+        advance = stepper(joint.bind, 0.01, "euler-maruyama")
+        y = advance(advance(joint.y0, 0.0), 0.01)
+        refs = [weakref.ref(x) for x in (joint.sigset, y)]
+        del joint, advance, y
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_white_stage_takes_the_step_draws():
