@@ -128,21 +128,20 @@ def chain_layout(chains, ndim: int = 1, drive_rows=0):
     return -rates.reshape(col), feed, rows
 
 
-def packed_chain_rhs(Z, layout, drives, ext, out=None):
-    """chain_rhs for every chain of a chain_layout at once.
+def packed_chain_rhs(Z, layout, drives, ext, out):
+    """chain_rhs for every chain of a chain_layout at once, into out.
 
     Fills ext, the caller's [Z; drive rows] buffer, from Z and drives; each
     row adds its one feed to its decay term, as in chain_rhs, so each
-    chain's derivative is bit for bit the one it gets alone.  Writes into
-    out when given, else into a new array (the operator form, which numpy
-    dispatches faster than a ufunc call with an out argument).
+    chain's derivative is bit for bit the one it gets alone.  Writes the
+    derivatives into out, shaped as Z and not overlapping it, and returns out.
     """
     neg_rates, feed, _ = layout
     ext[:len(Z)] = Z
     ext[len(Z):] = drives
-    dZ = neg_rates * Z if out is None else np.multiply(neg_rates, Z, out)
-    dZ += ext[feed]
-    return dZ
+    np.multiply(neg_rates, Z, out)
+    out += ext[feed]
+    return out
 
 
 def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
@@ -230,11 +229,12 @@ def _float_code(head, lines, where):
 
 def _float_bind(code, name, rates=(), **values):
     """The function name that code defines, run in a fresh namespace which
-    holds the values, and each rate as r_i, by value."""
+    holds the values, and each rate as r_i, by value; popped from it, so its
+    globals keep no reference back to it, and no cycle."""
     namespace = {f"r{i}": r for i, r in enumerate(rates)}
     namespace.update(values)
     exec(code, namespace)
-    return namespace[name]
+    return namespace.pop(name)
 
 
 @functools.lru_cache(maxsize=64)

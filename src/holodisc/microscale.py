@@ -18,10 +18,11 @@ records its history and reports a non-finite state the same way; only the
 1-D memory cascades loop in generated float code, by march's times, screen
 and error (``non_finite_error``).  Each map steps in place on a ``stepper``
 frame of preallocated buffers, its stages bound once per buffer pair.
-``exact_steps`` is the one whole-steps rule for run lengths,
-``exact_points`` its twin for grids.  The steppers are deliberately
-hand-rolled: runs must be bit-reproducible across platforms, and adaptive
-steppers would break the pairing of forcing paths between fine and coarse runs.
+``exact_steps`` is the whole-steps rule for run lengths (``integrate_chains``
+and the emergence fit round t_end / dt instead), ``exact_points`` its twin
+for grids.  The steppers are deliberately hand-rolled: runs must be
+bit-reproducible across platforms, and adaptive steppers would break the
+pairing of forcing paths between fine and coarse runs.
 """
 
 from __future__ import annotations
@@ -162,8 +163,10 @@ def stepper(bind, dt, scheme="rk4"):
     neither after it returns (``plain`` binds a plain rhs(y, t)).  The
     frame, allocated at the first call and for a new shape, holds two state
     buffers used in turn, and under rk4 one per stage argument and two for
-    the derivatives.  advance writes into no u and returns the buffer it
-    wrote, which the next call does not write.  RK4 and Euler keep the
+    the derivatives.  advance only reads u; it returns the state buffer it
+    wrote, which the call after next writes again, so a caller keeps a
+    result by a copy, as ``march``'s history and ``WeakCoarseModel.step`` do.
+    RK4 and Euler keep the
     textbook operations in their order (IEEE + and * commute exactly, so
     the bits are theirs): RK4 sums 2 k2 + k1 into the new state once k2 is
     in, and its one temporary 2 k3 goes into k3's buffer.

@@ -178,6 +178,7 @@ def simulate_quadrature_ensemble(
     layout = chain_layout([rates], 2)
     sq = np.sqrt(dt)
     ext = np.empty((len(rates) + 1, n_paths))
+    dz = np.empty((len(rates), n_paths))
 
     def advance(y, t):
         # y stacks the cascade levels over the running quadrature sum.
@@ -185,7 +186,7 @@ def simulate_quadrature_ensemble(
         mu = intensity * rng.standard_normal(n_paths) / sq
         rho = mu if same_signal else intensity * rng.standard_normal(n_paths) / sq
         out = np.empty_like(y)
-        out[:-1] = z + dt * packed_chain_rhs(z, layout, mu, ext)
+        out[:-1] = z + dt * packed_chain_rhs(z, layout, mu, ext, dz)
         out[-1] = y[-1] + dt * rho * 0.5 * (z[0] + out[0])
         return out
 
@@ -243,6 +244,7 @@ class WeakCoarseModel:
     """
 
     memory_state = None
+    _n_streams, _stream_classes, _class_offsets = 0, (), ()
 
     def __init__(
         self,
@@ -272,10 +274,7 @@ class WeakCoarseModel:
             raise ConfigError("a white-noise weak model needs cfg.seed: its "
                               "draws restart from it on every run")
         self._drifts: dict[str, float] = {}
-        self._n_streams = 0
-        self._stream_classes: list[tuple] = []
-        self._class_offsets: list[int] = []
-        self.rng = self._rng()
+        self.rng = np.random.default_rng(cfg.seed) if self._white else None
         if cfg.variant == "ssm1":
             if mode_pattern is not None:
                 raise ConfigError("ssm1 bakes in its alternating pattern")
@@ -316,10 +315,10 @@ class WeakCoarseModel:
             amps = np.array([a for rep in reps for a in rep.noise_amplitudes])
             owner = [i for i, rep in enumerate(reps) for _ in rep.noise_amplitudes]
             self._n_streams = amps.size
-            sq = np.sqrt(cfg.dt)
+            sq, rng = np.sqrt(cfg.dt), self.rng
 
             def rhs(U, t):
-                z = self.rng.standard_normal(1 + amps.size)
+                z = rng.standard_normal(1 + amps.size)
                 v = np.array(drifts)
                 np.add.at(v, owner, amps * z[1:] / sq)
                 return add_products(skeleton(U, sig * z[0] / sq), U, v)
@@ -368,15 +367,16 @@ class WeakCoarseModel:
             sigma = float(self.signal.intensity) * np.asarray(
                 mode_scales, dtype=float
             )
-            self._expand_strongquad_white(terms, sigma)
-            sq, m, n_streams = np.sqrt(cfg.dt), cfg.m, self._n_streams
+            add_stream_noise = self._expand_strongquad_white(terms, sigma)
+            sq, m, rng = np.sqrt(cfg.dt), cfg.m, self.rng
+            n_streams = self._n_streams
 
             def rhs(U, t):
-                rings = sigma[:, None] * self.rng.standard_normal((3, m)) / sq
+                rings = sigma[:, None] * rng.standard_normal((3, m)) / sq
                 F = K @ strongquad_expressions(rings.T) + drift
-                psi = self.rng.standard_normal(n_streams)
+                psi = rng.standard_normal(n_streams)
                 psi /= sq
-                self._add_stream_noise(psi, F[:2])
+                add_stream_noise(psi, F[:2])
                 return skeleton(U, F)
         return rhs
 
@@ -396,10 +396,11 @@ class WeakCoarseModel:
 
         So the streams psi, shaped (classes, m), are the class rings, and
         occurrence (c, r) reads ring c shifted by d = (r - r_c) mod m,
-        taken as the least |d| (at most 2).  ``_noise_matrix`` sums the
-        factors of each shift's occurrences per class, rows (shift,
-        plain/times U); a step takes one product with the rings and adds
-        each shift's row pair, read through one wrapped pad.
+        taken as the least |d| (at most 2).  Returns, and keeps as
+        ``_add_stream_noise``, add_stream_noise(psi, rows): one product of
+        the rings psi with a matrix of each shift's occurrence factors per
+        class, rows (shift, plain/times U), then each shift's row pair,
+        read through one wrapped pad, added to rows, (2, m): plain, times U.
         """
         m = self.cfg.m
         classes: dict[tuple, int] = {}
@@ -427,15 +428,22 @@ class WeakCoarseModel:
         r_class = r[np.unique(cls, return_index=True)[1]]
         shift = (r - r_class[cls] + m // 2) % m - m // 2
         shifts, which = np.unique(shift, return_inverse=True)
-        self._noise_matrix = np.zeros((2 * shifts.size, len(classes)))
-        np.add.at(self._noise_matrix, (2 * which + times_U.astype(int), cls),
-                  factor)
-        self._noise_pad = int(np.abs(shifts).max())
-        self._noise_cols = [slice(self._noise_pad + d, self._noise_pad + d + m)
-                            for d in shifts.tolist()]
+        matrix = np.zeros((2 * shifts.size, len(classes)))
+        np.add.at(matrix, (2 * which + times_U.astype(int), cls), factor)
+        pad = int(np.abs(shifts).max())
+        cols = [slice(pad + d, pad + d + m) for d in shifts.tolist()]
         self._n_streams = len(classes) * m
         self._stream_classes = list(classes)
         self._class_offsets = r_class.tolist()
+
+        def add_stream_noise(psi, rows):
+            G = ring_pad(matrix @ psi.reshape(-1, m), pad)
+            for k, c in enumerate(cols):
+                rows += G[2 * k:2 * k + 2, c]
+            return rows
+
+        self._add_stream_noise = add_stream_noise
+        return add_stream_noise
 
     def _stream_keys(self) -> list[tuple]:
         """Identities of the white-noise streams, in numbering order.
@@ -449,20 +457,7 @@ class WeakCoarseModel:
                                                        self._class_offsets)
                 for j in range(m)]
 
-    def _add_stream_noise(self, psi, rows):
-        """Add the streams psi's noise to rows, (2, m): plain, times U."""
-        G = ring_pad(self._noise_matrix @ psi.reshape(-1, self.cfg.m),
-                     self._noise_pad)
-        for k, cols in enumerate(self._noise_cols):
-            rows += G[2 * k:2 * k + 2, cols]
-        return rows
-
     # -- evaluation ----------------------------------------------------------
-
-    def _rng(self) -> np.random.Generator | None:
-        """A fresh generator for the white-noise steps, from cfg.seed; None
-        under harmonic."""
-        return np.random.default_rng(self.cfg.seed) if self._white else None
 
     def drift_report(self) -> dict:
         return {
@@ -474,8 +469,8 @@ class WeakCoarseModel:
 
     def step(self, U: np.ndarray, t: float) -> np.ndarray:
         """One cfg.dt step by cfg.scheme (under white noise the rhs draws from
-        ``rng``), into a stepper frame's buffer the next call does not write."""
-        return self._advance(U, t)
+        ``rng``) on the model's stepper frame; returns a copy the caller owns."""
+        return self._advance(U, t).copy()
 
     def run(self, U0, t_end: float, record_every: int = 1):
         """Integrate from t = 0 in whole cfg.dt steps; returns (times, U history)."""
@@ -485,7 +480,8 @@ class WeakCoarseModel:
             raise ConfigError(f"initial amplitudes must have shape ({cfg.m},)")
         check_finite("initial amplitudes U0", U0)
         check_positive("run end t_end", t_end)
-        self.rng = self._rng()
+        if self._white:  # restart default_rng(cfg.seed)'s stream in place
+            self.rng.bit_generator.state = np.random.PCG64(cfg.seed).state
         return march(
             self.step, U0, 0.0, exact_steps(t_end, cfg.dt), cfg.dt, record_every,
             (("grid amplitudes", slice(None)),),

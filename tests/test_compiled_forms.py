@@ -443,7 +443,7 @@ def test_packed_rhs_is_the_per_chain_rhs(chains, m, per_chain, seed):
         drives = rng.normal(size=(1,) + row)
         layout = chain_layout(chains, Z.ndim)
     ext = np.empty((len(Z) + len(drives),) + row)
-    got = packed_chain_rhs(Z, layout, drives, ext)
+    got = packed_chain_rhs(Z, layout, drives, ext, out=np.empty_like(Z))
     ends = np.cumsum([0] + [len(r) for r in chains])
     want = np.concatenate([
         chain_rhs(Z[a:b], rates, drives[d])

@@ -126,7 +126,7 @@ class TestPackedChainRhs:
         Z = rng.normal(size=(6, 5))
         drive = rng.normal(size=5)
         got = packed_chain_rhs(Z, chain_layout(chains, 2), drive,
-                               np.empty((7, 5)))
+                               np.empty((7, 5)), out=np.empty_like(Z))
         want = np.concatenate([chain_rhs(Z[a:b], rates, drive) for rates, (a, b)
                                in zip(chains, [(0, 2), (2, 3), (3, 6)])])
         assert np.array_equal(got, want)

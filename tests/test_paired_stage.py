@@ -319,6 +319,42 @@ def test_a_run_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def fig3_paired_run():
+    fine, _, coarse = fig3_sides()
+    run_paired([LORENZ], 3, 0.01, 1e-3, fine=fine, coarse=coarse)
+
+
+def weak_white_run(variant, m):
+    cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                      m=m, dt=0.01, scheme="euler-maruyama", seed=1)
+    build_weak_model(cfg, SignalSpec(kind="white-noise")).run(np.ones(m), 0.05)
+
+
+FREED_WITHOUT_COLLECTOR = {
+    "fig3 run_paired": fig3_paired_run,
+    "ssm1 bank": lambda: build_bank(fig3_sides()[2].cfg),
+    "weak white ssm1": lambda: weak_white_run("ssm1", 4),
+    "weak white strongquad": lambda: weak_white_run("strongquad", 8),
+}
+
+
+@pytest.mark.parametrize("case", list(FREED_WITHOUT_COLLECTOR))
+def test_engines_leave_no_cyclic_garbage(case):
+    """No closure, generated function or frame an engine builds refers back
+    to its owner, so all of it is freed by reference counting: after a
+    warm-up call fills the compile caches, a second call leaves nothing
+    for the cycle collector."""
+    call = FREED_WITHOUT_COLLECTOR[case]
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_white_stage_takes_the_step_draws():
     white = [SignalSpec(kind="white-noise")]
     fine, grid, coarse = fig3_sides("euler-maruyama")

@@ -1,5 +1,7 @@
 """Weak replacements: drifts, noise streams, and whole-model substitutes."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from holodisc import (
     ModelConfig,
     QuadraticTermDescriptor,
     SignalSpec,
+    WeakCoarseModel,
     build_bank,
     build_weak_model,
     mode_decay_rate,
@@ -335,9 +338,9 @@ class TestWeakScheme:
                 build_weak_model(quad, spec, mode_pattern=pattern)]
 
     def test_step_returns_an_array_the_next_call_keeps(self):
-        """step returns a buffer of the model's frame: the next call, on
-        that state, on the start again or on an older state, writes
-        elsewhere, and each result is a fresh model's step."""
+        """step returns an array the caller owns: the next call, on that
+        state, on the start again or on an older state, writes elsewhere,
+        and each result is a fresh model's step."""
         U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(4) / 4)
         for scheme in ("rk4", "euler"):
             for weak, fresh in zip(self.harmonic_models(scheme),
@@ -353,6 +356,26 @@ class TestWeakScheme:
                 assert np.array_equal(again, kept1)
                 assert np.array_equal(U3, fresh.step(kept2, 0.01))
                 assert np.array_equal(kept2, fresh.step(kept1, 0.01))
+
+    @pytest.mark.parametrize("variant", ["ssm1", "strongquad"])
+    @pytest.mark.parametrize("kind", ["harmonic", "white-noise"])
+    def test_step_results_are_the_callers(self, variant, kind):
+        """Harmonic under rk4, white under euler-maruyama: no later call
+        writes or returns an array an earlier call returned."""
+        dt, m = 0.01, 4
+        scheme = "rk4" if kind == "harmonic" else "euler-maruyama"
+        cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.5, H=np.pi / 2.0,
+                          m=m, dt=dt, scheme=scheme, seed=4)
+        pattern = (np.random.default_rng(3).normal(size=(m, 3))
+                   if variant == "strongquad" and kind == "harmonic" else None)
+        weak = build_weak_model(cfg, SignalSpec(kind=kind, omega=2.0), pattern)
+        U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(m) / m)
+        a = weak.step(U0, 0.0)
+        kept = a.copy()
+        b = weak.step(a, dt)
+        c = weak.step(b, 2 * dt)
+        assert np.array_equal(a, kept)
+        assert c is not a
 
     def test_harmonic_models_step_by_the_configured_scheme(self):
         U0 = 1.0 + 0.2 * np.sin(2.0 * np.pi * np.arange(4) / 4)
@@ -388,3 +411,19 @@ class TestWeakScheme:
             ssm1_cfg(variant=variant, scheme="euler-maruyama", seed=4), white)
         U0 = np.ones(4)
         assert np.array_equal(weak.run(U0, 0.04)[1], weak.run(U0, 0.04)[1])
+
+
+def test_no_weak_model_closure_reads_the_model():
+    """Every closure WeakCoarseModel builds captures values, never self, so
+    a model is no reference cycle."""
+    def nested(code):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield const
+                yield from nested(const)
+
+    methods = [f for f in vars(WeakCoarseModel).values()
+               if isinstance(f, types.FunctionType)]
+    closures = [c for f in methods for c in nested(f.__code__)]
+    assert {"rhs", "add_stream_noise"} <= {c.co_name for c in closures}
+    assert not [c.co_name for c in closures if "self" in c.co_freevars]
