@@ -6,7 +6,9 @@ drivers, the fine field, the coarse model's packed memory bank and its
 amplitudes as one state vector, one step of ``microscale.stepper``'s map
 at a time through ``microscale.march``, and evaluates the signals once per
 stage for both sides, so a fine run and its coarse partner see one
-forcing path by construction.  ``run_macro_forced`` is its coarse-only call.
+forcing path by construction.  A small run's stage is one generated
+function on Python floats (``_float_stage``).  ``run_macro_forced`` is its
+coarse-only call.
 
 Experiments, each declared once at its body by ``experiment`` (its spec
 defaults, the spec fields it reads, its whole-number extras):
@@ -27,19 +29,25 @@ defaults, the spec fields it reads, its whole-number extras):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
 import numbers
 import os
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .convolution import integrate_chains
+from . import macromodel
+from .convolution import (_float_bind, _float_code, _float_rows, _float_unpack,
+                          integrate_chains)
 from .errors import ConfigError, DataError, check_finite, check_positive
 from .forcing import (
     LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA,
     ElementGrid,
+    HarmonicSignal,
     SignalSpec,
     csn,
     lorenz_point,
@@ -54,6 +62,7 @@ from .macromodel import (
     stage_block,
 )
 from .microscale import (
+    _burgers_point,
     burgers_form,
     check_scheme_legal,
     exact_points,
@@ -382,7 +391,7 @@ class _SignalSet:
         others = [(k, sig.value) for k, sig in enumerate(self.signals)
                   if not sig.driver_dim]
         # 1.0 * xi is xi: unit Lorenz signals alone are their xi row.
-        unit = not others and not np.any(amps != 1.0)
+        self.unit = unit = not others and not np.any(amps != 1.0)
 
         def bind(y, dy):
             rows, head, outs = (y[a], y[b], y[c]), y[:3], (dy[a], dy[b], dy[c])
@@ -396,7 +405,8 @@ class _SignalSet:
 
             def values(t, draws):
                 vals = np.empty(len(draws))
-                vals[lorenz] = amps * drive(t, draws)
+                if n:
+                    vals[lorenz] = amps * drive(t, draws)
                 for k, value in others:
                     vals[k] = value(t) if draws[k] is None else draws[k]
                 return vals
@@ -479,6 +489,21 @@ class _Joint(NamedTuple):
     bind: object
 
 
+# A joint state whose every block has a float form steps on the generated
+# float stage (_float_stage) if it has at most _FLOAT_STATE entries and its
+# fine side at most _FLOAT_POINTS points; else on numpy arrays, whose cost
+# barely grows with the state.  Timeit, one stage call, float against array
+# stage, min of 150 interleaved rounds of 50 calls, 2-vCPU Xeon, Python
+# 3.11, numpy 2.4: one Lorenz signal, a Burgers ring of n points and ssm1
+# at m = 4 (fig3's shape) -14% at 67 entries (n = 32), -3% at 75, +8% at
+# 83; one Lorenz signal and ssm1 alone -8% at 67 (m = 8), +1% at 83; a
+# Lorenz driver per point of the ring (fig1's) -31% at 72 (18 drivers),
+# +1% at 84, +45% at fig1-fine's 128; a ring under one Lorenz signal -5%
+# at 40 points, +12% at 48, +68% at 64, its points cost most on floats.
+_FLOAT_STATE = 72
+_FLOAT_POINTS = 40
+
+
 def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                    keeps=lambda k: True) -> _Joint:
     """Check the sides against the run, build the bank, and bind the stage.
@@ -487,11 +512,19 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     fills dy block by block: the drivers' derivatives and the signal values
     from ``_SignalSet.bind``, the fine side's bound form, forced by
     ``np.dot(profiles.T, vals)`` or, under identity profiles, by the values
-    themselves (the product's bits), and the variant's ``stage_block``: dU
+    plus 0.0, the product's bits without its matrix (a -0.0 value gives the
+    product's +0.0), and the variant's ``stage_block``: dU
     and the bank's cascade derivative, written in place.  Each block is the
     arithmetic its side does alone.  Called without draws, a white stage
     draws the step's samples and keeps those of the steps keeps(k) names
     (``_SignalSet.draws``); euler-maruyama calls it once per step.
+
+    A joint state of at most ``_FLOAT_STATE`` entries, at most
+    ``_FLOAT_POINTS`` of them fine, whose blocks all have a float form (any
+    signals, a Burgers fine side or none, an ssm1 bank or none) binds the
+    float stage instead (``_float_stage``): the same arithmetic in the same
+    order on Python floats, so the same bits, without numpy's dispatch per
+    operation on arrays of a few entries.
     """
     sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
@@ -506,6 +539,7 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
         check_finite("forcing profiles", profiles)
         profiles_T = profiles.T
         identity = np.array_equal(profiles, np.eye(len(profiles)))
+        (zero,) = operands(0.0)
     if coarse is not None:
         cfg, assemble = coarse.cfg, coarse.assemble
         if (cfg.dt, cfg.scheme) != (dt, scheme):
@@ -529,7 +563,14 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                                                  e1 + r.stop * cfg.m))
                    for key, r in bank.rows.items()]
     blocks += [("grid amplitudes", sU), ("fine field", su)]
+    slices = (sd, su, sz, sU)
 
+    if (y0.size <= _FLOAT_STATE and u0.size <= _FLOAT_POINTS
+            and (fine is None or hasattr(fine_rhs, "float_form"))
+            and (coarse is None or cfg.variant == "ssm1")):
+        return _Joint(sigset, y0, slices, blocks, _float_stage(
+            sigset, dt, fine and (fine_rhs.float_form, profiles_T, identity),
+            coarse and (bank, assemble, sz, sU), y0.size))
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
     white, no_draws = sigset.any_white, sigset.no_draws
@@ -542,12 +583,122 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                 draws = sigset.draws(dt) if white else no_draws
             vals = values(t, draws)
             if fine is not None:
-                fine_rhs(u, vals if identity else np.dot(profiles_T, vals), du)
+                fine_rhs(u, vals + zero if identity else np.dot(profiles_T, vals),
+                         du)
             if coarse is not None:
                 block(assemble(vals, t))
         return stage
 
-    return _Joint(sigset, y0, (sd, su, sz, sU), blocks, bind)
+    return _Joint(sigset, y0, slices, blocks, bind)
+
+
+def _float_stage(sigset, dt, fine, coarse, size):
+    """The float stage's binder bind(src, dst) -> stage(t, draws=None) for a
+    joint state of size entries and _compile_stage's sides: fine None or
+    (float_form, profiles.T, identity), coarse None or (bank, assemble, sz,
+    sU).  The code is generated per layout (``_float_stage_code``) and
+    cached; every constant is bound by value: the Lorenz amplitudes, the
+    harmonic constants, each other signal's value function, the fine form's
+    constants, the bank and its cascade rates.  ssm1_rhs is looked up on
+    ``macromodel`` at call time, so a wrapper put there sees each call."""
+    kinds = tuple("lorenz" if sig.driver_dim else "white" if sig.is_white
+                  else "harmonic" if isinstance(sig, HarmonicSignal) else "value"
+                  for sig in sigset.signals)
+    values = dict(take=sigset.draws, dt=dt, lorenz_point=lorenz_point,
+                  cos=math.cos, array=np.array, dot=np.dot, macromodel=macromodel,
+                  pack=struct.Struct(f"{size}d").pack_into)
+    for k, (kind, sig) in enumerate(zip(kinds, sigset.signals)):
+        if kind == "lorenz":
+            values[f"amp{k}"] = sig.amplitude
+        elif kind == "harmonic":
+            values.update((f"{a}{k}", getattr(sig, a)) for a in sig.args)
+        elif kind == "value":
+            values[f"value{k}"] = sig.value
+    layout, rates, feeds, m = None, (), (), 0
+    if fine is not None:
+        (form, constants), profiles_T, identity = fine
+        values.update(constants, profiles_T=profiles_T)
+        layout = (form, len(profiles_T), identity)
+    if coarse is not None:
+        bank, assemble, sz, sU = coarse
+        m, (neg_rates, row_feed, _) = bank.m, bank._layout
+        cols = np.arange(m)
+        # Per chain state its feed in [chain states; phi * m].
+        feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
+        rates = neg_rates.ravel().tolist()
+        values.update(assemble=assemble, bank=bank, cfg=bank.cfg, sU=sU,
+                      out_at=sz.start + m * bank.out_rows[:, None] + cols)
+    code = _float_stage_code(kinds, sigset.unit, layout, feeds, m)
+    return _float_bind(code, "bind", rates, **values)
+
+
+@functools.lru_cache(maxsize=64)
+def _float_stage_code(kinds, unit, fine, feeds, m):
+    """The compiled source of the float stage's bind(src, dst) for signals
+    of kinds (unit: unit Lorenz signals alone), a fine side (form, points,
+    identity) or None, and a bank's per-state feeds over m elements (none
+    without a coarse side).
+
+    bind slices U's view of src, and under unit signals the xi row, the
+    values, as the array stage does.  Its stage is one straight-line
+    function in the array stage's order: the step's white draws if none
+    are given; one src.tolist(), one local per entry; per signal its value
+    (amplitude * xi with a ``lorenz_point`` call on its system's floats,
+    ``HarmonicSignal.form`` by math.cos, the draw, or value(t)); the values
+    as an array; the fine forcing from them by np.dot(profiles.T, vals), the
+    array stage's call and so its bits (a BLAS product may fuse its
+    multiply-adds, which Python floats cannot), or each value plus 0.0
+    under identity profiles; each fine point by ``_burgers_point`` plus eps
+    times its forcing; dU by one ssm1_rhs call on U, assemble(vals, t) and
+    the gathered chain outputs; each chain state's row from ``_float_rows``;
+    and one pack_into of every derivative into dst, which must be
+    contiguous (a stepper frame's buffer is): one call, where a memoryview
+    store per entry cost fig3 0.4 us more a stage (timeit, 67 entries)."""
+    n = kinds.count("lorenz")
+    form, points, identity = fine or (None, 0, False)
+    S = len(feeds)
+    state = ([f"y{i}" for i in range(3 * n)] + [f"u{i}" for i in range(points)]
+             + [f"z{i}" for i in range(S)] + ["_"] * m)
+    derivs = ([f"dy{i}" for i in range(3 * n)] + [f"du{i}" for i in range(points)]
+              + [f"dz{i}" for i in range(S)] + [f"dU{i}" for i in range(m)])
+    lines = ["if draws is None:", "    draws = take(dt)"] if "white" in kinds else []
+    if state:
+        lines.append("".join(f"{w}, " for w in state) + "= src.tolist()")
+    vals, j = [], 0
+    for k, kind in enumerate(kinds):
+        vals.append(f"y{j}" if unit else f"v{k}")
+        if kind == "lorenz":
+            xi, eta, zeta = j, n + j, 2 * n + j
+            lines.append(f"dy{xi}, dy{eta}, dy{zeta} = lorenz_point(y{xi}, y{eta}, y{zeta})")
+            lines += [] if unit else [f"v{k} = amp{k} * y{xi}"]
+            j += 1
+        elif kind == "harmonic":
+            lines.append(f"v{k} = " + HarmonicSignal.form.format(
+                t="t", **{a: f"{a}{k}" for a in HarmonicSignal.args}))
+        else:
+            lines.append(f"v{k} = draws[{k}]" if kind == "white" else f"v{k} = value{k}(t)")
+    head = ["U = src[sU]"] if S else []
+    if (S or points and not identity) and unit:
+        head.append(f"vals = src[:{n}]")
+    elif S or points and not identity:
+        lines.append(f"vals = array(({''.join(f'{v}, ' for v in vals)}))")
+    if points:
+        if not identity:
+            lines.append(_float_unpack("f", points, "dot(profiles_T, vals).tolist()"))
+        force = [f"({v} + 0.0)" for v in vals] if identity else [
+            f"f{i}" for i in range(points)]
+        lines += [f"du{i} = " + _burgers_point(form, f"u{i}", f"u{(i + 1) % points}",
+                                               f"u{(i - 1) % points}")
+                  + f" + eps * {force[i]}" for i in range(points)]
+    if S:
+        lines += ["dU, phi = macromodel.ssm1_rhs(U, assemble(vals, t), bank, cfg, "
+                  "src[out_at])", _float_unpack("dU", m, "dU.tolist()")]
+        lines += [f"dz{i} = {row}" for i, row in enumerate(_float_rows(feeds, "z", "phi"))]
+    if derivs:
+        lines.append(f"pack(dst, 0, {', '.join(derivs)})")
+    body = [*head, "def stage(t, draws=None):", *(f"    {line}" for line in lines),
+            "return stage"]
+    return _float_code("bind(src, dst)", body, "paired float stage")
 
 
 def run_paired(
@@ -575,7 +726,10 @@ def run_paired(
     then; it is bound once per buffer pair of the stepper's frame, and each
     stage writes its blocks into the frame's derivative in place with the
     arithmetic of the separate runs, so joint and separate runs agree bit
-    for bit.  The values history is read off the recorded rows.
+    for bit.  A small state (``_FLOAT_STATE``, ``_FLOAT_POINTS``) of
+    signals, a Burgers field and an ssm1 bank, fig3's, steps on one
+    generated float stage instead, with the same bits (``_compile_stage``).
+    The values history is read off the recorded rows.
 
     Raises
     ------

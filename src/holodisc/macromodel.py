@@ -41,7 +41,7 @@ the 33 couplings' weights on the 13 chain outputs, plain and times U, and
 the 14 forcing-linear terms as five rows weighting 1, U, mudelta U,
 delta2 U and U^2.  ``stage_block`` advances the chains jointly with U,
 both read from the joint state, so every scheme sees consistent substage
-values (small ssm1 rings on Python floats, by straight-line code
+values (a small ssm1 ring's dU on Python floats, by straight-line code
 generated per ring, with the same bits, since ssm1's formula is written
 once for floats and arrays); the reconstruction
 reads a recorded history's ``out_rows``.
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import (_float_bind, _float_code, _float_rows, _float_unpack,
+from .convolution import (_float_bind, _float_code, _float_unpack,
                           canonical_rates, chain_layout, packed_chain_rhs)
 from .errors import ConfigError, check_finite, check_positive
 from .forcing import mode_decay_rate
@@ -372,55 +372,59 @@ def _ssm1_coupling(cfg: ModelConfig) -> tuple[float, np.ndarray]:
 
 
 # ssm1 rings of at most this many elements compute dU on Python floats
-# (_ssm1_forms' float_rhs) and step their joint-stage block on floats;
-# larger rings and strongquad use whole-array numpy and read y[sz] by rows
-# as (S, m).  Timeit, 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 block
-# on generated float code against rows, both in one process, min of 15
+# (_ssm1_forms' float_rhs); larger rings use whole-array numpy.  Timeit,
+# 2-vCPU Xeon, Python 3.11, numpy 2.4, a whole ssm1 stage block with this
+# dU and a float cascade feed against rows, both in one process, min of 15
 # alternating rounds, three scans, in us: 19-30 / 27-48 at m = 12, 29-33 /
 # 47-48 at 14, 23-37 / 27-49 at 16, 24-27 / 27-30 at 18, 27-29 / 29-29 at
 # 20 (float ahead in each scan, the core's speed drifting between them).
-# Capped at 16, so that memory_golden.npz's m = 18 case runs the rows body.
+# Capped at 16, so that memory_golden.npz's m = 18 case runs the array dU.
 _FLOAT_RING = 16
+
+
+# ssm1's skeleton and forcing-linear terms at one element, dU without the
+# memory product, over U, its mudelta, delta2 and delta4 images, U**3, the
+# lead alt eps alpha H and phi: the formula's one text, compiled over
+# arrays (the skeleton) and per element over Python floats (float_rhs).
+_SSM1_POINT = ("c2 * {d2} - c4 * {d4} - ca * {u} * {md} + cu * {u} * {u} * {d2}"
+               " - {lead} * (c1 * {u} + g * (k1 * {u} + k2 * {d2}) - c3 * {u3})"
+               " * {phi}")
+_SSM1_CONSTANTS = ("c1", "g", "k1", "k2", "c3", "c2", "c4", "ca", "cu")
+_SSM1_SKELETON = _float_code("skeleton(U, phi)", [
+    "md, d2, d4 = pad_images(U[pad_at])",
+    "return " + _SSM1_POINT.format(u="U", md="md", d2="d2", d4="d4", u3="U**three",
+                                   lead="alt_lead", phi="phi")], "ssm1 skeleton")
 
 
 def _ssm1_forms(cfg: ModelConfig, floats: bool = False):
     """(skeleton, float_rhs): ssm1's dU for cfg, its constants resolved
-    once and its formula written once, as point(u, md, d2, d4, u3, lead,
-    phi): the skeleton and forcing-linear terms (dU without the memory
-    product) from U, its mudelta, delta2 and delta4 images, U**3 and the
-    lead alt eps alpha H.  Python floats and equal-shape float64 arrays
-    round + and * alike, so both bodies get the same bits.  skeleton(U,
-    phi) applies point, its constants 0-d operands, to whole arrays, U's
-    width-2 ring pad being one gather.  float_rhs(U, phi, memory), made
-    only when floats is true (else None), applies it per element on Python
-    floats (constants too) and adds (U phi) memory, without numpy's
-    per-call dispatch: straight-line code generated for the ring
-    (``_ssm1_float_code``), with point, the leads and 3.0 bound by value.
-    U**3 and memory stay numpy calls (see stage_block)."""
+    once and its formula written once, as ``_SSM1_POINT``: the skeleton and
+    forcing-linear terms (dU without the memory product) from U, its
+    mudelta, delta2 and delta4 images, U**3 and the lead alt eps alpha H.
+    Python floats and equal-shape float64 arrays round + and * alike, so
+    both bodies get the same bits.  skeleton(U, phi) computes it, its
+    constants 0-d operands, on whole arrays, U's width-2 ring pad being one
+    gather.  float_rhs(U, phi, memory), made only when floats is true (else
+    None), computes it per element on Python floats (constants too) and
+    adds (U phi) memory, without numpy's per-call dispatch: straight-line
+    code generated for the ring (``_ssm1_float_code``), with the constants,
+    the leads and 3.0 bound by value.  U**3 and memory stay numpy calls:
+    numpy's SIMD power rounds otherwise than Python's u**3 or u*u*u, and the
+    memory term np.dot(coupling, outputs) (``@``'s bits, at half the cost)
+    otherwise than a sequential sum."""
     a, g, e, H = cfg.alpha, cfg.gamma, cfg.eps, cfg.H
     constants = (2.0 / _PI2, g, 0.1028, 0.0716, 0.00363 * a * a * H * H,
                  g / H**2, g * g / (12.0 * H**2), a * g / H, a * a * g / 12.0)
     alt_lead = alternating_signs(cfg.m) * (e * a * H)
-    pad_at, (three,) = ring_index(cfg.m, 2), operands(3.0)
-
-    def bind(c1, g, k1, k2, c3, c2, c4, ca, cu):
-        def point(u, md, d2, d4, u3, lead, phi):
-            bracket = c1 * u + g * (k1 * u + k2 * d2) - c3 * u3
-            return (c2 * d2 - c4 * d4 - ca * u * md + cu * u * u * d2
-                    - lead * bracket * phi)
-        return point
-
-    array_point = bind(*operands(*constants))
-
-    def skeleton(U, phi):
-        md, d2, d4 = pad_images(U[pad_at])
-        return array_point(U, md, d2, d4, U**three, alt_lead, phi)
-
+    (three,) = operands(3.0)
+    skeleton = _float_bind(_SSM1_SKELETON, "skeleton", pad_images=pad_images,
+                           pad_at=ring_index(cfg.m, 2), three=three, alt_lead=alt_lead,
+                           **dict(zip(_SSM1_CONSTANTS, operands(*constants))))
     if not floats:
         return skeleton, None
     leads = {f"lead{j}": lead for j, lead in enumerate(alt_lead.tolist())}
-    return skeleton, _float_bind(_ssm1_float_code(cfg.m), "float_rhs",
-                                 point=bind(*constants), three=three, **leads)
+    return skeleton, _float_bind(_ssm1_float_code(cfg.m), "float_rhs", three=three,
+                                 **leads, **dict(zip(_SSM1_CONSTANTS, constants)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -428,7 +432,7 @@ def _ssm1_float_code(m: int):
     """The compiled source of _ssm1_forms' float_rhs for a ring of m.
 
     One local per element for U, U**3 and the memory term, and for delta2
-    U, (u[j+1] - 2 u[j]) + u[j-1]; then per element one point call on U,
+    U, (u[j+1] - 2 u[j]) + u[j-1]; then per element ``_SSM1_POINT`` on U,
     its mudelta, delta2 and delta4 images, U**3 and the lead, plus
     u phi w, the array path's operations in their order.  Built from ring
     indices and fixed names only, so one code object serves every bank of
@@ -436,11 +440,13 @@ def _ssm1_float_code(m: int):
     """
     ring = [((j - 1) % m, j, (j + 1) % m) for j in range(m)]
     lines = [_float_unpack("u", m, "U.tolist()"),
-             _float_unpack("c", m, "(U**three).tolist()"),
+             _float_unpack("q", m, "(U**three).tolist()"),
              _float_unpack("w", m, "memory.tolist()")]
     lines += [f"d{j} = (u{r} - 2.0 * u{j}) + u{l}" for l, j, r in ring]
-    dU = [f"point(u{j}, 0.5 * (u{r} - u{l}), d{j}, (d{r} - 2.0 * d{j}) + d{l}, "
-          f"c{j}, lead{j}, phi) + u{j} * phi * w{j}" for l, j, r in ring]
+    dU = ["(" + _SSM1_POINT.format(
+              u=f"u{j}", md=f"(0.5 * (u{r} - u{l}))", d2=f"d{j}",
+              d4=f"((d{r} - 2.0 * d{j}) + d{l})", u3=f"q{j}", lead=f"lead{j}",
+              phi="phi") + f") + u{j} * phi * w{j}" for l, j, r in ring]
     lines.append(f"return [{', '.join(dU)}]")
     return _float_code("float_rhs(U, phi, memory)", lines, "ssm1 float rhs")
 
@@ -717,62 +723,18 @@ def build_bank(cfg: ModelConfig) -> ChainBank:
     return bank
 
 
-def _ssm1_float_block(bank: ChainBank, sz: slice, sU: slice):
-    """stage_block's body for an ssm1 bank with a float rhs: ssm1_rhs on
-    the chain outputs gathered from y, then packed_chain_rhs's rows
-    r * z + feed on Python floats, in its order, by a feed generated for
-    the bank's feeds (``_ssm1_feed_code``), its rates bound by value."""
-    m, cfg = bank.m, bank.cfg
-    neg_rates, row_feed, _ = bank._layout
-    cols = np.arange(m)
-    out_at = sz.start + m * bank.out_rows[:, None] + cols
-    # Per state its feed in [chain states; phi * m].
-    feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
-    feed = _float_bind(_ssm1_feed_code(feeds), "feed",
-                       neg_rates.ravel().tolist())
-
-    def block(y, dy):
-        U, Z, dU, dZ = y[sU], y[sz], dy[sU], dy[sz]
-        def stage(forcing):
-            dU[:], phi = ssm1_rhs(U, forcing, bank, cfg, y[out_at])
-            dZ[:] = feed(Z, phi)
-        return stage
-
-    return block
-
-
-@functools.lru_cache(maxsize=64)
-def _ssm1_feed_code(feeds: tuple):
-    """The compiled source of the float block's feed(Z, phi) for a bank's
-    per-state feeds: one local per state of the packed states Z, then each
-    state's r * z + feed, the drive phi past the last state.  One code
-    object serves every bank with these feeds, whatever its rates."""
-    lines = [_float_unpack("z", len(feeds), "Z.tolist()"),
-             f"return [{', '.join(_float_rows(feeds, 'z', 'phi'))}]"]
-    return _float_code("feed(Z, phi)", lines, "ssm1 float feed")
-
-
 def stage_block(bank: ChainBank, sz: slice, sU: slice):
     """block(y, dy) -> stage(forcing), a joint stage's coarse side for a y with
     the bank's packed state at sz and U at sU, bound once: it reads only y,
     and writes the variant's rhs and ``packed_chain_rhs`` into dy[sU], dy[sz].
 
     A bank without chains (lowg, lattice) writes its skeleton into dy[sU].
-    A bank with chains has two bodies, chosen from the ring by build_bank.
-    An ssm1 bank of at most _FLOAT_RING elements has a ``float_rhs``
-    (``_ssm1_forms``' float body), and its block (``_ssm1_float_block``)
-    computes on Python floats, by straight-line code with one local per
-    element or state and no loop: ssm1_rhs's dU from one tolist of U, by
-    the point expression the skeleton applies to arrays, and the cascade
-    feed from one tolist of the chain states, written into dy[sz] from a
-    list.  Each is compiled once per ring or feed list and cached; the
-    constants, leads and rates are bound by value at build.  Both keep the
-    array operations in their order, so the bits are the rows body's,
-    without numpy's dispatch per operation on arrays of a few entries.
-    U**3 and the memory term np.dot(coupling, outputs) stay numpy calls:
-    numpy's SIMD power rounds otherwise than Python's u**3 or u*u*u, its
-    dot (``@``'s bits, at half the cost) otherwise than a sequential sum.
-    Any other bank reads y[sz] as (S, m) rows, its rhs fed Z.take(out_rows, 0)."""
+    A bank with chains has one body: it reads y[sz] as (S, m) rows, hands
+    the variant's rhs their outputs, Z.take(out_rows, 0), and steps the
+    cascades by packed_chain_rhs.  (ssm1_rhs computes dU on Python floats
+    for a small ring, by the bank's ``float_rhs``; a small paired run steps
+    its whole stage on floats instead, by harness's float stage, which calls
+    ssm1_rhs for dU and writes the cascade rows itself.)"""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
         def block(y, dy):
@@ -780,8 +742,6 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
             return lambda forcing: np.copyto(dU, bank.skeleton(U, forcing))
 
         return block
-    if bank.float_rhs is not None:
-        return _ssm1_float_block(bank, sz, sU)
     rhs = ssm1_rhs if cfg.variant == "ssm1" else strongquad_rhs
     shape, out_rows = bank._layout[0].shape, bank.out_rows
     ext = np.empty((shape[0] + len(bank.exprs), m))

@@ -12,6 +12,9 @@ Each is a bound form (``burgers_form``, ``lattice_form``) that engines
 resolve once per run and that writes into the caller's slice;
 ``burgers_rhs`` is the Burgers form's one-call check.  The forms and the
 steppers bind their constants as 0-d operands (``stencil.operands``).
+The Burgers arithmetic at a point is written once, as text
+(``_burgers_point``): ``burgers_form`` compiles it over arrays, and
+run_paired's float stage over each point's Python floats.
 Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine hands it a one-step map, so every run counts its steps,
 records its history and reports a non-finite state the same way; only the
@@ -50,13 +53,32 @@ __all__ = [
     "check_scheme_legal",
 ]
 
-# burgers_rhs's advection terms over (u_i, u_{i+1}, u_{i-1}, k dx), and k.
+# burgers_rhs's advection terms over (u_i, u_{i+1}, u_{i-1}), each divided
+# by k dx, and k.  A square is a product: numpy's power of 2 is its square,
+# u * u, so the bits are the same, and Python floats have no such power.
 _ADVECTION = {
-    "advective": (lambda u, up, um, d: u * (up - um) / d, 2.0),
-    "conservative": (lambda u, up, um, d: (up**2 - um**2) / d, 4.0),
-    "skew": (lambda u, up, um, d: (u * (up - um) + up**2 - um**2) / d, 6.0),
+    "advective": ("{u} * ({up} - {um})", 2.0),
+    "conservative": ("({up} * {up} - {um} * {um})", 4.0),
+    "skew": ("({u} * ({up} - {um}) + {up} * {up} - {um} * {um})", 6.0),
 }
 SCHEMES = ("rk4", "euler", "euler-maruyama")
+
+
+def _burgers_point(form, u="u", up="up", um="um"):
+    """burgers_rhs's arithmetic at u, with neighbours up and um, less its eps
+    phi: source over the constants two, dx2, den (k dx) and alpha.  The one
+    text of it: burgers_form compiles it over arrays and run_paired's float
+    stage over each point's Python floats, which round alike."""
+    adv = _ADVECTION[form][0].format(u=u, up=up, um=um)
+    return f"({up} - two * {u} + {um}) / dx2 - alpha * ({adv} / den)"
+
+
+_BURGERS_CODE = {form: compile(
+    "def rhs(u, phi, out):\n"
+    "    p = u[ring_index(len(u))]\n"
+    "    up, um = p[2:], p[:-2]\n"
+    f"    return np.add({_burgers_point(form)}, eps * phi, out=out)\n",
+    f"<burgers {form} form>", "exec") for form in _ADVECTION}
 
 
 def burgers_rhs(u, dx, alpha, eps, phi, form="advective"):
@@ -90,22 +112,22 @@ def burgers_rhs(u, dx, alpha, eps, phi, form="advective"):
 def burgers_form(dx, alpha, eps, form="advective"):
     """burgers_rhs with dx and form checked once: rhs(u, phi, out) writes the
     derivative of the 1-D float ring u into out (which must not overlap u)
-    with burgers_rhs's arithmetic in its order, and returns out."""
+    with burgers_rhs's arithmetic in its order, and returns out.
+
+    rhs is compiled from ``_burgers_point`` plus eps * phi, its constants
+    0-d operands; rhs.float_form holds (form, constants as Python floats by
+    name), from which run_paired's float stage writes the same point."""
     check_positive("grid spacing dx", dx)
     if form not in _ADVECTION:
         raise ConfigError(
             f"unknown advection form {form!r}; expected one of {tuple(_ADVECTION)}"
         )
-    advection, k = _ADVECTION[form]
-    two, dx2, den, alpha, eps = operands(2.0, dx**2, k * dx, alpha, eps)
-
-    def rhs(u, phi, out):
-        p = u[ring_index(len(u))]
-        up, um = p[2:], p[:-2]
-        diffusion = (up - two * u + um) / dx2
-        return np.add(diffusion - alpha * advection(u, up, um, den), eps * phi,
-                      out=out)
-
+    names = ("two", "dx2", "den", "alpha", "eps")
+    constants = (2.0, dx**2, _ADVECTION[form][1] * dx, alpha, eps)
+    namespace = dict(zip(names, operands(*constants)), np=np, ring_index=ring_index)
+    exec(_BURGERS_CODE[form], namespace)
+    rhs = namespace.pop("rhs")  # its globals keep no reference back to it
+    rhs.float_form = (form, dict(zip(names, map(float, constants))))
     return rhs
 
 

@@ -23,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holodisc import (
+    CoarseSide,
     ConfigError,
+    FineSide,
     ModelConfig,
     QuadraticTermDescriptor,
     SignalSpec,
@@ -40,16 +42,15 @@ from holodisc import (
     stochastic_replace,
     strongquad_rhs,
 )
-from holodisc import convolution, macromodel
+from holodisc import convolution, harness, macromodel
 from holodisc.forcing import HarmonicSignal, make_signal
-from holodisc.harness import default_spec
+from holodisc.harness import _compile_stage, default_spec
 from holodisc.convolution import chain_layout, packed_chain_rhs
-from holodisc.microscale import plain, stepper
+from holodisc.microscale import burgers_form, plain, stepper
 from holodisc.stencil import ring_images, ring_pad
 from holodisc.macromodel import (
     EXPR_NAMES,
     ssm1_chain_specs,
-    stage_block,
     strongquad_chain_specs,
     strongquad_expressions,
     strongquad_linear_matrix,
@@ -756,29 +757,34 @@ def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
     assert convolution._float_run.cache_info().hits > before
 
 
-def test_cached_ssm1_float_block_binds_each_banks_constants(monkeypatch):
-    """Two ssm1 banks of one ring share a compiled float rhs and feed, yet
-    each computes with its own alpha, H, gamma and chain rates: bit for bit
-    its rows body."""
-    m, caches = 6, (macromodel._ssm1_float_code, macromodel._ssm1_feed_code)
-    S = 7 * m
-    sz, sU = slice(2, 2 + S), slice(2 + S, None)
-    y = 30.0 * np.random.default_rng(3).normal(size=2 + S + m)
+def test_cached_float_stage_binds_each_runs_constants(monkeypatch):
+    """Two paired runs of one layout share the compiled float stage and
+    ssm1 float rhs, yet each computes with its own alpha, eps, dx, H, gamma,
+    chain rates and Lorenz amplitude: bit for bit its array stage."""
+    m, n = 6, 8
+    caches = (harness._float_stage_code, macromodel._ssm1_float_code)
     got, codes, misses = [], [], []
-    for kw in ({"alpha": 0.3, "H": np.pi / 2.0, "gamma": 1.0},
-               {"alpha": -1.7, "H": 0.45, "gamma": 0.35}):
+    for kw, dx, amp in (({"alpha": 0.3, "H": np.pi / 2.0, "gamma": 1.0}, 0.4, 0.5),
+                        ({"alpha": -1.7, "H": 0.45, "gamma": 0.35}, 0.9, -2.5)):
         cfg = ModelConfig(variant="ssm1", eps=0.3, m=m, **kw)
-        bank = build_bank(cfg)
+        signals = [SignalSpec(kind="lorenz", amplitude=amp, xi0=1.0)]
+        fine = FineSide(np.ones(n), np.linspace(-1.0, 1.0, n)[None],
+                        burgers_form(dx, kw["alpha"], 0.3, "skew"))
+        coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
+        joint = _compile_stage(signals, 5, cfg.dt, "rk4", fine, coarse)
+        _, su, sz, sU = joint.slices
+        y = 30.0 * np.random.default_rng(3).normal(size=joint.y0.size)
         dy = np.zeros_like(y)
-        stage_block(bank, sz, sU)(y, dy)(0.7)
-        codes.append(bank.float_rhs.__code__)
+        joint.bind(y, dy)(0.7)
+        codes.append(joint.bind.__code__)
         misses.append([cache.cache_info().misses for cache in caches])
         with monkeypatch.context() as patch:
-            patch.setattr(macromodel, "_FLOAT_RING", 0)
+            patch.setattr(harness, "_FLOAT_STATE", 0)
             want = np.zeros_like(y)
-            stage_block(build_bank(cfg), sz, sU)(y, want)(0.7)
+            _compile_stage(signals, 5, cfg.dt, "rk4", fine, coarse).bind(y, want)(0.7)
         assert np.array_equal(dy, want)
         got.append(dy)
     assert codes[0] is codes[1] and misses[0] == misses[1]
-    assert not np.array_equal(got[0][sz], got[1][sz])
-    assert not np.array_equal(got[0][sU], got[1][sU])
+    assert codes[0].co_filename == "<paired float stage>"
+    for block in (su, sz, sU):
+        assert not np.array_equal(got[0][block], got[1][block])

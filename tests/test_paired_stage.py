@@ -42,7 +42,7 @@ from holodisc import (
     ssm1_rhs,
     strongquad_rhs,
 )
-from holodisc import macromodel
+from holodisc import harness, macromodel
 from holodisc.harness import _compile_stage, run_paired
 from holodisc.forcing import lorenz_point
 from holodisc.macromodel import alternating_signs, ssm1_chain_specs, stage_block
@@ -153,6 +153,24 @@ def strongquad_side(m):
 UNIT_GRID = ("burgers", 1.0, 0.5, 0.7, "advective")
 HARMONICS = [SignalSpec(kind="harmonic", omega=0.37, phase=0.3),
              SignalSpec(kind="harmonic", omega=0.23, phase=1.1)]
+WHITE = SignalSpec(kind="white-noise", intensity=0.8)
+# Profiles with signed zeros: np.dot(profiles.T, vals) gives +0.0 where
+# p * v is -0.0, so a stage must keep the product's bits, not p * v's.
+SIGNED_ROWS = np.array([[0.5, -0.0, 2.0, 0.0, -1.5, 3.0, -0.0, 1.0],
+                        [-0.0, 1.25, 0.0, -2.0, 0.75, -0.0, 0.5, 0.0]])
+
+
+def ssm1_side(scheme, assemble):
+    cfg = ModelConfig(variant="ssm1", alpha=0.7, eps=-0.3, gamma=0.6, H=1.1,
+                      m=4, dt=1e-3, scheme=scheme)
+    return CoarseSide(cfg, np.ones(4), assemble)
+
+
+def fig1_sides(n):
+    grid = ("burgers", 2.0 * np.pi / n, 0.3, 0.05, "advective")
+    return fine_side(np.ones(n), np.eye(n), grid), grid, None
+
+
 CASES = {
     "fig3": lambda: ([LORENZ], *fig3_sides()),
     "lattice-pair": lambda: (HARMONICS, *lattice_sides()),
@@ -162,26 +180,80 @@ CASES = {
     "lorenz-harmonic-lorenz": lambda: (
         [LORENZ, HARMONICS[0], SignalSpec(kind="lorenz", xi0=-3.0)],
         fine_side(np.ones(8), np.eye(3, 8), UNIT_GRID), UNIT_GRID, None),
+    "conservative-two-rows": lambda: (
+        [*lorenz_specs([0.5]), SignalSpec(kind="constant", value=-0.0)],
+        fine_side(np.ones(8), SIGNED_ROWS, UNIT_GRID[:4] + ("conservative",)),
+        UNIT_GRID[:4] + ("conservative",), None),
+    "skew-identity-ssm1": lambda: (
+        [HARMONICS[1], SignalSpec(kind="constant", value=-0.0), *lorenz_specs([1.0])],
+        fine_side(np.ones(3), np.eye(3), UNIT_GRID[:4] + ("skew",)),
+        UNIT_GRID[:4] + ("skew",), ssm1_side("rk4", lambda v, t: float(v[2]))),
+    "white-one-row": lambda: (
+        [WHITE], fine_side(np.ones(6), SIGNED_ROWS[:1, :6], UNIT_GRID),
+        UNIT_GRID, None),
+    "white-lorenz-harmonic-ssm1": lambda: (
+        [WHITE, *lorenz_specs([-2.0]), HARMONICS[0]],
+        fine_side(np.ones(8), np.vstack([SIGNED_ROWS, SIGNED_ROWS[:1]]), UNIT_GRID),
+        UNIT_GRID, ssm1_side("euler-maruyama",
+                             lambda v, t: float(v[1] - 0.5 * v[0]))),
+    "fig1-32": lambda: (lorenz_specs([1.0] * 32), *fig1_sides(32)),
 }
+# The cases whose stage is the generated float stage; the rest take the
+# array stage (a lattice or strongquad side, or fig1's 128 entries).
+FLOAT_CASES = {"fig3", "lorenz-harmonic-lorenz", "conservative-two-rows",
+               "skew-identity-ssm1", "white-one-row", "white-lorenz-harmonic-ssm1"}
+
+
+def takes_float_stage(joint):
+    return joint.bind.__code__.co_filename == "<paired float stage>"
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_stage_is_the_concatenating_stage_bit_for_bit(case):
     """reference_stage runs on the interleaved drivers, one (xi, eta, zeta)
-    per Lorenz signal (a permutation only with two Lorenz signals or more)."""
+    per Lorenz signal (a permutation only with two Lorenz signals or more);
+    a white signal's draws are given, under euler-maruyama.  The last time
+    puts signed zeros in the state and the draws: -0.0 drivers, so values
+    of -0.0, and a fine field of +0.0 points between -0.0 neighbours, whose
+    derivative before its forcing is -0.0, so it shows the forcing's sign."""
     signals, fine, grid, coarse = CASES[case]()
     dt = coarse.cfg.dt if coarse is not None else 1e-3
-    joint = _compile_stage(signals, 5, dt, "rk4", fine, coarse)
+    white = any(s.kind == "white-noise" for s in signals)
+    scheme = "euler-maruyama" if white else "rk4"
+    joint = _compile_stage(signals, 5, dt, scheme, fine, coarse)
+    assert takes_float_stage(joint) == (case in FLOAT_CASES)
     order = interleaved_order(joint.sigset.total_dim // 3, joint.y0.size)
     rng = np.random.default_rng(len(case))
     for t in (0.0, 0.37, 2.5):
         y = joint.y0 + rng.normal(size=joint.y0.size)
+        if t == 2.5:
+            sd, su = joint.slices[:2]
+            y[rng.random(y.size) < 0.3] = -0.0
+            y[sd] = -0.0
+            y[su] = np.where(np.arange(su.stop - su.start) % 2, 0.0, -0.0)
+        draws = [(-0.0 if t == 2.5 else float(rng.normal())) if s.kind == "white-noise"
+                 else None for s in signals] if white else None
         interleaved = np.empty_like(y)
         interleaved[order] = y
-        want = reference_stage(signals, fine, grid, coarse, interleaved, t)[order]
+        want = reference_stage(signals, fine, grid, coarse, interleaved, t,
+                               draws)[order]
         for _ in range(2):  # the stage's buffers carry nothing over
-            got = bound_stage(joint.bind)(y, t)
-            assert got.shape == want.shape and np.array_equal(got, want)
+            got = bound_stage(joint.bind)(y, t, draws)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_float_stage_looks_ssm1_rhs_up_at_each_call(monkeypatch):
+    """A wrapper put on macromodel.ssm1_rhs after the stage was compiled, as
+    the benchmark's tracer puts one, sees every coarse rhs of the float
+    stage: four per RK4 step."""
+    fine, _, coarse = fig3_sides()
+    joint = _compile_stage([LORENZ], 3, 1e-3, "rk4", fine, coarse)
+    assert takes_float_stage(joint)
+    calls, real = [], macromodel.ssm1_rhs
+    monkeypatch.setattr(macromodel, "ssm1_rhs",
+                        lambda *args: calls.append(args) or real(*args))
+    march(stepper(joint.bind, 1e-3), joint.y0, 0.0, 5, 1e-3)
+    assert len(calls) == 20
 
 
 def lorenz_specs(amplitudes):
@@ -202,15 +274,17 @@ def forcing_of(signals, profiles):
     joint = _compile_stage(signals, 3, 1e-3, "rk4", fine, None)
     y = joint.y0 + np.random.default_rng(len(signals)).normal(
         scale=10.0, size=joint.y0.size)
+    y[::5] = -0.0
     bound_stage(joint.bind)(y, 0.5)
     return seen[-1], y
 
 
-def test_identity_profiles_pass_the_values_through():
-    """The xi row itself is the forcing, with np.dot(I, xi)'s bits."""
+def test_identity_profiles_force_with_the_products_bits():
+    """The xi row plus 0.0 is the forcing, without the matrix product:
+    np.dot(I, xi)'s bits, +0.0 for a -0.0 value included."""
     n = 32
     phi, y = forcing_of(lorenz_specs([1.0] * n), np.eye(n))
-    assert np.shares_memory(phi, y) and np.array_equal(phi, y[:n])
+    assert not np.shares_memory(phi, y) and np.array_equal(phi, y[:n])
     assert phi.tobytes() == np.dot(np.eye(n), y[:n]).tobytes()
 
 
@@ -330,8 +404,14 @@ def weak_white_run(variant, m):
     build_weak_model(cfg, SignalSpec(kind="white-noise")).run(np.ones(m), 0.05)
 
 
+def white_float_stage_run():
+    signals, fine, _, coarse = CASES["white-lorenz-harmonic-ssm1"]()
+    run_paired(signals, 3, 0.01, 1e-3, "euler-maruyama", fine, coarse)
+
+
 FREED_WITHOUT_COLLECTOR = {
     "fig3 run_paired": fig3_paired_run,
+    "white float-stage run_paired": white_float_stage_run,
     "ssm1 bank": lambda: build_bank(fig3_sides()[2].cfg),
     "weak white ssm1": lambda: weak_white_run("ssm1", 4),
     "weak white strongquad": lambda: weak_white_run("strongquad", 8),
@@ -507,10 +587,10 @@ def coarse_forcing(cfg, rng):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_stage_block_reads_only_y_and_writes_only_its_slices(
         variant, m, monkeypatch):
-    """In a joint state with driver and fine slices, from a NaN dy, each
-    body (every bank by rows, then ssm1 at every m on Python floats)
-    leaves y and the bank's state alone, writes dy[sz] and dy[sU] and
-    nothing else, and the two bodies agree bit for bit."""
+    """In a joint state with driver and fine slices, from a NaN dy, the
+    block (every bank by rows, ssm1's dU on arrays, then on Python floats
+    at every m) leaves y and the bank's state alone, writes dy[sz] and
+    dy[sU] and nothing else, and the two dU bodies agree bit for bit."""
     rng = np.random.default_rng(m)
     cfg = ModelConfig(variant=variant, alpha=0.3, eps=0.05, H=np.pi / 2.0,
                       m=m)
@@ -542,35 +622,33 @@ SCALES = (1e-6, 1e-2, 1.0, 30.0, 1e3)
 
 @pytest.mark.parametrize("white", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("past", [0, 2])
-def test_ssm1_stage_at_the_float_ring_is_the_concatenating_stage(
-        past, gamma, white, monkeypatch):
-    """At the largest ring the float body takes and at the next even one
-    (rows, then the float body forced), under rk4 and euler-maruyama's
-    white draws, over signal, chain and amplitude magnitudes 1e-6..1e3."""
-    m = macromodel._FLOAT_RING + past
+@pytest.mark.parametrize("past", [0, 1])
+def test_ssm1_stage_at_the_float_state_is_the_concatenating_stage(
+        past, gamma, white):
+    """At the largest state the float stage takes and at one entry past it
+    (the array stage), an ssm1 bank and a Burgers ring filling it, under
+    rk4 and euler-maruyama's white draws, over signal, field, chain and
+    amplitude magnitudes 1e-6..1e3."""
+    m = 2 * ((harness._FLOAT_STATE - 4) // 16)
+    n = harness._FLOAT_STATE - (0 if white else 3) - 8 * m + past
+    assert 0 < n <= harness._FLOAT_POINTS
     scheme = "euler-maruyama" if white else "rk4"
     cfg = ModelConfig(variant="ssm1", alpha=1.3, eps=-0.6, gamma=gamma,
                       H=0.9, m=m, scheme=scheme)
     coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
+    grid = ("burgers", 0.4, 1.3, -0.6, "skew")
+    rng = np.random.default_rng(m + n)
+    fine = fine_side(np.ones(n), rng.normal(size=(1, n)), grid)
     signals = [SignalSpec(kind="white-noise") if white else LORENZ]
-    # The body the ring constant chooses, then past it the float body.
-    runs = [(macromodel._FLOAT_RING,
-             "stage_block" if past else "_ssm1_float_block")]
-    if past:
-        runs.append((m, "_ssm1_float_block"))
-    for ring, body in runs:
-        monkeypatch.setattr(macromodel, "_FLOAT_RING", ring)
-        joint = _compile_stage(signals, 5, cfg.dt, scheme, None, coarse)
-        sd, _, sz, sU = joint.slices
-        assert (stage_block(build_bank(cfg), sz, sU).__qualname__
-                == body + ".<locals>.block")
-        rng = np.random.default_rng(m)
-        for zs, us in itertools.product(SCALES, repeat=2):
-            y = joint.y0.copy()
-            for scale, block in zip((us, zs, us), (sd, sz, sU)):
-                y[block] = scale * rng.normal(size=y[block].size)
-            draws = [us * rng.normal()] if white else joint.sigset.no_draws
-            t = float(rng.uniform(0.0, 10.0))
-            want = reference_stage(signals, None, None, coarse, y, t, draws)
-            assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)
+    joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
+    assert joint.y0.size == harness._FLOAT_STATE + past
+    assert takes_float_stage(joint) == (not past)
+    sd, su, sz, sU = joint.slices
+    for zs, us in itertools.product(SCALES, repeat=2):
+        y = joint.y0.copy()
+        for scale, block in zip((us, us, zs, us), (sd, su, sz, sU)):
+            y[block] = scale * rng.normal(size=y[block].size)
+        draws = [us * rng.normal()] if white else joint.sigset.no_draws
+        t = float(rng.uniform(0.0, 10.0))
+        want = reference_stage(signals, fine, grid, coarse, y, t, draws)
+        assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)
