@@ -115,6 +115,8 @@ def main():
 def micro(n, dx, alpha, eps, dt, tend, u0, form, scheme, profile, forcing,
           seed, record_every, out):
     """Run the fine periodic field under one forcing signal."""
+    if n < 1:
+        raise ConfigError(f"--n must be at least 1 grid point, got {n}")
     signal = _parse_signal(forcing)
     x = dx * np.arange(n)
     prof = np.ones(n) if profile == "uniform" else np.cos(2.0 * x)

@@ -26,7 +26,7 @@ times, a harmonic drive inlined, and march's error (``non_finite_error``)
 from one screen of the history after the loop.  A float step per march call
 spent almost half as long on march's array round trip as on its arithmetic.
 Its rows come from one template (``_float_rows``), which ``harness``'s
-float stage of a small paired run also writes its cascade rows from.  Python floats
+float stage of fig3's paired run also writes its cascade rows from.  Python floats
 round + and * as numpy float64 does: same operations, same order, same bits.
 
 Products of two convolved signals reduce, by repeated integration by parts,

@@ -6,8 +6,8 @@ drivers, the fine field, the coarse model's packed memory bank and its
 amplitudes as one state vector, one step of ``microscale.stepper``'s map
 at a time through ``microscale.march``, and evaluates the signals once per
 stage for both sides, so a fine run and its coarse partner see one
-forcing path by construction.  A small run's stage is one generated
-function on Python floats (``_float_stage``).  ``run_macro_forced`` is its
+forcing path by construction.  fig3's stage is one generated function on
+Python floats (``_float_stage``).  ``run_macro_forced`` is its
 coarse-only call.
 
 Experiments, each declared once at its body by ``experiment`` (its spec
@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import numbers
 import os
 import struct
@@ -47,7 +46,6 @@ from .errors import ConfigError, DataError, check_finite, check_positive
 from .forcing import (
     LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA,
     ElementGrid,
-    HarmonicSignal,
     SignalSpec,
     csn,
     lorenz_point,
@@ -489,19 +487,13 @@ class _Joint(NamedTuple):
     bind: object
 
 
-# A joint state whose every block has a float form steps on the generated
-# float stage (_float_stage) if it has at most _FLOAT_STATE entries and its
-# fine side at most _FLOAT_POINTS points; else on numpy arrays, whose cost
-# barely grows with the state.  Timeit, one stage call, float against array
-# stage, min of 150 interleaved rounds of 50 calls, 2-vCPU Xeon, Python
-# 3.11, numpy 2.4: one Lorenz signal, a Burgers ring of n points and ssm1
-# at m = 4 (fig3's shape) -14% at 67 entries (n = 32), -3% at 75, +8% at
-# 83; one Lorenz signal and ssm1 alone -8% at 67 (m = 8), +1% at 83; a
-# Lorenz driver per point of the ring (fig1's) -31% at 72 (18 drivers),
-# +1% at 84, +45% at fig1-fine's 128; a ring under one Lorenz signal -5%
-# at 40 points, +12% at 48, +68% at 64, its points cost most on floats.
+# fig3's layout steps on the generated float stage (_float_stage) if its
+# joint state has at most _FLOAT_STATE entries; else on numpy arrays, whose
+# cost barely grows with the state.  Timeit, one stage call, float against
+# array stage, min of 150 interleaved rounds of 50 calls, 2-vCPU Xeon,
+# Python 3.11, numpy 2.4: one Lorenz signal, a Burgers ring of n points and
+# ssm1 at m = 4 -14% at 67 entries (n = 32), -3% at 75, +8% at 83.
 _FLOAT_STATE = 72
-_FLOAT_POINTS = 40
 
 
 def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
@@ -519,12 +511,11 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     draws the step's samples and keeps those of the steps keeps(k) names
     (``_SignalSet.draws``); euler-maruyama calls it once per step.
 
-    A joint state of at most ``_FLOAT_STATE`` entries, at most
-    ``_FLOAT_POINTS`` of them fine, whose blocks all have a float form (any
-    signals, a Burgers fine side or none, an ssm1 bank or none) binds the
-    float stage instead (``_float_stage``): the same arithmetic in the same
-    order on Python floats, so the same bits, without numpy's dispatch per
-    operation on arrays of a few entries.
+    fig3's layout (every signal Lorenz, a ``burgers_form`` fine side, an
+    ssm1 bank, at most ``_FLOAT_STATE`` entries) binds the float stage
+    instead (``_float_stage``): the same arithmetic in the same order on
+    Python floats, so the same bits, without numpy's dispatch per operation
+    on arrays of a few entries.  Every other run takes the array stage.
     """
     sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
@@ -532,6 +523,9 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     if fine is not None:
         fine_rhs = fine.rhs
         u0 = np.asarray(fine.u0, dtype=float)
+        if u0.ndim != 1 or not u0.size:
+            raise ConfigError("initial field u0 must be a 1-D ring of at least "
+                              f"one point, got shape {u0.shape}")
         check_finite("initial field u0", u0)
         profiles = np.asarray(fine.profiles, dtype=float)
         if profiles.shape != (len(sigset.signals),) + u0.shape:
@@ -565,12 +559,11 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     blocks += [("grid amplitudes", sU), ("fine field", su)]
     slices = (sd, su, sz, sU)
 
-    if (y0.size <= _FLOAT_STATE and u0.size <= _FLOAT_POINTS
-            and (fine is None or hasattr(fine_rhs, "float_form"))
-            and (coarse is None or cfg.variant == "ssm1")):
+    if (y0.size <= _FLOAT_STATE and fine is not None and coarse is not None
+            and hasattr(fine_rhs, "float_form") and cfg.variant == "ssm1"
+            and all(sig.driver_dim for sig in sigset.signals)):
         return _Joint(sigset, y0, slices, blocks, _float_stage(
-            sigset, dt, fine and (fine_rhs.float_form, profiles_T, identity),
-            coarse and (bank, assemble, sz, sU), y0.size))
+            sigset, fine_rhs.float_form, profiles_T, bank, assemble, sz, sU))
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
     white, no_draws = sigset.any_white, sigset.no_draws
@@ -592,110 +585,74 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     return _Joint(sigset, y0, slices, blocks, bind)
 
 
-def _float_stage(sigset, dt, fine, coarse, size):
-    """The float stage's binder bind(src, dst) -> stage(t, draws=None) for a
-    joint state of size entries and _compile_stage's sides: fine None or
-    (float_form, profiles.T, identity), coarse None or (bank, assemble, sz,
-    sU).  The code is generated per layout (``_float_stage_code``) and
-    cached; every constant is bound by value: the Lorenz amplitudes, the
-    harmonic constants, each other signal's value function, the fine form's
-    constants, the bank and its cascade rates.  ssm1_rhs is looked up on
-    ``macromodel`` at call time, so a wrapper put there sees each call."""
-    kinds = tuple("lorenz" if sig.driver_dim else "white" if sig.is_white
-                  else "harmonic" if isinstance(sig, HarmonicSignal) else "value"
-                  for sig in sigset.signals)
-    values = dict(take=sigset.draws, dt=dt, lorenz_point=lorenz_point,
-                  cos=math.cos, array=np.array, dot=np.dot, macromodel=macromodel,
-                  pack=struct.Struct(f"{size}d").pack_into)
-    for k, (kind, sig) in enumerate(zip(kinds, sigset.signals)):
-        if kind == "lorenz":
-            values[f"amp{k}"] = sig.amplitude
-        elif kind == "harmonic":
-            values.update((f"{a}{k}", getattr(sig, a)) for a in sig.args)
-        elif kind == "value":
-            values[f"value{k}"] = sig.value
-    layout, rates, feeds, m = None, (), (), 0
-    if fine is not None:
-        (form, constants), profiles_T, identity = fine
-        values.update(constants, profiles_T=profiles_T)
-        layout = (form, len(profiles_T), identity)
-    if coarse is not None:
-        bank, assemble, sz, sU = coarse
-        m, (neg_rates, row_feed, _) = bank.m, bank._layout
-        cols = np.arange(m)
-        # Per chain state its feed in [chain states; phi * m].
-        feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
-        rates = neg_rates.ravel().tolist()
-        values.update(assemble=assemble, bank=bank, cfg=bank.cfg, sU=sU,
-                      out_at=sz.start + m * bank.out_rows[:, None] + cols)
-    code = _float_stage_code(kinds, sigset.unit, layout, feeds, m)
-    return _float_bind(code, "bind", rates, **values)
+def _float_stage(sigset, float_form, profiles_T, bank, assemble, sz, sU):
+    """The float stage's binder bind(src, dst) -> stage(t, draws=None) for
+    fig3's layout: Lorenz signals, the Burgers form's float_form and
+    profiles.T, and the ssm1 bank, its assemble and slices sz, sU (the
+    state's last block).  The code is generated per layout and cached
+    (``_float_stage_code``); every constant is bound by value: the Lorenz
+    amplitudes, the fine form's constants, the bank and its cascade rates.
+    ssm1_rhs is looked up on ``macromodel`` at call time, so a wrapper put
+    there sees each call."""
+    (form, constants), m = float_form, bank.m
+    neg_rates, row_feed, _ = bank._layout
+    cols = np.arange(m)
+    # Per chain state its feed in [chain states; phi * m].
+    feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
+    code = _float_stage_code(len(sigset.signals), sigset.unit, form,
+                             len(profiles_T), feeds, m)
+    return _float_bind(
+        code, "bind", neg_rates.ravel().tolist(), lorenz_point=lorenz_point,
+        array=np.array, dot=np.dot, macromodel=macromodel,
+        pack=struct.Struct(f"{sU.start + m}d").pack_into, profiles_T=profiles_T,
+        assemble=assemble, bank=bank, cfg=bank.cfg, sU=sU,
+        out_at=sz.start + m * bank.out_rows[:, None] + cols, **constants,
+        **{f"amp{k}": sig.amplitude for k, sig in enumerate(sigset.signals)})
 
 
 @functools.lru_cache(maxsize=64)
-def _float_stage_code(kinds, unit, fine, feeds, m):
-    """The compiled source of the float stage's bind(src, dst) for signals
-    of kinds (unit: unit Lorenz signals alone), a fine side (form, points,
-    identity) or None, and a bank's per-state feeds over m elements (none
-    without a coarse side).
+def _float_stage_code(n, unit, form, points, feeds, m):
+    """The compiled source of the float stage's bind(src, dst) for n Lorenz
+    signals (unit: every amplitude 1), a Burgers ring of points points in
+    form, and a bank's per-state feeds over m elements.
 
     bind slices U's view of src, and under unit signals the xi row, the
     values, as the array stage does.  Its stage is one straight-line
-    function in the array stage's order: the step's white draws if none
-    are given; one src.tolist(), one local per entry; per signal its value
-    (amplitude * xi with a ``lorenz_point`` call on its system's floats,
-    ``HarmonicSignal.form`` by math.cos, the draw, or value(t)); the values
-    as an array; the fine forcing from them by np.dot(profiles.T, vals), the
-    array stage's call and so its bits (a BLAS product may fuse its
-    multiply-adds, which Python floats cannot), or each value plus 0.0
-    under identity profiles; each fine point by ``_burgers_point`` plus eps
-    times its forcing; dU by one ssm1_rhs call on U, assemble(vals, t) and
-    the gathered chain outputs; each chain state's row from ``_float_rows``;
+    function in the array stage's order: one src.tolist(), one local per
+    entry; per signal a ``lorenz_point`` call on its system's floats and,
+    unless unit, its value amplitude * xi; the values as an array; the fine
+    forcing from them by np.dot(profiles.T, vals), the array stage's call
+    and so its bits (a BLAS product may fuse its multiply-adds, which Python
+    floats cannot; under identity profiles it gives the array stage's
+    values plus 0.0); each fine point by ``_burgers_point`` plus eps times
+    its forcing; dU by one ssm1_rhs call on U, assemble(vals, t) and the
+    gathered chain outputs; each chain state's row from ``_float_rows``;
     and one pack_into of every derivative into dst, which must be
     contiguous (a stepper frame's buffer is): one call, where a memoryview
     store per entry cost fig3 0.4 us more a stage (timeit, 67 entries)."""
-    n = kinds.count("lorenz")
-    form, points, identity = fine or (None, 0, False)
     S = len(feeds)
     state = ([f"y{i}" for i in range(3 * n)] + [f"u{i}" for i in range(points)]
              + [f"z{i}" for i in range(S)] + ["_"] * m)
     derivs = ([f"dy{i}" for i in range(3 * n)] + [f"du{i}" for i in range(points)]
               + [f"dz{i}" for i in range(S)] + [f"dU{i}" for i in range(m)])
-    lines = ["if draws is None:", "    draws = take(dt)"] if "white" in kinds else []
-    if state:
-        lines.append("".join(f"{w}, " for w in state) + "= src.tolist()")
-    vals, j = [], 0
-    for k, kind in enumerate(kinds):
-        vals.append(f"y{j}" if unit else f"v{k}")
-        if kind == "lorenz":
-            xi, eta, zeta = j, n + j, 2 * n + j
-            lines.append(f"dy{xi}, dy{eta}, dy{zeta} = lorenz_point(y{xi}, y{eta}, y{zeta})")
-            lines += [] if unit else [f"v{k} = amp{k} * y{xi}"]
-            j += 1
-        elif kind == "harmonic":
-            lines.append(f"v{k} = " + HarmonicSignal.form.format(
-                t="t", **{a: f"{a}{k}" for a in HarmonicSignal.args}))
-        else:
-            lines.append(f"v{k} = draws[{k}]" if kind == "white" else f"v{k} = value{k}(t)")
-    head = ["U = src[sU]"] if S else []
-    if (S or points and not identity) and unit:
+    lines = ["".join(f"{w}, " for w in state) + "= src.tolist()"]
+    for k in range(n):
+        xi, eta, zeta = k, n + k, 2 * n + k
+        lines.append(f"dy{xi}, dy{eta}, dy{zeta} = lorenz_point(y{xi}, y{eta}, y{zeta})")
+        lines += [] if unit else [f"v{k} = amp{k} * y{xi}"]
+    head = ["U = src[sU]"]
+    if unit:
         head.append(f"vals = src[:{n}]")
-    elif S or points and not identity:
-        lines.append(f"vals = array(({''.join(f'{v}, ' for v in vals)}))")
-    if points:
-        if not identity:
-            lines.append(_float_unpack("f", points, "dot(profiles_T, vals).tolist()"))
-        force = [f"({v} + 0.0)" for v in vals] if identity else [
-            f"f{i}" for i in range(points)]
-        lines += [f"du{i} = " + _burgers_point(form, f"u{i}", f"u{(i + 1) % points}",
-                                               f"u{(i - 1) % points}")
-                  + f" + eps * {force[i]}" for i in range(points)]
-    if S:
-        lines += ["dU, phi = macromodel.ssm1_rhs(U, assemble(vals, t), bank, cfg, "
-                  "src[out_at])", _float_unpack("dU", m, "dU.tolist()")]
-        lines += [f"dz{i} = {row}" for i, row in enumerate(_float_rows(feeds, "z", "phi"))]
-    if derivs:
-        lines.append(f"pack(dst, 0, {', '.join(derivs)})")
+    else:
+        lines.append(f"vals = array(({''.join(f'v{k}, ' for k in range(n))}))")
+    lines.append(_float_unpack("f", points, "dot(profiles_T, vals).tolist()"))
+    lines += [f"du{i} = " + _burgers_point(form, f"u{i}", f"u{(i + 1) % points}",
+                                           f"u{(i - 1) % points}")
+              + f" + eps * f{i}" for i in range(points)]
+    lines += ["dU, phi = macromodel.ssm1_rhs(U, assemble(vals, t), bank, cfg, "
+              "src[out_at])", _float_unpack("dU", m, "dU.tolist()")]
+    lines += [f"dz{i} = {row}" for i, row in enumerate(_float_rows(feeds, "z", "phi"))]
+    lines.append(f"pack(dst, 0, {', '.join(derivs)})")
     body = [*head, "def stage(t, draws=None):", *(f"    {line}" for line in lines),
             "return stage"]
     return _float_code("bind(src, dst)", body, "paired float stage")
@@ -726,17 +683,18 @@ def run_paired(
     then; it is bound once per buffer pair of the stepper's frame, and each
     stage writes its blocks into the frame's derivative in place with the
     arithmetic of the separate runs, so joint and separate runs agree bit
-    for bit.  A small state (``_FLOAT_STATE``, ``_FLOAT_POINTS``) of
-    signals, a Burgers field and an ssm1 bank, fig3's, steps on one
-    generated float stage instead, with the same bits (``_compile_stage``).
+    for bit.  fig3's layout, Lorenz signals, a Burgers field and an ssm1
+    bank in at most ``_FLOAT_STATE`` entries, steps on one generated float
+    stage instead, with the same bits (``_compile_stage``).
     The values history is read off the recorded rows.
 
     Raises
     ------
     ConfigError
-        If dt does not divide t_end, the fine profiles are not one row per
-        signal over u0, the coarse config's dt or scheme is not the run's,
-        or the scheme cannot take the signals.
+        If dt does not divide t_end, u0 is not a 1-D ring of at least one
+        point, the fine profiles are not one row per signal over u0, the
+        coarse config's dt or scheme is not the run's, or the scheme cannot
+        take the signals.
     StabilityError
         When the state goes non-finite, naming the most upstream bad block.
     """

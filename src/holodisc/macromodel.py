@@ -732,7 +732,7 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     A bank with chains has one body: it reads y[sz] as (S, m) rows, hands
     the variant's rhs their outputs, Z.take(out_rows, 0), and steps the
     cascades by packed_chain_rhs.  (ssm1_rhs computes dU on Python floats
-    for a small ring, by the bank's ``float_rhs``; a small paired run steps
+    for a small ring, by the bank's ``float_rhs``; fig3's paired run steps
     its whole stage on floats instead, by harness's float stage, which calls
     ssm1_rhs for dU and writes the cascade rows itself.)"""
     cfg, m = bank.cfg, bank.m

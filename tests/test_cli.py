@@ -91,6 +91,15 @@ class TestMicro:
         assert result.exit_code == 0, result.output
         assert result.output == "steps=50 final_mean=1 sup=1.10924\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_a_ring_of_no_points_exits_two(self, n):
+        """Refused before any array is built, not a numpy traceback."""
+        result = invoke_entry("micro", "--n", n, "--tend", "0.01")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: --n must be at least 1 grid point, got {n}"]
+        assert result.stdout == ""
+
     def test_bad_signal_json_exits_two(self):
         result = invoke_entry("micro", "--forcing", "{not json", "--tend", "0.01")
         assert result.returncode == 2

@@ -502,6 +502,17 @@ class TestPairedRun:
                 run_paired(signals, 1, 0.1, 1e-3,
                            fine=fine._replace(profiles=profiles))
 
+    @pytest.mark.parametrize("shape", [(4, 8), (), (0,)])
+    def test_fine_field_must_be_a_ring_of_points(self, shape):
+        """A u0 that is not 1-D, or holds no point, is refused by its shape
+        before the first step."""
+        fine = FineSide(np.ones(shape), np.ones((1,) + shape),
+                        burgers_form(np.pi / 4, 0.3, 0.05, "advective"))
+        with pytest.raises(ConfigError, match=re.escape(
+                "initial field u0 must be a 1-D ring of at least one point, "
+                f"got shape {shape}")):
+            run_paired([SignalSpec(kind="lorenz")], 1, 0.01, 1e-3, fine=fine)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_names_the_fine_field(self):
         fine = fig3_fine(u0=np.cos, profile=np.zeros_like)

@@ -197,11 +197,25 @@ CASES = {
         UNIT_GRID, ssm1_side("euler-maruyama",
                              lambda v, t: float(v[1] - 0.5 * v[0]))),
     "fig1-32": lambda: (lorenz_specs([1.0] * 32), *fig1_sides(32)),
+    "two-lorenz-signed-rows-ssm1": lambda: (
+        lorenz_specs([0.5, -2.0]),
+        fine_side(np.ones(8), SIGNED_ROWS, UNIT_GRID[:4] + ("conservative",)),
+        UNIT_GRID[:4] + ("conservative",),
+        ssm1_side("rk4", lambda v, t: float(v[1] - 0.5 * v[0]))),
+    "unit-lorenz-identity-skew-ssm1": lambda: (
+        lorenz_specs([1.0] * 3),
+        fine_side(np.ones(3), np.eye(3), UNIT_GRID[:4] + ("skew",)),
+        UNIT_GRID[:4] + ("skew",), ssm1_side("rk4", lambda v, t: float(v[2]))),
+    "fig3-harmonic": lambda: ([HARMONICS[0]], *fig3_sides()),
+    "fig3-fine-alone": lambda: ([LORENZ], *fig3_sides()[:2], None),
+    "fig3-coarse-alone": lambda: ([LORENZ], None, None, fig3_sides()[2]),
 }
-# The cases whose stage is the generated float stage; the rest take the
-# array stage (a lattice or strongquad side, or fig1's 128 entries).
-FLOAT_CASES = {"fig3", "lorenz-harmonic-lorenz", "conservative-two-rows",
-               "skew-identity-ssm1", "white-one-row", "white-lorenz-harmonic-ssm1"}
+# The cases whose stage is the generated float stage, fig3's layout: Lorenz
+# signals only, a Burgers ring and an ssm1 bank in at most _FLOAT_STATE
+# entries.  The rest take the array stage: another signal kind, one side
+# alone, a lattice or strongquad side, or fig1's 128 entries.
+FLOAT_CASES = {"fig3", "two-lorenz-signed-rows-ssm1",
+               "unit-lorenz-identity-skew-ssm1"}
 
 
 def takes_float_stage(joint):
@@ -404,14 +418,14 @@ def weak_white_run(variant, m):
     build_weak_model(cfg, SignalSpec(kind="white-noise")).run(np.ones(m), 0.05)
 
 
-def white_float_stage_run():
-    signals, fine, _, coarse = CASES["white-lorenz-harmonic-ssm1"]()
-    run_paired(signals, 3, 0.01, 1e-3, "euler-maruyama", fine, coarse)
+def two_lorenz_float_stage_run():
+    signals, fine, _, coarse = CASES["two-lorenz-signed-rows-ssm1"]()
+    run_paired(signals, 3, 0.01, 1e-3, "rk4", fine, coarse)
 
 
 FREED_WITHOUT_COLLECTOR = {
     "fig3 run_paired": fig3_paired_run,
-    "white float-stage run_paired": white_float_stage_run,
+    "two-Lorenz float-stage run_paired": two_lorenz_float_stage_run,
     "ssm1 bank": lambda: build_bank(fig3_sides()[2].cfg),
     "weak white ssm1": lambda: weak_white_run("ssm1", 4),
     "weak white strongquad": lambda: weak_white_run("strongquad", 8),
@@ -627,11 +641,12 @@ def test_ssm1_stage_at_the_float_state_is_the_concatenating_stage(
         past, gamma, white):
     """At the largest state the float stage takes and at one entry past it
     (the array stage), an ssm1 bank and a Burgers ring filling it, under
-    rk4 and euler-maruyama's white draws, over signal, field, chain and
-    amplitude magnitudes 1e-6..1e3."""
+    rk4's Lorenz signal (the float stage at the largest state) and
+    euler-maruyama's white draws (the array stage at either size), over
+    signal, field, chain and amplitude magnitudes 1e-6..1e3."""
     m = 2 * ((harness._FLOAT_STATE - 4) // 16)
     n = harness._FLOAT_STATE - (0 if white else 3) - 8 * m + past
-    assert 0 < n <= harness._FLOAT_POINTS
+    assert n > 0
     scheme = "euler-maruyama" if white else "rk4"
     cfg = ModelConfig(variant="ssm1", alpha=1.3, eps=-0.6, gamma=gamma,
                       H=0.9, m=m, scheme=scheme)
@@ -642,7 +657,7 @@ def test_ssm1_stage_at_the_float_state_is_the_concatenating_stage(
     signals = [SignalSpec(kind="white-noise") if white else LORENZ]
     joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
     assert joint.y0.size == harness._FLOAT_STATE + past
-    assert takes_float_stage(joint) == (not past)
+    assert takes_float_stage(joint) == (not past and not white)
     sd, su, sz, sU = joint.slices
     for zs, us in itertools.product(SCALES, repeat=2):
         y = joint.y0.copy()
