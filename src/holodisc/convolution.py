@@ -21,10 +21,12 @@ steps (levels, m) rows through ``microscale.march``, one drive call per
 new stage time.
 A 1-D packed state, a few scalar rows, runs its whole time loop on Python
 floats instead, in one function generated from its feeds, scheme and drive
-body and cached (``_float_run``): one local per row and stage, march's stage
-times, a harmonic drive inlined, and march's error (``non_finite_error``)
-from one screen of the history after the loop.  A float step per march call
-spent almost half as long on march's array round trip as on its arithmetic.
+body and cached (``_float_run``): one local per row and stage, march's step
+times from one array made before the loop, a harmonic drive inlined, each
+step's row stored by one ``struct.pack_into``, and march's error
+(``non_finite_error``) from one screen of the history after the loop.  A
+float step per march call spent almost half as long on march's array round
+trip as on its arithmetic.
 Its rows come from one template (``_float_rows``), which ``harness``'s
 float stage of fig3's paired run also writes its cascade rows from.  Python floats
 round + and * as numpy float64 does: same operations, same order, same bits.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,16 +191,16 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
     n = int(round(t_end / dt))
     blocks = [(f"memory chain {r}", row) for r, row in zip(chains, layout[2])]
     if Z.ndim == 1:
+        times = 0.0 + np.arange(n + 1) * dt  # march's t0 + k dt, bit for bit
         history, sig = np.empty((n + 1, len(Z))), getattr(drive_fn, "__self__", None)
         inline = getattr(drive_fn, "__func__", None) is HarmonicSignal.value
         _float_run(tuple(layout[1].tolist()), scheme, inline and (sig.form, sig.args))(
             Z.tolist(), layout[0].tolist(), [getattr(sig, a) for a in sig.args]
-            if inline else drive_fn, 0.0, n, float(dt), memoryview(history.reshape(-1)))
+            if inline else drive_fn, times[:-1].tolist(), float(dt), history)
         ok = np.isfinite(history[1:]).all(axis=1)  # step k wrote row k + 1
         if not ok.all():
             k = int(ok.argmin())
             raise non_finite_error(history[k + 1], blocks, 0.0, k, dt)
-        times = 0.0 + np.arange(n + 1) * dt  # march's t0 + k dt, bit for bit
     else:
         times, history = march(advance, Z, 0.0, n, dt, blocks=blocks)
     return times, [history[:, row] for row in layout[2]]
@@ -239,14 +242,16 @@ def _float_bind(code, name, rates=(), **values):
 
 @functools.lru_cache(maxsize=64)
 def _float_run(feed: tuple, scheme: str, inline=None):
-    """run(z, rates, drive, t0, n, dt, out): n steps of the scheme from the
-    1-D packed state z on Python floats, each state written into out, a flat
-    (n + 1, rows) history the caller screens.  One local per row and stage
-    in one loop: packed_chain_rhs's rows, the stepper's RK4 or Euler
-    operations in their order, stages at march's t0 + k dt.  An inline
-    (form, args) evaluates form at each stage time, drive holding the args'
-    values and cos math.cos; else drive is a function behind a one-entry
-    cache.  Cached per feeds, scheme and inline."""
+    """run(z, rates, drive, times, dt, out): a step of the scheme from each
+    start time in times, from the 1-D packed state z on Python floats, each
+    state packed into out, the contiguous (len(times) + 1, rows) history
+    the caller screens.  One local per row and stage in one loop:
+    packed_chain_rhs's rows, the stepper's RK4 or Euler operations in their
+    order, each step's row stored by one struct pack_into.  times are
+    march's step starts t0 + k dt, computed by the caller as one array.  An
+    inline (form, args) evaluates form at each stage time, drive holding
+    the args' values and cos math.cos; else drive is a function behind a
+    one-entry cache.  Cached per feeds, scheme and inline."""
     S = len(feed)
 
     def derivs(k, w):
@@ -266,7 +271,7 @@ def _float_run(feed: tuple, scheme: str, inline=None):
         return [f"if {s} != ts:", f"    ts, d = {s}, drive({s})",
                 "    if type(d) is not float: d = as_float(d)"]
 
-    step = ["t = t0 + k * dt", *drive("t"), *derivs("a", "z")]
+    step = [*drive("t"), *derivs("a", "z")]
     if scheme == "rk4":
         step += ["u = t + h", *drive("u"), *stage("p", "a", "h"), *derivs("b", "p"),
                  *stage("q", "b", "h"), *derivs("c", "q"), "u = t + dt", *drive("u"),
@@ -275,14 +280,15 @@ def _float_run(feed: tuple, scheme: str, inline=None):
                    for i in range(S))]
     else:
         step += [f"z{i} = z{i} + dt * a{i}" for i in range(S)]
-    put = ["out[j] = z0", *(f"out[j + {i}] = z{i}" for i in range(1, S)), f"j += {S}"]
+    packed = struct.Struct(f"{S}d")
+    put = [f"pack(out, j, {', '.join(f'z{i}' for i in range(S))})", f"j += {packed.size}"]
     body = [_float_unpack("z", S, "z"), _float_unpack("r", S, "rates"),
             f"{', '.join(inline[1])}, = drive" if inline else "ts = None",
             "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0", *put,
-            "for k in range(n):", *(f"    {line}" for line in step + put)]
-    return _float_bind(_float_code("run(z, rates, drive, t0, n, dt, out)", body,
+            "for t in times:", *(f"    {line}" for line in step + put)]
+    return _float_bind(_float_code("run(z, rates, drive, times, dt, out)", body,
                                    "convolution float run"), "run", cos=math.cos,
-                       as_float=_float_drive)
+                       as_float=_float_drive, pack=packed.pack_into)
 
 
 def integrate_chain(rates, drive_fn, t_end, dt, states0=None, scheme="rk4"):

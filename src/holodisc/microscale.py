@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -279,17 +280,18 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
           blocks=(("state", slice(None)),)):
     """Take n_steps of y <- advance(y, t0 + k dt); returns (times, history).
 
-    Records t0, every record_every-th step and the last step, into arrays
-    of shapes (r,) and (r,) + y0.shape.  blocks names index ranges that
-    cover the state, upstream first; a non-finite state raises
-    StabilityError naming the first bad block.  One sum of squares screens
-    each step: it is finite unless an entry is not or the sum overflows (a
-    2-norm above about 1.3e154), and only then is each entry tested.  The
-    steps run with numpy's overflow, invalid and divide warnings off: a
-    blow-up is reported once, by that error.
+    Records t0, every record_every-th step (an integer, numpy's included)
+    and the last step, into arrays of shapes (r,) and (r,) + y0.shape.
+    blocks names index ranges that cover the state, upstream first; a
+    non-finite state raises StabilityError naming the first bad block.
+    One sum of squares screens each step: it is finite unless an entry is
+    not or the sum overflows (a 2-norm above about 1.3e154), and only then
+    is each entry tested.  The steps run with numpy's overflow, invalid and
+    divide warnings off: a blow-up is reported once, by that error.
     """
-    if record_every < 1:
-        raise ConfigError("record_every must be at least 1")
+    if not isinstance(record_every, Integral) or record_every < 1:
+        raise ConfigError(f"record_every must be an integer number of steps, "
+                          f"at least 1; got {record_every!r}")
     y = np.asarray(y0, dtype=float)
     n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
     times = np.empty(n_rec)

@@ -16,6 +16,7 @@ index chains by (sorted rates, input) in a dict of their own, so they share
 no layout code with ChainBank.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -709,6 +710,29 @@ def test_inline_harmonic_drive_is_the_called_drive_byte_for_byte(spec, scheme):
     assert got.tobytes() == times.tobytes()
     for a, b in zip(inline, called):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme, per_step", [("rk4", 3), ("euler", 1)])
+def test_inline_harmonic_drive_evaluates_cos_at_every_stage(scheme, per_step):
+    """The inline drive evaluates its form at every stage time, three times
+    an RK4 step, where the called drive is called once per distinct stage
+    time (stage_times): the float loop keeps no last value for it."""
+    sig, n, dt = HarmonicSignal(0.8, 2.0, 0.3), 50, 0.01
+    counts = {}
+    for name, drive in (("inline", sig.value), ("called", lambda t: sig.value(t))):
+        counts[name] = 0
+
+        def profile(frame, event, arg, name=name):
+            if event == "c_call" and arg is math.cos:
+                counts[name] += 1
+
+        sys.setprofile(profile)
+        try:
+            integrate_chains([(1.3, 1.3), (2.0,)], drive, n * dt, dt, None, scheme)
+        finally:
+            sys.setprofile(None)
+    assert counts["inline"] == per_step * n
+    assert counts["called"] == len(stage_times(n, dt, scheme))
 
 
 def test_float_path_refuses_a_two_entry_drive():

@@ -49,6 +49,25 @@ class TestMarch:
         with pytest.raises(ConfigError, match="record_every"):
             march(lambda y, t: y, np.ones(1), 0.0, 3, 0.1, record_every=0)
 
+    def test_record_every_must_be_an_integer(self):
+        """A fractional stride is refused by name, through march and the
+        runs built on it; a numpy integer records as the int does."""
+        cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=0.05, H=np.pi / 2.0,
+                          m=4, dt=0.1)
+        weak = build_weak_model(cfg, SignalSpec(kind="harmonic"))
+        runs = (lambda every: march(lambda y, t: y + 1.0, np.zeros(2), 0.0, 7,
+                                    0.1, record_every=every),
+                lambda every: run_paired([SignalSpec(kind="harmonic")], 3, 0.7,
+                                         0.1, record_every=every),
+                lambda every: weak.run(np.ones(4), 0.7, record_every=every))
+        for run in runs:
+            with pytest.raises(ConfigError, match=r"record_every.*2\.5"):
+                run(2.5)
+        times, hist = runs[0](np.int64(3))
+        assert times.tolist() == runs[0](3)[0].tolist()
+        assert hist[:, 0].tolist() == [0.0, 3.0, 6.0, 7.0]
+        assert runs[2](np.int64(3))[0].size == 4
+
     def test_names_the_first_bad_block_upstream(self):
         def advance(y, t):
             out = y.copy()
@@ -117,6 +136,21 @@ class TestExactSteps:
         times, hist = integrate_chain((1.0,), np.cos, 1.0, 0.3)
         assert times.tolist() == [0.0, 0.3, 0.6, 0.3 * 3]
         assert hist.shape == (4, 1)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    def test_a_run_shorter_than_half_a_step_records_the_start_alone(self, scheme):
+        """t_end = 0.4 dt rounds to zero steps: the float path (1-D states)
+        and the (levels, m) path return t = 0 and the start row alone."""
+        z0 = [np.array([0.5, -1.0]), np.array([2.0])]
+        flat_times, flat = integrate_chains([(1.0, 4.0), (2.0,)], np.cos,
+                                            0.004, 0.01, z0, scheme)
+        row_times, rows = integrate_chains([(1.0, 4.0), (2.0,)], np.cos, 0.004,
+                                           0.01, [z[:, None] for z in z0], scheme)
+        assert flat_times.tolist() == row_times.tolist() == [0.0]
+        for f, r, z in zip(flat, rows, z0):
+            assert f.tolist() == r[..., 0].tolist() == [z.tolist()]
+        times, hist = integrate_chain((1.0,), np.cos, 0.004, 0.01, [3.0], scheme)
+        assert times.tolist() == [0.0] and hist.tolist() == [[3.0]]
 
 
 class TestPackedChainRhs:
