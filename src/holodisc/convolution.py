@@ -27,8 +27,8 @@ step's row stored by one ``struct.pack_into``, and march's error
 (``non_finite_error``) from one screen of the history after the loop.  A
 float step per march call spent almost half as long on march's array round
 trip as on its arithmetic.
-Its rows come from one template (``_float_rows``), which ``harness``'s
-float stage of fig3's paired run also writes its cascade rows from.  Python floats
+Its rows and its step are templates (``_float_rows``, ``_float_loop``),
+which ``harness``'s float loop of fig3's paired run shares.  Python floats
 round + and * as numpy float64 does: same operations, same order, same bits.
 
 Products of two convolved signals reduce, by repeated integration by parts,
@@ -240,28 +240,42 @@ def _float_bind(code, name, rates=(), **values):
     return namespace.pop(name)
 
 
+def _float_loop(S, scheme, derivs, put, at=lambda s: []):
+    """The one float time loop, as source: for each t in times, the
+    stepper's RK4 or Euler step of the locals z0 ... z{S-1} on Python
+    floats, its operations in their order, then the lines put.  derivs(k,
+    w, s) sets k_i to the derivative at the locals w_i and time s; at(s)
+    runs as the stage time becomes s; h and sixth are dt / 2 and dt / 6."""
+    def stage(w, k, by):  # the next stage's arguments w_i = k_i * by + z_i
+        return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(S)]
+
+    step = [*at("t"), *derivs("a", "z", "t")]
+    if scheme == "rk4":
+        step += ["u = t + h", *at("u"), *stage("p", "a", "h"), *derivs("b", "p", "u"),
+                 *stage("q", "b", "h"), *derivs("c", "q", "u"), "u = t + dt", *at("u"),
+                 *stage("s", "c", "dt"), *derivs("e", "s", "u"),
+                 *(f"z{i} = (((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
+                   for i in range(S))]
+    else:
+        step += [f"z{i} = z{i} + dt * a{i}" for i in range(S)]
+    return ["for t in times:", *(f"    {line}" for line in step + put)]
+
+
 @functools.lru_cache(maxsize=64)
 def _float_run(feed: tuple, scheme: str, inline=None):
-    """run(z, rates, drive, times, dt, out): a step of the scheme from each
-    start time in times, from the 1-D packed state z on Python floats, each
-    state packed into out, the contiguous (len(times) + 1, rows) history
-    the caller screens.  One local per row and stage in one loop:
-    packed_chain_rhs's rows, the stepper's RK4 or Euler operations in their
-    order, each step's row stored by one struct pack_into.  times are
-    march's step starts t0 + k dt, computed by the caller as one array.  An
-    inline (form, args) evaluates form at each stage time, drive holding
-    the args' values and cos math.cos; else drive is a function behind a
-    one-entry cache.  Cached per feeds, scheme and inline."""
+    """run(z, rates, drive, times, dt, out): ``_float_loop`` from the 1-D
+    packed state z at each start time in times (march's t0 + k dt, one
+    array made by the caller), packed_chain_rhs's rows its derivative, each
+    step's row packed into out, the contiguous (len(times) + 1, rows)
+    history the caller screens.  An inline (form, args) evaluates form at
+    each stage time, drive holding the args' values and cos math.cos; else
+    drive is a function behind a one-entry cache.  Cached per arguments."""
     S = len(feed)
 
-    def derivs(k, w):
+    def derivs(k, w, s):
         """Lines k_i = r_i * w_i + w_feed: the next level, or the drive d."""
         return [f"{k}{i} = {row}"
                 for i, row in enumerate(_float_rows(feed, w, "d"))]
-
-    def stage(w, k, by):
-        """Lines w_i = k_i * by + z_i: the next stage's arguments."""
-        return [f"{w}{i} = {k}{i} * {by} + z{i}" for i in range(S)]
 
     def drive(s):
         """Lines setting d to the drive at s as a float: inline's form, or
@@ -271,21 +285,12 @@ def _float_run(feed: tuple, scheme: str, inline=None):
         return [f"if {s} != ts:", f"    ts, d = {s}, drive({s})",
                 "    if type(d) is not float: d = as_float(d)"]
 
-    step = [*drive("t"), *derivs("a", "z")]
-    if scheme == "rk4":
-        step += ["u = t + h", *drive("u"), *stage("p", "a", "h"), *derivs("b", "p"),
-                 *stage("q", "b", "h"), *derivs("c", "q"), "u = t + dt", *drive("u"),
-                 *stage("s", "c", "dt"), *derivs("e", "s"),
-                 *(f"z{i} = (((b{i} * 2.0 + a{i}) + c{i} * 2.0) + e{i}) * sixth + z{i}"
-                   for i in range(S))]
-    else:
-        step += [f"z{i} = z{i} + dt * a{i}" for i in range(S)]
     packed = struct.Struct(f"{S}d")
     put = [f"pack(out, j, {', '.join(f'z{i}' for i in range(S))})", f"j += {packed.size}"]
     body = [_float_unpack("z", S, "z"), _float_unpack("r", S, "rates"),
             f"{', '.join(inline[1])}, = drive" if inline else "ts = None",
             "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0", *put,
-            "for t in times:", *(f"    {line}" for line in step + put)]
+            *_float_loop(S, scheme, derivs, put, drive)]
     return _float_bind(_float_code("run(z, rates, drive, times, dt, out)", body,
                                    "convolution float run"), "run", cos=math.cos,
                        as_float=_float_drive, pack=packed.pack_into)

@@ -6,8 +6,8 @@ drivers, the fine field, the coarse model's packed memory bank and its
 amplitudes as one state vector, one step of ``microscale.stepper``'s map
 at a time through ``microscale.march``, and evaluates the signals once per
 stage for both sides, so a fine run and its coarse partner see one
-forcing path by construction.  fig3's stage is one generated function on
-Python floats (``_float_stage``).  ``run_macro_forced`` is its
+forcing path by construction.  fig3's run is one generated loop on
+Python floats (``_paired_loop``).  ``run_macro_forced`` is its
 coarse-only call.
 
 Experiments, each declared once at its body by ``experiment`` (its spec
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import numbers
 import os
@@ -40,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import macromodel
-from .convolution import (_float_bind, _float_code, _float_rows, _float_unpack,
-                          integrate_chains)
+from .convolution import (_float_bind, _float_code, _float_loop, _float_rows,
+                          _float_unpack, integrate_chains)
 from .errors import ConfigError, DataError, check_finite, check_positive
 from .forcing import (
     LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA,
@@ -61,6 +62,7 @@ from .macromodel import (
 )
 from .microscale import (
     _burgers_point,
+    _record_count,
     burgers_form,
     check_scheme_legal,
     exact_points,
@@ -68,6 +70,7 @@ from .microscale import (
     lattice_decay_rates,
     lattice_form,
     march,
+    non_finite_error,
     rk4_step,  # unused here; kept importable as harness.rk4_step
     stepper,
 )
@@ -478,21 +481,23 @@ class PairedRun(NamedTuple):
 class _Joint(NamedTuple):
     """run_paired's joint state, resolved once: the signals, the start
     state, its (drivers, fine, bank, amplitudes) slices and named blocks,
-    and the stepper's binder bind(y, dy) -> stage(t, draws=None)."""
+    the stepper's binder bind(y, dy) -> stage(t, draws=None), and fig3's
+    float loop loop(n_steps, record_every) -> (times, history) or None."""
 
     sigset: _SignalSet
     y0: np.ndarray
     slices: tuple
     blocks: list
     bind: object
+    loop: object = None
 
 
-# fig3's layout steps on the generated float stage (_float_stage) if its
-# joint state has at most _FLOAT_STATE entries; else on numpy arrays, whose
-# cost barely grows with the state.  Timeit, one stage call, float against
-# array stage, min of 150 interleaved rounds of 50 calls, 2-vCPU Xeon,
-# Python 3.11, numpy 2.4: one Lorenz signal, a Burgers ring of n points and
-# ssm1 at m = 4 -14% at 67 entries (n = 32), -3% at 75, +8% at 83.
+# fig3's layout runs the float loop (_paired_loop) if its joint state has
+# at most _FLOAT_STATE entries; else march steps the array stage.  Medians
+# of 2000-step run_paired runs, loop against array stage, one Lorenz signal,
+# a Burgers ring and ssm1 at m = 4, 15 interleaved rounds (BENCH_37.json):
+# -32% at 67 entries, -24% at 71, -20% at 75, -10% at 83, the loop ahead in
+# every round; no workload runs past 72, so the cap stays there.
 _FLOAT_STATE = 72
 
 
@@ -512,10 +517,10 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
     (``_SignalSet.draws``); euler-maruyama calls it once per step.
 
     fig3's layout (every signal Lorenz, a ``burgers_form`` fine side, an
-    ssm1 bank, at most ``_FLOAT_STATE`` entries) binds the float stage
-    instead (``_float_stage``): the same arithmetic in the same order on
-    Python floats, so the same bits, without numpy's dispatch per operation
-    on arrays of a few entries.  Every other run takes the array stage.
+    ssm1 bank, at most ``_FLOAT_STATE`` entries) also gets the float loop
+    (``_paired_loop``), run in place of march: the stage's and the
+    stepper's arithmetic in their order on Python floats, so the same bits,
+    without numpy's dispatch per operation on arrays of a few entries.
     """
     sigset = _SignalSet(signal_specs, seed, keeps)
     check_scheme_legal(scheme, sigset.any_white)
@@ -558,12 +563,6 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                    for key, r in bank.rows.items()]
     blocks += [("grid amplitudes", sU), ("fine field", su)]
     slices = (sd, su, sz, sU)
-
-    if (y0.size <= _FLOAT_STATE and fine is not None and coarse is not None
-            and hasattr(fine_rhs, "float_form") and cfg.variant == "ssm1"
-            and all(sig.driver_dim for sig in sigset.signals)):
-        return _Joint(sigset, y0, slices, blocks, _float_stage(
-            sigset, fine_rhs.float_form, profiles_T, bank, assemble, sz, sU))
     if coarse is not None:
         coarse_block = stage_block(bank, sz, sU)
     white, no_draws = sigset.any_white, sigset.no_draws
@@ -582,80 +581,110 @@ def _compile_stage(signal_specs, seed, dt, scheme, fine, coarse,
                 block(assemble(vals, t))
         return stage
 
+    if (y0.size <= _FLOAT_STATE and fine is not None and coarse is not None
+            and hasattr(fine_rhs, "float_form") and cfg.variant == "ssm1"
+            and all(sig.driver_dim for sig in sigset.signals)):
+        return _Joint(sigset, y0, slices, blocks, bind, _paired_loop(
+            sigset, fine_rhs.float_form, profiles_T, bank, assemble, y0, blocks,
+            dt, scheme))
     return _Joint(sigset, y0, slices, blocks, bind)
 
 
-def _float_stage(sigset, float_form, profiles_T, bank, assemble, sz, sU):
-    """The float stage's binder bind(src, dst) -> stage(t, draws=None) for
-    fig3's layout: Lorenz signals, the Burgers form's float_form and
-    profiles.T, and the ssm1 bank, its assemble and slices sz, sU (the
-    state's last block).  The code is generated per layout and cached
-    (``_float_stage_code``); every constant is bound by value: the Lorenz
-    amplitudes, the fine form's constants, the bank and its cascade rates.
-    ssm1_rhs is looked up on ``macromodel`` at call time, so a wrapper put
-    there sees each call."""
-    (form, constants), m = float_form, bank.m
-    neg_rates, row_feed, _ = bank._layout
-    cols = np.arange(m)
-    # Per chain state its feed in [chain states; phi * m].
-    feeds = tuple((m * row_feed[:, None] + cols).ravel().tolist())
-    code = _float_stage_code(len(sigset.signals), sigset.unit, form,
-                             len(profiles_T), feeds, m)
-    return _float_bind(
-        code, "bind", neg_rates.ravel().tolist(), lorenz_point=lorenz_point,
-        array=np.array, dot=np.dot, macromodel=macromodel,
-        pack=struct.Struct(f"{sU.start + m}d").pack_into, profiles_T=profiles_T,
-        assemble=assemble, bank=bank, cfg=bank.cfg, sU=sU,
-        out_at=sz.start + m * bank.out_rows[:, None] + cols, **constants,
-        **{f"amp{k}": sig.amplitude for k, sig in enumerate(sigset.signals)})
+def _paired_loop(sigset, float_form, profiles_T, bank, assemble, y0, blocks,
+                 dt, scheme):
+    """fig3's float loop, loop(n_steps, record_every) -> march's (times,
+    history) from y0.  An ssm1 bank's chains are all fed by one scalar phi
+    and start from rest, so its m columns are equal bit for bit at every
+    stage: the loop keeps one local per bank row (``_paired_loop_code``).
+    Each step's state goes into a chunk of record_every rows, screened as
+    march screens each step at each record; the last row, spread over the
+    bank's columns by spread (each entry's local), is the record."""
+    (form, constants), m, n = float_form, bank.m, len(sigset.signals)
+    neg_rates, feeds, _ = bank._layout
+    R, e1, C = len(feeds), y0.size - m - neg_rates.size, len(bank.out_rows)
+    # local: each local's entry (a bank row's column 0, drivers, field, U).
+    local = np.r_[e1 + m * np.arange(R), :e1, y0.size - m:y0.size]
+    spread = np.r_[R:R + e1, np.repeat(np.arange(R), m), R + e1:R + e1 + m]
+    code = _paired_loop_code(n, form, tuple(constants), len(profiles_T),
+                             tuple(feeds.tolist()), tuple(bank.out_rows.tolist()),
+                             m, scheme)
+    buf, row = np.empty(C * m + n + m), struct.Struct(f"{local.size}d")
+    args = (y0[local].tolist(), neg_rates[:, 0].tolist(),
+            [*constants.values(), *(sig.amplitude for sig in sigset.signals)])
+
+    def loop(n_steps, record_every):
+        history = np.empty((_record_count(n_steps, record_every), y0.size))
+        history[0], rec = y0, 0
+        chunk = np.empty((min(record_every, max(n_steps, 1)), local.size))
+
+        def keep(size):  # screen the chunk's first size bytes, record its last row
+            nonlocal rec
+            rows = chunk[:size // row.size]
+            ok = np.isfinite(rows).all(axis=1)
+            if not ok.all():
+                k = int(ok.argmin())
+                raise non_finite_error(rows[k, spread], blocks, 0.0,
+                                       rec * record_every + k, dt)
+            rec += 1
+            history[rec] = rows[-1, spread]
+            return 0
+
+        run = _float_bind(
+            code, "run", lorenz_point=lorenz_point, dot=np.dot, macromodel=macromodel,
+            profiles_T=profiles_T, assemble=assemble, bank=bank, cfg=bank.cfg,
+            buf=buf, pack=struct.Struct(f"{buf.size}d").pack_into,
+            outs=buf[:C * m].reshape(C, m), vals=buf[C * m:-m], U=buf[-m:],
+            keep=keep, chunk=chunk, full=chunk.nbytes, pack_row=row.pack_into)
+        ends = np.minimum(record_every * np.arange(len(history)), n_steps)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run(*args, itertools.chain.from_iterable(  # march's t0 + k dt, by chunks
+                (0.0 + np.arange(a, b) * dt).tolist() for a, b in zip(ends, ends[1:])),
+                float(dt))
+        return 0.0 + ends * dt, history
+
+    return loop
 
 
 @functools.lru_cache(maxsize=64)
-def _float_stage_code(n, unit, form, points, feeds, m):
-    """The compiled source of the float stage's bind(src, dst) for n Lorenz
-    signals (unit: every amplitude 1), a Burgers ring of points points in
-    form, and a bank's per-state feeds over m elements.
+def _paired_loop_code(n, form, names, points, feeds, outs, m, scheme):
+    """The float loop's compiled run(z, rates, consts, times, dt) for n
+    Lorenz signals, a Burgers ring of points points in form, its constants'
+    names, a bank's row feeds and output rows outs over m elements, and the
+    scheme: ``convolution._float_loop``'s step, each stage the array
+    stage's arithmetic in its order.  One pack_into puts the chain outputs
+    (a row into m columns), the values and U into the buffer that
+    np.dot(profiles.T, vals) (the array stage's call, so its bits) and
+    ssm1_rhs, looked up at call time, read; keep screens the chunk."""
+    R, fine = len(feeds), len(feeds) + 3 * n  # the bank's rows, drivers; u from fine
+    amps, S = fine + points, fine + points + m  # U from amps; S locals in all
 
-    bind slices U's view of src, and under unit signals the xi row, the
-    values, as the array stage does.  Its stage is one straight-line
-    function in the array stage's order: one src.tolist(), one local per
-    entry; per signal a ``lorenz_point`` call on its system's floats and,
-    unless unit, its value amplitude * xi; the values as an array; the fine
-    forcing from them by np.dot(profiles.T, vals), the array stage's call
-    and so its bits (a BLAS product may fuse its multiply-adds, which Python
-    floats cannot; under identity profiles it gives the array stage's
-    values plus 0.0); each fine point by ``_burgers_point`` plus eps times
-    its forcing; dU by one ssm1_rhs call on U, assemble(vals, t) and the
-    gathered chain outputs; each chain state's row from ``_float_rows``;
-    and one pack_into of every derivative into dst, which must be
-    contiguous (a stepper frame's buffer is): one call, where a memoryview
-    store per entry cost fig3 0.4 us more a stage (timeit, 67 entries)."""
-    S = len(feeds)
-    state = ([f"y{i}" for i in range(3 * n)] + [f"u{i}" for i in range(points)]
-             + [f"z{i}" for i in range(S)] + ["_"] * m)
-    derivs = ([f"dy{i}" for i in range(3 * n)] + [f"du{i}" for i in range(points)]
-              + [f"dz{i}" for i in range(S)] + [f"dU{i}" for i in range(m)])
-    lines = ["".join(f"{w}, " for w in state) + "= src.tolist()"]
-    for k in range(n):
-        xi, eta, zeta = k, n + k, 2 * n + k
-        lines.append(f"dy{xi}, dy{eta}, dy{zeta} = lorenz_point(y{xi}, y{eta}, y{zeta})")
-        lines += [] if unit else [f"v{k} = amp{k} * y{xi}"]
-    head = ["U = src[sU]"]
-    if unit:
-        head.append(f"vals = src[:{n}]")
-    else:
-        lines.append(f"vals = array(({''.join(f'v{k}, ' for k in range(n))}))")
-    lines.append(_float_unpack("f", points, "dot(profiles_T, vals).tolist()"))
-    lines += [f"du{i} = " + _burgers_point(form, f"u{i}", f"u{(i + 1) % points}",
-                                           f"u{(i - 1) % points}")
-              + f" + eps * f{i}" for i in range(points)]
-    lines += ["dU, phi = macromodel.ssm1_rhs(U, assemble(vals, t), bank, cfg, "
-              "src[out_at])", _float_unpack("dU", m, "dU.tolist()")]
-    lines += [f"dz{i} = {row}" for i, row in enumerate(_float_rows(feeds, "z", "phi"))]
-    lines.append(f"pack(dst, 0, {', '.join(derivs)})")
-    body = [*head, "def stage(t, draws=None):", *(f"    {line}" for line in lines),
-            "return stage"]
-    return _float_code("bind(src, dst)", body, "paired float stage")
+    def derivs(k, w, s):
+        lines = []
+        for j in range(n):  # amp * xi is xi bit for bit at amp = 1.0
+            xi, eta, zeta = R + j, R + n + j, R + 2 * n + j
+            lines += [f"{k}{xi}, {k}{eta}, {k}{zeta} = lorenz_point("
+                      f"{w}{xi}, {w}{eta}, {w}{zeta})", f"v{j} = amp{j} * {w}{xi}"]
+        packed = ([f"{w}{r}" for r in outs for _ in range(m)] + [
+            f"v{j}" for j in range(n)] + [f"{w}{amps + j}" for j in range(m)])
+        lines += [f"pack(buf, 0, {', '.join(packed)})",
+                  _float_unpack("f", points, "dot(profiles_T, vals).tolist()")]
+        lines += [f"{k}{fine + i} = " + _burgers_point(
+                      form, f"{w}{fine + i}", f"{w}{fine + (i + 1) % points}",
+                      f"{w}{fine + (i - 1) % points}") + f" + eps * f{i}"
+                  for i in range(points)]
+        lines += [f"dU, phi = macromodel.ssm1_rhs(U, assemble(vals, {s}), bank, "
+                  "cfg, outs)", "".join(f"{k}{amps + j}, " for j in range(m))
+                  + "= dU.tolist()"]
+        return lines + [f"{k}{i} = {row}"
+                        for i, row in enumerate(_float_rows(feeds, w, "phi"))]
+
+    put = [f"pack_row(chunk, j, {', '.join(f'z{i}' for i in range(S))})",
+           f"j += {8 * S}", "if j == full: j = keep(j)"]
+    body = [_float_unpack("z", S, "z"), _float_unpack("r", R, "rates"),
+            "".join(f"{c}, " for c in names) + "".join(f"amp{j}, " for j in range(n))
+            + "= consts", "h = 0.5 * dt", "sixth = dt / 6.0", "j = 0",
+            *_float_loop(S, scheme, derivs, put), "if j: keep(j)"]
+    return _float_code("run(z, rates, consts, times, dt)", body, "paired float loop")
 
 
 def run_paired(
@@ -684,9 +713,10 @@ def run_paired(
     stage writes its blocks into the frame's derivative in place with the
     arithmetic of the separate runs, so joint and separate runs agree bit
     for bit.  fig3's layout, Lorenz signals, a Burgers field and an ssm1
-    bank in at most ``_FLOAT_STATE`` entries, steps on one generated float
-    stage instead, with the same bits (``_compile_stage``).
-    The values history is read off the recorded rows.
+    bank in at most ``_FLOAT_STATE`` entries, runs one generated float loop
+    instead, each bank row stepped once for its m equal columns, with the
+    same bits and march's error (``_paired_loop``).  The values history is
+    read off the recorded rows.
 
     Raises
     ------
@@ -699,11 +729,11 @@ def run_paired(
         When the state goes non-finite, naming the most upstream bad block.
     """
     n_steps = exact_steps(t_end, dt)
-    sigset, y, (_, su, sz, sU), blocks, bind = _compile_stage(
+    sigset, y, (_, su, sz, sU), blocks, bind, loop = _compile_stage(
         signal_specs, seed, dt, scheme, fine, coarse,
         lambda k: k % record_every == 0 or k == n_steps)
-    times, hist = march(stepper(bind, dt, scheme), y, 0.0, n_steps, dt,
-                        record_every, blocks)
+    times, hist = loop(n_steps, record_every) if loop else march(
+        stepper(bind, dt, scheme), y, 0.0, n_steps, dt, record_every, blocks)
     ends = np.minimum(record_every * np.arange(times.size), n_steps).tolist()
     return PairedRun(
         times,

@@ -733,8 +733,8 @@ def stage_block(bank: ChainBank, sz: slice, sU: slice):
     the variant's rhs their outputs, Z.take(out_rows, 0), and steps the
     cascades by packed_chain_rhs.  (ssm1_rhs computes dU on Python floats
     for a small ring, by the bank's ``float_rhs``; fig3's paired run steps
-    its whole stage on floats instead, by harness's float stage, which calls
-    ssm1_rhs for dU and writes the cascade rows itself.)"""
+    on floats instead, by harness's float loop, which calls ssm1_rhs for dU
+    and writes each cascade row once for its m equal columns.)"""
     cfg, m = bank.cfg, bank.m
     if not bank.rows:
         def block(y, dy):

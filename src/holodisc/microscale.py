@@ -14,13 +14,13 @@ resolve once per run and that writes into the caller's slice;
 steppers bind their constants as 0-d operands (``stencil.operands``).
 The Burgers arithmetic at a point is written once, as text
 (``_burgers_point``): ``burgers_form`` compiles it over arrays, and
-run_paired's float stage over each point's Python floats.
+run_paired's float loop over each point's Python floats.
 Plus the package's fixed-step integration.  ``march`` is its one time
 loop: every engine hands it a one-step map, so every run counts its steps,
 records its history and reports a non-finite state the same way; only the
-1-D memory cascades loop in generated float code, by march's times, screen
-and error (``non_finite_error``).  Each map steps in place on a ``stepper``
-frame of preallocated buffers, its stages bound once per buffer pair.
+1-D memory cascades and fig3's paired run loop in generated float code, by
+march's times, screen and error (``non_finite_error``).  Each map steps in
+place on a ``stepper`` frame of buffers, its stages bound once per pair.
 ``exact_steps`` is the whole-steps rule for run lengths (``integrate_chains``
 and the emergence fit round t_end / dt instead), ``exact_points`` its twin
 for grids.  The steppers are deliberately hand-rolled: runs must be
@@ -117,7 +117,7 @@ def burgers_form(dx, alpha, eps, form="advective"):
 
     rhs is compiled from ``_burgers_point`` plus eps * phi, its constants
     0-d operands; rhs.float_form holds (form, constants as Python floats by
-    name), from which run_paired's float stage writes the same point."""
+    name), from which run_paired's float loop writes the same point."""
     check_positive("grid spacing dx", dx)
     if form not in _ADVECTION:
         raise ConfigError(
@@ -289,11 +289,8 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
     is each entry tested.  The steps run with numpy's overflow, invalid and
     divide warnings off: a blow-up is reported once, by that error.
     """
-    if not isinstance(record_every, Integral) or record_every < 1:
-        raise ConfigError(f"record_every must be an integer number of steps, "
-                          f"at least 1; got {record_every!r}")
+    n_rec = _record_count(n_steps, record_every)
     y = np.asarray(y0, dtype=float)
-    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
     times = np.empty(n_rec)
     history = np.empty((n_rec,) + y.shape)
     times[0], history[0] = t0, y
@@ -309,9 +306,17 @@ def march(advance, y0, t0, n_steps, dt, record_every=1,
     return times, history
 
 
+def _record_count(n_steps, record_every):
+    """march's row count, t0's included; checks record_every."""
+    if not isinstance(record_every, Integral) or record_every < 1:
+        raise ConfigError(f"record_every must be an integer number of steps, "
+                          f"at least 1; got {record_every!r}")
+    return 1 + n_steps // record_every + (n_steps % record_every > 0)
+
+
 def non_finite_error(y, blocks, t0, k, dt):
     """march's StabilityError for step k's non-finite state y: its first
-    non-finite block, at t0 + (k + 1) dt (the 1-D cascades' float run's too)."""
+    non-finite block, at t0 + (k + 1) dt (the generated float loops' too)."""
     bad = [name for name, b in blocks if not np.isfinite(y[b]).all()]
     t = t0 + (k + 1) * dt
     return StabilityError(f"{bad[0]} went non-finite at t = {t:.6g}; reduce dt")

@@ -45,7 +45,7 @@ from holodisc import (
 )
 from holodisc import convolution, harness, macromodel
 from holodisc.forcing import HarmonicSignal, make_signal
-from holodisc.harness import _compile_stage, default_spec
+from holodisc.harness import _compile_stage, default_spec, run_paired
 from holodisc.convolution import chain_layout, packed_chain_rhs
 from holodisc.microscale import burgers_form, plain, stepper
 from holodisc.stencil import ring_images, ring_pad
@@ -781,34 +781,33 @@ def test_cached_float_step_binds_each_calls_rates_and_dt(scheme):
     assert convolution._float_run.cache_info().hits > before
 
 
-def test_cached_float_stage_binds_each_runs_constants(monkeypatch):
-    """Two paired runs of one layout share the compiled float stage and
-    ssm1 float rhs, yet each computes with its own alpha, eps, dx, H, gamma,
-    chain rates and Lorenz amplitude: bit for bit its array stage."""
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_cached_float_loop_binds_each_runs_constants(monkeypatch, scheme):
+    """Two paired runs of one layout share the compiled float loop and ssm1
+    float rhs, yet each computes with its own alpha, eps, dx, H, gamma,
+    chain rates, dt and Lorenz amplitude: bit for bit its array run."""
     m, n = 6, 8
-    caches = (harness._float_stage_code, macromodel._ssm1_float_code)
-    got, codes, misses = [], [], []
-    for kw, dx, amp in (({"alpha": 0.3, "H": np.pi / 2.0, "gamma": 1.0}, 0.4, 0.5),
-                        ({"alpha": -1.7, "H": 0.45, "gamma": 0.35}, 0.9, -2.5)):
-        cfg = ModelConfig(variant="ssm1", eps=0.3, m=m, **kw)
+    caches = (harness._paired_loop_code, macromodel._ssm1_float_code)
+    got, misses = [], []
+    for kw, dx, amp in (({"alpha": 0.3, "H": np.pi / 2.0, "gamma": 1.0, "dt": 1e-3},
+                         0.4, 0.5),
+                        ({"alpha": -1.7, "H": 0.45, "gamma": 0.35, "dt": 2e-3},
+                         0.9, -2.5)):
+        cfg = ModelConfig(variant="ssm1", eps=0.3, m=m, scheme=scheme, **kw)
         signals = [SignalSpec(kind="lorenz", amplitude=amp, xi0=1.0)]
         fine = FineSide(np.ones(n), np.linspace(-1.0, 1.0, n)[None],
                         burgers_form(dx, kw["alpha"], 0.3, "skew"))
         coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
-        joint = _compile_stage(signals, 5, cfg.dt, "rk4", fine, coarse)
-        _, su, sz, sU = joint.slices
-        y = 30.0 * np.random.default_rng(3).normal(size=joint.y0.size)
-        dy = np.zeros_like(y)
-        joint.bind(y, dy)(0.7)
-        codes.append(joint.bind.__code__)
+        args = (signals, 5, 20 * cfg.dt, cfg.dt, scheme, fine, coarse, 3)
+        assert _compile_stage(*args[:2], cfg.dt, scheme, fine, coarse).loop
+        run = run_paired(*args)
         misses.append([cache.cache_info().misses for cache in caches])
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_FLOAT_STATE", 0)
-            want = np.zeros_like(y)
-            _compile_stage(signals, 5, cfg.dt, "rk4", fine, coarse).bind(y, want)(0.7)
-        assert np.array_equal(dy, want)
-        got.append(dy)
-    assert codes[0] is codes[1] and misses[0] == misses[1]
-    assert codes[0].co_filename == "<paired float stage>"
-    for block in (su, sz, sU):
-        assert not np.array_equal(got[0][block], got[1][block])
+            want = run_paired(*args)
+        for a, b in zip(run, want):
+            assert a.tobytes() == b.tobytes()
+        got.append(run)
+    assert misses[0] == misses[1]
+    for a, b in zip(got[0][2:], got[1][2:]):  # u, U and bank
+        assert not np.array_equal(a, b)

@@ -21,9 +21,13 @@ are the skeletons as they were before build_bank bound their constants,
 and ``reference_ssm1_weights`` ssm1's four memory weights as a dict.
 """
 
+import contextlib
+import dataclasses
 import gc
 import itertools
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +37,9 @@ from holodisc import (
     CoarseSide,
     FineSide,
     ModelConfig,
+    PairedRun,
     SignalSpec,
+    StabilityError,
     VARIANTS,
     build_bank,
     build_weak_model,
@@ -210,16 +216,57 @@ CASES = {
     "fig3-fine-alone": lambda: ([LORENZ], *fig3_sides()[:2], None),
     "fig3-coarse-alone": lambda: ([LORENZ], None, None, fig3_sides()[2]),
 }
-# The cases whose stage is the generated float stage, fig3's layout: Lorenz
+# The cases whose runs take the generated float loop, fig3's layout: Lorenz
 # signals only, a Burgers ring and an ssm1 bank in at most _FLOAT_STATE
-# entries.  The rest take the array stage: another signal kind, one side
+# entries.  The rest march the array stage: another signal kind, one side
 # alone, a lattice or strongquad side, or fig1's 128 entries.
 FLOAT_CASES = {"fig3", "two-lorenz-signed-rows-ssm1",
                "unit-lorenz-identity-skew-ssm1"}
 
 
-def takes_float_stage(joint):
-    return joint.bind.__code__.co_filename == "<paired float stage>"
+def takes_float_loop(signals, fine, coarse, scheme="rk4", dt=1e-3):
+    """Whether a one-step run_paired run of these sides runs the float loop:
+    whether it never calls march (the step may blow up)."""
+    with mock.patch.object(harness, "march", wraps=march) as marched, \
+            contextlib.suppress(StabilityError):
+        run_paired(signals, 3, dt, dt, scheme, fine, coarse)
+    return not marched.called
+
+
+def with_scheme(coarse, scheme):
+    """coarse with its config stepping by scheme (None stays None)."""
+    return coarse and coarse._replace(
+        cfg=dataclasses.replace(coarse.cfg, scheme=scheme))
+
+
+def float_and_array_runs(signals, fine, coarse, scheme, n_steps, record_every,
+                         dt=1e-3, seed=3):
+    """The run_paired outcome, its five histories or its error's type and
+    message, as the float loop (if the layout takes it) and as the array
+    stage (harness._FLOAT_STATE = 0) run it, with no RuntimeWarning."""
+    outcomes = []
+    for cap in (harness._FLOAT_STATE, 0):
+        with mock.patch.object(harness, "_FLOAT_STATE", cap), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                run = run_paired(signals, seed, n_steps * dt, dt, scheme, fine,
+                                 with_scheme(coarse, scheme), record_every)
+                outcomes.append(run)
+            except StabilityError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def same_run(a, b):
+    """Two outcomes of float_and_array_runs agree: the same error, or every
+    history (or None) byte for byte, shapes and dtypes included."""
+    if not isinstance(a, PairedRun) or not isinstance(b, PairedRun):
+        return a == b
+    return all((x is None and y is None) or (
+        x is not None and y is not None and x.shape == y.shape
+        and x.dtype == y.dtype and x.tobytes() == y.tobytes())
+        for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -235,7 +282,7 @@ def test_stage_is_the_concatenating_stage_bit_for_bit(case):
     white = any(s.kind == "white-noise" for s in signals)
     scheme = "euler-maruyama" if white else "rk4"
     joint = _compile_stage(signals, 5, dt, scheme, fine, coarse)
-    assert takes_float_stage(joint) == (case in FLOAT_CASES)
+    assert (joint.loop is not None) == (case in FLOAT_CASES)
     order = interleaved_order(joint.sigset.total_dim // 3, joint.y0.size)
     rng = np.random.default_rng(len(case))
     for t in (0.0, 0.37, 2.5):
@@ -256,18 +303,31 @@ def test_stage_is_the_concatenating_stage_bit_for_bit(case):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_float_stage_looks_ssm1_rhs_up_at_each_call(monkeypatch):
-    """A wrapper put on macromodel.ssm1_rhs after the stage was compiled, as
-    the benchmark's tracer puts one, sees every coarse rhs of the float
-    stage: four per RK4 step."""
-    fine, _, coarse = fig3_sides()
-    joint = _compile_stage([LORENZ], 3, 1e-3, "rk4", fine, coarse)
-    assert takes_float_stage(joint)
+@pytest.mark.parametrize("case", list(CASES))
+def test_float_loop_runs_exactly_the_float_cases(case):
+    """Whole runs take the float loop for fig3's layout alone, the cases
+    whose compiled joint carries one."""
+    signals, fine, _, coarse = CASES[case]()
+    white = any(s.kind == "white-noise" for s in signals)
+    dt = coarse.cfg.dt if coarse is not None else 1e-3
+    assert takes_float_loop(signals, fine, coarse,
+                            "euler-maruyama" if white else "rk4", dt) == (
+        case in FLOAT_CASES)
+
+
+@pytest.mark.parametrize("scheme, per_step", [("rk4", 4), ("euler", 1)])
+def test_float_loop_looks_ssm1_rhs_up_at_each_call(monkeypatch, scheme,
+                                                   per_step):
+    """A wrapper put on macromodel.ssm1_rhs after the run's loop was
+    compiled, as the benchmark's tracer puts one, sees every coarse rhs of
+    a float-loop run: four per RK4 step, one per Euler step."""
+    fine, _, coarse = fig3_sides(scheme)
+    assert takes_float_loop([LORENZ], fine, coarse, scheme)
     calls, real = [], macromodel.ssm1_rhs
     monkeypatch.setattr(macromodel, "ssm1_rhs",
                         lambda *args: calls.append(args) or real(*args))
-    march(stepper(joint.bind, 1e-3), joint.y0, 0.0, 5, 1e-3)
-    assert len(calls) == 20
+    run_paired([LORENZ], 3, 5e-3, 1e-3, scheme, fine, coarse, 2)
+    assert len(calls) == 5 * per_step
 
 
 def lorenz_specs(amplitudes):
@@ -355,7 +415,7 @@ def per_row_values(signals, seed, t_end, dt, scheme, fine, record_every):
     run's own stage evaluated on each recorded row, its driver derivative
     written into a scratch vector, a white signal given its step's draws."""
     n_steps = exact_steps(t_end, dt)
-    sigset, y0, _, blocks, bind = _compile_stage(
+    sigset, y0, _, blocks, bind, _ = _compile_stage(
         signals, seed, dt, scheme, fine, None,
         lambda k: k % record_every == 0 or k == n_steps)
     times, hist = march(stepper(bind, dt, scheme), y0, 0.0, n_steps, dt,
@@ -418,14 +478,23 @@ def weak_white_run(variant, m):
     build_weak_model(cfg, SignalSpec(kind="white-noise")).run(np.ones(m), 0.05)
 
 
-def two_lorenz_float_stage_run():
+def two_lorenz_float_loop_run(scheme):
     signals, fine, _, coarse = CASES["two-lorenz-signed-rows-ssm1"]()
-    run_paired(signals, 3, 0.01, 1e-3, "rk4", fine, coarse)
+    run_paired(signals, 3, 0.01, 1e-3, scheme, fine, with_scheme(coarse, scheme))
+
+
+def fig3_float_loop_blow_up():
+    signals, fine, coarse = fig3_blowing_up()
+    with pytest.raises(StabilityError):
+        run_paired(signals, 3, 5.0, 0.05, "rk4", fine, coarse, 10)
 
 
 FREED_WITHOUT_COLLECTOR = {
     "fig3 run_paired": fig3_paired_run,
-    "two-Lorenz float-stage run_paired": two_lorenz_float_stage_run,
+    "two-Lorenz float-loop run_paired": lambda: two_lorenz_float_loop_run("rk4"),
+    "two-Lorenz float-loop euler run_paired":
+        lambda: two_lorenz_float_loop_run("euler"),
+    "fig3 float-loop blow-up": fig3_float_loop_blow_up,
     "ssm1 bank": lambda: build_bank(fig3_sides()[2].cfg),
     "weak white ssm1": lambda: weak_white_run("ssm1", 4),
     "weak white strongquad": lambda: weak_white_run("strongquad", 8),
@@ -637,33 +706,183 @@ SCALES = (1e-6, 1e-2, 1.0, 30.0, 1e3)
 @pytest.mark.parametrize("white", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("past", [0, 1])
-def test_ssm1_stage_at_the_float_state_is_the_concatenating_stage(
-        past, gamma, white):
-    """At the largest state the float stage takes and at one entry past it
+def test_ssm1_run_at_the_float_state_is_the_array_run(past, gamma, white):
+    """At the largest state the float loop takes and at one entry past it
     (the array stage), an ssm1 bank and a Burgers ring filling it, under
-    rk4's Lorenz signal (the float stage at the largest state) and
-    euler-maruyama's white draws (the array stage at either size), over
-    signal, field, chain and amplitude magnitudes 1e-6..1e3."""
+    rk4's Lorenz signal (the float loop at the largest state) and
+    euler-maruyama's white draws (the array stage at either size): whole
+    runs from driver, field and amplitude starts of magnitudes 1e-6..1e3,
+    bit for bit the array stage's runs."""
     m = 2 * ((harness._FLOAT_STATE - 4) // 16)
     n = harness._FLOAT_STATE - (0 if white else 3) - 8 * m + past
     assert n > 0
     scheme = "euler-maruyama" if white else "rk4"
     cfg = ModelConfig(variant="ssm1", alpha=1.3, eps=-0.6, gamma=gamma,
                       H=0.9, m=m, scheme=scheme)
-    coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
     grid = ("burgers", 0.4, 1.3, -0.6, "skew")
     rng = np.random.default_rng(m + n)
-    fine = fine_side(np.ones(n), rng.normal(size=(1, n)), grid)
+    profiles = rng.normal(size=(1, n))
+    for ds, us in itertools.product(SCALES, repeat=2):
+        signals = [SignalSpec(kind="white-noise") if white else SignalSpec(
+            kind="lorenz", xi0=ds * rng.normal(), eta0=ds * rng.normal())]
+        fine = fine_side(us * rng.normal(size=n), profiles, grid)
+        coarse = CoarseSide(cfg, us * rng.normal(size=m), lambda v, t: float(v[0]))
+        if (ds, us) == (1.0, 1.0):
+            joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
+            assert joint.y0.size == harness._FLOAT_STATE + past
+            assert takes_float_loop(signals, fine, coarse, scheme) == (
+                not past and not white)
+        loop, array = float_and_array_runs(signals, fine, coarse, scheme, 12, 5)
+        assert same_run(loop, array)
+
+
+FLOAT_SCHEMES = ("rk4", "euler", "euler-maruyama")
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 23])
+@pytest.mark.parametrize("record_every", [1, 7, 10])
+@pytest.mark.parametrize("scheme", FLOAT_SCHEMES)
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_loop_is_the_array_run_bit_for_bit(case, scheme, record_every,
+                                                 n_steps):
+    """times, values, u, U and bank of a float-loop run, byte for byte the
+    array stage's, under every scheme, at record strides that divide the
+    run, exceed it or leave a last short chunk."""
+    signals, fine, _, coarse = CASES[case]()
+    assert takes_float_loop(signals, fine, with_scheme(coarse, scheme), scheme)
+    loop, array = float_and_array_runs(signals, fine, coarse, scheme, n_steps,
+                                       record_every)
+    assert isinstance(loop, PairedRun) and same_run(loop, array)
+    assert len(loop.times) == 1 + -(-n_steps // record_every)
+
+
+def signed_start(rng, scale, size):
+    """scale * N(0, 1) entries with a -0.0 and a +0.0 among them."""
+    x = scale * rng.normal(size=size)
+    x[rng.permutation(size)[:2]] = (-0.0, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("scheme", FLOAT_SCHEMES)
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_loop_from_scaled_starts_is_the_array_run(case, scheme):
+    """Drivers (xi0, eta0, a signed zero among them), u0 and U0 over
+    magnitudes 1e-6..1e3 with signed zeros: the same runs, or the same
+    StabilityError where a large start blows up."""
+    signals, fine, _, coarse = CASES[case]()
+    rng = np.random.default_rng(len(case))
+    errors = 0
+    for scale in SCALES:
+        drivers = [dataclasses.replace(s, xi0=-0.0, eta0=scale * rng.normal())
+                   if k == 0 else dataclasses.replace(
+                       s, xi0=scale * rng.normal(), eta0=0.0)
+                   for k, s in enumerate(signals)]
+        loop, array = float_and_array_runs(
+            drivers, fine._replace(u0=signed_start(rng, scale, fine.u0.size)),
+            coarse._replace(U0=signed_start(rng, scale, coarse.U0.size)),
+            scheme, 40, 7)
+        assert same_run(loop, array)
+        errors += not isinstance(loop, PairedRun)
+    assert errors < len(SCALES)
+
+
+def fig3_blowing_up(coarse_eps=0.05, xi0=10.0, dt=0.05):
+    """fig3's sides at dt, whose default 0.05 blows the amplitudes up at
+    t = 0.45 under rk4 (CI's fig3 blow-up line).  With eps = gamma = 0 on
+    the coarse side U feels neither the chains nor its own diffusion, so
+    the fine field blows up first, or at dt = 0.025 a memory chain; with
+    xi0 = 1e100 the driver does."""
+    n, m = 32, 4
+    x = (np.pi / 16.0) * np.arange(n)
+    cfg = ModelConfig(variant="ssm1", alpha=0.3, eps=coarse_eps,
+                      gamma=float(coarse_eps > 0.0), H=np.pi / 2.0, m=m, dt=dt)
+    return ([SignalSpec(kind="lorenz", xi0=xi0, eta0=8.0)],
+            fine_side(np.ones(n), np.cos(2.0 * x)[None],
+                      ("burgers", np.pi / 16.0, 0.3, 0.05, "advective")),
+            CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0])))
+
+
+BLOW_UPS = {  # (fig3_blowing_up's arguments, scheme, steps, first bad block)
+    "U-rk4": ({}, "rk4", 100, "grid amplitudes went non-finite at t = 0.45;"),
+    "U-euler": ({}, "euler", 100, "grid amplitudes"),
+    "fine-rk4": ({"coarse_eps": 0.0}, "rk4", 100, "fine field"),
+    "chain-rk4": ({"coarse_eps": 0.0, "dt": 0.025}, "rk4", 700,
+                  "memory chain ((4.0, 144.0), 'phi') went non-finite at t = 15.625;"),
+    "driver-rk4": ({"xi0": 1e100}, "rk4", 100, "signal driver"),
+    "driver-euler": ({"coarse_eps": 0.0}, "euler", 100, "signal driver"),
+}
+
+
+@pytest.mark.parametrize("record_every", [1, 4, 10, 1000])
+@pytest.mark.parametrize("case", list(BLOW_UPS))
+def test_float_loop_blows_up_as_march(case, record_every):
+    """A blow-up raises the array run's StabilityError: the same first bad
+    block, upstream first, at the same t, wherever in a chunk its step
+    falls, and no RuntimeWarning escapes (float_and_array_runs makes one an
+    error)."""
+    kwargs, scheme, n_steps, block = BLOW_UPS[case]
+    signals, fine, coarse = fig3_blowing_up(**kwargs)
+    dt = coarse.cfg.dt
+    assert takes_float_loop(signals, fine, coarse, "rk4", dt)
+    loop, array = float_and_array_runs(signals, fine, coarse, scheme, n_steps,
+                                       record_every, dt)
+    assert loop == array and loop[0] is StabilityError
+    assert loop[1].startswith(block)
+
+
+def test_float_loop_history_holds_the_records_alone(monkeypatch):
+    """A 6000-step fig3 run recording every 10th row: its largest array is
+    the history of 601 rows, as large as the array run's, and every other
+    array it makes holds at most a chunk of 10 rows and one entry per
+    record, where a row or a time per step would be 2.2 MB or 48 kB."""
+    fine, _, coarse = fig3_sides()
+    entries = _compile_stage([LORENZ], 3, 1e-3, "rk4", fine, coarse).y0.size
+    sizes, runs = {}, []
+
+    def spying(real):
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes[cap].append(out.nbytes)
+            return out
+        return spy
+
+    for cap in (harness._FLOAT_STATE, 0):
+        sizes[cap] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_FLOAT_STATE", cap)
+            for name in ("empty", "arange"):
+                patch.setattr(np, name, spying(getattr(np, name)))
+            runs.append(run_paired([LORENZ], 3, 6.0, 1e-3, "rk4", fine, coarse,
+                                   10))
+    assert runs[0].bank.shape[0] == 601 and same_run(*runs)
+    loop, array = (sorted(sizes[cap]) for cap in sizes)
+    assert loop[-1] == array[-1] == 601 * entries * 8
+    assert loop[-2] <= 8 * (601 + 10 * entries)
+
+
+@pytest.mark.parametrize("m", [4, 18])
+@pytest.mark.parametrize("scheme", FLOAT_SCHEMES)
+@pytest.mark.parametrize("path", ["float loop", "array stage", "coarse alone"])
+def test_ssm1_runs_record_equal_bank_columns(path, scheme, m):
+    """Every ssm1 run_paired run records a bank whose m columns are equal
+    bit for bit, the invariant the float loop's one local per bank row
+    rests on: each chain is fed by the one scalar phi from rest.  Under
+    euler-maruyama the array stage's runs take a white signal; at m = 18
+    the bank alone is past the float loop's cap, so every path marches."""
+    white = scheme == "euler-maruyama" and path != "float loop"
     signals = [SignalSpec(kind="white-noise") if white else LORENZ]
-    joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
-    assert joint.y0.size == harness._FLOAT_STATE + past
-    assert takes_float_stage(joint) == (not past and not white)
-    sd, su, sz, sU = joint.slices
-    for zs, us in itertools.product(SCALES, repeat=2):
-        y = joint.y0.copy()
-        for scale, block in zip((us, us, zs, us), (sd, su, sz, sU)):
-            y[block] = scale * rng.normal(size=y[block].size)
-        draws = [us * rng.normal()] if white else joint.sigset.no_draws
-        t = float(rng.uniform(0.0, 10.0))
-        want = reference_stage(signals, fine, grid, coarse, y, t, draws)
-        assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)
+    cfg = ModelConfig(variant="ssm1", alpha=0.7, eps=0.3, gamma=0.6, H=1.1,
+                      m=m, dt=1e-3, scheme=scheme)
+    rng = np.random.default_rng(m)
+    coarse = CoarseSide(cfg, 1.0 + rng.normal(size=m), lambda v, t: float(v[0]))
+    n = 8 if path == "float loop" and m == 4 else 40
+    fine = None if path == "coarse alone" else fine_side(
+        np.ones(n), rng.normal(size=(1, n)), UNIT_GRID)
+    cap = 0 if path == "array stage" else harness._FLOAT_STATE
+    with mock.patch.object(harness, "_FLOAT_STATE", cap):
+        assert takes_float_loop(signals, fine, coarse, scheme) == (
+            path == "float loop" and m == 4)
+        run = run_paired(signals, 7, 0.05, 1e-3, scheme, fine, coarse, 3)
+    bank = run.bank.reshape(len(run.times), -1, m)
+    assert bank.any()
+    assert bank.tobytes() == np.repeat(bank[..., :1], m, axis=2).tobytes()
