@@ -24,7 +24,7 @@ floats instead, in one function generated from its feeds, scheme and drive
 body and cached (``_float_run``): one local per row and stage, march's step
 times from one array made before the loop, a harmonic drive inlined, each
 step's row stored by one ``struct.pack_into``, and march's error
-(``non_finite_error``) from one screen of the history after the loop.  A
+from one screen of the history after the loop (``microscale._screen_rows``).  A
 float step per march call spent almost half as long on march's array round
 trip as on its arithmetic.
 Its rows and its step are templates (``_float_rows``, ``_float_loop``),
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, ReductionError, check_positive
 from .forcing import HarmonicSignal
-from .microscale import march, non_finite_error, stepper
+from .microscale import _screen_rows, march, stepper
 
 __all__ = [
     "ConvChain",
@@ -197,10 +197,7 @@ def integrate_chains(chains, drive_fn, t_end, dt, states0=None, scheme="rk4"):
         _float_run(tuple(layout[1].tolist()), scheme, inline and (sig.form, sig.args))(
             Z.tolist(), layout[0].tolist(), [getattr(sig, a) for a in sig.args]
             if inline else drive_fn, times[:-1].tolist(), float(dt), history)
-        ok = np.isfinite(history[1:]).all(axis=1)  # step k wrote row k + 1
-        if not ok.all():
-            k = int(ok.argmin())
-            raise non_finite_error(history[k + 1], blocks, 0.0, k, dt)
+        _screen_rows(history[1:], blocks, 0.0, 0, dt)  # step k wrote row k + 1
     else:
         times, history = march(advance, Z, 0.0, n, dt, blocks=blocks)
     return times, [history[:, row] for row in layout[2]]

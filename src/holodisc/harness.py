@@ -63,6 +63,7 @@ from .macromodel import (
 from .microscale import (
     _burgers_point,
     _record_count,
+    _screen_rows,
     burgers_form,
     check_scheme_legal,
     exact_points,
@@ -70,7 +71,6 @@ from .microscale import (
     lattice_decay_rates,
     lattice_form,
     march,
-    non_finite_error,
     rk4_step,  # unused here; kept importable as harness.rk4_step
     stepper,
 )
@@ -493,11 +493,10 @@ class _Joint(NamedTuple):
 
 
 # fig3's layout runs the float loop (_paired_loop) if its joint state has
-# at most _FLOAT_STATE entries; else march steps the array stage.  Medians
-# of 2000-step run_paired runs, loop against array stage, one Lorenz signal,
-# a Burgers ring and ssm1 at m = 4, 15 interleaved rounds (BENCH_37.json):
-# -32% at 67 entries, -24% at 71, -20% at 75, -10% at 83, the loop ahead in
-# every round; no workload runs past 72, so the cap stays there.
+# at most _FLOAT_STATE entries; else march steps the array stage.  72 is a
+# policy, not a crossover: in 2000-step run_paired runs (BENCH_37.json) the
+# loop led at 67, 71, 75 and 83 entries (-32%, -24%, -20%, -10%, every
+# round), but no workload runs past 72 to measure a crossover on.
 _FLOAT_STATE = 72
 
 
@@ -596,9 +595,9 @@ def _paired_loop(sigset, float_form, profiles_T, bank, assemble, y0, blocks,
     history) from y0.  An ssm1 bank's chains are all fed by one scalar phi
     and start from rest, so its m columns are equal bit for bit at every
     stage: the loop keeps one local per bank row (``_paired_loop_code``).
-    Each step's state goes into a chunk of record_every rows, screened as
-    march screens each step at each record; the last row, spread over the
-    bank's columns by spread (each entry's local), is the record."""
+    Each step's state goes into a chunk of record_every rows, screened at
+    each record (``_screen_rows``); the last row, spread over the bank's
+    columns by spread (each entry's local), is the record."""
     (form, constants), m, n = float_form, bank.m, len(sigset.signals)
     neg_rates, feeds, _ = bank._layout
     R, e1, C = len(feeds), y0.size - m - neg_rates.size, len(bank.out_rows)
@@ -620,11 +619,7 @@ def _paired_loop(sigset, float_form, profiles_T, bank, assemble, y0, blocks,
         def keep(size):  # screen the chunk's first size bytes, record its last row
             nonlocal rec
             rows = chunk[:size // row.size]
-            ok = np.isfinite(rows).all(axis=1)
-            if not ok.all():
-                k = int(ok.argmin())
-                raise non_finite_error(rows[k, spread], blocks, 0.0,
-                                       rec * record_every + k, dt)
+            _screen_rows(rows, blocks, 0.0, rec * record_every, dt, spread)
             rec += 1
             history[rec] = rows[-1, spread]
             return 0

@@ -314,6 +314,14 @@ def _record_count(n_steps, record_every):
     return 1 + n_steps // record_every + (n_steps % record_every > 0)
 
 
+def _screen_rows(rows, blocks, t0, k0, dt, spread=slice(None)):
+    """march's screen of a float loop's rows (the states after steps k0,
+    k0 + 1, ...): the error for the first non-finite one, state rows[k, spread]."""
+    if not (ok := np.isfinite(rows).all(axis=1)).all():
+        k = int(ok.argmin())
+        raise non_finite_error(rows[k, spread], blocks, t0, k0 + k, dt)
+
+
 def non_finite_error(y, blocks, t0, k, dt):
     """march's StabilityError for step k's non-finite state y: its first
     non-finite block, at t0 + (k + 1) dt (the generated float loops' too)."""

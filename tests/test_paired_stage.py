@@ -706,34 +706,48 @@ SCALES = (1e-6, 1e-2, 1.0, 30.0, 1e3)
 @pytest.mark.parametrize("white", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("past", [0, 1])
-def test_ssm1_run_at_the_float_state_is_the_array_run(past, gamma, white):
+def test_ssm1_stage_at_the_float_state_is_the_concatenating_stage(
+        past, gamma, white):
     """At the largest state the float loop takes and at one entry past it
     (the array stage), an ssm1 bank and a Burgers ring filling it, under
     rk4's Lorenz signal (the float loop at the largest state) and
-    euler-maruyama's white draws (the array stage at either size): whole
-    runs from driver, field and amplitude starts of magnitudes 1e-6..1e3,
-    bit for bit the array stage's runs."""
+    euler-maruyama's white draws (the array stage at either size): over
+    signal, field, chain and amplitude magnitudes 1e-6..1e3, the joint's
+    array stage is the concatenating stage bit for bit, and where the float
+    loop runs, its whole runs from driver, field and amplitude starts of
+    those magnitudes are the array stage's runs bit for bit."""
     m = 2 * ((harness._FLOAT_STATE - 4) // 16)
     n = harness._FLOAT_STATE - (0 if white else 3) - 8 * m + past
     assert n > 0
     scheme = "euler-maruyama" if white else "rk4"
     cfg = ModelConfig(variant="ssm1", alpha=1.3, eps=-0.6, gamma=gamma,
                       H=0.9, m=m, scheme=scheme)
+    coarse = CoarseSide(cfg, np.ones(m), lambda v, t: float(v[0]))
     grid = ("burgers", 0.4, 1.3, -0.6, "skew")
     rng = np.random.default_rng(m + n)
-    profiles = rng.normal(size=(1, n))
-    for ds, us in itertools.product(SCALES, repeat=2):
-        signals = [SignalSpec(kind="white-noise") if white else SignalSpec(
-            kind="lorenz", xi0=ds * rng.normal(), eta0=ds * rng.normal())]
-        fine = fine_side(us * rng.normal(size=n), profiles, grid)
-        coarse = CoarseSide(cfg, us * rng.normal(size=m), lambda v, t: float(v[0]))
-        if (ds, us) == (1.0, 1.0):
-            joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
-            assert joint.y0.size == harness._FLOAT_STATE + past
-            assert takes_float_loop(signals, fine, coarse, scheme) == (
-                not past and not white)
-        loop, array = float_and_array_runs(signals, fine, coarse, scheme, 12, 5)
-        assert same_run(loop, array)
+    fine = fine_side(np.ones(n), rng.normal(size=(1, n)), grid)
+    signals = [SignalSpec(kind="white-noise") if white else LORENZ]
+    joint = _compile_stage(signals, 5, cfg.dt, scheme, fine, coarse)
+    assert joint.y0.size == harness._FLOAT_STATE + past
+    loops = not past and not white
+    assert (joint.loop is not None) == loops == takes_float_loop(
+        signals, fine, coarse, scheme)
+    sd, su, sz, sU = joint.slices
+    for zs, us in itertools.product(SCALES, repeat=2):
+        y = joint.y0.copy()
+        for scale, block in zip((us, us, zs, us), (sd, su, sz, sU)):
+            y[block] = scale * rng.normal(size=y[block].size)
+        draws = [us * rng.normal()] if white else joint.sigset.no_draws
+        t = float(rng.uniform(0.0, 10.0))
+        want = reference_stage(signals, fine, grid, coarse, y, t, draws)
+        assert np.array_equal(bound_stage(joint.bind)(y, t, draws), want)
+        if loops:  # zs sizes the drivers here: a run's bank starts from rest
+            start = [SignalSpec(kind="lorenz", xi0=zs * rng.normal(),
+                                eta0=zs * rng.normal())]
+            loop, array = float_and_array_runs(
+                start, fine._replace(u0=us * rng.normal(size=n)),
+                coarse._replace(U0=us * rng.normal(size=m)), scheme, 12, 5)
+            assert same_run(loop, array)
 
 
 FLOAT_SCHEMES = ("rk4", "euler", "euler-maruyama")
